@@ -6,21 +6,24 @@
 
 Run it from the root of a checkout: gbsmc is imported from ``src/`` there
 and from nowhere else.  A workload is a fixed batch of operations (solver
-trials or sampling calls) run back to back on one thread: a closed loop
-with one client.  One pass runs the whole batch once; further passes run
-while the next one is expected to end within ``--seconds``.  The inputs
-(edge lists, trial seeds, fugacities) come from the benchmark's own RNG,
-seeded by ``--seed``, so a change to gbsmc's generators cannot change a
-workload.  Every output is checked against ``oracles.py``, and set-up runs
-its warm-up five times, which must give the same results each time.
+trials or sampling calls) run once, back to back on one thread: a closed
+loop with one client.  The batch is fixed and takes 25-30 s here, within
+the default ``--seconds``; ``--seconds`` changes no work, and a batch that
+takes longer says so on standard error.  The batch's inputs (edge lists,
+trial seeds, fugacities) come from the benchmark's own RNG, seeded by
+``--seed``, so a change to gbsmc's generators cannot change a workload.
+Every output is checked against ``oracles.py``.  Set-up runs seven times,
+with a warm-up whose inputs do not depend on ``--seed``, and the warm-up
+must give the same results each time.
 
-The last line of standard output is one JSON object with the keys
-``correct``, ``attempted``, ``failed`` and ``metrics``.  With ``--trace 0``
-the metrics are the end-to-end ones and nothing in gbsmc is wrapped.  With
-``--trace 1`` one untraced pass runs first and then traced passes; their
-results must match, and the metrics are the per-layer ones and the tracing
-overhead.  Results and spans are also written to ``perfbench/out/``.
-README.md describes the workloads and metrics.
+Each workload ends with one line of standard output, a JSON object with
+the keys ``correct``, ``attempted``, ``failed`` and ``metrics``.  With
+``--trace 0`` the metrics are the end-to-end ones and nothing in gbsmc is
+wrapped.  With ``--trace 1`` every operation runs twice, untraced and
+traced, one right after the other; the two results must match, and the
+metrics are the per-layer ones and the tracing overhead.  Results and
+spans are also written to ``perfbench/out/``.  README.md describes the
+workloads and metrics.
 """
 
 from __future__ import annotations
@@ -52,10 +55,10 @@ OUT = HERE / "out"
 WORKLOADS = ("law-k6", "search-k8", "search-k16-k32")
 CHAINS = ("glauber", "jerrum", "double_loop")
 DEFAULT_SEED = 1
-DEFAULT_SECONDS = 30
-SETUP_REPEATS = 5
+DEFAULT_SECONDS = 35
+SETUP_REPEATS = 7
 
-# law-k6: chain -> (sampling calls per pass, thinned samples per call)
+# law-k6: chain -> (sampling calls per batch, thinned samples per call)
 LAW_CALLS = {"glauber": (8, 25_000), "jerrum": (8, 25_000),
              "double_loop": (16, 2_500)}
 BURN_IN = 1000
@@ -92,7 +95,7 @@ LAYER_UNITS = {
     "solvers.distinct_eval_ratio": "ratio",
     "solvers.nonzero_eval_ratio": "ratio",
     "solvers.plain_trial_s": "s", "solvers.score_ratio": "ratio",
-    "trace.overhead": "ratio",
+    "trace.overhead": "ratio", "trace.wrapper_cost": "ratio",
 }
 
 
@@ -119,7 +122,7 @@ def reimport_gbsmc():
 
 @dataclass
 class Op:
-    """One operation of a pass: a sampling call or a solver trial.
+    """One operation of a batch: a sampling call or a solver trial.
 
     Ops of one ``group`` do the same kind of work; a family's time is the
     mean over its groups of the group's median op time, which keeps a burst
@@ -161,7 +164,7 @@ class LawK6:
                              key_kind="vertexset"), None
 
     def warm_up(self):
-        return [self._sample(chain, f"perfbench/{self.seed}/law-k6/warm-up",
+        return [self._sample(chain, "perfbench/warm-up/law-k6",
                              WARM_UP_SAMPLES) for chain in CHAINS]
 
     def ops(self):
@@ -222,14 +225,19 @@ class Search:
         self.seed = seed
         self.specs, self.iterations = SEARCH[name]
 
-    def build(self):
+    @staticmethod
+    def _host(label):
         """G(n, M) with M = round(p * n(n-1)/2): the edge count, and with it
-        the cost of every hafnian, does not vary from seed to seed."""
-        from gbsmc.graphs import Graph
-        rng = random.Random(f"perfbench/{self.seed}/graph")
+        the cost of every hafnian, does not vary from seed to seed.
+        Returns (edge set, edge list)."""
+        rng = random.Random(label)
         pairs = list(combinations(range(HOST_N), 2))
         edges = sorted(rng.sample(pairs, round(HOST_P * len(pairs))))
-        self.edge_set = set(edges)
+        return set(edges), edges
+
+    def build(self):
+        from gbsmc.graphs import Graph
+        self.edge_set, edges = self._host(f"perfbench/{self.seed}/graph")
         t0 = time.perf_counter()
         self.g = Graph(HOST_N, edges)
         return time.perf_counter() - t0
@@ -239,7 +247,7 @@ class Search:
         from gbsmc.solvers import SAParams, SolverConfig
         chain = None
         if family != "uniform":
-            frac = (k / 2) / self.g.m
+            frac = (k / 2) / self.g.m    # every host graph has the same m
             chain = ChainConfig(fugacity=math.sqrt(frac)
                                 if family == "double_loop" else frac)
         return SolverConfig(objective=objective, subset_size=k,
@@ -248,9 +256,10 @@ class Search:
                             sa=SAParams() if alg == "sa" else None,
                             seed=label, mixing_steps=MIXING_STEPS)
 
-    def _trial(self, cfg):
+    @staticmethod
+    def _trial(g, cfg):
         from gbsmc.solvers import solver_for
-        return solver_for(cfg)(self.g, cfg)
+        return solver_for(cfg)(g, cfg)
 
     @staticmethod
     def _key(rec):
@@ -258,8 +267,13 @@ class Search:
                 rec.starvation_count, rec.inner_failures)
 
     def warm_up(self):
-        label = f"perfbench/{self.seed}/{self.name}/warm-up"
-        return [self._key(self._trial(self._config(
+        """Every variant on a host graph of its own; neither depends on the
+        seed, so set-up does the same work on every seed (the cost of a
+        k=16 hafnian varies widely from graph to graph)."""
+        from gbsmc.graphs import Graph
+        label = f"perfbench/warm-up/{self.name}"
+        g = Graph(HOST_N, self._host(label)[1])
+        return [self._key(self._trial(g, self._config(
                     objective, k, alg, family, label, WARM_UP_ITERATIONS)))
                 for objective, k, _ in self.specs
                 for alg in ALGS for family in FAMILIES]
@@ -279,7 +293,7 @@ class Search:
                                            self.iterations)
                         out.append(Op(
                             family, (objective, k, alg),
-                            lambda cfg=cfg: self._trial(cfg),
+                            lambda cfg=cfg: self._trial(self.g, cfg),
                             lambda rec, k=k, objective=objective:
                                 oracles.trial_problems(
                                     rec, k=k, iterations=self.iterations,
@@ -315,73 +329,102 @@ class Search:
 
 @dataclass
 class PassOutcome:
-    total: float         # reference seconds in ops, calibration excluded
-    times: list          # reference seconds per op
-    walls: list          # wall seconds per op
-    slowness: list       # calibration readings around the ops
+    times: list          # reference seconds per op (untraced)
+    walls: list          # wall seconds per op (untraced)
+    slowness: list       # calibration reading around each untraced op
     results: list
-    failed: set
-    problems: list
-    wrong: bool          # an op that did not raise gave a wrong result
+    failed: set = field(default_factory=set)
+    problems: list = field(default_factory=list)
+    wrong: bool = False  # an op that did not raise gave a wrong result
+    traced_walls: list = field(default_factory=list)
+    traced_slowness: list = field(default_factory=list)
+    missing: list = field(default_factory=list)   # span targets not found
 
 
-def run_pass(workload, ops, reference, tracer=None) -> PassOutcome:
-    """Run every op once; ``reference`` holds an earlier pass's keys."""
-    times, walls, results, failed, problems = [], [], [], set(), []
-    slow = [clock.slowness()]
+def _run_op(op, tracer):
+    """Run one op; returns (result or None, wall seconds, traceback or None,
+    span targets not found).  With a tracer, gbsmc's layer boundaries are
+    wrapped for this op only."""
+    missing = []
+    if tracer is not None:
+        undo, missing = tracing.install(tracer)
+        sid = tracer.open(op.span, **op.span_attrs)
+    t0 = time.perf_counter()
+    try:
+        return op.run(), time.perf_counter() - t0, None, missing
+    except Exception:
+        return None, time.perf_counter() - t0, traceback.format_exc(), missing
+    finally:
+        if tracer is not None:
+            tracer.close(sid)
+            tracing.uninstall(undo)
+
+
+def run_pass(workload, ops, tracer=None) -> PassOutcome:
+    """Run every op once, untraced.  With a tracer, each op also runs traced,
+    right after the untraced run or, for every other op, right before it,
+    so that drift of the CPU's speed cancels out of the tracing overhead;
+    the two runs must give the same result."""
+    out = PassOutcome([], [], [], [])
+    reading = clock.slowness()
     for i, op in enumerate(ops):
-        sid = tracer.open(op.span, **op.span_attrs) if tracer else None
-        t0 = time.perf_counter()
-        try:
-            res = op.run()
-        except Exception:
+        copies = ((False,) if tracer is None
+                  else (False, True) if i % 2 == 0 else (True, False))
+        got = {}
+        for traced in copies:
+            res, wall, error, missing = _run_op(op, tracer if traced else None)
+            after = clock.slowness()
+            got[traced] = (res, wall, (reading + after) / 2, error)
+            reading = after
+            out.missing = out.missing or missing
+        res, wall, slow, error = got[False]
+        out.times.append(wall / slow)
+        out.walls.append(wall)
+        out.slowness.append(slow)
+        problems = []
+        if tracer is not None:
+            t_res, t_wall, t_slow, t_error = got[True]
+            out.traced_walls.append(t_wall)
+            out.traced_slowness.append(t_slow)
+            error = error or t_error
+            if error is None and op.key(t_res) != op.key(res):
+                problems.append("traced result differs from the untraced one")
+        if error is not None:
             res = None
-            failed.add(i)
-            problems.append(f"op {i} ({op.family}) raised:\n"
-                            + traceback.format_exc())
-        finally:
-            dt = time.perf_counter() - t0
-            if tracer:
-                tracer.close(sid)
-        slow.append(clock.slowness())
-        times.append(dt / ((slow[-2] + slow[-1]) / 2))
-        walls.append(dt)
-        results.append(res)
-    raised = len(problems)
-    for i, (op, res) in enumerate(zip(ops, results)):
-        if res is None:
-            continue
-        got = op.check(res)
-        if reference is not None and op.key(res) != reference[i]:
-            got.append("result differs from the untraced pass")
-        if got:
-            failed.add(i)
-            problems.append(f"op {i} ({op.family}): {'; '.join(got)}")
-    for family, got in workload.pass_problems(ops, results).items():
-        if got:
-            failed.update(i for i, op in enumerate(ops)
-                          if op.family == family)
-            problems.append(f"{family} pooled: {'; '.join(got)}")
-    return PassOutcome(sum(times), times, walls, slow, results, failed,
-                       problems, len(problems) > raised)
+            out.problems.append(f"op {i} ({op.family}) raised:\n{error}")
+        else:
+            problems += op.check(res)
+        out.results.append(res)
+        if problems:
+            out.wrong = True
+            out.problems.append(f"op {i} ({op.family}): {'; '.join(problems)}")
+        if error is not None or problems:
+            out.failed.add(i)
+    for family, found in workload.pass_problems(ops, out.results).items():
+        if found:
+            out.wrong = True
+            out.failed.update(i for i, op in enumerate(ops)
+                              if op.family == family)
+            out.problems.append(f"{family} pooled: {'; '.join(found)}")
+    return out
 
 
-def family_times(ops, outcome) -> dict:
+def family_times(ops, times) -> dict:
     """Per family: mean over its groups of the median op time."""
     groups = {}
-    for op, dt in zip(ops, outcome.times):
+    for op, dt in zip(ops, times):
         groups.setdefault((op.family, op.group), []).append(dt)
     medians = {}
-    for (family, _), times in groups.items():
-        medians.setdefault(family, []).append(statistics.median(times))
+    for (family, _), group_times in groups.items():
+        medians.setdefault(family, []).append(statistics.median(group_times))
     return {f: statistics.fmean(m) for f, m in medians.items()}
 
 
 def run_workload(name, seed, seconds, trace):
-    """Set up, run the passes and check them.
+    """Set up, run the batch and check it.
 
-    Returns (result, spans of each traced pass, missing span targets,
-    a record of every op's family, group, reference and wall seconds).
+    Returns (result, spans, missing span targets, a record of every op's
+    family, group, reference and wall seconds).
     """
     workload = LawK6(seed) if name == "law-k6" else Search(name, seed)
     setups, builds, warm = [], [], []
@@ -395,77 +438,55 @@ def run_workload(name, seed, seconds, trace):
     warm_ok = all(w == warm[0] for w in warm)
     problems = [] if warm_ok else ["warm-up results differ between set-ups"]
 
-    start = time.perf_counter()
-
-    def more(done):
-        """Whether one more pass of average length ends within seconds."""
-        spent = time.perf_counter() - start
-        return spent + spent / done <= seconds
-
-    untraced = [run_pass(workload, ops, None)]
-    traced, spans, missing = [], [], []
-    if trace:
-        reference = [None if r is None else op.key(r)
-                     for op, r in zip(ops, untraced[0].results)]
-        tracer = tracing.Tracer()
-        undo, missing = tracing.install(tracer)
-        try:
-            while not traced or more(1 + len(traced)):
-                traced.append(run_pass(workload, ops, reference, tracer))
-                spans.append(tracer.take())
-        finally:
-            tracing.uninstall(undo)
-    else:
-        while more(len(untraced)):
-            untraced.append(run_pass(workload, ops, None))
-
-    passes = untraced + traced
-    attempted = len(ops) * len(passes)
-    failed = sum(len(p.failed) for p in passes)
-    problems += [msg for p in passes for msg in p.problems]
-    correct = warm_ok and not any(p.wrong for p in passes)
-    for msg in problems[:10]:
+    tracer = tracing.Tracer() if trace else None
+    outcome = run_pass(workload, ops, tracer)
+    if sum(outcome.walls) > seconds:
+        print(f"perfbench {name}: the batch took {sum(outcome.walls):.1f} s, "
+              f"longer than --seconds {seconds:g}", file=sys.stderr)
+    copies = 2 if trace else 1        # a traced run runs every op twice
+    correct = warm_ok and not outcome.wrong
+    for msg in (problems + outcome.problems)[:10]:
         print(f"perfbench {name}: {msg}", file=sys.stderr)
-    for target in missing:
+    for target in outcome.missing:
         print(f"perfbench {name}: span target {target} is missing",
               file=sys.stderr)
 
-    first = untraced[0]
     if trace:
-        layers = [tracing.layer_metrics(
-                      s, [(a + b) / 2 for a, b in zip(p.slowness,
-                                                      p.slowness[1:])])
-                  for s, p in zip(spans, traced)]
-        values = {key: statistics.median(m[key] for m in layers)
-                  for key in layers[0]}
+        values = tracing.layer_metrics(tracer.spans, outcome.traced_slowness)
         values["graphs.build_s"] = statistics.median(builds)
-        values["solvers.plain_trial_s"] = family_times(ops, first).get(
-            "uniform", 0.0)
+        values["solvers.plain_trial_s"] = family_times(
+            ops, outcome.times).get("uniform", 0.0)
         values["solvers.score_ratio"] = 0.0
-        values.update(workload.summary(ops, first.results))
+        values.update(workload.summary(ops, outcome.results))
         values["trace.overhead"] = (
-            statistics.median(p.total for p in traced) / first.total - 1.0)
+            sum(outcome.traced_walls) / sum(outcome.walls) - 1.0)
+        values["trace.wrapper_cost"] = (tracing.span_cost() * len(tracer.spans)
+                                        / sum(outcome.walls))
         units = LAYER_UNITS
     else:
-        per_pass = [family_times(ops, p) for p in untraced]
+        per_chain = family_times(ops, outcome.times)
         values = {
             "setup_s": statistics.median(setups),
-            "run_s": statistics.median(p.total for p in untraced),
+            "run_s": sum(outcome.times),
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            **{f"op_s.{c}": statistics.median(t[c] for t in per_pass)
-               for c in CHAINS},
+            **{f"op_s.{c}": per_chain[c] for c in CHAINS},
         }
         units = E2E_UNITS
-    result = {"correct": correct, "attempted": attempted, "failed": failed,
+    result = {"correct": correct, "attempted": len(ops) * copies,
+              "failed": len(outcome.failed) * copies,
               "metrics": {key: {"value": values[key], "unit": unit}
                           for key, unit in units.items()}}
-    record = {"passes": [
-        {"traced": i >= len(untraced), "slowness": p.slowness,
-         "ops": [[op.family, list(op.group), t, w]
-                 for op, t, w in zip(ops, p.times, p.walls)]}
-        for i, p in enumerate(passes)]}
-    return result, spans, missing, record
+    fields = ["family", "group", "ref_s", "wall_s", "slowness"]
+    columns = [outcome.times, outcome.walls, outcome.slowness]
+    if trace:
+        fields.append("traced_wall_s")
+        columns.append(outcome.traced_walls)
+    record = {"setup_s": setups, "fields": fields,
+              "ops": [[op.family, list(op.group), *row]
+                      for op, row in zip(ops, zip(*columns))]}
+    spans = tracer.spans if trace else []
+    return result, spans, outcome.missing, record
 
 
 def main(argv=None) -> int:
@@ -477,8 +498,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="workload seed (default %(default)s)")
     parser.add_argument("--seconds", type=float, default=DEFAULT_SECONDS,
-                        help="time for passes after set-up "
-                             "(default %(default)s)")
+                        help="time the batch is expected to fit in; a "
+                             "longer batch is reported (default %(default)s)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -497,7 +518,7 @@ def main(argv=None) -> int:
             with open(f"{stem}-spans.json", "w") as fh:
                 json.dump({"fields": ["name", "parent", "start", "end",
                                       "attrs"],
-                           "missing": missing, "passes": spans}, fh)
+                           "missing": missing, "spans": spans}, fh)
         for key, m in result["metrics"].items():
             print(f"{name:15s} {key:32s} {m['value']:14.6g} {m['unit']}",
                   file=sys.stderr)

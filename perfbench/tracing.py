@@ -5,8 +5,9 @@ the span that was open when it began (-1 at the top).  Spans stay in memory
 and are written out once the run ends.
 
 Each boundary is wrapped at the module attribute through which one layer
-calls the next, so the wrapper sees exactly the calls the program makes and
-the untraced run, which installs nothing, runs the program untouched.  A
+calls the next, so the wrapper sees exactly the calls the program makes,
+and an untraced run, or the untraced copy of an operation in a traced run,
+installs nothing and runs the program untouched.  A
 target that a refactor has removed is reported as missing and its metrics
 read 0; the run goes on.
 """
@@ -35,11 +36,6 @@ class Tracer:
     def close(self, sid):
         self.spans[sid][3] = time.perf_counter()
         self._stack.pop()
-
-    def take(self) -> list:
-        """The spans recorded so far; recording starts afresh."""
-        spans, self.spans = self.spans, []
-        return spans
 
 
 def _steps(args, kwargs):
@@ -103,14 +99,34 @@ def uninstall(undo):
         setattr(owner, attr, original)
 
 
+def span_cost(calls=20_000, best_of=5) -> float:
+    """Wall seconds a wrapper adds to one call: a wrapped no-op against the
+    bare no-op, best of ``best_of`` loops of ``calls`` calls each."""
+    def noop(*args, **kwargs):
+        return 0
+
+    wrapped = _wrap(Tracer(), "noop", noop, lambda a, kw, r: {})
+
+    def loop(fn):
+        best = float("inf")
+        for _ in range(best_of):
+            t0 = time.perf_counter()
+            for i in range(calls):
+                fn(None, i)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    return max(loop(wrapped) - loop(noop), 0.0) / calls
+
+
 def _median_us(durations):
     return statistics.median(durations) * 1e6 if durations else 0.0
 
 
 def layer_metrics(spans, slowness) -> dict:
-    """Per-layer figures of one pass, from its spans.
+    """Per-layer figures of one batch, from its spans.
 
-    ``slowness[i]`` is the calibration reading of the pass's i-th top-level
+    ``slowness[i]`` is the calibration reading of the batch's i-th top-level
     span (one operation); every span inside it is divided by it, to give
     reference seconds.  A layer's self time is its spans' duration minus
     the duration of their child spans (children nest and never overlap:
