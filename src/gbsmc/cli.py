@@ -14,6 +14,13 @@ a human-readable manifest.  CSVs are byte-deterministic for a given command
 line (timing lives only in the manifest), and every row carries the run's
 config hash and seed so any row can be reproduced in isolation.
 
+An ExperimentSpec JSON file (``gbsmc bench --spec FILE``) stands for a
+command line: its ``graph`` block becomes ``--gen`` and the generator flags,
+and each ``config`` key is an option of the task's subcommand in ``dest``
+form (``mixing_steps``, ``fugacity`` for ``--lambda``).  The parser below
+checks spec values as it checks flags; a numeric option must also be given
+a JSON number, and a switch ``true`` or ``false``.
+
 Exit codes: 0 success, 1 failed check or partly-failed run, 2 configuration
 error, 3 post-selection starvation, 4 inner-sampler budget exhaustion,
 5 exactness guard exceeded.
@@ -31,9 +38,10 @@ import statistics
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from .diagnostics import (LAW_KINDS, DistributionTable, OracleGuardError,
                           check_detailed_balance, exact_stationary,
@@ -44,11 +52,10 @@ from .double_loop import (DoubleLoopConfig, InnerSamplerError,
 from .glauber import ChainConfig, ChainConfigError, _drive_glauber, _drive_jerrum
 from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
                      gen_graph, load_edge_list, to_edge_list_text)
-from .graphs import _GENERATORS as _GRAPH_GENERATORS
 from .pm_chain import PMSampleBudgetError, PMSamplerConfig, PMStateError
 from .seeds import child_rng, derive_seed
 from .solvers import (SOLVERS, SAParams, SolverConfig, SolverConfigError,
-                      solver_for)
+                      advantage_at, solver_for)
 from .svg import Series, histogram_plot, line_plot
 
 EXIT_OK = 0
@@ -86,13 +93,16 @@ def _rational_arg(text: str):
     return float(text)
 
 
+def _dashed(text: str) -> str:
+    """Choice names are kebab-case; the snake_case spelling is accepted."""
+    return text.replace("_", "-")
+
+
 def _num(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, (int, Fraction)):
-        return str(v)
     return str(v)
 
 
@@ -126,24 +136,19 @@ def _read_csv(path: Path):
 
 
 def _manifest_lines(value, indent=0):
+    """A dict as "key: value" lines, a list as "- item" lines; containers
+    nest one level deeper under a bare "key:" or "-" line."""
     pad = "  " * indent
+    heads = ([f"{pad}{key}:" for key in value] if isinstance(value, dict)
+             else [f"{pad}-"] * len(value))
+    items = value.values() if isinstance(value, dict) else value
     lines = []
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_manifest_lines(item, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_num(item)}")
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_manifest_lines(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_num(item)}")
-    else:
-        lines.append(f"{pad}{_num(value)}")
+    for head, item in zip(heads, items):
+        if isinstance(item, (dict, list)):
+            lines.append(head)
+            lines.extend(_manifest_lines(item, indent + 1))
+        else:
+            lines.append(f"{head} {_num(item)}")
     return lines
 
 
@@ -188,12 +193,7 @@ _GRAPH_KINDS = {
 }
 
 
-def _add_graph_args(p: argparse.ArgumentParser):
-    grp = p.add_argument_group("graph source")
-    grp.add_argument("--graph", metavar="FILE",
-                     help="load an edge-list file instead of generating")
-    grp.add_argument("--gen", choices=sorted(_GRAPH_KINDS),
-                     help="generator kind")
+def _add_generator_args(grp):
     grp.add_argument("--n", type=int, help="vertex count (per side for "
                      "bipartite kinds)")
     grp.add_argument("--m", type=int, help="left side size "
@@ -202,6 +202,15 @@ def _add_graph_args(p: argparse.ArgumentParser):
     grp.add_argument("--clique", type=int, help="planted clique size")
     grp.add_argument("--edges", type=int, help="edge count (sparse-bipartite)")
     grp.add_argument("--squares", type=int, help="square count (hard-instance)")
+
+
+def _add_graph_args(p: argparse.ArgumentParser):
+    grp = p.add_argument_group("graph source")
+    grp.add_argument("--graph", metavar="FILE",
+                     help="load an edge-list file instead of generating")
+    grp.add_argument("--gen", choices=sorted(_GRAPH_KINDS),
+                     help="generator kind")
+    _add_generator_args(grp)
     grp.add_argument("--graph-seed", type=_seed_arg, default=0,
                      help="seed for randomized generators (default 0)")
 
@@ -254,65 +263,60 @@ def _cmd_gen_graph(args) -> int:
 # sample
 # ---------------------------------------------------------------------------
 
-def _chain_config(opts) -> ChainConfig:
-    cfg = ChainConfig(fugacity=opts.get("fugacity"), c=opts.get("c"),
-                      lazy=bool(opts.get("lazy", False)))
+def _chain_config(fugacity, c, lazy=False) -> ChainConfig:
+    cfg = ChainConfig(fugacity=fugacity, c=c, lazy=lazy)
     if cfg.fugacity is None and cfg.c is None:
         cfg = replace(cfg, fugacity=1.0)
     cfg.resolved_fugacity()  # validate now
     return cfg
 
 
-def _double_loop_config(chain_cfg: ChainConfig, opts) -> DoubleLoopConfig:
+def _double_loop_config(chain_cfg: ChainConfig, args) -> DoubleLoopConfig:
     return DoubleLoopConfig(
         chain=chain_cfg,
-        pm=PMSamplerConfig(inner_steps=opts.get("inner_steps"),
-                           max_attempts=opts.get("max_attempts")),
-        on_inner_failure=opts.get("on_inner_failure", "stay"),
-        inner=opts.get("inner", "chain"))
+        pm=PMSamplerConfig(inner_steps=args.inner_steps,
+                           max_attempts=args.max_attempts),
+        on_inner_failure=args.on_inner_failure, inner=args.inner)
 
 
-def _do_sample(g: Graph, opts: dict, out) -> int:
+def _drive(chain, g, x, cc, dl_cfg, n_steps, rng, haf_memo=None, **kw):
+    """Advance ``x`` in place by ``n_steps`` steps of ``chain``; returns the
+    window's latest post-selected state and its step."""
+    lam = cc.resolved_fugacity()
+    if chain == "double_loop":
+        return _drive_double(g, x, lam, dl_cfg, n_steps, rng,
+                             weighted=g.weighted, haf_memo=haf_memo, **kw)[:2]
+    drive = _drive_glauber if chain == "glauber" else _drive_jerrum
+    return drive(g, x, lam, cc.lazy, n_steps, rng, **kw)
+
+
+def _do_sample(g: Graph, args, out) -> int:
     """Windowed sampling: the chain advances ``steps`` moves per sample and
     each window emits one "step,vertex_set_hex" line.  With post-selection
     the emitted state is the window's most recent one of the target size;
     a window without any such state aborts with the starvation exit code
     (lines already written stay on disk)."""
-    chain = opts["chain"]
-    cc = _chain_config(opts)
-    lam = cc.resolved_fugacity()
+    chain = args.chain.replace("-", "_")
+    cc = _chain_config(args.fugacity, args.c, args.lazy)
     target = -1
-    k = opts.get("post_select_k")
+    k = args.post_select_k
     if k is not None:
         if k % 2:
             raise CliError(f"post-selection size {k} is odd")
         target = k // 2
-    dl_cfg = _double_loop_config(cc, opts) if chain == "double_loop" else None
-    rng = child_rng(opts.get("seed", 0), "sample")
+    dl_cfg = _double_loop_config(cc, args) if chain == "double_loop" else None
+    rng = child_rng(args.seed, "sample")
     x = cc.make_initial(g)
     memo = {}
-
-    def advance(n_steps, start):
-        if chain == "glauber":
-            return _drive_glauber(g, x, lam, cc.lazy, n_steps, rng,
-                                  target_edges=target, start_step=start)
-        if chain == "jerrum":
-            return _drive_jerrum(g, x, lam, cc.lazy, n_steps, rng,
-                                 target_edges=target, start_step=start)
-        snap, step, _ = _drive_double(g, x, lam, dl_cfg, n_steps, rng,
-                                      weighted=g.weighted,
-                                      target_edges=target, start_step=start,
-                                      haf_memo=memo)
-        return snap, step
-
     at = 0
-    burn = opts.get("burn_in", 0)
-    if burn:
-        advance(burn, 0)
-        at = burn
-    window = opts["steps"]
-    for _ in range(opts["samples"]):
-        snap, snap_step = advance(window, at)
+    if args.burn_in:
+        _drive(chain, g, x, cc, dl_cfg, args.burn_in, rng, memo,
+               target_edges=target)
+        at = args.burn_in
+    window = args.steps
+    for _ in range(args.samples):
+        snap, snap_step = _drive(chain, g, x, cc, dl_cfg, window, rng, memo,
+                                 target_edges=target, start_step=at)
         at += window
         if target >= 0:
             if snap is None:
@@ -330,17 +334,10 @@ def _do_sample(g: Graph, opts: dict, out) -> int:
 
 def _cmd_sample(args) -> int:
     g, _ = _graph_from_args(args)
-    opts = {"chain": args.chain.replace("-", "_"), "fugacity": args.fugacity,
-            "c": args.c, "lazy": args.lazy, "steps": args.steps,
-            "burn_in": args.burn_in, "samples": args.samples,
-            "post_select_k": args.post_select_k, "seed": args.seed,
-            "inner": args.inner, "inner_steps": args.inner_steps,
-            "max_attempts": args.max_attempts,
-            "on_inner_failure": args.on_inner_failure}
     if args.out:
         with open(args.out, "w") as fh:
-            return _do_sample(g, opts, fh)
-    return _do_sample(g, opts, sys.stdout)
+            return _do_sample(g, args, fh)
+    return _do_sample(g, args, sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -352,26 +349,20 @@ _ALG_NAMES = {"rs": "random_search", "ers": "enhanced_random_search",
               "esa": "enhanced_simulated_annealing"}
 
 
-def _solver_config(opts: dict) -> tuple:
-    """(algorithm name, base SolverConfig) from an options dict."""
-    alg = _ALG_NAMES.get(opts["alg"], opts["alg"])
-    if alg not in SOLVERS:
-        raise CliError(f"unknown algorithm {opts['alg']!r}")
+def _solver_config(args) -> tuple:
+    """(algorithm name, base SolverConfig) from the solve options."""
+    alg = _ALG_NAMES.get(args.alg, args.alg)
     enhanced = alg.startswith("enhanced")
-    sampler = opts.get("sampler", "double_loop") if enhanced else "uniform"
-    sampler = sampler.replace("-", "_")
-    chain = _chain_config(opts) if enhanced else None
+    sampler = args.sampler.replace("-", "_") if enhanced else "uniform"
+    chain = _chain_config(args.fugacity, args.c) if enhanced else None
     sa = None
     if alg.endswith("simulated_annealing"):
-        sa = SAParams(initial_temperature=opts.get("t0", 1.0),
-                      gamma=opts.get("gamma", 0.95))
-    cfg = SolverConfig(objective=opts.get("objective", "hafnian"),
-                       subset_size=opts["k"],
-                       iterations=opts.get("iterations", 1000),
-                       sampler=sampler, chain=chain, sa=sa,
-                       mixing_steps=opts.get("mixing_steps", 1000),
-                       retry_bound=opts.get("retry_bound", 3),
-                       warm_start=not opts.get("cold_restart", False))
+        sa = SAParams(initial_temperature=args.t0, gamma=args.gamma)
+    cfg = SolverConfig(objective=args.objective, subset_size=args.k,
+                       iterations=args.iterations, sampler=sampler,
+                       chain=chain, sa=sa, mixing_steps=args.mixing_steps,
+                       retry_bound=args.retry_bound,
+                       warm_start=not args.cold_restart)
     return alg, cfg
 
 
@@ -389,41 +380,38 @@ def _solver_cfg_payload(alg: str, cfg: SolverConfig) -> dict:
 
 
 def _record_block(rec, trial_seed, chash) -> str:
+    """One trial of records.txt, in the manifest's "key: value" format."""
     cfg = rec.config
-    lines = ["trial:",
-             f"  algorithm: {rec.algorithm}",
-             f"  config_hash: {chash}",
-             f"  seed: {trial_seed}",
-             f"  objective: {cfg.objective}",
-             f"  subset_size: {cfg.subset_size}",
-             f"  iterations: {cfg.iterations}",
-             f"  sampler: {cfg.sampler}"]
+    trial = {"algorithm": rec.algorithm, "config_hash": chash,
+             "seed": trial_seed, "objective": cfg.objective,
+             "subset_size": cfg.subset_size, "iterations": cfg.iterations,
+             "sampler": cfg.sampler}
     if cfg.chain is not None:
-        lines.append(f"  fugacity: {cfg.chain.resolved_fugacity()}")
-        lines.append(f"  mixing_steps: {cfg.mixing_steps}")
-        lines.append(f"  warm_start: {_num(cfg.warm_start)}")
+        trial.update(fugacity=cfg.chain.resolved_fugacity(),
+                     mixing_steps=cfg.mixing_steps, warm_start=cfg.warm_start)
     if cfg.sa is not None:
-        lines.append(f"  initial_temperature: {cfg.sa.initial_temperature}")
-        lines.append(f"  gamma: {cfg.sa.gamma}")
+        trial.update(initial_temperature=cfg.sa.initial_temperature,
+                     gamma=cfg.sa.gamma)
     best_vertices = rec.best_vertices()
-    lines += [f"  best_score: {_num(rec.best_score)}",
-              "  best_vertices: " + (" ".join(map(str, best_vertices))
-                                     if best_vertices else "-"),
-              f"  evaluations: {rec.evaluations}",
-              f"  starvation_count: {rec.starvation_count}",
-              f"  inner_failure_count: {rec.inner_failures}",
-              f"  wall_time_s: {rec.wall_time:.3f}"]
-    return "\n".join(lines) + "\n"
+    trial.update(best_score=rec.best_score,
+                 best_vertices=(" ".join(map(str, best_vertices))
+                                if best_vertices else "-"),
+                 evaluations=rec.evaluations,
+                 starvation_count=rec.starvation_count,
+                 inner_failure_count=rec.inner_failures)
+    return "\n".join(_manifest_lines({"trial": trial})) + "\n"
 
 
-def _do_solve(g: Graph, graph_desc: dict, opts: dict, out_dir: Path) -> int:
-    alg, base = _solver_config(opts)
-    master = opts.get("seed", 0)
+def _cmd_solve(args) -> int:
+    g, graph_desc = _graph_from_args(args)
+    alg, base = _solver_config(args)
+    master = args.seed
     chash = _config_hash({"command": "solve", "graph": graph_desc,
                           "options": _solver_cfg_payload(alg, base),
                           "seed": master})
+    out_dir = _resolve_out(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_seeds = opts.get("seeds", 1)
+    n_seeds = args.seeds
     records = []
     traj_rows = []
     blocks = []
@@ -441,23 +429,12 @@ def _do_solve(g: Graph, graph_desc: dict, opts: dict, out_dir: Path) -> int:
     for j, rec in enumerate(records):
         print(f"trial {j}: best={_num(rec.best_score)} "
               f"evaluations={rec.evaluations} "
-              f"starved={rec.starvation_count}")
+              f"starved={rec.starvation_count} "
+              f"wall_time_s={rec.wall_time:.3f}")
     mean_best = sum(float(r.best_score) for r in records) / max(1, n_seeds)
     print(f"mean_best {mean_best!r}")
     print(f"wrote {out_dir}/records.txt and {out_dir}/trajectory.csv")
     return EXIT_OK
-
-
-def _cmd_solve(args) -> int:
-    g, desc = _graph_from_args(args)
-    opts = {"alg": args.alg, "objective": args.objective, "k": args.k,
-            "iterations": args.iters, "sampler": args.sampler,
-            "fugacity": args.fugacity, "c": args.c,
-            "mixing_steps": args.mixing_steps,
-            "retry_bound": args.retry_bound, "gamma": args.gamma,
-            "t0": args.t0, "seeds": args.seeds, "seed": args.seed,
-            "cold_restart": args.cold_restart}
-    return _do_solve(g, desc, opts, _resolve_out(args.out_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +446,9 @@ _BALANCE_LAWS = {"glauber": "matching_single", "jerrum": "matching_single",
                  "double_loop_weighted": "matching_double"}
 
 
-def _do_verify_balance(g: Graph, opts: dict) -> int:
-    dynamics = opts["dynamics"].replace("-", "_")
-    tol = opts.get("tol", 1e-12)
+def _cmd_verify_balance(args) -> int:
+    g, _ = _graph_from_args(args)
+    dynamics = args.dynamics.replace("-", "_")
     if dynamics.startswith("pm"):
         law = pm_stationary(g, weighted=dynamics.endswith("weighted"))
         violation = check_detailed_balance(g, dynamics, law)
@@ -479,67 +456,41 @@ def _do_verify_balance(g: Graph, opts: dict) -> int:
         if dynamics == "double_loop" and g.weighted:
             raise CliError("this graph carries weights; "
                            "use --dynamics double-loop-weighted")
-        cc = _chain_config(opts)
-        lam = cc.resolved_fugacity()
+        lam = _chain_config(args.fugacity, args.c).resolved_fugacity()
         law = exact_stationary(g, lam, _BALANCE_LAWS[dynamics])
         violation = check_detailed_balance(g, dynamics, law, lam=lam)
-    ok = float(violation) < tol
-    print(f"max_violation {float(violation)!r} tol {tol!r} "
+    ok = float(violation) < args.tol
+    print(f"max_violation {float(violation)!r} tol {args.tol!r} "
           f"{'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_FAILURE
 
 
-def _do_verify_law(g: Graph, opts: dict) -> int:
-    dynamics = opts["dynamics"].replace("-", "_")
-    cc = _chain_config(opts)
+def _cmd_verify_law(args) -> int:
+    g, _ = _graph_from_args(args)
+    chain = args.dynamics.replace("-", "_")
+    cc = _chain_config(args.fugacity, args.c, args.lazy)
     lam = cc.resolved_fugacity()
-    law_name = opts.get("law")
+    law_name = args.law
     if law_name is None:
-        law_name = ("vertexset_double" if dynamics == "double_loop"
+        law_name = ("vertexset_double" if chain == "double_loop"
                     else "matching_single")
     exact = exact_stationary(g, lam, law_name)
     key_kind = ("vertexset" if law_name.startswith("vertexset")
                 else "matching")
-    n_samples = opts.get("samples", 100_000)
-    thin = opts.get("thin") or max(1, g.m)  # default: one edge sweep apart
-    burn = opts.get("burn_in", 1000)
-    rng = child_rng(opts.get("seed", 0), "verify")
+    n_samples = args.samples
+    thin = args.thin or max(1, g.m)  # default: one edge sweep apart
+    burn = args.burn_in
+    rng = child_rng(args.seed, "verify")
     x = cc.make_initial(g)
     counts: Counter = Counter()
-    total = burn + n_samples * thin
-    if dynamics == "glauber":
-        _drive_glauber(g, x, lam, cc.lazy, total, rng, collect=counts,
-                       key_kind=key_kind, thin=thin, burn_in=burn)
-    elif dynamics == "jerrum":
-        _drive_jerrum(g, x, lam, cc.lazy, total, rng, collect=counts,
-                      key_kind=key_kind, thin=thin, burn_in=burn)
-    else:
-        dl = _double_loop_config(cc, opts)
-        _drive_double(g, x, lam, dl, total, rng, weighted=g.weighted,
-                      collect=counts, key_kind=key_kind, thin=thin,
-                      burn_in=burn)
+    dl_cfg = _double_loop_config(cc, args) if chain == "double_loop" else None
+    _drive(chain, g, x, cc, dl_cfg, burn + n_samples * thin, rng,
+           collect=counts, key_kind=key_kind, thin=thin, burn_in=burn)
     tv = float(tv_distance(DistributionTable.from_counts(counts), exact))
-    tol = opts.get("tol", 0.05)
-    ok = tv <= tol
-    print(f"tv {tv!r} samples {n_samples} law {law_name} tol {tol!r} "
+    ok = tv <= args.tol
+    print(f"tv {tv!r} samples {n_samples} law {law_name} tol {args.tol!r} "
           f"{'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_FAILURE
-
-
-def _cmd_verify(args) -> int:
-    g, _ = _graph_from_args(args)
-    if args.check == "balance":
-        opts = {"dynamics": args.dynamics, "fugacity": args.fugacity,
-                "c": args.c, "lazy": args.lazy, "tol": args.tol}
-        return _do_verify_balance(g, opts)
-    opts = {"dynamics": args.dynamics, "fugacity": args.fugacity,
-            "c": args.c, "lazy": args.lazy, "law": args.law,
-            "samples": args.samples, "thin": args.thin,
-            "burn_in": args.burn_in, "tol": args.tol, "seed": args.seed,
-            "inner": args.inner, "inner_steps": args.inner_steps,
-            "max_attempts": args.max_attempts,
-            "on_inner_failure": args.on_inner_failure}
-    return _do_verify_law(g, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -607,21 +558,15 @@ def _plot_curves_file(csv_path: Path, svg_path: Path):
     mean_col = header.index("mean_best")
     lo_col = header.index("lo_se95")
     hi_col = header.index("hi_se95")
-    order = []
     data = {}
     for row in rows:
-        label = row[alg_col]
-        if label not in data:
-            order.append(label)
-            data[label] = ([], [], [], [])
-        xs, ys, lo, hi = data[label]
+        xs, ys, lo, hi = data.setdefault(row[alg_col], ([], [], [], []))
         xs.append(float(row[it_col]))
         ys.append(float(row[mean_col]))
         lo.append(float(row[lo_col]))
         hi.append(float(row[hi_col]))
-    series = [Series(label, tuple(data[label][0]), tuple(data[label][1]),
-                     band=(tuple(data[label][2]), tuple(data[label][3])))
-              for label in order]
+    series = [Series(label, tuple(xs), tuple(ys), band=(tuple(lo), tuple(hi)))
+              for label, (xs, ys, lo, hi) in data.items()]
     svg_path.write_text(line_plot(
         series, title="best score by iteration (mean and 95% band)",
         x_label="iteration", y_label="running best"))
@@ -695,18 +640,50 @@ def _chain_for_bench(opts, g: Graph, k: int,
     (k/2)/m; the double loop weighs states by fugacity^(2|X|), so it gets
     the square root.  Post-selection conditions on the size anyway — the
     fugacity only has to make that size reachable, not exact."""
-    if opts.get("fugacity") is None and opts.get("c") is None:
+    if opts["fugacity"] is None and opts["c"] is None:
         frac = (k / 2) / max(1, g.m)
         lam = math.sqrt(frac) if sampler == "double_loop" else frac
         return ChainConfig(fugacity=max(1e-6, lam))
-    return _chain_config({"fugacity": opts.get("fugacity"),
-                          "c": opts.get("c")})
+    return _chain_config(opts["fugacity"], opts["c"])
 
 
-def _trajectory_bench(name, graph_desc, g, algs, opts, out_dir: Path) -> dict:
+def _preset_graph(name, opts, k=None):
+    """The preset's graph at the run's scale, and its description."""
+    spec = _PRESETS[name].graph(opts["scale"], k)
+    g = gen_graph(spec, seed=derive_seed(opts["seed"], "graph"))
+    return g, {"kind": spec.kind, **spec.as_dict(), "n": g.n, "m": g.m}
+
+
+# ---------------------------------------------------------------------------
+# bench presets
+# ---------------------------------------------------------------------------
+
+def _bench_trajectory(name, opts, out_dir: Path) -> dict:
+    """Plain search against its three chain-enhanced twins, every one over
+    the seed sweep; writes per-trial summaries and mean-best curves."""
+    preset = _PRESETS[name]
+    k = preset.k(opts["scale"])
+    g, desc = _preset_graph(name, opts, k)
+    chains = {sampler: _chain_for_bench(opts, g, k, sampler)
+              for sampler in ("glauber", "jerrum", "double_loop")}
+    resolved = {
+        "fugacity_resolved": float(chains["glauber"].resolved_fugacity()),
+        "fugacity_resolved_double":
+            float(chains["double_loop"].resolved_fugacity())}
+    sa = None
+    if preset.family == "sa":
+        sa = SAParams(initial_temperature=opts["t0"], gamma=opts["gamma"])
+    base = SolverConfig(objective=preset.objective, subset_size=k,
+                        iterations=opts["iterations"], sampler="uniform",
+                        sa=sa, mixing_steps=opts["mixing_steps"])
+    algs = [(_ALG_NAMES[preset.family], base)]
+    for sampler, chain in chains.items():
+        algs.append((f"enhanced_{preset.family}_{sampler}",
+                     replace(base, sampler=sampler, chain=chain)))
     master = opts["seed"]
-    chash = _config_hash({"experiment": name, "graph": graph_desc,
-                          "options": {k: str(v) for k, v in opts.items()},
+    chash = _config_hash({"experiment": name, "graph": desc,
+                          "options": {key: str(v) for key, v in
+                                      {**opts, **resolved}.items()},
                           "algorithms": [a for a, _ in algs]})
     failures = []
     results = _run_trials(g, algs, opts["seeds"], master, failures)
@@ -717,137 +694,29 @@ def _trajectory_bench(name, graph_desc, g, algs, opts, out_dir: Path) -> dict:
     outputs = ["summary.csv", "curves.csv"] + _render_plots(out_dir)
     finals = {label: [float(rec.best_score) for _, rec in trials]
               for label, trials in results.items()}
-    stats = {label: (sum(v) / len(v) if v else 0.0,
-                     sum(1 for b in v if b > 0))
-             for label, v in finals.items()}
     return {"config_hash": chash, "outputs": outputs, "failures": failures,
-            "resolved": {k: opts[k] for k in
-                         ("fugacity_resolved", "fugacity_resolved_double")
-                         if k in opts},
-            "final_means": {label: s[0] for label, s in stats.items()},
-            "positive_counts": {label: s[1] for label, s in stats.items()}}
+            "resolved": resolved,
+            "final_means": {label: sum(v) / len(v) if v else 0.0
+                            for label, v in finals.items()},
+            "positive_counts": {label: sum(1 for b in v if b > 0)
+                                for label, v in finals.items()}}
 
 
-# ---------------------------------------------------------------------------
-# bench presets
-# ---------------------------------------------------------------------------
-
-def _rs_family(opts, objective, k, chain_for) -> list:
-    base = SolverConfig(objective=objective, subset_size=k,
-                        iterations=opts["iterations"], sampler="uniform",
-                        mixing_steps=opts["mixing_steps"])
-    algs = [("random_search", base)]
-    for sampler in ("glauber", "jerrum", "double_loop"):
-        algs.append((f"enhanced_rs_{sampler}",
-                     replace(base, sampler=sampler, chain=chain_for(sampler))))
-    return algs
-
-
-def _sa_family(opts, objective, k, chain_for) -> list:
-    sa = SAParams(initial_temperature=opts.get("t0", 1.0),
-                  gamma=opts.get("gamma", 0.95))
-    base = SolverConfig(objective=objective, subset_size=k,
-                        iterations=opts["iterations"], sampler="uniform",
-                        sa=sa, mixing_steps=opts["mixing_steps"])
-    algs = [("simulated_annealing", base)]
-    for sampler in ("glauber", "jerrum", "double_loop"):
-        algs.append((f"enhanced_sa_{sampler}",
-                     replace(base, sampler=sampler, chain=chain_for(sampler))))
-    return algs
-
-
-def _resolved_fugacities(opts, g: Graph, k: int) -> dict:
-    """Record the fugacities a preset actually ran with, per sampler kind."""
-    single = _chain_for_bench(opts, g, k)
-    double = _chain_for_bench(opts, g, k, "double_loop")
-    return {**opts,
-            "fugacity_resolved": float(single.resolved_fugacity()),
-            "fugacity_resolved_double": float(double.resolved_fugacity())}
-
-
-def _bench_planted_clique(opts, out_dir: Path) -> dict:
-    scale = opts["scale"]
-    clique = max(2, _even(scale // 8))
-    spec = GraphSpec.of("planted_clique", n=scale, clique_size=clique, p=0.2)
-    g = gen_graph(spec, seed=derive_seed(opts["seed"], "graph"))
-    desc = {"kind": spec.kind, **spec.as_dict(), "n": g.n, "m": g.m}
-    opts = _resolved_fugacities(opts, g, clique)
-    algs = _rs_family(opts, "hafnian", clique,
-                      lambda s: _chain_for_bench(opts, g, clique, s))
-    return _trajectory_bench("planted-clique", desc, g, algs, opts, out_dir)
-
-
-def _bench_dense_subgraph(opts, out_dir: Path) -> dict:
-    scale = opts["scale"]
-    k = max(2, _even(scale * 5 // 16))
-    spec = GraphSpec.of("decreasing_degree", n=scale)
-    g = gen_graph(spec)
-    desc = {"kind": spec.kind, **spec.as_dict(), "n": g.n, "m": g.m}
-    opts = _resolved_fugacities(opts, g, k)
-    algs = _sa_family(opts, "density", k,
-                      lambda s: _chain_for_bench(opts, g, k, s))
-    return _trajectory_bench("dense-subgraph", desc, g, algs, opts, out_dir)
-
-
-def _bench_bipartite_hafnian(opts, out_dir: Path) -> dict:
-    scale = opts["scale"]
-    k = max(2, _even(scale // 8))
-    spec = GraphSpec.of("random_bipartite", n_per_side=scale // 2, p=0.3)
-    g = gen_graph(spec, seed=derive_seed(opts["seed"], "graph"))
-    desc = {"kind": spec.kind, **spec.as_dict(), "n": g.n, "m": g.m}
-    opts = _resolved_fugacities(opts, g, k)
-    algs = _sa_family(opts, "hafnian", k,
-                      lambda s: _chain_for_bench(opts, g, k, s))
-    return _trajectory_bench("bipartite-hafnian", desc, g, algs, opts,
-                             out_dir)
-
-
-def _bench_sparse_bipartite(opts, out_dir: Path) -> dict:
-    scale = opts["scale"]
-    k = max(2, _even(scale // 8))
-    # Average degree 2: uniform k-subsets almost never hold a perfect
-    # matching, so plain search scores zero and the chains must find one.
-    n_side = scale // 2
-    spec = GraphSpec.of("sparse_bipartite", n_per_side=n_side,
-                        n_edges=2 * n_side)
-    g = gen_graph(spec, seed=derive_seed(opts["seed"], "graph"))
-    desc = {"kind": spec.kind, **spec.as_dict(), "n": g.n, "m": g.m}
-    opts = _resolved_fugacities(opts, g, k)
-    algs = _rs_family(opts, "hafnian", k,
-                      lambda s: _chain_for_bench(opts, g, k, s))
-    return _trajectory_bench("sparse-bipartite", desc, g, algs, opts, out_dir)
-
-
-def _bench_score_advantage(opts, out_dir: Path) -> dict:
-    scale = opts["scale"]
-    spec = GraphSpec.of("erdos_renyi", n=scale, p=0.4)
-    g = gen_graph(spec, seed=derive_seed(opts["seed"], "graph"))
-    desc = {"kind": spec.kind, **spec.as_dict(), "n": g.n, "m": g.m}
+def _bench_score_advantage(name, opts, out_dir: Path) -> dict:
+    g, desc = _preset_graph(name, opts)
     master = opts["seed"]
-    chash = _config_hash({"experiment": "score-advantage", "graph": desc,
-                          "options": {k: str(v) for k, v in opts.items()}})
-    plain = SolverConfig(objective="hafnian", subset_size=2,
-                         iterations=opts["iterations"], sampler="uniform",
-                         mixing_steps=opts["mixing_steps"])
-    ks = [k for k in range(opts["k_min"], opts["k_max"] + 1) if k % 2 == 0]
+    chash = _config_hash({"experiment": name, "graph": desc,
+                          "options": {key: str(v) for key, v in opts.items()}})
+    plain = SolverConfig(objective="hafnian", iterations=opts["iterations"],
+                         sampler="uniform", mixing_steps=opts["mixing_steps"],
+                         seed=derive_seed(master, "plain"))
     rows = []
-    for k in ks:
+    for k in range(opts["k_min"] + opts["k_min"] % 2, opts["k_max"] + 1, 2):
         chain = _chain_for_bench(opts, g, k, "double_loop")
-        enhanced = replace(plain, sampler="double_loop", chain=chain)
-        means = []
-        for tag, base in (("plain", plain), ("enhanced", enhanced)):
-            total = 0.0
-            for j in range(opts["seeds"]):
-                cfg = replace(base, subset_size=k,
-                              seed=derive_seed(master, f"{tag}/k{k}/t{j}"))
-                total += float(solver_for(cfg)(g, cfg).best_score)
-            means.append(total / opts["seeds"])
-        plain_mean, enhanced_mean = means
-        if plain_mean == 0:
-            ratio = 1.0 if enhanced_mean == 0 else math.inf
-        else:
-            ratio = enhanced_mean / plain_mean
-        rows.append((chash, master, k, plain_mean, enhanced_mean, ratio,
+        enhanced = replace(plain, sampler="double_loop", chain=chain,
+                           seed=derive_seed(master, "enhanced"))
+        rows.append((chash, master, k,
+                     *advantage_at(g, (plain, enhanced), k, opts["seeds"]),
                      float(chain.resolved_fugacity()), opts["seeds"]))
     _write_csv(out_dir / "advantage.csv",
                ("config_hash", "seed", "k", "plain_mean", "enhanced_mean",
@@ -857,14 +726,12 @@ def _bench_score_advantage(opts, out_dir: Path) -> dict:
             "ratios": {str(row[2]): row[5] for row in rows}}
 
 
-def _bench_exit_time(opts, out_dir: Path) -> dict:
+def _bench_exit_time(name, opts, out_dir: Path) -> dict:
     squares = opts["squares"]
-    lam = opts.get("fugacity")
-    if lam is None:
-        lam = 1.0
+    lam = 1.0 if opts["fugacity"] is None else opts["fugacity"]
     trials = opts["trials"]
     master = opts["seed"]
-    chash = _config_hash({"experiment": "exit-time", "squares": squares,
+    chash = _config_hash({"experiment": name, "squares": squares,
                           "fugacity": str(lam), "trials": trials,
                           "seed": master})
     result = exit_time_experiment(squares, lam, trials, seed=master)
@@ -892,38 +759,72 @@ def _bench_exit_time(opts, out_dir: Path) -> dict:
             "mean": result.mean, "expected_mean": result.expected_mean}
 
 
+class _Preset(NamedTuple):
+    """One bench preset: its runner, its solver budgets, and for the search
+    presets the graph, subset size, objective and solver family."""
+    runner: Callable
+    iterations: Optional[int] = None
+    mixing_steps: Optional[int] = None
+    graph: Optional[Callable] = None     # (scale, k) -> GraphSpec
+    k: Optional[Callable] = None         # scale -> subset size
+    objective: str = "hafnian"
+    family: str = "rs"                   # plain solver: "rs" or "sa"
+
+
+def _eighth(scale: int) -> int:
+    return max(2, _even(scale // 8))
+
+
 _PRESETS = {
-    "planted-clique": (_bench_planted_clique,
-                       {"iterations": 1000, "mixing_steps": 10000}),
-    "dense-subgraph": (_bench_dense_subgraph,
-                       {"iterations": 1000, "mixing_steps": 1000}),
-    "bipartite-hafnian": (_bench_bipartite_hafnian,
-                          {"iterations": 1000, "mixing_steps": 1000}),
-    "sparse-bipartite": (_bench_sparse_bipartite,
-                         {"iterations": 200, "mixing_steps": 1000}),
-    "score-advantage": (_bench_score_advantage,
-                        {"iterations": 100, "mixing_steps": 1000}),
-    "exit-time": (_bench_exit_time, {}),
+    "planted-clique": _Preset(
+        _bench_trajectory, 1000, 10000,
+        lambda s, k: GraphSpec.of("planted_clique", n=s, clique_size=k,
+                                  p=0.2), _eighth),
+    "dense-subgraph": _Preset(
+        _bench_trajectory, 1000, 1000,
+        lambda s, k: GraphSpec.of("decreasing_degree", n=s),
+        lambda s: max(2, _even(s * 5 // 16)), "density", "sa"),
+    "bipartite-hafnian": _Preset(
+        _bench_trajectory, 1000, 1000,
+        lambda s, k: GraphSpec.of("random_bipartite", n_per_side=s // 2,
+                                  p=0.3), _eighth, family="sa"),
+    # Average degree 2: uniform k-subsets almost never hold a perfect
+    # matching, so plain search scores zero and the chains must find one.
+    "sparse-bipartite": _Preset(
+        _bench_trajectory, 200, 1000,
+        lambda s, k: GraphSpec.of("sparse_bipartite", n_per_side=s // 2,
+                                  n_edges=2 * (s // 2)), _eighth),
+    "score-advantage": _Preset(
+        _bench_score_advantage, 100, 1000,
+        lambda s, k: GraphSpec.of("erdos_renyi", n=s, p=0.4)),
+    "exit-time": _Preset(_bench_exit_time),
 }
 
-_BENCH_DEFAULTS = {"scale": 64, "seeds": 10, "fugacity": None, "c": None,
-                   "trials": 200, "squares": 4, "k_min": 4, "k_max": 12,
-                   "seed": 0, "t0": 1.0, "gamma": 0.95}
 
-
-def _run_preset(name: str, opts: dict, out_dir: Path) -> int:
-    runner, preset_defaults = _PRESETS[name]
-    merged = {**_BENCH_DEFAULTS, **preset_defaults}
-    merged.update({k: v for k, v in opts.items() if v is not None})
+def _cmd_bench(args) -> int:
+    if args.spec:
+        if args.preset:
+            raise CliError("give a preset name or --spec, not both")
+        return _run_spec(ExperimentSpec.from_file(args.spec))
+    if not args.preset:
+        raise CliError(f"choose a preset {sorted(_PRESETS)} or --spec FILE")
+    preset = _PRESETS[args.preset]
+    opts = {key: value for key, value in vars(args).items()
+            if key not in ("command", "func", "preset", "spec", "out_dir")}
+    for key in ("iterations", "mixing_steps"):
+        if opts[key] is None:
+            opts[key] = getattr(preset, key)
+    out_dir = _resolve_out(args.out_dir or f"runs/{args.preset}")
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    info = runner(merged, out_dir)
+    info = preset.runner(args.preset, opts, out_dir)
     wall = time.perf_counter() - t0
-    options = {k: merged[k] for k in sorted(merged) if merged[k] is not None}
+    options = {key: opts[key] for key in sorted(opts)
+               if opts[key] is not None}
     options.update(info.pop("resolved", {}))
-    manifest = {"experiment": name,
+    manifest = {"experiment": args.preset,
                 "config_hash": info["config_hash"],
-                "seed": merged["seed"],
+                "seed": opts["seed"],
                 "options": options,
                 "outputs": info["outputs"],
                 "results": {k: v for k, v in info.items()
@@ -945,42 +846,67 @@ def _run_preset(name: str, opts: dict, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 _SPEC_TASKS = ("sample", "solve", "verify", "bench", "exit-time")
-_SPEC_TOP_KEYS = {"task", "name", "graph", "seed", "out_dir", "replicates",
-                  "config"}
-_SPEC_CONFIG_KEYS = {
-    "sample": {"chain", "fugacity", "c", "steps", "burn_in", "samples",
-               "post_select_k", "lazy", "inner", "inner_steps",
-               "max_attempts", "on_inner_failure", "out"},
-    "solve": {"alg", "objective", "k", "iterations", "sampler", "fugacity",
-              "c", "mixing_steps", "retry_bound", "gamma", "t0", "seeds",
-              "cold_restart"},
-    "verify": {"mode", "dynamics", "fugacity", "c", "lazy", "law", "samples",
-               "thin", "burn_in", "tol", "seed", "inner", "inner_steps",
-               "max_attempts", "on_inner_failure"},
-    "bench": {"scale", "seeds", "iterations", "mixing_steps", "fugacity",
-              "c", "trials", "squares", "k_min", "k_max", "t0", "gamma"},
-    "exit-time": {"squares", "fugacity", "trials"},
-}
 
 
+class _SpecParser(argparse.ArgumentParser):
+    """Reports a spec that does not parse as a configuration error."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
+def _options_of(parser, words) -> dict:
+    """dest -> action for the options of the subcommand ``words`` name."""
+    for word in words:
+        subs = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            break
+        if word not in subs[0].choices:
+            raise CliError(f"no subcommand {' '.join(words)!r}")
+        parser = subs[0].choices[word]
+    return {a.dest: a for a in parser._actions
+            if a.option_strings and a.dest not in ("help", "spec")}
+
+
+def _spec_argv(words, options, values) -> list:
+    """``words`` followed by one flag per value whose dest the subcommand
+    has; a None value is left to the parser's default."""
+    argv = list(words)
+    for key, value in values.items():
+        action = options.get(key)
+        if action is None or value is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise CliError(f"config {key} must be true or false")
+            argv += [flag] if value else []
+        elif (isinstance(value, (dict, list))
+              or isinstance(value, str) and action.type in (int, float)):
+            raise CliError(f"config {key} has the wrong type: {value!r}")
+        else:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+@dataclass
 class ExperimentSpec:
-    """A validated experiment description loaded from JSON.
+    """An experiment description loaded from JSON.
 
-    Top-level keys: ``task`` (required), ``name`` (preset name for bench),
-    ``graph`` ({"kind", "params"}), ``seed``, ``out_dir``, ``replicates``
-    and a per-task ``config`` block.  Validation happens entirely before
-    any computation.
+    Top-level keys are the fields below; ``task`` is required, ``name`` is
+    the preset for bench, ``graph`` is {"kind", "params"[, "seed"]}, and
+    ``config`` holds options of the task's subcommand.  The spec stands for
+    the command lines :meth:`command_lines` returns, so the parser checks
+    every value before any computation.
     """
-
-    def __init__(self, task, name=None, graph=None, seed=0,
-                 out_dir="runs/spec", replicates=1, config=None):
-        self.task = task
-        self.name = name
-        self.graph = graph
-        self.seed = seed
-        self.out_dir = out_dir
-        self.replicates = replicates
-        self.config = config or {}
+    task: str
+    name: Optional[str] = None
+    graph: Optional[dict] = None
+    seed: object = 0
+    out_dir: str = "runs/spec"
+    replicates: int = 1
+    config: dict = field(default_factory=dict)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
@@ -994,111 +920,84 @@ class ExperimentSpec:
     def from_dict(cls, data) -> "ExperimentSpec":
         if not isinstance(data, dict):
             raise CliError("spec must be a JSON object")
-        unknown = set(data) - _SPEC_TOP_KEYS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise CliError(f"unknown spec keys: {sorted(unknown)}")
-        task = data.get("task")
-        if task not in _SPEC_TASKS:
-            raise CliError(f"task must be one of {_SPEC_TASKS}, got {task!r}")
-        graph = data.get("graph")
-        if graph is not None:
-            if (not isinstance(graph, dict)
-                    or set(graph) - {"kind", "params", "seed"}):
-                raise CliError(
-                    'graph block must be {"kind", "params"[, "seed"]}')
-            if graph.get("kind") not in _GRAPH_GENERATORS:
-                raise CliError(f"unknown graph kind {graph.get('kind')!r}")
-            params = graph.get("params", {})
-            if not isinstance(params, dict) or not all(
-                    isinstance(k, str) and isinstance(v, (int, float))
-                    for k, v in params.items()):
-                raise CliError("graph params must map names to numbers")
-        config = data.get("config", {})
-        if not isinstance(config, dict):
+        if data.get("task") not in _SPEC_TASKS:
+            raise CliError(
+                f"task must be one of {_SPEC_TASKS}, got {data.get('task')!r}")
+        graph = data.get("graph") or {}
+        if (not isinstance(graph, dict)
+                or set(graph) - {"kind", "params", "seed"}
+                or not isinstance(graph.get("params", {}), dict)):
+            raise CliError('graph block must be {"kind", "params"[, "seed"]}')
+        if not isinstance(data.get("config", {}), dict):
             raise CliError("config must be an object")
-        allowed = _SPEC_CONFIG_KEYS[task]
-        bad = set(config) - allowed
-        if bad:
-            raise CliError(f"unknown config keys for {task}: {sorted(bad)}")
         replicates = data.get("replicates", 1)
         if not isinstance(replicates, int) or replicates < 1:
             raise CliError("replicates must be a positive integer")
-        if task == "bench" and data.get("name") not in _PRESETS:
+        if data["task"] == "bench" and data.get("name") not in _PRESETS:
             raise CliError(
                 f"bench spec needs a preset name from {sorted(_PRESETS)}")
-        return cls(task=task, name=data.get("name"), graph=graph,
-                   seed=data.get("seed", 0), out_dir=data.get(
-                       "out_dir", "runs/spec"),
-                   replicates=replicates, config=config)
+        return cls(**data)
 
-    def build_graph(self):
-        if self.graph is None:
-            raise CliError(f"task {self.task!r} needs a graph block")
-        spec = GraphSpec.of(self.graph["kind"],
-                            **self.graph.get("params", {}))
-        seed = self.graph.get("seed", self.seed)
-        g = gen_graph(spec, seed=seed)
-        desc = {"source": "generator", "kind": spec.kind, **spec.as_dict(),
-                "graph_seed": seed, "n": g.n, "m": g.m}
-        return g, desc
+    def _graph_flags(self) -> dict:
+        """The graph block as dests: ``gen``, the generator's flags and
+        ``graph_seed``."""
+        for kind, (gen, mapping) in _GRAPH_KINDS.items():
+            if self.graph and self.graph.get("kind") == gen:
+                dest_of = {kwarg: attr for attr, kwarg in mapping}
+                params = self.graph.get("params", {})
+                if set(params) - set(dest_of):
+                    raise CliError(f"graph kind {gen!r} takes the params "
+                                   f"{sorted(dest_of)}")
+                return {"gen": kind,
+                        "graph_seed": self.graph.get("seed", self.seed),
+                        **{dest_of[name]: v for name, v in params.items()}}
+        raise CliError(f"task {self.task!r} needs a graph block of a known "
+                       f"kind, got {self.graph!r}")
+
+    def command_lines(self, parser) -> list:
+        """The argv lists the spec stands for: one per replicate for
+        ``sample``, else one."""
+        config = dict(self.config)
+        words = {"verify": ["verify", config.pop("mode", "balance")],
+                 "exit-time": ["bench", "exit-time"],
+                 "bench": ["bench", self.name]}.get(self.task, [self.task])
+        options = _options_of(parser, words)
+        bad = set(config) - set(options)
+        if bad:
+            raise CliError(
+                f"unknown config keys for {self.task}: {sorted(bad)}")
+        given = {"seed": self.seed, "out_dir": self.out_dir}
+        if self.task == "bench":
+            given["seeds"] = self.replicates
+        if "gen" in options:
+            given.update(self._graph_flags())
+        if self.task != "sample":
+            return [_spec_argv(words, options, {**given, **config})]
+        # sample writes one file per replicate, each from its own stream
+        out_dir = _resolve_out(self.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        name = str(config.pop("out", "samples.csv"))
+        stem, dot, ext = name.partition(".")
+        lines = []
+        for r in range(self.replicates):
+            if self.replicates > 1:
+                name = f"{stem}_{r}{dot}{ext}"
+            lines.append(_spec_argv(words, options, {
+                **given, **config, "out": out_dir / name,
+                "seed": derive_seed(self.seed, f"replicate{r}")}))
+        return lines
 
 
 def _run_spec(spec: ExperimentSpec) -> int:
-    out_dir = _resolve_out(spec.out_dir)
-    if spec.task == "bench":
-        opts = dict(spec.config)
-        opts["seed"] = spec.seed
-        opts.setdefault("seeds", spec.replicates)
-        return _run_preset(spec.name, opts, out_dir)
-    if spec.task == "exit-time":
-        opts = dict(spec.config)
-        opts["seed"] = spec.seed
-        return _run_preset("exit-time", opts, out_dir)
-    g, desc = spec.build_graph()
-    if spec.task == "solve":
-        opts = {"alg": spec.config.get("alg", "rs"), "seed": spec.seed,
-                **spec.config}
-        if "k" not in opts:
-            raise CliError("solve spec needs config.k")
-        return _do_solve(g, desc, opts, out_dir)
-    if spec.task == "sample":
-        out_dir.mkdir(parents=True, exist_ok=True)
-        opts = {"chain": "glauber", "steps": 10000, "burn_in": 0,
-                "samples": 100, **spec.config}
-        opts["chain"] = opts["chain"].replace("-", "_")
-        code = EXIT_OK
-        for r in range(spec.replicates):
-            opts_r = dict(opts)
-            opts_r["seed"] = derive_seed(spec.seed, f"replicate{r}")
-            name = opts.get("out", "samples.csv")
-            if spec.replicates > 1:
-                stem, dot, ext = name.partition(".")
-                name = f"{stem}_{r}{dot}{ext}"
-            with open(out_dir / name, "w") as fh:
-                code = _do_sample(g, opts_r, fh)
-        return code
-    # verify
-    opts = {"mode": "balance", "dynamics": "glauber", "seed": spec.seed,
-            **spec.config}
-    if opts["mode"] == "balance":
-        return _do_verify_balance(g, opts)
-    return _do_verify_law(g, opts)
-
-
-def _cmd_bench(args) -> int:
-    if args.spec:
-        if args.preset:
-            raise CliError("give a preset name or --spec, not both")
-        return _run_spec(ExperimentSpec.from_file(args.spec))
-    if not args.preset:
-        raise CliError(f"choose a preset {sorted(_PRESETS)} or --spec FILE")
-    opts = {"scale": args.scale, "seeds": args.seeds,
-            "iterations": args.iters, "mixing_steps": args.mixing_steps,
-            "fugacity": args.fugacity, "c": args.c, "trials": args.trials,
-            "squares": args.squares, "k_min": args.k_min,
-            "k_max": args.k_max, "seed": args.seed}
-    out_dir = _resolve_out(args.out_dir or f"runs/{args.preset}")
-    return _run_preset(args.preset, opts, out_dir)
+    parser = build_parser(_SpecParser)
+    code = EXIT_OK
+    for argv in spec.command_lines(parser):
+        args = parser.parse_args(argv)
+        code = args.func(args)
+    return code
 
 
 def _cmd_replot(args) -> int:
@@ -1137,8 +1036,16 @@ def _add_inner_args(p):
                    help="policy when the inner budget runs out")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _add_anneal_args(p):
+    p.add_argument("--gamma", type=float, default=0.95,
+                   help="annealing cooling factor per proposal")
+    p.add_argument("--t0", type=float, default=1.0,
+                   help="initial annealing temperature")
+
+
+def build_parser(parser_class=argparse.ArgumentParser
+                 ) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="gbsmc",
         description="Matching-chain samplers, inner-loop perfect-matching "
                     "dynamics, and chain-enhanced subgraph search.")
@@ -1147,19 +1054,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-graph", help="write a benchmark graph")
     p.add_argument("kind", choices=sorted(_GRAPH_KINDS))
     p.add_argument("--out", help="edge-list path (default stdout)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--clique", type=int)
-    p.add_argument("--edges", type=int)
-    p.add_argument("--squares", type=int)
+    _add_generator_args(p)
     p.add_argument("--seed", dest="graph_seed", type=_seed_arg, default=0)
     p.set_defaults(func=_cmd_gen_graph)
 
     p = sub.add_parser("sample", help="sample chain states")
     _add_graph_args(p)
     p.add_argument("--chain", choices=("glauber", "jerrum", "double-loop"),
-                   default="glauber")
+                   type=_dashed, default="glauber")
     _add_fugacity_args(p)
     p.add_argument("--steps", type=int, default=10000,
                    help="chain steps per sample window (default 10000)")
@@ -1175,19 +1077,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run solver trials")
     _add_graph_args(p)
-    p.add_argument("--alg", required=True,
+    p.add_argument("--alg", default="rs",
                    choices=sorted(_ALG_NAMES) + sorted(_ALG_NAMES.values()))
     p.add_argument("--objective", choices=("hafnian", "density"),
                    default="hafnian")
     p.add_argument("--k", type=int, required=True, help="subset size")
-    p.add_argument("--iters", type=int, default=1000)
+    p.add_argument("--iters", dest="iterations", type=int, default=1000)
     p.add_argument("--sampler", choices=("glauber", "jerrum", "double-loop"),
-                   default="double-loop")
+                   type=_dashed, default="double-loop")
     _add_fugacity_args(p)
     p.add_argument("--mixing-steps", type=int, default=1000)
     p.add_argument("--retry-bound", type=int, default=3)
-    p.add_argument("--gamma", type=float, default=0.95)
-    p.add_argument("--t0", type=float, default=1.0)
+    _add_anneal_args(p)
     p.add_argument("--seeds", type=int, default=1, help="seed-sweep size")
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--cold-restart", action="store_true",
@@ -1199,16 +1100,16 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="check", required=True)
     pb = vsub.add_parser("balance", help="detailed-balance certificate")
     _add_graph_args(pb)
-    pb.add_argument("--dynamics", required=True,
+    pb.add_argument("--dynamics", type=_dashed, default="glauber",
                     choices=("glauber", "jerrum", "double-loop",
                              "double-loop-weighted", "pm", "pm-weighted"))
     _add_fugacity_args(pb)
     pb.add_argument("--lazy", action="store_true")
     pb.add_argument("--tol", type=float, default=1e-12)
-    pb.set_defaults(func=_cmd_verify)
+    pb.set_defaults(func=_cmd_verify_balance)
     pl = vsub.add_parser("law", help="empirical-vs-exact stationary TV")
     _add_graph_args(pl)
-    pl.add_argument("--dynamics",
+    pl.add_argument("--dynamics", type=_dashed,
                     choices=("glauber", "jerrum", "double-loop"),
                     default="glauber")
     _add_fugacity_args(pl)
@@ -1222,24 +1123,28 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--lazy", action="store_true")
     _add_inner_args(pl)
     pl.add_argument("--seed", type=_seed_arg, default=0)
-    pl.set_defaults(func=_cmd_verify)
+    pl.set_defaults(func=_cmd_verify_law)
 
     p = sub.add_parser("bench", help="run a named experiment preset")
     p.add_argument("preset", nargs="?", choices=sorted(_PRESETS))
     p.add_argument("--spec", help="ExperimentSpec JSON file")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--scale", type=int, default=None,
+    p.add_argument("--out-dir", default=None,
+                   help="run directory (default runs/PRESET)")
+    p.add_argument("--scale", type=int, default=64,
                    help="total vertex count (structures shrink with it)")
-    p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--mixing-steps", type=int, default=None)
+    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--iters", dest="iterations", type=int, default=None,
+                   help="solver iterations (default: the preset's)")
+    p.add_argument("--mixing-steps", type=int, default=None,
+                   help="proposal-chain steps (default: the preset's)")
     _add_fugacity_args(p)
-    p.add_argument("--trials", type=int, default=None,
+    _add_anneal_args(p)
+    p.add_argument("--trials", type=int, default=200,
                    help="exit-time trial count")
-    p.add_argument("--squares", type=int, default=None)
-    p.add_argument("--k-min", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--seed", type=_seed_arg, default=None)
+    p.add_argument("--squares", type=int, default=4)
+    p.add_argument("--k-min", type=int, default=4)
+    p.add_argument("--k-max", type=int, default=12)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("replot", help="regenerate figures from CSVs")

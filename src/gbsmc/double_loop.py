@@ -28,7 +28,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import Graph, Matching
+from .graphs import Graph, Matching, bits_to_tuple
 from .glauber import ChainConfig, ChainConfigError, _drive_glauber
 from .hafnian import hafnian_bits
 from .pm_chain import PMSamplerConfig, _run_restricted
@@ -94,6 +94,8 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, weighted,
     m = g.m
     edges = g.edges
     ebits = g.edge_bits
+    adj = g.adj
+    eindex = g.edge_index
     idxs = x.idxs
     partner = x.partner
     covered = x.covered
@@ -148,7 +150,10 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, weighted,
                         in_inner = rnd() < ratio
                     else:
                         stats.calls += 1
-                        pool = [j for j in range(m) if not ebits[j] & ~covered]
+                        # edges inside V(X), in index order
+                        pool = [eindex[(a, z)] for a in bits_to_tuple(covered)
+                                for z in bits_to_tuple(adj[a] & covered)
+                                if z > a]
                         nv = 2 * len(idxs)
                         got = _run_restricted(
                             g, covered, pool, idxs,

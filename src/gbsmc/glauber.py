@@ -77,12 +77,6 @@ class ChainTrace:
     rng_state_out: object = field(repr=False, default=None)
 
 
-def _pick(rng, m):
-    # int(random() * m) can land on m through float rounding for large m
-    i = int(rng.random() * m)
-    return i if i < m else m - 1
-
-
 def _drive_glauber(g, x, lam, lazy, steps, rng,
                    target_edges=-1, collect=None, key_kind="matching",
                    thin=0, burn_in=0, start_step=0):

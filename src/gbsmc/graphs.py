@@ -479,7 +479,7 @@ def normalize_weights(g: Graph):
     w_min = min(g.weights)
     if w_min == 1:
         return g, 1
-    if isinstance(w_min, float):
+    if any(isinstance(w, float) for w in g.weights):
         scaled = [w / w_min for w in g.weights]
     else:
         scaled = [Fraction(w, w_min) for w in g.weights]

@@ -149,52 +149,46 @@ def _run_restricted(g: Graph, vbits: int, pool, start_idxs, steps: int,
     edges = g.edges
     eindex = g.edge_index
     weights = g.weights
-    idxs = set(start_idxs)
     partner = [-1] * g.n
-    for i in idxs:
+    for i in start_idxs:
         u, v = edges[i]
         partner[u] = v
         partner[v] = u
     holes = 0  # start state is perfect by contract
     k = len(pool)
+    # proposal r = int(random() * k) picks moves[r]; the repeated last entry
+    # takes the rare product that rounds up to k
+    moves = [edges[i] + (i,) for i in pool]
+    moves += moves[-1:]
     rnd = rng.random
 
     for _ in range(attempts):
         for _ in range(steps):
-            i = pool[min(int(rnd() * k), k - 1)]
-            u, v = edges[i]
+            u, v, i = moves[int(rnd() * k)]
             pu = partner[u]
             pv = partner[v]
             if holes == 0:
                 if pu == v and (not weighted or rnd() < 1.0 / float(weights[i])):
-                    idxs.remove(i)
                     partner[u] = -1
                     partner[v] = -1
                     holes = 2
             elif pu == -1 and pv == -1:
-                idxs.add(i)
                 partner[u] = v
                 partner[v] = u
                 holes = 0
             elif pu == -1 or pv == -1:
-                if pu == -1:
-                    z = pv
-                    j = eindex[(v, z) if v < z else (z, v)]
-                else:
-                    z = pu
-                    j = eindex[(u, z) if u < z else (z, u)]
-                ok = True
+                # slide: add (u, v), drop the edge (w, z) blocking it at w
+                w, z = (v, pv) if pu == -1 else (u, pu)
                 if weighted:
+                    j = eindex[(w, z) if w < z else (z, w)]
                     ratio = float(weights[i]) / float(weights[j])
-                    ok = ratio >= 1.0 or rnd() < ratio
-                if ok:
-                    idxs.remove(j)
-                    partner[z] = -1
-                    idxs.add(i)
-                    partner[u] = v
-                    partner[v] = u
+                    if ratio < 1.0 and rnd() >= ratio:
+                        continue
+                partner[z] = -1
+                partner[u] = v
+                partner[v] = u
         if holes == 0:
-            return idxs
+            return {eindex[(u, w)] for u, w in enumerate(partner) if u < w}
     return None
 
 

@@ -363,29 +363,30 @@ def solver_for(cfg: SolverConfig):
     return enhanced_random_search if enhanced else random_search
 
 
-def score_advantage(g: Graph, cfg_pair, k_range, n_seeds: int = 1) -> dict:
-    """Mean-best ratio (enhanced over plain) per subset size.
+def advantage_at(g: Graph, cfg_pair, k: int, n_seeds: int = 1) -> tuple:
+    """(plain mean, enhanced mean, ratio) of the best scores at size ``k``.
 
-    ``cfg_pair`` is (plain_cfg, enhanced_cfg); both run ``n_seeds`` trials
-    per k with seeds derived from their own seed fields, and the ratio of
-    the mean best scores is reported.  A zero plain mean gives ``inf``
-    when the enhanced mean is positive, 1.0 when both found nothing.
+    ``cfg_pair`` is (plain_cfg, enhanced_cfg); each runs ``n_seeds`` trials
+    with seeds derived from its own seed field.  A zero plain mean gives
+    ratio ``inf`` when the enhanced mean is positive, 1.0 when both found
+    nothing.
     """
-    plain_cfg, enhanced_cfg = cfg_pair
-    out = {}
-    for k in k_range:
-        means = []
-        for cfg in (plain_cfg, enhanced_cfg):
-            total = 0.0
-            for j in range(n_seeds):
-                trial_cfg = replace(cfg, subset_size=k,
-                                    seed=derive_seed(cfg.seed, f"k{k}/t{j}"))
-                record = solver_for(trial_cfg)(g, trial_cfg)
-                total += float(record.best_score)
-            means.append(total / max(1, n_seeds))
-        plain_mean, enhanced_mean = means
-        if plain_mean == 0:
-            out[k] = 1.0 if enhanced_mean == 0 else math.inf
-        else:
-            out[k] = enhanced_mean / plain_mean
-    return out
+    means = []
+    for cfg in cfg_pair:
+        total = 0.0
+        for j in range(n_seeds):
+            trial_cfg = replace(cfg, subset_size=k,
+                                seed=derive_seed(cfg.seed, f"k{k}/t{j}"))
+            total += float(solver_for(trial_cfg)(g, trial_cfg).best_score)
+        means.append(total / max(1, n_seeds))
+    plain_mean, enhanced_mean = means
+    if plain_mean == 0:
+        return plain_mean, enhanced_mean, (1.0 if enhanced_mean == 0
+                                           else math.inf)
+    return plain_mean, enhanced_mean, enhanced_mean / plain_mean
+
+
+def score_advantage(g: Graph, cfg_pair, k_range, n_seeds: int = 1) -> dict:
+    """Mean-best ratio (enhanced over plain) per subset size; see
+    :func:`advantage_at`."""
+    return {k: advantage_at(g, cfg_pair, k, n_seeds)[2] for k in k_range}

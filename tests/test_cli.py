@@ -263,3 +263,97 @@ def test_bench_spec_rejects_unknown_keys(tmp_path, capsys):
 def test_bench_needs_a_preset_or_spec(capsys):
     assert run("bench") == EXIT_CONFIG
     assert "preset" in capsys.readouterr().err
+
+
+def test_solve_records_hold_no_timing(tmp_path, capsys):
+    out_dir = tmp_path / "solve"
+    assert run("solve", "--gen", "complete", "--n", 8, "--alg", "sa",
+               "--k", 4, "--iters", 10, "--seeds", 2,
+               "--out-dir", out_dir) == EXIT_OK
+    assert "time" not in (out_dir / "records.txt").read_text()
+    assert "wall_time_s=" in capsys.readouterr().out
+
+
+# --- every preset ------------------------------------------------------------
+
+_PRESET_FLAGS = ("--scale", 16, "--seeds", 2, "--iters", 20,
+                 "--mixing-steps", 200, "--k-min", 4, "--k-max", 6)
+_PRESET_FILES = {
+    "planted-clique": {"summary.csv", "curves.csv", "curves.svg"},
+    "dense-subgraph": {"summary.csv", "curves.csv", "curves.svg"},
+    "bipartite-hafnian": {"summary.csv", "curves.csv", "curves.svg"},
+    "sparse-bipartite": {"summary.csv", "curves.csv", "curves.svg"},
+    "score-advantage": {"advantage.csv", "advantage.svg"},
+    "exit-time": {"exit_times.csv", "exit_summary.csv", "exit_times.svg"},
+}
+
+
+def _run_files(out_dir):
+    """Every file of a run directory, the manifest without its timing."""
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    manifest = files.pop("manifest.txt").decode()
+    files["manifest.txt"] = manifest.split("timing:")[0]
+    return files
+
+
+@pytest.mark.parametrize("preset", sorted(_PRESET_FILES))
+def test_every_preset_runs_and_reruns_byte_identical(tmp_path, preset):
+    first, second = tmp_path / "a", tmp_path / "b"
+    for out_dir in (first, second):
+        assert run("bench", preset, *_PRESET_FLAGS,
+                   "--out-dir", out_dir) == EXIT_OK
+    files = _run_files(first)
+    assert set(files) == _PRESET_FILES[preset] | {"manifest.txt"}
+    assert files == _run_files(second)
+    assert files["manifest.txt"].startswith(f"experiment: {preset}\n")
+
+
+# --- specs are command lines -------------------------------------------------
+
+def _write_spec(tmp_path, spec):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    return spec_file
+
+
+@pytest.mark.parametrize("spec", [
+    {"task": "solve", "graph": {"kind": "complete", "params": {"n": 6}},
+     "config": {"k": "4"}},
+    {"task": "exit-time", "config": {"squares": "two"}},
+    {"task": "sample", "graph": {"kind": "complete", "params": {"n": 6}},
+     "config": {"chain": "metropolis"}},
+], ids=["solve-k-string", "exit-time-squares-word", "sample-unknown-chain"])
+def test_malformed_spec_values_are_config_errors(tmp_path, capsys, spec):
+    spec["out_dir"] = str(tmp_path / "out")
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_spec_writes_what_its_command_line_writes(tmp_path):
+    spec = {"task": "solve", "seed": 5, "out_dir": str(tmp_path / "spec"),
+            "graph": {"kind": "planted_clique", "seed": 2,
+                      "params": {"n": 14, "clique_size": 4, "p": 0.3}},
+            "config": {"alg": "esa", "sampler": "double_loop",
+                       "fugacity": "1/5", "k": 4, "iterations": 20,
+                       "mixing_steps": 50, "seeds": 2, "cold_restart": True}}
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
+    assert run("solve", "--gen", "planted-clique", "--n", 14, "--clique", 4,
+               "--p", 0.3, "--graph-seed", 2, "--seed", 5, "--alg", "esa",
+               "--sampler", "double-loop", "--lambda", "1/5", "--k", 4,
+               "--iters", 20, "--mixing-steps", 50, "--seeds", 2,
+               "--cold-restart", "--out-dir", tmp_path / "cli") == EXIT_OK
+    names = {"records.txt", "trajectory.csv"}
+    for name in names:
+        assert ((tmp_path / "spec" / name).read_bytes()
+                == (tmp_path / "cli" / name).read_bytes())
+
+    spec = {"task": "bench", "name": "exit-time",
+            "out_dir": str(tmp_path / "exit-spec"),
+            "config": {"squares": 1, "trials": 40, "fugacity": 1}}
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
+    assert run("bench", "exit-time", "--squares", 1, "--trials", 40,
+               "--lambda", 1, "--seeds", 1,
+               "--out-dir", tmp_path / "exit-cli") == EXIT_OK
+    assert (_run_files(tmp_path / "exit-spec")
+            == _run_files(tmp_path / "exit-cli"))

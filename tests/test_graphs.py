@@ -226,6 +226,14 @@ def test_normalize_weights_scales_min_to_one():
                for i in range(g.m))
 
 
+def test_normalize_weights_mixed_int_and_float_weights():
+    g = from_edge_list_text("3 2 weighted\n0 1 2\n1 2 3.5\n")
+    assert g.weights == (2, 3.5)
+    h, w_min = normalize_weights(g)
+    assert w_min == 2
+    assert h.weights == (1.0, 1.75)
+
+
 def test_normalize_weights_noop_when_already_fine():
     g = Graph(3, [(0, 1), (1, 2)], weights=[1, 4])
     h, w_min = normalize_weights(g)

@@ -139,3 +139,14 @@ def test_count_induced_edges_and_density():
     assert density(g, s) == pytest.approx(1.0)
     # density normalizes by |S|, matching edges-per-vertex scoring
     assert density(g, [0, 1]) == pytest.approx(0.5)
+    import random
+    rng = random.Random(11)
+    for seed in range(20):
+        g = gen_graph(GraphSpec.of("erdos_renyi", n=24, p=rng.random()),
+                      seed=seed)
+        members = rng.sample(range(g.n), rng.randrange(g.n + 1))
+        pairs = sum(1 for i, u in enumerate(members) for v in members[i + 1:]
+                    if g.has_edge(u, v))
+        assert count_induced_edges(g, members) == pairs
+        assert count_induced_edges(g, bitset(members)) == pairs
+    assert count_induced_edges(g, None) == g.m

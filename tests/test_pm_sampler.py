@@ -14,6 +14,8 @@ from gbsmc.pm_chain import (
     PMSampleBudgetError,
     PMSamplerConfig,
     PMStateError,
+    _run_restricted,
+    _step,
     default_inner_steps,
     default_max_attempts,
     pm_chain_step,
@@ -160,3 +162,25 @@ def test_weighted_step_on_unweighted_graph_is_plain():
         a = pm_chain_step(g, a, ra)
         b = weighted_pm_chain_step(g, b, rb)
         assert set(a.idxs) == set(b.idxs)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_restricted_run_replays_the_single_step_rule(weighted):
+    """The samplers' inlined loop makes the moves of the one-step rule, with
+    the same random draws, on an induced subgraph of the host."""
+    g = gen_graph(GraphSpec.of("complete", n=8))
+    if weighted:
+        g = Graph(g.n, g.edges, weights=[1 + (i % 4) / 2 for i in range(g.m)])
+    vbits = 0b01101111  # vertices 0, 1, 2, 3, 5, 6
+    pool = [i for i in range(g.m) if not g.edge_bits[i] & ~vbits]
+    start = Matching.from_pairs(g, [(0, 1), (2, 3), (5, 6)])
+    for seed in range(30):
+        for steps in (1, 2, 5, 40):
+            ra, rb = random.Random(seed), random.Random(seed)
+            got = _run_restricted(g, vbits, pool, start.idxs, steps, 1, ra,
+                                  weighted)
+            m = Matching(g, start.idxs)
+            for _ in range(steps):
+                _step(g, m, rb, vbits, pool, weighted)
+            assert got == (m.idxs if m.covered == vbits else None)
+            assert ra.getstate() == rb.getstate()
