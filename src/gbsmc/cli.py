@@ -46,12 +46,12 @@ from typing import Callable, NamedTuple, Optional
 from .diagnostics import (LAW_KINDS, DistributionTable, OracleGuardError,
                           check_detailed_balance, exact_stationary,
                           exit_time_experiment, geometric_fit, pm_stationary,
-                          tv_distance)
+                          transition_kernel, tv_distance)
 from .double_loop import (DoubleLoopConfig, InnerSamplerError,
                           PostSelectionMiss, RejectionCapError, _drive_double)
 from .glauber import ChainConfig, ChainConfigError, _drive_glauber, _drive_jerrum
 from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
-                     gen_graph, load_edge_list, to_edge_list_text)
+                     Matching, gen_graph, load_edge_list, to_edge_list_text)
 from .pm_chain import PMSampleBudgetError, PMSamplerConfig, PMStateError
 from .seeds import child_rng, derive_seed
 from .solvers import (SOLVERS, SAParams, SolverConfig, SolverConfigError,
@@ -290,12 +290,13 @@ def _drive(chain, g, x, cc, dl_cfg, n_steps, rng, haf_memo=None, **kw):
     return drive(g, x, lam, cc.lazy, n_steps, rng, **kw)
 
 
-def _do_sample(g: Graph, args, out) -> int:
+def _sample_lines(g: Graph, args):
     """Windowed sampling: the chain advances ``steps`` moves per sample and
-    each window emits one "step,vertex_set_hex" line.  With post-selection
+    each window yields one "step,vertex_set_hex" line.  With post-selection
     the emitted state is the window's most recent one of the target size;
     a window without any such state aborts with the starvation exit code
-    (lines already written stay on disk)."""
+    (lines already written stay on disk).  The options are checked before
+    the first line is asked for."""
     chain = args.chain.replace("-", "_")
     cc = _chain_config(args.fugacity, args.c, args.lazy)
     target = -1
@@ -305,39 +306,40 @@ def _do_sample(g: Graph, args, out) -> int:
             raise CliError(f"post-selection size {k} is odd")
         target = k // 2
     dl_cfg = _double_loop_config(cc, args) if chain == "double_loop" else None
-    rng = child_rng(args.seed, "sample")
-    x = cc.make_initial(g)
-    memo = {}
-    at = 0
-    if args.burn_in:
-        _drive(chain, g, x, cc, dl_cfg, args.burn_in, rng, memo,
-               target_edges=target)
-        at = args.burn_in
-    window = args.steps
-    for _ in range(args.samples):
-        snap, snap_step = _drive(chain, g, x, cc, dl_cfg, window, rng, memo,
-                                 target_edges=target, start_step=at)
-        at += window
-        if target >= 0:
-            if snap is None:
-                raise CliError(
-                    f"no size-{k} state in a {window}-step window",
-                    EXIT_STARVATION)
-            bits = 0
-            for i in snap:
-                bits |= g.edge_bits[i]
-            out.write(f"{snap_step},0x{bits:x}\n")
-        else:
-            out.write(f"{at},0x{x.covered:x}\n")
-    return EXIT_OK
+
+    def lines():
+        rng = child_rng(args.seed, "sample")
+        x = cc.make_initial(g)
+        memo = {}
+        at = 0
+        if args.burn_in:
+            _drive(chain, g, x, cc, dl_cfg, args.burn_in, rng, memo,
+                   target_edges=target)
+            at = args.burn_in
+        window = args.steps
+        for _ in range(args.samples):
+            snap, snap_step = _drive(chain, g, x, cc, dl_cfg, window, rng,
+                                     memo, target_edges=target, start_step=at)
+            at += window
+            if target < 0:
+                yield f"{at},0x{x.covered:x}\n"
+            elif snap is None:
+                raise CliError(f"no size-{k} state in a {window}-step window",
+                               EXIT_STARVATION)
+            else:
+                yield f"{snap_step},0x{Matching(g, snap).covered:x}\n"
+    return lines()
 
 
 def _cmd_sample(args) -> int:
     g, _ = _graph_from_args(args)
-    if args.out:
-        with open(args.out, "w") as fh:
-            return _do_sample(g, args, fh)
-    return _do_sample(g, args, sys.stdout)
+    lines = _sample_lines(g, args)
+    if not args.out:
+        sys.stdout.writelines(lines)
+        return EXIT_OK
+    with open(args.out, "w") as fh:
+        fh.writelines(lines)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +451,9 @@ _BALANCE_LAWS = {"glauber": "matching_single", "jerrum": "matching_single",
 def _cmd_verify_balance(args) -> int:
     g, _ = _graph_from_args(args)
     dynamics = args.dynamics.replace("-", "_")
+    if args.lazy and dynamics not in ("glauber", "jerrum"):
+        raise CliError(f"--lazy has no {args.dynamics} kernel; "
+                       "it applies to glauber and jerrum")
     if dynamics.startswith("pm"):
         law = pm_stationary(g, weighted=dynamics.endswith("weighted"))
         violation = check_detailed_balance(g, dynamics, law)
@@ -458,7 +463,8 @@ def _cmd_verify_balance(args) -> int:
                            "use --dynamics double-loop-weighted")
         lam = _chain_config(args.fugacity, args.c).resolved_fugacity()
         law = exact_stationary(g, lam, _BALANCE_LAWS[dynamics])
-        violation = check_detailed_balance(g, dynamics, law, lam=lam)
+        kernel = transition_kernel(g, dynamics, lam=lam, lazy=args.lazy)
+        violation = check_detailed_balance(g, kernel, law)
     ok = float(violation) < args.tol
     print(f"max_violation {float(violation)!r} tol {args.tol!r} "
           f"{'PASS' if ok else 'FAIL'}")

@@ -29,7 +29,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .graphs import Graph, Matching, bits_to_tuple
-from .glauber import ChainConfig, ChainConfigError, _drive_glauber
+from .glauber import (ChainConfig, ChainConfigError, _drive_glauber,
+                      _run_add_remove)
 from .hafnian import hafnian_bits
 from .pm_chain import PMSamplerConfig, _run_restricted
 from .seeds import derive_seed
@@ -49,9 +50,15 @@ class RejectionCapError(RuntimeError):
 
 @dataclass
 class InnerStats:
-    """Bookkeeping for the inner sampler across one outer run."""
+    """Bookkeeping for the inner sampler across one outer run.
+
+    ``calls`` counts inner chain draws, ``shortcuts`` the |X| = 1 removals
+    whose inner draw is forced.  Both count only removal candidates that
+    passed the 1/(1+lambda^2) gate coin (and the 1/w^2 coin when weighted),
+    which the outer chain flips first.
+    """
     calls: int = 0
-    shortcuts: int = 0   # |X| = 1 removals, where the inner draw is forced
+    shortcuts: int = 0
     failures: int = 0
 
 
@@ -83,26 +90,21 @@ class DoubleLoopConfig:
 
 
 def _drive_double(g, x, lam, cfg, steps, rng, *, weighted,
-                  stats=None, target_edges=-1, collect=None,
-                  key_kind="vertexset", thin=0, burn_in=0, start_step=0,
-                  haf_memo=None):
-    """Run ``steps`` outer moves, mutating ``x``; same collection contract
-    as the single-loop drivers."""
+                  stats=None, haf_memo=None, key_kind="vertexset", **kw):
+    """Run ``steps`` outer moves, mutating ``x``; the keyword options are
+    :func:`_run_add_remove`'s.  Returns ``(snapshot, step, stats)``.
+
+    The outer walk is the add/remove loop at fugacity lambda^2, so a removal
+    candidate has already passed the 1/(1+lambda^2) gate coin; the 1/w^2
+    coin (weighted graphs) and then the inner draw decide whether it moves.
+    """
     if weighted and g.weighted and min(g.weights) < 1:
         raise ChainConfigError("weighted double loop needs all weights >= 1; "
                                "normalize_weights() first")
-    m = g.m
-    edges = g.edges
-    ebits = g.edge_bits
     adj = g.adj
     eindex = g.edge_index
-    idxs = x.idxs
-    partner = x.partner
-    covered = x.covered
     rnd = rng.random
     lam2 = float(lam) * float(lam)
-    p_add = lam2 / (1.0 + lam2)
-    gate = 1.0 / (1.0 + lam2)
     wf = [float(w) for w in g.weights] if (weighted and g.weighted) else None
     exact_inner = cfg.inner == "exact"
     pm_cfg = cfg.pm
@@ -110,86 +112,45 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, weighted,
     fallback = cfg.on_inner_failure == "fallback"
     if stats is None:
         stats = InnerStats()
-
-    snap, snap_step = None, None
-    if target_edges >= 0 and len(idxs) == target_edges:
-        snap, snap_step = tuple(idxs), start_step
-    countdown = thin if collect is not None else -1
-    vertex_keys = key_kind == "vertexset"
     if haf_memo is None:
         haf_memo = {}
 
-    for t in range(start_step + 1, start_step + steps + 1):
-        if m:
-            i = int(rnd() * m)
-            if i == m:
-                i = m - 1
-            b = ebits[i]
-            if not covered & b:
-                if rnd() < p_add:
-                    u, v = edges[i]
-                    idxs.add(i)
-                    covered |= b
-                    partner[u] = v
-                    partner[v] = u
-            else:
-                u, v = edges[i]
-                if partner[u] == v:
-                    # edge of X proposed for removal: consult the inner draw
-                    in_inner = None
-                    if len(idxs) == 1:
-                        stats.shortcuts += 1
-                        in_inner = True  # 2-vertex subgraph: E is forced
-                    elif exact_inner:
-                        x.covered = covered
-                        big = hafnian_bits(g, covered, haf_memo)
-                        small = hafnian_bits(g, covered & ~b, haf_memo)
-                        ratio = float(small) / float(big)
-                        if wf is not None:
-                            ratio *= wf[i]
-                        in_inner = rnd() < ratio
-                    else:
-                        stats.calls += 1
-                        # edges inside V(X), in index order
-                        pool = [eindex[(a, z)] for a in bits_to_tuple(covered)
-                                for z in bits_to_tuple(adj[a] & covered)
-                                if z > a]
-                        nv = 2 * len(idxs)
-                        got = _run_restricted(
-                            g, covered, pool, idxs,
-                            pm_cfg.steps_for(nv), pm_cfg.attempts_for(nv),
-                            rng, weighted=weighted and g.weighted)
-                        if got is None:
-                            stats.failures += 1
-                            if abort:
-                                x.covered = covered
-                                raise InnerSamplerError(
-                                    f"inner budget exhausted at step {t}")
-                            # "stay" rejects the removal; "fallback" stands
-                            # in X itself (a perfect matching of V(X) that
-                            # contains the proposed edge by construction).
-                            in_inner = fallback
-                        else:
-                            in_inner = i in got
-                    if in_inner:
-                        accept = gate
-                        if wf is not None:
-                            wi = wf[i]
-                            accept = gate / (wi * wi)
-                        if rnd() < accept:
-                            idxs.remove(i)
-                            covered &= ~b
-                            partner[u] = -1
-                            partner[v] = -1
-        if target_edges >= 0 and len(idxs) == target_edges:
-            snap, snap_step = tuple(idxs), t
-        if countdown >= 0 and t > burn_in:
-            countdown -= 1
-            if countdown <= 0:
-                countdown = thin
-                collect[covered if vertex_keys else
-                        tuple(sorted(edges[j] for j in idxs))] += 1
-    x.covered = covered
+    def in_inner(i, t):
+        """Whether the gated removal of edge i goes ahead."""
+        if wf is not None and rnd() * wf[i] * wf[i] >= 1.0:
+            return False  # the 1/w^2 coin failed
+        idxs = x.idxs
+        covered = x.covered
+        if len(idxs) == 1:
+            stats.shortcuts += 1
+            return True  # 2-vertex subgraph: E is forced
+        if exact_inner:
+            big = hafnian_bits(g, covered, haf_memo)
+            small = hafnian_bits(g, covered & ~g.edge_bits[i], haf_memo)
+            ratio = float(small) / float(big)
+            if wf is not None:
+                ratio *= wf[i]
+            return rnd() < ratio
+        stats.calls += 1
+        # edges inside V(X), in index order
+        pool = [eindex[(a, z)] for a in bits_to_tuple(covered)
+                for z in bits_to_tuple(adj[a] & covered) if z > a]
+        nv = 2 * len(idxs)
+        got = _run_restricted(g, covered, pool, idxs, pm_cfg.steps_for(nv),
+                              pm_cfg.attempts_for(nv), rng,
+                              weighted=wf is not None)
+        if got is None:
+            stats.failures += 1
+            if abort:
+                raise InnerSamplerError(f"inner budget exhausted at step {t}")
+            # "stay" refuses the removal; "fallback" stands in X itself (a
+            # perfect matching of V(X) that contains the proposed edge).
+            return fallback
+        return i in got
+
+    snap, snap_step = _run_add_remove(g, x, lam2 / (1.0 + lam2),
+                                      1.0 / (1.0 + lam2), steps, rng,
+                                      in_inner, key_kind=key_kind, **kw)
     return snap, snap_step, stats
 
 
@@ -243,10 +204,7 @@ def sample_vertex_set(g: Graph, cfg: DoubleLoopConfig,
     if snap is None:
         raise PostSelectionMiss(
             f"no {post_select_size}-vertex state in {cfg.chain.steps} steps")
-    bits = 0
-    for i in snap:
-        bits |= g.edge_bits[i]
-    return bits
+    return Matching(g, snap).covered
 
 
 def vertex_set_histogram(g: Graph, cfg: DoubleLoopConfig, n_samples: int,

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .graphs import Graph, bitset, bits_to_tuple
+from .graphs import Graph, Matching, bitset, bits_to_tuple
 from .glauber import ChainConfig, _drive_glauber, _drive_jerrum
 from .double_loop import DoubleLoopConfig, InnerStats, _drive_double
 from .pm_chain import PMSamplerConfig
@@ -193,10 +193,7 @@ class _ChainProposals:
         for _ in range(self.cfg.retry_bound + 1):
             snap, _ = self._advance(target)
             if snap is not None:
-                bits = 0
-                for i in snap:
-                    bits |= self.g.edge_bits[i]
-                return bits
+                return Matching(self.g, snap).covered
         return None
 
 

@@ -49,3 +49,42 @@ def balance_suite():
                           weights=[1, 2, 3, Fraction(5, 2)])),
         ("hard2", gen_graph(GraphSpec.of("hard_instance", n_squares=2))),
     ]
+
+
+def check_kernel_powers(g, kernel, advance, starts, label, runs=10_000):
+    """The law of X_T from each start, for T in 1, 2, 5, against row
+    ``start`` of P^T.
+
+    ``advance(x, steps, rng)`` runs the shipped driver for ``steps`` steps
+    on the Matching ``x``; each of the ``runs`` runs gets its own seeded
+    RNG.  The empirical law must lie within TV 2 * sqrt(states / runs) of
+    the exact row, which also pins the holding times, not only the
+    stationary law.
+    """
+    import math
+    import random
+    from collections import Counter
+
+    from gbsmc.graphs import Matching
+    from oracles import naive_tv
+
+    bound = 2 * math.sqrt(len(kernel) / runs)
+    for start in starts:
+        row = {tuple(sorted(start)): 1}
+        done = 0
+        for steps in (1, 2, 5):
+            for _ in range(steps - done):
+                nxt = Counter()
+                for x, p in row.items():
+                    for y, q in kernel[x].items():
+                        nxt[y] += p * q
+                row = nxt
+            done = steps
+            counts = Counter()
+            for r in range(runs):
+                x = Matching.from_pairs(g, start)
+                advance(x, steps, random.Random(f"{label}/{start}/{steps}/{r}"))
+                counts[x.pairs()] += 1
+            tv = naive_tv({k: v / runs for k, v in counts.items()},
+                          {k: float(v) for k, v in row.items()})
+            assert tv <= bound, (label, start, steps, tv, bound)

@@ -14,6 +14,7 @@ from gbsmc.cli import (
     EXIT_STARVATION,
     main,
 )
+from gbsmc.diagnostics import transition_kernel
 from gbsmc.graphs import from_edge_list_text
 
 
@@ -70,6 +71,14 @@ def test_sample_odd_post_selection_is_rejected(capsys):
     assert run("sample", "--gen", "complete", "--n", 6,
                "--post-select-k", 3) == EXIT_CONFIG
     assert "odd" in capsys.readouterr().err
+
+
+def test_rejected_sample_leaves_no_output_file(tmp_path, capsys):
+    out = tmp_path / "odd.txt"
+    assert run("sample", "--gen", "complete", "--n", 6,
+               "--post-select-k", 3, "--out", out) == EXIT_CONFIG
+    assert "odd" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_starvation_has_its_own_exit_code(capsys):
@@ -160,6 +169,34 @@ def test_verify_balance_weighted_graph_needs_weighted_dynamics(tmp_path,
     assert "double-loop-weighted" in capsys.readouterr().err
     assert run("verify", "balance", "--graph", graph_file,
                "--dynamics", "double-loop-weighted", "--lambda", 1) == EXIT_OK
+
+
+@pytest.mark.parametrize("dynamics", ["glauber", "jerrum"])
+def test_verify_balance_lazy_certifies_the_lazy_kernel(monkeypatch, capsys,
+                                                       dynamics):
+    import gbsmc.cli as cli
+    built = []
+
+    def kernel(g, dyn, lam=None, lazy=False):
+        built.append(lazy)
+        return transition_kernel(g, dyn, lam=lam, lazy=lazy)
+
+    monkeypatch.setattr(cli, "transition_kernel", kernel)
+    for flags in ((), ("--lazy",)):
+        assert run("verify", "balance", "--gen", "complete", "--n", 4,
+                   "--dynamics", dynamics, "--lambda", "3/2",
+                   *flags) == EXIT_OK
+        assert "PASS" in capsys.readouterr().out
+    assert built == [False, True]
+
+
+@pytest.mark.parametrize("dynamics", ["double-loop", "pm"])
+def test_verify_balance_lazy_without_a_lazy_kernel_is_config_error(
+        capsys, dynamics):
+    assert run("verify", "balance", "--gen", "complete", "--n", 4,
+               "--dynamics", dynamics, "--lambda", "3/2",
+               "--lazy") == EXIT_CONFIG
+    assert "--lazy" in capsys.readouterr().err
 
 
 def test_verify_law_passes_with_a_modest_sample_budget(capsys):

@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gbsmc.diagnostics import transition_kernel
 from gbsmc.double_loop import (
     DoubleLoopConfig,
     InnerSamplerError,
     InnerStats,
     PostSelectionMiss,
     RejectionCapError,
+    _drive_double,
     double_loop_step,
     rejection_sample,
     rejection_sample_stream,
@@ -25,6 +27,7 @@ from gbsmc.glauber import ChainConfig, ChainConfigError
 from gbsmc.graphs import Graph, GraphSpec, Matching, gen_graph
 from gbsmc.pm_chain import PMSamplerConfig
 
+from conftest import check_kernel_powers
 from oracles import naive_hafnian_subset, naive_tv
 
 
@@ -74,18 +77,90 @@ def test_steps_preserve_matching_validity(seed):
         x.validate()
 
 
+@given(st.integers(0, 2**31))
+def test_double_loop_step_changes_at_most_one_edge(seed):
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=8, p=0.6), seed=seed % 37)
+    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=1.5),
+                           pm=PMSamplerConfig(inner_steps=64, max_attempts=4))
+    rng = random.Random(seed)
+    x = Matching(g)
+    for _ in range(50):
+        before = set(x.idxs)
+        double_loop_step(g, x, cfg, rng)
+        assert len(before.symmetric_difference(x.idxs)) <= 1
+
+
+@pytest.mark.parametrize("name", ["k4", "weighted_square"])
+def test_double_loop_driver_follows_the_exact_kernel_powers(name, request):
+    """X_T from fixed starts, T = 1, 2, 5, against rows of P^T, with the
+    exact inner draw that the kernel marginalizes."""
+    g = request.getfixturevalue(name)
+    lam = Fraction(3, 2)
+    kernel = transition_kernel(
+        g, "double_loop_weighted" if g.weighted else "double_loop", lam=lam)
+    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=lam), inner="exact")
+    memo = {}
+    check_kernel_powers(
+        g, kernel,
+        lambda x, steps, rng: _drive_double(g, x, lam, cfg, steps, rng,
+                                            weighted=g.weighted,
+                                            haf_memo=memo),
+        starts=((), ((0, 1),), ((0, 1), (2, 3))), label=f"double/{name}")
+
+
+@pytest.mark.parametrize("thin", [1, 3, "m"])
+@pytest.mark.parametrize("burn_in", [0, 7])
+def test_vertex_set_histogram_returns_exactly_n_samples(thin, burn_in):
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=8, p=0.5), seed=3)
+    thin = g.m if thin == "m" else thin
+    for lam in (0.01, 3):
+        cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=lam, seed=thin),
+                               pm=PMSamplerConfig(inner_steps=64,
+                                                  max_attempts=4))
+        counts, _ = vertex_set_histogram(g, cfg, n_samples=101, thin=thin,
+                                         burn_in=burn_in)
+        assert sum(counts.values()) == 101
+
+
+def test_double_loop_post_selected_window_reports_a_step_inside_it():
+    g = gen_graph(GraphSpec.of("complete", n=8))
+    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=0.7), inner="exact")
+    rng = random.Random(4)
+    x = Matching(g)
+    memo = {}
+    seen = 0
+    for w in range(200):
+        snap, step, _ = _drive_double(g, x, 0.7, cfg, 30, rng,
+                                      weighted=False, target_edges=2,
+                                      start_step=30 * w, haf_memo=memo)
+        if snap is None:
+            assert step is None and len(x) != 2
+            continue
+        seen += 1
+        assert len(Matching(g, snap)) == 2
+        assert 30 * w <= step <= 30 * w + 30
+        if len(x) == 2:
+            assert step == 30 * w + 30
+            assert set(snap) == x.idxs
+    assert seen > 50
+
+
 def test_single_edge_removal_shortcut_counted():
     """|X| = 1 removals skip the inner sampler: the one-edge subgraph has a
-    forced perfect matching."""
+    forced perfect matching.  Each removal that passed the gate coin from a
+    one-edge state is one shortcut (about 1.7e-4 per step at lambda = 5)."""
     g = gen_graph(GraphSpec.of("complete", n=4))
     cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=5.0),
                            pm=PMSamplerConfig(inner_steps=32, max_attempts=4))
     rng = random.Random(2)
     stats = InnerStats()
     x = Matching(g)
-    for _ in range(400):
+    one_to_empty = 0
+    for _ in range(40_000):
+        before = len(x.idxs)
         double_loop_step(g, x, cfg, rng, stats=stats)
-    assert stats.shortcuts > 0
+        one_to_empty += before == 1 and len(x.idxs) == 0
+    assert stats.shortcuts == one_to_empty > 0
 
 
 def test_abort_policy_raises():

@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gbsmc.diagnostics import transition_kernel
 from gbsmc.glauber import (
     ChainConfig,
     ChainConfigError,
+    _drive_glauber,
     glauber_step,
     jerrum_step,
     run_chain,
@@ -18,6 +20,7 @@ from gbsmc.glauber import (
 )
 from gbsmc.graphs import GraphSpec, Matching, gen_graph
 
+from conftest import check_kernel_powers
 from oracles import matching_law, naive_tv
 
 
@@ -116,6 +119,59 @@ def test_sample_states_counts_and_thinning():
 
 
 @pytest.mark.parametrize("dynamics", ["glauber", "jerrum"])
+@pytest.mark.parametrize("thin", [1, 3, "m"])
+@pytest.mark.parametrize("burn_in", [0, 7])
+def test_sample_states_returns_exactly_n_samples(dynamics, thin, burn_in):
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=8, p=0.5), seed=3)
+    thin = g.m if thin == "m" else thin
+    for lam, key_kind in ((0.01, "matching"), (3, "vertexset")):
+        counts = sample_states(g, ChainConfig(fugacity=lam, seed=thin),
+                               dynamics=dynamics, n_samples=101, thin=thin,
+                               burn_in=burn_in, key_kind=key_kind)
+        assert sum(counts.values()) == 101
+
+
+def test_glauber_on_an_edgeless_graph_still_yields_n_samples():
+    g = gen_graph(GraphSpec.of("path", n=1))
+    counts = sample_states(g, ChainConfig(fugacity=1, seed=1), n_samples=10,
+                           thin=3, burn_in=7)
+    assert counts == {(): 10}
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_glauber_driver_follows_the_exact_kernel_powers(lazy):
+    """X_T from fixed starts, T = 1, 2, 5, against rows of P^T."""
+    g = gen_graph(GraphSpec.of("complete", n=4))
+    lam = Fraction(3, 2)
+    kernel = transition_kernel(g, "glauber", lam=lam, lazy=lazy)
+    check_kernel_powers(
+        g, kernel,
+        lambda x, steps, rng: _drive_glauber(g, x, lam, lazy, steps, rng),
+        starts=((), ((0, 1),), ((0, 1), (2, 3))), label=f"glauber/{lazy}")
+
+
+@pytest.mark.parametrize("start_step", [0, 40])
+def test_post_selected_window_reports_a_step_inside_it(start_step):
+    g = gen_graph(GraphSpec.of("complete", n=8))
+    rng = random.Random(start_step)
+    x = Matching(g)
+    seen = 0
+    for _ in range(200):
+        snap, step = _drive_glauber(g, x, 0.5, False, 30, rng,
+                                    target_edges=2, start_step=start_step)
+        if snap is None:
+            assert step is None and len(x) != 2
+            continue
+        seen += 1
+        assert len(snap) == 2 and len(Matching(g, snap)) == 2
+        assert start_step <= step <= start_step + 30
+        if len(x) == 2:
+            assert step == start_step + 30
+            assert set(snap) == x.idxs
+    assert seen > 50
+
+
+@pytest.mark.parametrize("dynamics", ["glauber", "jerrum"])
 def test_empirical_law_matches_exact(dynamics):
     """Both dynamics share the lambda^|X| stationary law."""
     g = gen_graph(GraphSpec.of("complete", n=4))
@@ -135,6 +191,18 @@ def test_lazy_chain_converges_to_same_law():
     emp = {k: v / 40_000 for k, v in counts.items()}
     law = {k: float(v) for k, v in matching_law(g.edges, 1).items()}
     assert naive_tv(emp, law) < 0.02
+
+
+@given(st.integers(0, 2**31), st.booleans())
+def test_glauber_step_changes_at_most_one_edge(seed, lazy):
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=8, p=0.6), seed=seed % 41)
+    cfg = ChainConfig(fugacity=Fraction(3, 2), lazy=lazy)
+    rng = random.Random(seed)
+    x = Matching(g)
+    for _ in range(50):
+        before = set(x.idxs)
+        x = glauber_step(g, x, cfg, rng)
+        assert len(before.symmetric_difference(x.idxs)) <= 1
 
 
 @given(st.integers(0, 2**31))
