@@ -13,7 +13,6 @@ is what "inner sampler replaced by exact enumeration" means operationally.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,10 +194,6 @@ KERNEL_KINDS = ("glauber", "jerrum", "double_loop", "double_loop_weighted",
                 "pm", "pm_weighted")
 
 
-def _fraction_weights(g: Graph):
-    return [Fraction(g.weight(i)) for i in range(g.m)]
-
-
 def transition_kernel(g: Graph, dynamics: str, lam=None, lazy=False) -> dict:
     """One-step transition matrix as nested dicts of exact Fractions.
 
@@ -206,109 +201,35 @@ def transition_kernel(g: Graph, dynamics: str, lam=None, lazy=False) -> dict:
     sum to 1 exactly.  For matching-space dynamics the state space is every
     matching of ``g``; for the perfect-matching dynamics it is the perfect
     plus near-perfect matchings (``g.n`` must be even and a perfect matching
-    must exist).
+    must exist).  The weighted dynamics need every weight >= 1.
     """
     if dynamics not in KERNEL_KINDS:
         raise ValueError(f"unknown dynamics {dynamics!r}")
+    weighted = dynamics.endswith("weighted")
+    if weighted and g.weighted and min(g.weights) < 1:
+        raise ValueError("weighted chain needs all weights >= 1")
+    w = [Fraction(g.weight(i) if weighted else 1) for i in range(g.m)]
     if dynamics.startswith("pm"):
-        return _pm_kernel(g, weighted=dynamics.endswith("weighted"))
+        states, q = _pm_states(g)
+        return _local_kernel(g, states, 1,
+                             lambda x, i: 1 / w[i] if len(x.idxs) == q else 0,
+                             lambda i, j: min(1, w[i] / w[j]))
     if lam is None:
         raise ValueError(f"{dynamics} kernel needs a fugacity")
     lamF = _exact_fugacity(lam)
+    states = enumerate_matchings(g)
+    half = Fraction(1, 2) if lazy else 1
     if dynamics == "glauber":
-        return _glauber_kernel(g, lamF, lazy)
+        return _local_kernel(g, states, half * lamF / (1 + lamF),
+                             lambda x, i: half / (1 + lamF), None)
     if dynamics == "jerrum":
-        return _jerrum_kernel(g, lamF, lazy)
-    return _double_loop_kernel(g, lamF,
-                               weighted=dynamics.endswith("weighted"))
-
-
-def _all_matching_states(g: Graph):
-    return [(x, _matching_key(g, x.idxs)) for x in enumerate_matchings(g)]
-
-
-def _glauber_kernel(g: Graph, lamF: Fraction, lazy=False) -> dict:
-    m = g.m
-    per_edge = Fraction(1, m)
-    p_add = lamF / (1 + lamF)
-    p_rem = Fraction(1, 1) / (1 + lamF)
-    if lazy:
-        p_add /= 2
-        p_rem /= 2
-    kernel = {}
-    for x, key in _all_matching_states(g):
-        row = Counter()
-        moved = Fraction(0)
-        for i in range(m):
-            if x.can_add(i):
-                x.add(i)
-                row[_matching_key(g, x.idxs)] += per_edge * p_add
-                x.remove(i)
-                moved += per_edge * p_add
-            elif i in x.idxs:
-                x.remove(i)
-                row[_matching_key(g, x.idxs)] += per_edge * p_rem
-                x.add(i)
-                moved += per_edge * p_rem
-        row[key] += 1 - moved
-        kernel[key] = dict(row)
-    return kernel
-
-
-def _jerrum_kernel(g: Graph, lamF: Fraction, lazy=False) -> dict:
-    m = g.m
-    per_edge = Fraction(1, m)
-    p_add = min(Fraction(1), lamF)
-    p_rem = min(Fraction(1), 1 / lamF)
-    p_slide = Fraction(1)
-    if lazy:
-        p_add /= 2
-        p_rem /= 2
-        p_slide /= 2
-    kernel = {}
-    for x, key in _all_matching_states(g):
-        row = Counter()
-        moved = Fraction(0)
-        for i in range(m):
-            u, v = g.edges[i]
-            pu, pv = x.partner[u], x.partner[v]
-            if pu == -1 and pv == -1:
-                x.add(i)
-                row[_matching_key(g, x.idxs)] += per_edge * p_add
-                x.remove(i)
-                moved += per_edge * p_add
-            elif pu == v:
-                x.remove(i)
-                row[_matching_key(g, x.idxs)] += per_edge * p_rem
-                x.add(i)
-                moved += per_edge * p_rem
-            elif pu == -1 or pv == -1:
-                if pu == -1:
-                    z = pv
-                    j = g.edge_index[(v, z) if v < z else (z, v)]
-                else:
-                    z = pu
-                    j = g.edge_index[(u, z) if u < z else (z, u)]
-                x.remove(j)
-                x.add(i)
-                row[_matching_key(g, x.idxs)] += per_edge * p_slide
-                x.remove(i)
-                x.add(j)
-                moved += per_edge * p_slide
-        row[key] += 1 - moved
-        kernel[key] = dict(row)
-    return kernel
-
-
-def _double_loop_kernel(g: Graph, lamF: Fraction, weighted=False) -> dict:
-    """Effective outer kernel with the inner draw marginalized exactly:
-    Pr[e in E] = (w_e) Haf(G_{V(X)} - {u,v}) / Haf(G_{V(X)})."""
-    m = g.m
-    per_edge = Fraction(1, m)
+        return _local_kernel(g, states, half * min(1, lamF),
+                             lambda x, i: half * min(1, 1 / lamF),
+                             lambda i, j: half)
+    # the double loop with its inner draw marginalized exactly: a removal
+    # passes the 1/(1+lambda^2) gate, the 1/w_e^2 coin and the draw, where
+    # Pr[e in E] = w_e Haf(G_{V(X)} - {u,v}) / Haf(G_{V(X)})
     lam2 = lamF * lamF
-    p_add = lam2 / (1 + lam2)
-    gate = Fraction(1) / (1 + lam2)
-    wF = _fraction_weights(g) if weighted else None
     gh = Graph(g.n, g.edges) if (g.weighted and not weighted) else g
     memo = {}
 
@@ -316,31 +237,44 @@ def _double_loop_kernel(g: Graph, lamF: Fraction, weighted=False) -> dict:
         val = hafnian_bits(gh, bits, memo)
         return Fraction(val) if not isinstance(val, float) else val
 
+    def p_rem(x, i):
+        return (haf(x.covered & ~g.edge_bits[i]) / haf(x.covered)
+                / (1 + lam2) / w[i])
+
+    return _local_kernel(g, states, lam2 / (1 + lam2), p_rem, None)
+
+
+def _local_kernel(g: Graph, states, p_add, p_rem, p_slide) -> dict:
+    """Kernel of a pick-an-edge chain on ``states`` (Matchings).
+
+    A step picks edge i uniformly.  If it joins two free vertices it is
+    added with probability ``p_add``; if it is in X it is removed with
+    probability ``p_rem(x, i)``; if exactly one end is blocked, by edge j,
+    it slides in for j with probability ``p_slide(i, j)`` (``None``: the
+    chain has no slides).  Anything else holds.
+    """
+    per_edge = Fraction(1, g.m or 1)  # with no edge every row holds
+    eindex = g.edge_index
     kernel = {}
-    for x, key in _all_matching_states(g):
+    for x in states:
+        partner = x.partner
         row = Counter()
-        moved = Fraction(0)
-        haf_here = None
-        for i in range(m):
-            if x.can_add(i):
-                x.add(i)
-                row[_matching_key(g, x.idxs)] += per_edge * p_add
-                x.remove(i)
-                moved += per_edge * p_add
-            elif i in x.idxs:
-                if haf_here is None:
-                    haf_here = haf(x.covered)
-                ratio = haf(x.covered & ~g.edge_bits[i]) / haf_here
-                if wF is not None:
-                    ratio = ratio * wF[i]
-                p = per_edge * ratio * gate
-                if wF is not None:
-                    p = p / (wF[i] * wF[i])
-                x.remove(i)
-                row[_matching_key(g, x.idxs)] += p
-                x.add(i)
-                moved += p
-        row[key] += 1 - moved
+        for i, (u, v) in enumerate(g.edges):
+            pu, pv = partner[u], partner[v]
+            if pu == -1 and pv == -1:
+                p, flip = p_add, {i}
+            elif pu == v:
+                p, flip = p_rem(x, i), {i}
+            elif (pu == -1 or pv == -1) and p_slide is not None:
+                a, z = (v, pv) if pu == -1 else (u, pu)
+                j = eindex[(a, z) if a < z else (z, a)]
+                p, flip = p_slide(i, j), {i, j}
+            else:
+                continue
+            if p:
+                row[_matching_key(g, x.idxs ^ flip)] += per_edge * p
+        key = _matching_key(g, x.idxs)
+        row[key] += 1 - sum(row.values())
         kernel[key] = dict(row)
     return kernel
 
@@ -354,54 +288,6 @@ def _pm_states(g: Graph):
     if not any(len(x.idxs) == q for x in states):
         raise ValueError("graph has no perfect matching")
     return states, q
-
-
-def _pm_kernel(g: Graph, weighted=False) -> dict:
-    states, q = _pm_states(g)
-    if weighted and g.weighted and min(g.weights) < 1:
-        raise ValueError("weighted chain needs all weights >= 1")
-    m = g.m
-    per_edge = Fraction(1, m)
-    wF = _fraction_weights(g)
-    kernel = {}
-    for x in states:
-        key = _matching_key(g, x.idxs)
-        row = Counter()
-        moved = Fraction(0)
-        perfect = len(x.idxs) == q
-        for i in range(m):
-            u, v = g.edges[i]
-            pu, pv = x.partner[u], x.partner[v]
-            if perfect:
-                if pu == v:
-                    p = per_edge * (1 / wF[i] if weighted else 1)
-                    x.remove(i)
-                    row[_matching_key(g, x.idxs)] += p
-                    x.add(i)
-                    moved += p
-            elif pu == -1 and pv == -1:
-                x.add(i)
-                row[_matching_key(g, x.idxs)] += per_edge
-                x.remove(i)
-                moved += per_edge
-            elif pu == -1 or pv == -1:
-                if pu == -1:
-                    z = pv
-                    j = g.edge_index[(v, z) if v < z else (z, v)]
-                else:
-                    z = pu
-                    j = g.edge_index[(u, z) if u < z else (z, u)]
-                p = per_edge * (min(Fraction(1), wF[i] / wF[j])
-                                if weighted else 1)
-                x.remove(j)
-                x.add(i)
-                row[_matching_key(g, x.idxs)] += p
-                x.remove(i)
-                x.add(j)
-                moved += p
-        row[key] += 1 - moved
-        kernel[key] = dict(row)
-    return kernel
 
 
 def pm_stationary(g: Graph, weighted=False) -> DistributionTable:

@@ -181,10 +181,15 @@ def _drive_jerrum(g, x, lam, lazy, steps, rng,
     the dense regime, where drawing holding times costs more than it saves.
     """
     m = g.m
+    if m == 0:  # no edge, no move: the event loop holds for the whole window
+        return _run_add_remove(g, x, 0.0, 0.0, steps, rng,
+                               target_edges=target_edges, collect=collect,
+                               key_kind=key_kind, thin=thin, burn_in=burn_in,
+                               start_step=start_step)
     snap, snap_step = None, None
     if target_edges >= 0 and len(x.idxs) == target_edges:
         snap, snap_step = tuple(x.idxs), start_step
-    if m == 0 or steps == 0:
+    if steps == 0:
         return snap, snap_step
     edges = g.edges
     ebits = g.edge_bits
@@ -272,13 +277,16 @@ def run_chain(g: Graph, cfg: ChainConfig, step="glauber",
               post_select_size=None) -> ChainTrace:
     """Run a chain for ``cfg.steps`` steps from ``cfg.initial``.
 
-    ``step`` is ``"glauber"``, ``"jerrum"``, or any callable with the
-    ``step_fn(g, x, cfg, rng) -> Matching`` signature.  When
+    ``step`` is ``"glauber"`` or ``"jerrum"``.  When
     ``post_select_size`` (a vertex count, necessarily even) is given, the
     trace also carries the most recent state with exactly that many covered
     vertices; if no such state occurred, ``post_selected`` is None and the
     caller decides whether to retry.  Runs are deterministic given cfg.seed.
     """
+    driver = _DRIVERS.get(step)
+    if driver is None:
+        raise ChainConfigError(
+            f"unknown step {step!r}; use 'glauber' or 'jerrum'")
     lam = cfg.resolved_fugacity()
     target_edges = -1
     if post_select_size is not None:
@@ -290,18 +298,8 @@ def run_chain(g: Graph, cfg: ChainConfig, step="glauber",
     rng = random.Random(cfg.seed)
     x = cfg.make_initial(g)
 
-    driver = _DRIVERS.get(step)
-    if driver is not None:
-        snap, snap_step = driver(g, x, lam, cfg.lazy, cfg.steps, rng,
-                                 target_edges=target_edges)
-    else:
-        snap, snap_step = None, None
-        if target_edges >= 0 and len(x) == target_edges:
-            snap, snap_step = tuple(x.idxs), 0
-        for t in range(1, cfg.steps + 1):
-            x = step(g, x, cfg, rng)
-            if target_edges >= 0 and len(x) == target_edges:
-                snap, snap_step = tuple(x.idxs), t
+    snap, snap_step = driver(g, x, lam, cfg.lazy, cfg.steps, rng,
+                             target_edges=target_edges)
     post = Matching(g, snap) if snap is not None else None
     return ChainTrace(final=x, post_selected=post,
                       step_of_post_selection=snap_step,

@@ -93,39 +93,73 @@ def _hole_count(m: Matching, vbits: int) -> int:
     return holes
 
 
-def _step(g: Graph, m: Matching, rng, vbits: int, pool, weighted: bool):
-    holes = _hole_count(m, vbits)
-    k = len(pool)
-    i = pool[min(int(rng.random() * k), k - 1)]
-    u, v = g.edges[i]
-    partner = m.partner
-    pu, pv = partner[u], partner[v]
-    if holes == 0:
-        if pu == v:
-            if not weighted or rng.random() < 1.0 / float(g.weights[i]):
-                m.remove(i)
-    elif pu == -1 and pv == -1:
-        m.add(i)
-    elif pu == -1 or pv == -1:
-        if pu == -1:
-            z = pv
-            j = g.edge_index[(v, z) if v < z else (z, v)]
-        else:
-            z = pu
-            j = g.edge_index[(u, z) if u < z else (z, u)]
-        ok = True
-        if weighted:
-            ratio = float(g.weights[i]) / float(g.weights[j])
-            ok = ratio >= 1.0 or rng.random() < ratio
-        if ok:
-            m.remove(j)
-            m.add(i)
+def _pm_walk(g: Graph, partner, holes: int, moves, steps: int, rng,
+             weighted: bool) -> int:
+    """Advance the chain ``steps`` moves on the partner array ``partner``
+    (-1 at an uncovered vertex), in place.  ``holes`` is the state's
+    uncovered-vertex count, 0 or 2; returns the new one.
+
+    ``moves[r]`` is ``(u, v, i)`` for the r-th proposable edge index ``i``,
+    with the last entry repeated: it takes the rare proposal
+    ``int(random() * k)``, k = ``len(moves) - 1``, that rounds up to k.
+    """
+    eindex = g.edge_index
+    weights = g.weights
+    k = len(moves) - 1
+    rnd = rng.random
+    for _ in range(steps):
+        u, v, i = moves[int(rnd() * k)]
+        pu = partner[u]
+        pv = partner[v]
+        if holes == 0:
+            if pu == v and (not weighted or rnd() < 1.0 / float(weights[i])):
+                partner[u] = -1
+                partner[v] = -1
+                holes = 2
+        elif pu == -1 and pv == -1:
+            partner[u] = v
+            partner[v] = u
+            holes = 0
+        elif pu == -1 or pv == -1:
+            # slide: add (u, v), drop the edge (w, z) blocking it at w
+            w, z = (v, pv) if pu == -1 else (u, pu)
+            if weighted:
+                j = eindex[(w, z) if w < z else (z, w)]
+                ratio = float(weights[i]) / float(weights[j])
+                if ratio < 1.0 and rnd() >= ratio:
+                    continue
+            partner[z] = -1
+            partner[u] = v
+            partner[v] = u
+    return holes
+
+
+class _EdgeMoves:
+    """The whole graph's move table (see :func:`_pm_walk`), built entry by
+    entry: one step reads only the entry it draws."""
+
+    def __init__(self, g: Graph):
+        self.edges = g.edges
+
+    def __len__(self):
+        return len(self.edges) + 1
+
+    def __getitem__(self, r):
+        i = min(r, len(self.edges) - 1)
+        return self.edges[i] + (i,)
+
+
+def _walk_one(g: Graph, m: Matching, rng, weighted: bool) -> Matching:
+    _pm_walk(g, m.partner, _hole_count(m, g.full_bits), _EdgeMoves(g), 1,
+             rng, weighted)
+    m.idxs = {g.edge_index[(u, w)] for u, w in enumerate(m.partner) if u < w}
+    m.covered = sum(g.edge_bits[i] for i in m.idxs)  # disjoint bits
     return m
 
 
 def pm_chain_step(g: Graph, m: Matching, rng) -> Matching:
     """One move of the uniform perfect-matching chain; mutates and returns m."""
-    return _step(g, m, rng, g.full_bits, range(g.m), weighted=False)
+    return _walk_one(g, m, rng, weighted=False)
 
 
 def weighted_pm_chain_step(g: Graph, m: Matching, rng) -> Matching:
@@ -133,7 +167,7 @@ def weighted_pm_chain_step(g: Graph, m: Matching, rng) -> Matching:
     if g.weighted and min(g.weights) < 1:
         raise PMStateError("weighted chain needs all weights >= 1; "
                            "normalize_weights() first")
-    return _step(g, m, rng, g.full_bits, range(g.m), weighted=g.weighted)
+    return _walk_one(g, m, rng, weighted=g.weighted)
 
 
 def _run_restricted(g: Graph, vbits: int, pool, start_idxs, steps: int,
@@ -146,49 +180,19 @@ def _run_restricted(g: Graph, vbits: int, pool, start_idxs, steps: int,
     cover ``vbits`` exactly (the outer chain's own state, in the double-loop
     context).
     """
-    edges = g.edges
-    eindex = g.edge_index
-    weights = g.weights
     partner = [-1] * g.n
     for i in start_idxs:
-        u, v = edges[i]
+        u, v = g.edges[i]
         partner[u] = v
         partner[v] = u
     holes = 0  # start state is perfect by contract
-    k = len(pool)
-    # proposal r = int(random() * k) picks moves[r]; the repeated last entry
-    # takes the rare product that rounds up to k
-    moves = [edges[i] + (i,) for i in pool]
-    moves += moves[-1:]
-    rnd = rng.random
-
+    moves = [g.edges[i] + (i,) for i in pool]
+    moves += moves[-1:]  # see _pm_walk
     for _ in range(attempts):
-        for _ in range(steps):
-            u, v, i = moves[int(rnd() * k)]
-            pu = partner[u]
-            pv = partner[v]
-            if holes == 0:
-                if pu == v and (not weighted or rnd() < 1.0 / float(weights[i])):
-                    partner[u] = -1
-                    partner[v] = -1
-                    holes = 2
-            elif pu == -1 and pv == -1:
-                partner[u] = v
-                partner[v] = u
-                holes = 0
-            elif pu == -1 or pv == -1:
-                # slide: add (u, v), drop the edge (w, z) blocking it at w
-                w, z = (v, pv) if pu == -1 else (u, pu)
-                if weighted:
-                    j = eindex[(w, z) if w < z else (z, w)]
-                    ratio = float(weights[i]) / float(weights[j])
-                    if ratio < 1.0 and rnd() >= ratio:
-                        continue
-                partner[z] = -1
-                partner[u] = v
-                partner[v] = u
+        holes = _pm_walk(g, partner, holes, moves, steps, rng, weighted)
         if holes == 0:
-            return {eindex[(u, w)] for u, w in enumerate(partner) if u < w}
+            return {g.edge_index[(u, w)] for u, w in enumerate(partner)
+                    if u < w}
     return None
 
 

@@ -171,6 +171,16 @@ def test_verify_balance_weighted_graph_needs_weighted_dynamics(tmp_path,
                "--dynamics", "double-loop-weighted", "--lambda", 1) == EXIT_OK
 
 
+def test_verify_balance_weights_below_one_are_a_config_error(tmp_path,
+                                                           capsys):
+    graph_file = tmp_path / "light.txt"
+    graph_file.write_text("2 1 weighted\n0 1 1/10\n")
+    assert run("verify", "balance", "--graph", graph_file,
+               "--dynamics", "double-loop-weighted",
+               "--lambda", "1/10") == EXIT_CONFIG
+    assert "weights >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dynamics", ["glauber", "jerrum"])
 def test_verify_balance_lazy_certifies_the_lazy_kernel(monkeypatch, capsys,
                                                        dynamics):

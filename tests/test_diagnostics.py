@@ -150,7 +150,9 @@ def test_oracle_guards_trip_before_enumerating():
 # --- exact kernels ---------------------------------------------------------
 
 def _rows_sum_to_one(kernel):
-    return all(sum(row.values()) == 1 for row in kernel.values())
+    return all(sum(row.values()) == 1
+               and all(0 <= p <= 1 for p in row.values())
+               for row in kernel.values())
 
 
 @pytest.mark.parametrize("dynamics", ["glauber", "jerrum", "double_loop"])
@@ -159,6 +161,11 @@ def test_kernel_rows_are_exact_distributions(dynamics, k4):
     assert _rows_sum_to_one(kernel)
     assert all(isinstance(p, Fraction)
                for row in kernel.values() for p in row.values())
+
+
+@pytest.mark.parametrize("dynamics", ["glauber", "jerrum", "double_loop"])
+def test_edgeless_graph_kernel_holds(dynamics):
+    assert transition_kernel(Graph(3, []), dynamics, lam=2) == {(): {(): 1}}
 
 
 def test_pm_kernel_rows_sum_to_one(k4, weighted_square):
@@ -175,6 +182,10 @@ def test_kernel_validation_errors(k4):
         transition_kernel(k4, "metropolis", lam=1)
     with pytest.raises(ValueError, match="fugacity"):
         transition_kernel(k4, "glauber")
+    light = Graph(2, [(0, 1)], weights=[Fraction(1, 10)])
+    for dynamics in ("double_loop_weighted", "pm_weighted"):
+        with pytest.raises(ValueError, match="weights >= 1"):
+            transition_kernel(light, dynamics, lam=Fraction(1, 10))
     assert len(KERNEL_KINDS) == 6
 
 

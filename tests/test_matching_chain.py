@@ -13,6 +13,7 @@ from gbsmc.glauber import (
     ChainConfig,
     ChainConfigError,
     _drive_glauber,
+    _drive_jerrum,
     glauber_step,
     jerrum_step,
     run_chain,
@@ -67,17 +68,10 @@ def test_run_chain_deterministic():
     assert a.steps_run == 500
 
 
-def test_run_chain_accepts_custom_step_callable():
+def test_run_chain_rejects_an_unknown_step():
     g = gen_graph(GraphSpec.of("complete", n=4))
-    calls = []
-
-    def frozen(g_, x, cfg_, rng):
-        calls.append(1)
-        return x
-
-    trace = run_chain(g, ChainConfig(fugacity=1, steps=7), step=frozen)
-    assert len(calls) == 7
-    assert len(trace.final) == 0
+    with pytest.raises(ChainConfigError, match="'glauber' or 'jerrum'"):
+        run_chain(g, ChainConfig(fugacity=1, steps=7), step="metropolis")
 
 
 def test_post_selection_returns_requested_size():
@@ -131,23 +125,30 @@ def test_sample_states_returns_exactly_n_samples(dynamics, thin, burn_in):
         assert sum(counts.values()) == 101
 
 
-def test_glauber_on_an_edgeless_graph_still_yields_n_samples():
+@pytest.mark.parametrize("dynamics", ["glauber", "jerrum"])
+def test_edgeless_graph_still_yields_n_samples(dynamics):
     g = gen_graph(GraphSpec.of("path", n=1))
-    counts = sample_states(g, ChainConfig(fugacity=1, seed=1), n_samples=10,
-                           thin=3, burn_in=7)
+    counts = sample_states(g, ChainConfig(fugacity=1, seed=1),
+                           dynamics=dynamics, n_samples=10, thin=3, burn_in=7)
     assert counts == {(): 10}
+    trace = run_chain(g, ChainConfig(fugacity=1, steps=5, seed=1),
+                      step=dynamics, post_select_size=0)
+    assert trace.step_of_post_selection == 5
 
 
 @pytest.mark.parametrize("lazy", [False, True])
-def test_glauber_driver_follows_the_exact_kernel_powers(lazy):
+@pytest.mark.parametrize("dynamics", ["glauber", "jerrum"])
+def test_single_loop_driver_follows_the_exact_kernel_powers(dynamics, lazy):
     """X_T from fixed starts, T = 1, 2, 5, against rows of P^T."""
     g = gen_graph(GraphSpec.of("complete", n=4))
     lam = Fraction(3, 2)
-    kernel = transition_kernel(g, "glauber", lam=lam, lazy=lazy)
+    kernel = transition_kernel(g, dynamics, lam=lam, lazy=lazy)
+    drive = _drive_glauber if dynamics == "glauber" else _drive_jerrum
     check_kernel_powers(
         g, kernel,
-        lambda x, steps, rng: _drive_glauber(g, x, lam, lazy, steps, rng),
-        starts=((), ((0, 1),), ((0, 1), (2, 3))), label=f"glauber/{lazy}")
+        lambda x, steps, rng: drive(g, x, lam, lazy, steps, rng),
+        starts=((), ((0, 1),), ((0, 1), (2, 3))),
+        label=f"{dynamics}/{lazy}")
 
 
 @pytest.mark.parametrize("start_step", [0, 40])

@@ -8,14 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gbsmc.diagnostics import transition_kernel
 from gbsmc.graphs import Graph, GraphSpec, Matching, gen_graph
 from gbsmc.hafnian import enumerate_perfect_matchings
 from gbsmc.pm_chain import (
     PMSampleBudgetError,
     PMSamplerConfig,
     PMStateError,
-    _run_restricted,
-    _step,
     default_inner_steps,
     default_max_attempts,
     pm_chain_step,
@@ -23,6 +22,7 @@ from gbsmc.pm_chain import (
     weighted_pm_chain_step,
 )
 
+from conftest import check_kernel_powers
 from oracles import naive_tv
 
 
@@ -164,23 +164,18 @@ def test_weighted_step_on_unweighted_graph_is_plain():
         assert set(a.idxs) == set(b.idxs)
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_restricted_run_replays_the_single_step_rule(weighted):
-    """The samplers' inlined loop makes the moves of the one-step rule, with
-    the same random draws, on an induced subgraph of the host."""
-    g = gen_graph(GraphSpec.of("complete", n=8))
-    if weighted:
-        g = Graph(g.n, g.edges, weights=[1 + (i % 4) / 2 for i in range(g.m)])
-    vbits = 0b01101111  # vertices 0, 1, 2, 3, 5, 6
-    pool = [i for i in range(g.m) if not g.edge_bits[i] & ~vbits]
-    start = Matching.from_pairs(g, [(0, 1), (2, 3), (5, 6)])
-    for seed in range(30):
-        for steps in (1, 2, 5, 40):
-            ra, rb = random.Random(seed), random.Random(seed)
-            got = _run_restricted(g, vbits, pool, start.idxs, steps, 1, ra,
-                                  weighted)
-            m = Matching(g, start.idxs)
-            for _ in range(steps):
-                _step(g, m, rb, vbits, pool, weighted)
-            assert got == (m.idxs if m.covered == vbits else None)
-            assert ra.getstate() == rb.getstate()
+@pytest.mark.parametrize("name", ["k4", "k33", "weighted_square"])
+def test_pm_steps_follow_the_exact_kernel_powers(name, request):
+    """X_T from a perfect and a near-perfect start, T = 1, 2, 5, against
+    rows of P^T; the samplers' restricted runs walk the same loop."""
+    g = request.getfixturevalue(name)
+    perfect = enumerate_perfect_matchings(g)[-1].pairs()
+    starts = (perfect, perfect[1:])
+    kernel = transition_kernel(g, "pm_weighted" if g.weighted else "pm")
+    step = weighted_pm_chain_step if g.weighted else pm_chain_step
+
+    def advance(x, steps, rng):
+        for _ in range(steps):
+            step(g, x, rng)
+
+    check_kernel_powers(g, kernel, advance, starts, label=f"pm/{name}")
