@@ -201,10 +201,14 @@ def transition_kernel(g: Graph, dynamics: str, lam=None, lazy=False) -> dict:
     sum to 1 exactly.  For matching-space dynamics the state space is every
     matching of ``g``; for the perfect-matching dynamics it is the perfect
     plus near-perfect matchings (``g.n`` must be even and a perfect matching
-    must exist).  The weighted dynamics need every weight >= 1.
+    must exist).  The weighted dynamics need every weight >= 1.  ``lazy``
+    (each move's probability halved) exists for glauber and jerrum only.
     """
     if dynamics not in KERNEL_KINDS:
         raise ValueError(f"unknown dynamics {dynamics!r}")
+    if lazy and dynamics not in ("glauber", "jerrum"):
+        raise ValueError(f"no lazy {dynamics} kernel; lazy applies to "
+                         "glauber and jerrum")
     weighted = dynamics.endswith("weighted")
     if weighted and g.weighted and min(g.weights) < 1:
         raise ValueError("weighted chain needs all weights >= 1")

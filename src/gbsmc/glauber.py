@@ -13,6 +13,10 @@ monomer-dimer law mu(X) proportional to lambda^|X| invariant:
 With the rescaling lambda = c^2 the vertex-set marginal of mu is
 Pr[S] proportional to c^|S| * Haf(S), which is what makes these chains
 useful as samplers for hafnian-weighted vertex sets.
+
+Both run on one event loop, :func:`_run_add_remove`, which skips the steps
+that hold; the double loop's outer chain runs on it too.  Jerrum keeps a
+step loop for windows that start where many steps are move candidates.
 """
 
 from __future__ import annotations
@@ -78,27 +82,47 @@ class ChainTrace:
     rng_state_out: object = field(repr=False, default=None)
 
 
-def _blocked_by(g, covered, i):
-    """Addable edges that adding edge ``i`` blocks, ``i`` itself included;
-    ``covered`` must leave both ends of ``i`` free."""
-    u, v = g.edges[i]
-    free = ~covered
-    return (g.adj[u] & free).bit_count() + (g.adj[v] & free).bit_count() - 1
+def _candidate_counts(g, x):
+    """``(A, S)`` for the matching ``x``: A addable edges, and S = sum over
+    covered vertices a of (deg a - 1) slide candidates (a, w), w a neighbour
+    other than a's partner.  O(|X|)."""
+    adj = g.adj
+    nbrs = g.nbrs
+    edges = g.edges
+    covered = x.covered
+    degrees = 0
+    inside = 0  # edges inside V(X), doubled
+    for i in x.idxs:
+        u, v = edges[i]
+        degrees += len(nbrs[u]) + len(nbrs[v])
+        inside += (adj[u] & covered).bit_count() + (adj[v] & covered).bit_count()
+    # edges touching V(X), by inclusion-exclusion: degrees - inside / 2
+    return g.m - degrees + inside // 2, degrees - 2 * len(x.idxs)
 
 
 def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
-                    target_edges=-1, collect=None, key_kind="matching",
-                    thin=0, burn_in=0, start_step=0):
-    """Advance ``x`` in place by ``steps`` steps of the add/remove chain.
+                    p_slide=0.0, target_edges=-1, collect=None,
+                    key_kind="matching", thin=0, burn_in=0, start_step=0):
+    """Advance ``x`` in place by ``steps`` steps of the add/remove/slide
+    chain.
 
     A step picks an edge uniformly; an addable edge is added with
     probability ``p_add``, an edge of X is removed with probability
     ``p_rem`` (and then only if ``remove_ok(i, step)`` agrees, when given),
-    and anything else holds.  Rather than draw every step, the loop draws
-    the Geometric(q) holding time to the next move, q = (A * p_add + |X| *
-    p_rem) / m with A the addable-edge count, and then the move itself: the
-    n-fold way of Bortz, Kalos and Lebowitz (1975).  X_t has the step
-    chain's law at every t; a refused removal is a hold.
+    an edge with exactly one end covered slides in for the edge covering
+    that end with probability ``p_slide``, and anything else holds.
+
+    Rather than draw every step, the loop draws the Geometric(R/m) holding
+    time to the next candidate, R = A * p_add + |X| * p_rem + S * p_slide
+    (A and S as in :func:`_candidate_counts`), and then the candidate: the
+    n-fold way of Bortz, Kalos and Lebowitz (1975).  A slide candidate is a
+    covered vertex a drawn with weight deg a - 1 and a uniform neighbour w
+    other than a's partner; it moves only when w is free (thinning, Lewis
+    and Shedler 1979), so each edge with one covered end is proposed at
+    rate p_slide / m and each edge with both ends covered by different
+    edges holds, as in the step chain.  In a state where R >= m the loop
+    takes one plain pick-an-edge step instead.  X_t has the step chain's
+    law at every t; a refused removal is a hold.
 
     Tracks the most recent state of ``target_edges`` edges (post-selection)
     and fills ``collect`` (a Counter) with state keys every ``thin`` steps
@@ -108,16 +132,14 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     m = g.m
     edges = g.edges
     ebits = g.edge_bits
+    eindex = g.edge_index
     adj = g.adj
+    nbrs = g.nbrs
+    idxs = x.idxs
+    partner = x.partner
     rnd = rng.random
-    xs = sorted(x.idxs)  # the edges of X, as a list for uniform picks
-    # addable edges: m minus those touching V(X), by inclusion-exclusion
-    covered = x.covered
-    touching2 = 0
-    for i in xs:
-        for v in edges[i]:
-            touching2 += 2 * adj[v].bit_count() - (adj[v] & covered).bit_count()
-    addable = m - touching2 // 2
+    xs = sorted(idxs)  # the edges of X, as a list for uniform picks
+    addable, slides = _candidate_counts(g, x)
     thin = max(1, thin)
     base = max(start_step, burn_in)  # sample points: base + thin*j, j >= 1
     taken = 0                        # sample points before the current hold
@@ -126,7 +148,8 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     t = start_step                   # X is the state from step t on
     while True:
         p_out = len(xs) * p_rem
-        rate = addable * p_add + p_out
+        p_sl = slides * p_slide
+        rate = addable * p_add + p_out + p_sl
         if rate <= 0.0:
             nxt = end + 1
         elif rate >= m:
@@ -135,31 +158,106 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
             nxt = t + 1 + int(log(1.0 - rnd()) / log1p(-rate / m))
         last = min(nxt - 1, end)
         if len(xs) == target_edges:
-            snap, snap_step = tuple(x.idxs), last
+            snap, snap_step = tuple(idxs), last
         points = (last - base) // thin
         if collect is not None and points > taken:
             collect[x.covered if key_kind == "vertexset" else
-                    tuple(sorted(edges[i] for i in x.idxs))] += points - taken
+                    tuple(sorted(edges[i] for i in idxs))] += points - taken
             taken = points
         if nxt > end:
             break
         t = nxt
-        if rnd() * rate < p_out:
-            k = int(rnd() * len(xs))
-            i = xs[k]
-            if remove_ok is not None and not remove_ok(i, t):
+        covered = x.covered
+        # the move: k = -1 adds edge i, k = -2 slides edge (a, w) in for
+        # edge j = (a, z), and k >= 0 removes edge i = xs[k]
+        if rate >= m:  # a plain step: pick an edge, then its coin
+            i = int(rnd() * m)
+            u, v = edges[i]
+            pu = partner[u]
+            pv = partner[v]
+            if pu == -1 and pv == -1:
+                if rnd() >= p_add:
+                    continue
+                k = -1
+            elif pu == v:
+                if rnd() >= p_rem or (remove_ok is not None
+                                      and not remove_ok(i, t)):
+                    continue
+                k = xs.index(i)
+            elif (pu == -1 or pv == -1) and rnd() < p_slide:
+                a, z, w = (v, pv, u) if pu == -1 else (u, pu, v)
+                j = eindex[(a, z) if a < z else (z, a)]
+                k = -2
+            else:
                 continue
+        else:
+            r = rnd() * rate
+            if r < p_out:
+                k = int(rnd() * len(xs))
+                i = xs[k]
+                if remove_ok is not None and not remove_ok(i, t):
+                    continue
+            elif r < p_out + p_sl:
+                r = int(rnd() * slides)  # a's block of deg a - 1 in [0, S)
+                for j in xs:
+                    a, z = edges[j]
+                    d = len(nbrs[a]) - 1
+                    if r < d:
+                        break
+                    r -= d
+                    a, z = z, a
+                    d = len(nbrs[a]) - 1
+                    if r < d:
+                        break
+                    r -= d
+                nb = nbrs[a]
+                w = nb[r]
+                if w == z:
+                    w = nb[-1]
+                if covered >> w & 1:
+                    continue  # both ends covered: the step holds
+                k = -2
+            else:
+                i = int(rnd() * m)
+                while covered & ebits[i]:
+                    i = int(rnd() * m)
+                k = -1
+        if k == -1:
+            u, v = edges[i]
+            xs.append(i)
+            idxs.add(i)
+            partner[u] = v
+            partner[v] = u
+            x.covered = covered | ebits[i]
+            sign = -1
+        elif k >= 0:
+            u, v = edges[i]
             xs[k] = xs[-1]
             xs.pop()
-            x.remove(i)
-            addable += _blocked_by(g, x.covered, i)
+            idxs.remove(i)
+            partner[u] = -1
+            partner[v] = -1
+            x.covered = covered = covered & ~ebits[i]
+            sign = 1
         else:
-            i = int(rnd() * m)
-            while x.covered & ebits[i]:
-                i = int(rnd() * m)
-            xs.append(i)
-            addable -= _blocked_by(g, x.covered, i)
-            x.add(i)
+            i = eindex[(a, w) if a < w else (w, a)]
+            xs[xs.index(j)] = i
+            idxs.remove(j)
+            idxs.add(i)
+            partner[z] = -1
+            partner[a] = w
+            partner[w] = a
+            x.covered = after = covered ^ (1 << z | 1 << w)
+            addable += ((adj[z] & ~after).bit_count()
+                        - (adj[w] & ~covered).bit_count())
+            slides += len(nbrs[w]) - len(nbrs[z])
+            continue
+        # edge i, free in ``covered``, and the addable edges it blocks
+        free = ~covered
+        addable += sign * ((adj[u] & free).bit_count()
+                           + (adj[v] & free).bit_count() - 1)
+        if p_slide:  # S is kept up to date only for chains that slide
+            slides -= sign * (len(nbrs[u]) + len(nbrs[v]) - 2)
     return snap, snap_step
 
 
@@ -177,15 +275,30 @@ def _drive_jerrum(g, x, lam, lazy, steps, rng,
                   thin=0, burn_in=0, start_step=0):
     """Jerrum-style counterpart of :func:`_drive_glauber` (same contract).
 
-    A step loop, not an event loop: about two thirds of its steps move in
-    the dense regime, where drawing holding times costs more than it saves.
+    The add/remove/slide event loop runs the window when its start state
+    has candidate rate R < m/8, which holds in the post-selection regime.
+    One candidate costs the event loop as much as five to eight steps of
+    the step loop below (measured on K6 and on Erdos-Renyi graphs with
+    30 to 256 vertices), so a window that starts denser, such as one from
+    the empty matching of K6 at lambda = 1, runs on the step loop.  Both
+    draw from the same kernel.
     """
     m = g.m
-    if m == 0:  # no edge, no move: the event loop holds for the whole window
-        return _run_add_remove(g, x, 0.0, 0.0, steps, rng,
-                               target_edges=target_edges, collect=collect,
-                               key_kind=key_kind, thin=thin, burn_in=burn_in,
-                               start_step=start_step)
+    lam = float(lam)
+    p_add = min(1.0, lam)
+    p_rem = min(1.0, 1.0 / lam)
+    p_slide = 1.0
+    if lazy:
+        p_add *= 0.5
+        p_rem *= 0.5
+        p_slide = 0.5
+    addable, slides = _candidate_counts(g, x)
+    rate = addable * p_add + len(x.idxs) * p_rem + slides * p_slide
+    if 8 * rate < m or not m:
+        return _run_add_remove(g, x, p_add, p_rem, steps, rng,
+                               p_slide=p_slide, target_edges=target_edges,
+                               collect=collect, key_kind=key_kind, thin=thin,
+                               burn_in=burn_in, start_step=start_step)
     snap, snap_step = None, None
     if target_edges >= 0 and len(x.idxs) == target_edges:
         snap, snap_step = tuple(x.idxs), start_step
@@ -198,14 +311,6 @@ def _drive_jerrum(g, x, lam, lazy, steps, rng,
     partner = x.partner
     covered = x.covered
     rnd = rng.random
-    lam = float(lam)
-    p_add = min(1.0, lam)
-    p_rem = min(1.0, 1.0 / lam)
-    p_slide = 1.0
-    if lazy:
-        p_add *= 0.5
-        p_rem *= 0.5
-        p_slide = 0.5
     countdown = thin if collect is not None else -1
     vertex_keys = key_kind == "vertexset"
 

@@ -56,6 +56,8 @@ class Graph:
             numeric type they were given (int / Fraction / float), so exact
             arithmetic survives where the caller provides exact inputs.
         adj: per-vertex neighbor bitsets.
+        nbrs: per-vertex sorted tuples of neighbors, the same sets as ``adj``
+            (for uniform neighbor draws and degrees).
         edge_bits: per-edge endpoint bitsets ``(1<<u) | (1<<v)``.
         edge_index: dict mapping each canonical pair to its index in ``edges``.
         labels: for graphs produced by :func:`induced_subgraph`, a tuple
@@ -63,8 +65,8 @@ class Graph:
             labels; ``None`` otherwise.
     """
 
-    __slots__ = ("n", "edges", "weights", "adj", "edge_bits", "edge_index",
-                 "m", "full_bits", "labels", "_wmap")
+    __slots__ = ("n", "edges", "weights", "adj", "nbrs", "edge_bits",
+                 "edge_index", "m", "full_bits", "labels", "_wmap")
 
     def __init__(self, n, edges, weights=None, labels=None):
         if n < 0:
@@ -97,17 +99,14 @@ class Graph:
         self.weights = weights
         self.m = len(canon)
         self.labels = tuple(labels) if labels is not None else None
-        adj = [0] * n
-        ebits = []
-        eindex = {}
-        for i, (u, v) in enumerate(canon):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            ebits.append((1 << u) | (1 << v))
-            eindex[(u, v)] = i
-        self.adj = tuple(adj)
-        self.edge_bits = tuple(ebits)
-        self.edge_index = eindex
+        nbrs = [[] for _ in range(n)]
+        for u, v in canon:
+            nbrs[u].append(v)  # sorted edges: each list comes out ascending
+            nbrs[v].append(u)
+        self.nbrs = tuple(map(tuple, nbrs))
+        self.adj = tuple(map(bitset, nbrs))
+        self.edge_bits = tuple((1 << u) | (1 << v) for u, v in canon)
+        self.edge_index = dict(zip(canon, range(self.m)))
         self.full_bits = (1 << n) - 1
         self._wmap = None
 
@@ -139,7 +138,7 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edge_index
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return len(self.nbrs[v])
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n

@@ -189,6 +189,13 @@ def test_kernel_validation_errors(k4):
     assert len(KERNEL_KINDS) == 6
 
 
+@pytest.mark.parametrize("dynamics", ["double_loop", "double_loop_weighted",
+                                      "pm", "pm_weighted"])
+def test_lazy_kernel_is_refused_where_there_is_none(k4, dynamics):
+    with pytest.raises(ValueError, match="lazy"):
+        transition_kernel(k4, dynamics, lam=1, lazy=True)
+
+
 def test_lazy_kernel_halves_off_diagonal_mass(k4):
     brisk = transition_kernel(k4, "glauber", lam=1)
     lazy = transition_kernel(k4, "glauber", lam=1, lazy=True)

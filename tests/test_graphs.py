@@ -32,6 +32,21 @@ def test_complete_graph_edge_count():
     assert g.n == 4 and g.m == 6
 
 
+@pytest.mark.parametrize("family,params", [
+    ("erdos_renyi", {"n": 12, "p": 0.4}),
+    ("complete", {"n": 5}),
+    ("cycle", {"n": 7}),
+    ("path", {"n": 1}),
+])
+def test_neighbor_tuples_match_the_adjacency_bitsets(family, params):
+    g = gen_graph(GraphSpec.of(family, **params), seed=2)
+    assert len(g.nbrs) == g.n
+    for v in range(g.n):
+        assert list(g.nbrs[v]) == sorted(g.nbrs[v])
+        assert bitset(g.nbrs[v]) == g.adj[v]
+        assert g.degree(v) == g.adj[v].bit_count()
+
+
 def test_bitset_round_trip():
     assert bits_to_tuple(bitset([5, 1, 3])) == (1, 3, 5)
     assert bitset([]) == 0

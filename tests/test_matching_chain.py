@@ -12,8 +12,10 @@ from gbsmc.diagnostics import transition_kernel
 from gbsmc.glauber import (
     ChainConfig,
     ChainConfigError,
+    _candidate_counts,
     _drive_glauber,
     _drive_jerrum,
+    _run_add_remove,
     glauber_step,
     jerrum_step,
     run_chain,
@@ -149,6 +151,48 @@ def test_single_loop_driver_follows_the_exact_kernel_powers(dynamics, lazy):
         lambda x, steps, rng: drive(g, x, lam, lazy, steps, rng),
         starts=((), ((0, 1),), ((0, 1), (2, 3))),
         label=f"{dynamics}/{lazy}")
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("family,n", [("cycle", 6), ("path", 5)])
+def test_jerrum_event_loop_follows_the_exact_kernel_powers(family, n, lazy):
+    """The event loop with jerrum's move probabilities (slides thinned), on
+    sparse graphs at lambda = 1/4: X_T against rows of P^T."""
+    g = gen_graph(GraphSpec.of(family, n=n))
+    lam = Fraction(1, 4)
+    scale = 0.5 if lazy else 1.0
+    p_add, p_rem, p_slide = scale * float(lam), scale, scale
+    starts = ((), ((0, 1),), ((0, 1), (2, 3)))
+    sparse = 0
+    for start in starts:
+        addable, slides = _candidate_counts(g, Matching.from_pairs(g, start))
+        sparse += addable * p_add + len(start) * p_rem + slides * p_slide < g.m
+    assert sparse >= 2  # most starts draw holding times, not plain steps
+    kernel = transition_kernel(g, "jerrum", lam=lam, lazy=lazy)
+    check_kernel_powers(
+        g, kernel,
+        lambda x, steps, rng: _run_add_remove(g, x, p_add, p_rem, steps, rng,
+                                              p_slide=p_slide),
+        starts=starts, label=f"jerrum/{family}{n}/{lazy}")
+
+
+def test_sparse_jerrum_windows_run_on_the_event_loop(monkeypatch):
+    import gbsmc.glauber
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(kw["p_slide"])
+        return _run_add_remove(*args, **kw)
+
+    monkeypatch.setattr(gbsmc.glauber, "_run_add_remove", spy)
+    sparse = gen_graph(GraphSpec.of("erdos_renyi", n=64, p=0.3), seed=1)
+    x = Matching(sparse)
+    _drive_jerrum(sparse, x, 4 / sparse.m, False, 1000, random.Random(1),
+                  target_edges=4)
+    assert calls == [1.0]
+    dense = gen_graph(GraphSpec.of("complete", n=6))
+    _drive_jerrum(dense, Matching(dense), 1, False, 1000, random.Random(1))
+    assert calls == [1.0]  # R = m from the empty matching: the step loop
 
 
 @pytest.mark.parametrize("start_step", [0, 40])
