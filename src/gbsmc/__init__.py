@@ -21,12 +21,8 @@ from .diagnostics import (DistributionTable, ExitTimeResult, GeometricFit,
                           exit_time_experiment, geometric_fit, mixing_curve,
                           pm_stationary, transition_kernel, tv_distance)
 from .double_loop import (DoubleLoopConfig, InnerSamplerError, InnerStats,
-                          PostSelectionMiss, RejectionCapError,
-                          double_loop_step, rejection_sample,
-                          sample_vertex_set, vertex_set_histogram,
-                          weighted_double_loop_step)
-from .glauber import (ChainConfig, ChainConfigError, ChainTrace,
-                      glauber_step, jerrum_step, run_chain, sample_states)
+                          RejectionCapError, vertex_set_histogram)
+from .glauber import ChainConfig, ChainConfigError, sample_states
 from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
                      Matching, enumerate_matchings, from_edge_list_text,
                      gen_graph, hard_instance_core_matching,
@@ -36,8 +32,7 @@ from .hafnian import (density, enumerate_perfect_matchings, hafnian,
                       hafnian_bits)
 from .pm_chain import (PMSampleBudgetError, PMSamplerConfig, PMStateError,
                        default_inner_steps, default_max_attempts,
-                       pm_chain_step, sample_perfect_matching,
-                       weighted_pm_chain_step)
+                       sample_perfect_matching)
 from .seeds import child_rng, derive_seed
 from .solvers import (SAParams, SolverConfig, SolverConfigError, TrialRecord,
                       enhanced_random_search, enhanced_simulated_annealing,
@@ -47,24 +42,23 @@ from .solvers import (SAParams, SolverConfig, SolverConfigError, TrialRecord,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainConfig", "ChainConfigError", "ChainTrace", "DistributionTable",
+    "ChainConfig", "ChainConfigError", "DistributionTable",
     "DoubleLoopConfig", "EnumerationCapError", "ExitTimeResult",
-    "GeometricFit", "Graph", "GraphError", "GraphSpec", "InnerSamplerError",
-    "InnerStats", "Matching", "OracleGuardError", "PMSampleBudgetError",
-    "PMSamplerConfig", "PMStateError", "PostSelectionMiss",
+    "GeometricFit", "Graph", "GraphError", "GraphSpec",
+    "InnerSamplerError", "InnerStats", "Matching", "OracleGuardError",
+    "PMSampleBudgetError", "PMSamplerConfig", "PMStateError",
     "RejectionCapError", "SAParams", "SolverConfig", "SolverConfigError",
-    "TrialRecord", "check_detailed_balance", "child_rng", "default_inner_steps",
-    "default_max_attempts", "density", "derive_seed", "double_loop_step",
-    "encode_state", "enhanced_random_search", "enhanced_simulated_annealing",
-    "enumerate_matchings", "enumerate_perfect_matchings", "exact_stationary",
-    "exit_probability", "exit_time_experiment", "from_edge_list_text",
-    "gen_graph", "geometric_fit", "glauber_step", "hafnian", "hafnian_bits",
-    "hard_instance_core_matching", "induced_subgraph", "jerrum_step",
-    "load_edge_list", "mixing_curve", "normalize_weights", "pm_chain_step",
-    "pm_stationary", "random_search", "rejection_sample", "run_chain",
-    "sample_perfect_matching", "sample_states", "sample_vertex_set",
-    "save_edge_list", "score_advantage", "simulated_annealing", "solver_for",
+    "TrialRecord", "check_detailed_balance", "child_rng",
+    "default_inner_steps", "default_max_attempts", "density",
+    "derive_seed", "encode_state", "enhanced_random_search",
+    "enhanced_simulated_annealing", "enumerate_matchings",
+    "enumerate_perfect_matchings", "exact_stationary", "exit_probability",
+    "exit_time_experiment", "from_edge_list_text", "gen_graph",
+    "geometric_fit", "hafnian", "hafnian_bits",
+    "hard_instance_core_matching", "induced_subgraph", "load_edge_list",
+    "mixing_curve", "normalize_weights", "pm_stationary", "random_search",
+    "sample_perfect_matching", "sample_states", "save_edge_list",
+    "score_advantage", "simulated_annealing", "solver_for",
     "to_edge_list_text", "transition_kernel", "tv_distance",
-    "vertex_set_histogram", "weighted_double_loop_step",
-    "weighted_pm_chain_step",
+    "vertex_set_histogram",
 ]

@@ -47,15 +47,14 @@ from .diagnostics import (LAW_KINDS, DistributionTable, OracleGuardError,
                           check_detailed_balance, exact_stationary,
                           exit_time_experiment, geometric_fit, pm_stationary,
                           transition_kernel, tv_distance)
-from .double_loop import (DoubleLoopConfig, InnerSamplerError,
-                          PostSelectionMiss, RejectionCapError, _drive_double)
-from .glauber import ChainConfig, ChainConfigError, _drive_glauber, _drive_jerrum
+from .double_loop import DoubleLoopConfig, InnerSamplerError, RejectionCapError
+from .glauber import ChainConfig, ChainConfigError
 from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
                      Matching, gen_graph, load_edge_list, to_edge_list_text)
 from .pm_chain import PMSampleBudgetError, PMSamplerConfig, PMStateError
 from .seeds import child_rng, derive_seed
 from .solvers import (SOLVERS, SAParams, SolverConfig, SolverConfigError,
-                      advantage_at, solver_for)
+                      advantage_at, drive, solver_for)
 from .svg import Series, histogram_plot, line_plot
 
 EXIT_OK = 0
@@ -279,17 +278,6 @@ def _double_loop_config(chain_cfg: ChainConfig, args) -> DoubleLoopConfig:
         on_inner_failure=args.on_inner_failure, inner=args.inner)
 
 
-def _drive(chain, g, x, cc, dl_cfg, n_steps, rng, haf_memo=None, **kw):
-    """Advance ``x`` in place by ``n_steps`` steps of ``chain``; returns the
-    window's latest post-selected state and its step."""
-    lam = cc.resolved_fugacity()
-    if chain == "double_loop":
-        return _drive_double(g, x, lam, dl_cfg, n_steps, rng,
-                             weighted=g.weighted, haf_memo=haf_memo, **kw)[:2]
-    drive = _drive_glauber if chain == "glauber" else _drive_jerrum
-    return drive(g, x, lam, cc.lazy, n_steps, rng, **kw)
-
-
 def _sample_lines(g: Graph, args):
     """Windowed sampling: the chain advances ``steps`` moves per sample and
     each window yields one "step,vertex_set_hex" line.  With post-selection
@@ -305,7 +293,8 @@ def _sample_lines(g: Graph, args):
         if k % 2:
             raise CliError(f"post-selection size {k} is odd")
         target = k // 2
-    dl_cfg = _double_loop_config(cc, args) if chain == "double_loop" else None
+    lam = cc.resolved_fugacity()
+    cfg = _double_loop_config(cc, args) if chain == "double_loop" else cc
 
     def lines():
         rng = child_rng(args.seed, "sample")
@@ -313,13 +302,14 @@ def _sample_lines(g: Graph, args):
         memo = {}
         at = 0
         if args.burn_in:
-            _drive(chain, g, x, cc, dl_cfg, args.burn_in, rng, memo,
-                   target_edges=target)
+            drive(chain, g, x, lam, cfg, args.burn_in, rng, haf_memo=memo,
+                  target_edges=target)
             at = args.burn_in
         window = args.steps
         for _ in range(args.samples):
-            snap, snap_step = _drive(chain, g, x, cc, dl_cfg, window, rng,
-                                     memo, target_edges=target, start_step=at)
+            snap, snap_step = drive(chain, g, x, lam, cfg, window, rng,
+                                    haf_memo=memo, target_edges=target,
+                                    start_step=at)
             at += window
             if target < 0:
                 yield f"{at},0x{x.covered:x}\n"
@@ -489,9 +479,9 @@ def _cmd_verify_law(args) -> int:
     rng = child_rng(args.seed, "verify")
     x = cc.make_initial(g)
     counts: Counter = Counter()
-    dl_cfg = _double_loop_config(cc, args) if chain == "double_loop" else None
-    _drive(chain, g, x, cc, dl_cfg, burn + n_samples * thin, rng,
-           collect=counts, key_kind=key_kind, thin=thin, burn_in=burn)
+    cfg = _double_loop_config(cc, args) if chain == "double_loop" else cc
+    drive(chain, g, x, lam, cfg, burn + n_samples * thin, rng,
+          collect=counts, key_kind=key_kind, thin=thin, burn_in=burn)
     tv = float(tv_distance(DistributionTable.from_counts(counts), exact))
     ok = tv <= args.tol
     print(f"tv {tv!r} samples {n_samples} law {law_name} tol {args.tol!r} "
@@ -1167,9 +1157,6 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except PostSelectionMiss as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_STARVATION
     except (InnerSamplerError, PMSampleBudgetError, RejectionCapError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INNER_BUDGET

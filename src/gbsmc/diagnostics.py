@@ -19,10 +19,11 @@ from fractions import Fraction
 
 from .graphs import (Graph, Matching, enumerate_matchings, hard_instance,
                      hard_instance_core_matching)
-from .glauber import ChainConfig, _drive_glauber, _drive_jerrum
+from .glauber import ChainConfig
 from .double_loop import DoubleLoopConfig, _drive_double
 from .hafnian import hafnian_bits, matching_weight
 from .seeds import child_rng
+from .solvers import drive
 
 
 class OracleGuardError(RuntimeError):
@@ -358,15 +359,7 @@ def mixing_curve(g: Graph, cfg, law: DistributionTable, checkpoints,
         x = chain_cfg.make_initial(g)
         here = 0
         for t in checkpoints:
-            span = t - here
-            if dynamics == "glauber":
-                _drive_glauber(g, x, lam, chain_cfg.lazy, span, rng)
-            elif dynamics == "jerrum":
-                _drive_jerrum(g, x, lam, chain_cfg.lazy, span, rng)
-            elif dynamics == "double_loop":
-                _drive_double(g, x, lam, cfg, span, rng, weighted=g.weighted)
-            else:
-                raise ValueError(f"unknown dynamics {dynamics!r}")
+            drive(dynamics, g, x, lam, cfg, t - here, rng)
             here = t
             key = x.covered if key_kind == "vertexset" \
                 else _matching_key(g, x.idxs)
@@ -433,8 +426,7 @@ def exit_time_experiment(n_squares: int, lam, trials: int, seed=0,
         x = Matching(g, core.idxs)
         start_size = len(x.idxs)
         for t in range(1, max_steps + 1):
-            _drive_double(g, x, lam, cfg, 1, rng, weighted=False,
-                          haf_memo=haf_memo)
+            _drive_double(g, x, lam, cfg, 1, rng, haf_memo=haf_memo)
             if len(x.idxs) != start_size:
                 times.append(t)
                 break

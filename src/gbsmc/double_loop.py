@@ -28,16 +28,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import Graph, Matching, bits_to_tuple
+from .graphs import Graph, bits_to_tuple
 from .glauber import (ChainConfig, ChainConfigError, _drive_glauber,
                       _run_add_remove)
 from .hafnian import hafnian_bits
 from .pm_chain import PMSamplerConfig, _run_restricted
 from .seeds import derive_seed
-
-
-class PostSelectionMiss(RuntimeError):
-    """No state of the requested size occurred within the step budget."""
 
 
 class InnerSamplerError(RuntimeError):
@@ -89,23 +85,24 @@ class DoubleLoopConfig:
             raise ChainConfigError(f"unknown inner sampler {self.inner!r}")
 
 
-def _drive_double(g, x, lam, cfg, steps, rng, *, weighted,
-                  stats=None, haf_memo=None, key_kind="vertexset", **kw):
-    """Run ``steps`` outer moves, mutating ``x``; the keyword options are
-    :func:`_run_add_remove`'s.  Returns ``(snapshot, step, stats)``.
+def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
+                  **kw):
+    """Run ``steps`` outer moves, mutating ``x``; the keyword options and
+    the result are :func:`_run_add_remove`'s.  Inner calls, shortcuts and
+    failures are counted in ``stats`` when given.
 
     The outer walk is the add/remove loop at fugacity lambda^2, so a removal
     candidate has already passed the 1/(1+lambda^2) gate coin; the 1/w^2
     coin (weighted graphs) and then the inner draw decide whether it moves.
     """
-    if weighted and g.weighted and min(g.weights) < 1:
+    if g.weighted and min(g.weights) < 1:
         raise ChainConfigError("weighted double loop needs all weights >= 1; "
                                "normalize_weights() first")
     adj = g.adj
     eindex = g.edge_index
     rnd = rng.random
     lam2 = float(lam) * float(lam)
-    wf = [float(w) for w in g.weights] if (weighted and g.weighted) else None
+    wf = [float(w) for w in g.weights] if g.weighted else None
     exact_inner = cfg.inner == "exact"
     pm_cfg = cfg.pm
     abort = cfg.on_inner_failure == "abort"
@@ -148,63 +145,8 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, weighted,
             return fallback
         return i in got
 
-    snap, snap_step = _run_add_remove(g, x, lam2 / (1.0 + lam2),
-                                      1.0 / (1.0 + lam2), steps, rng,
-                                      in_inner, key_kind=key_kind, **kw)
-    return snap, snap_step, stats
-
-
-def double_loop_step(g: Graph, x: Matching, cfg: DoubleLoopConfig, rng,
-                     stats=None) -> Matching:
-    """One outer move of the double-loop dynamics; mutates and returns x.
-
-    For weighted graphs use :func:`weighted_double_loop_step` — this
-    entry point deliberately refuses them rather than silently sampling
-    the wrong law.
-    """
-    if g.weighted:
-        raise ChainConfigError(
-            "graph has weights; use weighted_double_loop_step")
-    _drive_double(g, x, cfg.chain.resolved_fugacity(), cfg, 1, rng,
-                  weighted=False, stats=stats)
-    return x
-
-
-def weighted_double_loop_step(g: Graph, x: Matching, cfg: DoubleLoopConfig,
-                              rng, stats=None) -> Matching:
-    """One outer move of the weighted variant (reduces to the plain step on
-    unweighted graphs); mutates and returns x."""
-    _drive_double(g, x, cfg.chain.resolved_fugacity(), cfg, 1, rng,
-                  weighted=True, stats=stats)
-    return x
-
-
-def sample_vertex_set(g: Graph, cfg: DoubleLoopConfig,
-                      post_select_size=None) -> int:
-    """Run the outer chain for ``cfg.chain.steps`` moves and return the
-    final vertex set V(X_T) as a bitset.
-
-    With ``post_select_size`` the most recent state of exactly that many
-    vertices is returned instead; :class:`PostSelectionMiss` if none
-    occurred.  Weighted graphs automatically use the weighted dynamics.
-    """
-    target_edges = -1
-    if post_select_size is not None:
-        if post_select_size % 2:
-            raise ChainConfigError(
-                f"post-selection size {post_select_size} is odd")
-        target_edges = post_select_size // 2
-    rng = random.Random(cfg.chain.seed)
-    x = cfg.chain.make_initial(g)
-    snap, _, _ = _drive_double(g, x, cfg.chain.resolved_fugacity(), cfg,
-                               cfg.chain.steps, rng, weighted=g.weighted,
-                               target_edges=target_edges)
-    if post_select_size is None:
-        return x.covered
-    if snap is None:
-        raise PostSelectionMiss(
-            f"no {post_select_size}-vertex state in {cfg.chain.steps} steps")
-    return Matching(g, snap).covered
+    return _run_add_remove(g, x, lam2 / (1.0 + lam2), 1.0 / (1.0 + lam2),
+                           steps, rng, in_inner, **kw)
 
 
 def vertex_set_histogram(g: Graph, cfg: DoubleLoopConfig, n_samples: int,
@@ -214,27 +156,12 @@ def vertex_set_histogram(g: Graph, cfg: DoubleLoopConfig, n_samples: int,
     rng = random.Random(cfg.chain.seed)
     x = cfg.chain.make_initial(g)
     counts: Counter = Counter()
-    total = burn_in + n_samples * thin
-    _, _, stats = _drive_double(g, x, cfg.chain.resolved_fugacity(), cfg,
-                                total, rng, weighted=g.weighted,
-                                collect=counts, thin=thin, burn_in=burn_in)
+    stats = InnerStats()
+    _drive_double(g, x, cfg.chain.resolved_fugacity(), cfg,
+                  burn_in + n_samples * thin, rng, stats=stats,
+                  collect=counts, key_kind="vertexset", thin=thin,
+                  burn_in=burn_in)
     return counts, stats
-
-
-def rejection_sample(g: Graph, cfg: ChainConfig, max_rounds: int,
-                     *, round_steps=None) -> int:
-    """Accept-if-equal rejection sampling on top of two single-loop chains.
-
-    Both chains run independently for ``cfg.steps`` mixing moves; then the
-    pair is compared every ``round_steps`` further moves (default: the same
-    mixing budget) until both show the same vertex set, which is returned.
-    Marginally each chain's vertex set follows c^|S| Haf(S), so accepted sets
-    follow its square — the same law the double loop targets.
-    """
-    for bits in rejection_sample_stream(g, cfg, max_rounds=max_rounds,
-                                        round_steps=round_steps, limit=1):
-        return bits
-    raise RejectionCapError(f"no acceptance within {max_rounds} rounds")
 
 
 def rejection_sample_stream(g: Graph, cfg: ChainConfig, *, max_rounds: int,

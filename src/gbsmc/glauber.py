@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log, log1p
-from typing import Optional
 
 from .graphs import Graph, Matching
 
@@ -70,16 +69,6 @@ class ChainConfig:
         if isinstance(self.initial, Matching):
             return Matching(g, self.initial.idxs)
         return Matching.from_pairs(g, self.initial)
-
-
-@dataclass
-class ChainTrace:
-    """What a chain run leaves behind."""
-    final: Matching
-    post_selected: Optional[Matching]
-    step_of_post_selection: Optional[int]
-    steps_run: int
-    rng_state_out: object = field(repr=False, default=None)
 
 
 def _candidate_counts(g, x):
@@ -366,51 +355,6 @@ def _drive_jerrum(g, x, lam, lazy, steps, rng,
 _DRIVERS = {"glauber": _drive_glauber, "jerrum": _drive_jerrum}
 
 
-def glauber_step(g: Graph, x: Matching, cfg: ChainConfig, rng) -> Matching:
-    """One step of the add/remove Glauber dynamics; mutates and returns x."""
-    _drive_glauber(g, x, cfg.resolved_fugacity(), cfg.lazy, 1, rng)
-    return x
-
-
-def jerrum_step(g: Graph, x: Matching, cfg: ChainConfig, rng) -> Matching:
-    """One step of the Metropolis add/remove/slide dynamics; mutates x."""
-    _drive_jerrum(g, x, cfg.resolved_fugacity(), cfg.lazy, 1, rng)
-    return x
-
-
-def run_chain(g: Graph, cfg: ChainConfig, step="glauber",
-              post_select_size=None) -> ChainTrace:
-    """Run a chain for ``cfg.steps`` steps from ``cfg.initial``.
-
-    ``step`` is ``"glauber"`` or ``"jerrum"``.  When
-    ``post_select_size`` (a vertex count, necessarily even) is given, the
-    trace also carries the most recent state with exactly that many covered
-    vertices; if no such state occurred, ``post_selected`` is None and the
-    caller decides whether to retry.  Runs are deterministic given cfg.seed.
-    """
-    driver = _DRIVERS.get(step)
-    if driver is None:
-        raise ChainConfigError(
-            f"unknown step {step!r}; use 'glauber' or 'jerrum'")
-    lam = cfg.resolved_fugacity()
-    target_edges = -1
-    if post_select_size is not None:
-        if post_select_size % 2:
-            raise ChainConfigError(
-                f"post-selection size {post_select_size} is odd; matchings "
-                "cover an even number of vertices")
-        target_edges = post_select_size // 2
-    rng = random.Random(cfg.seed)
-    x = cfg.make_initial(g)
-
-    snap, snap_step = driver(g, x, lam, cfg.lazy, cfg.steps, rng,
-                             target_edges=target_edges)
-    post = Matching(g, snap) if snap is not None else None
-    return ChainTrace(final=x, post_selected=post,
-                      step_of_post_selection=snap_step,
-                      steps_run=cfg.steps, rng_state_out=rng.getstate())
-
-
 def sample_states(g: Graph, cfg: ChainConfig, *, dynamics="glauber",
                   n_samples: int, thin: int = 1, burn_in: int = 0,
                   key_kind="matching") -> Counter:
@@ -420,11 +364,14 @@ def sample_states(g: Graph, cfg: ChainConfig, *, dynamics="glauber",
     state after burn-in, keyed either by canonical matching encoding
     (``key_kind="matching"``) or by covered-vertex bitset (``"vertexset"``).
     """
-    driver = _DRIVERS[dynamics]
+    run = _DRIVERS.get(dynamics)
+    if run is None:
+        raise ChainConfigError(
+            f"unknown dynamics {dynamics!r}; use 'glauber' or 'jerrum'")
     rng = random.Random(cfg.seed)
     x = cfg.make_initial(g)
     counts: Counter = Counter()
     total = burn_in + n_samples * thin
-    driver(g, x, cfg.resolved_fugacity(), cfg.lazy, total, rng,
-           collect=counts, key_kind=key_kind, thin=thin, burn_in=burn_in)
+    run(g, x, cfg.resolved_fugacity(), cfg.lazy, total, rng,
+        collect=counts, key_kind=key_kind, thin=thin, burn_in=burn_in)
     return counts

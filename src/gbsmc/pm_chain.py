@@ -84,15 +84,6 @@ class PMSamplerConfig:
         return default_max_attempts(n_vertices, self.failure_budget)
 
 
-def _hole_count(m: Matching, vbits: int) -> int:
-    holes = (vbits & ~m.covered).bit_count()
-    if holes not in (0, 2):
-        raise PMStateError(
-            f"matching leaves {holes} vertices uncovered; the chain lives on "
-            "perfect and near-perfect matchings only")
-    return holes
-
-
 def _pm_walk(g: Graph, partner, holes: int, moves, steps: int, rng,
              weighted: bool) -> int:
     """Advance the chain ``steps`` moves on the partner array ``partner``
@@ -132,42 +123,6 @@ def _pm_walk(g: Graph, partner, holes: int, moves, steps: int, rng,
             partner[u] = v
             partner[v] = u
     return holes
-
-
-class _EdgeMoves:
-    """The whole graph's move table (see :func:`_pm_walk`), built entry by
-    entry: one step reads only the entry it draws."""
-
-    def __init__(self, g: Graph):
-        self.edges = g.edges
-
-    def __len__(self):
-        return len(self.edges) + 1
-
-    def __getitem__(self, r):
-        i = min(r, len(self.edges) - 1)
-        return self.edges[i] + (i,)
-
-
-def _walk_one(g: Graph, m: Matching, rng, weighted: bool) -> Matching:
-    _pm_walk(g, m.partner, _hole_count(m, g.full_bits), _EdgeMoves(g), 1,
-             rng, weighted)
-    m.idxs = {g.edge_index[(u, w)] for u, w in enumerate(m.partner) if u < w}
-    m.covered = sum(g.edge_bits[i] for i in m.idxs)  # disjoint bits
-    return m
-
-
-def pm_chain_step(g: Graph, m: Matching, rng) -> Matching:
-    """One move of the uniform perfect-matching chain; mutates and returns m."""
-    return _walk_one(g, m, rng, weighted=False)
-
-
-def weighted_pm_chain_step(g: Graph, m: Matching, rng) -> Matching:
-    """One move of the weight-proportional variant (weights must be >= 1)."""
-    if g.weighted and min(g.weights) < 1:
-        raise PMStateError("weighted chain needs all weights >= 1; "
-                           "normalize_weights() first")
-    return _walk_one(g, m, rng, weighted=g.weighted)
 
 
 def _run_restricted(g: Graph, vbits: int, pool, start_idxs, steps: int,

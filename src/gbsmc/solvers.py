@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .graphs import Graph, Matching, bitset, bits_to_tuple
-from .glauber import ChainConfig, _drive_glauber, _drive_jerrum
+from .glauber import (ChainConfig, ChainConfigError, _drive_glauber,
+                      _drive_jerrum)
 from .double_loop import DoubleLoopConfig, InnerStats, _drive_double
 from .pm_chain import PMSamplerConfig
 from .hafnian import count_induced_edges, hafnian_bits
@@ -125,6 +126,32 @@ def _validate(g: Graph, cfg: SolverConfig, *, enhanced: bool, need_sa: bool):
             raise SolverConfigError("initial temperature must be positive")
 
 
+def drive(chain, g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
+          **window):
+    """Advance ``x`` in place by ``steps`` steps of ``chain`` (``"glauber"``,
+    ``"jerrum"`` or ``"double_loop"``) at fugacity ``lam``; returns the
+    window's latest post-selected state and its step, as
+    :func:`~gbsmc.glauber._run_add_remove` does, whose options ``window``
+    holds.
+
+    ``cfg`` is the chain's ChainConfig, or for the double loop its
+    DoubleLoopConfig; ``stats`` and ``haf_memo`` go to the double loop only.
+    ``_drive_glauber``, ``_drive_jerrum`` and ``_drive_double`` are looked
+    up in this module when called, with the step count as their fifth
+    positional argument, so that a wrapper set on this module's attribute
+    sees every window.
+    """
+    if chain == "glauber":
+        return _drive_glauber(g, x, lam, cfg.lazy, steps, rng, **window)
+    if chain == "jerrum":
+        return _drive_jerrum(g, x, lam, cfg.lazy, steps, rng, **window)
+    if chain == "double_loop":
+        return _drive_double(g, x, lam, cfg, steps, rng, stats=stats,
+                             haf_memo=haf_memo, **window)
+    raise ChainConfigError(f"unknown chain {chain!r}; use 'glauber', "
+                           "'jerrum' or 'double_loop'")
+
+
 class _ChainProposals:
     """Post-selected k-subset proposals from a persistent chain.
 
@@ -138,60 +165,44 @@ class _ChainProposals:
         self.cfg = cfg
         self.rng = child_rng(cfg.seed, "proposal-chain")
         self.stats = InnerStats()
-        chain = cfg.chain
-        if cfg.sampler == "double_loop":
-            if chain is None or isinstance(chain, ChainConfig):
-                # Search-grade inner budget: proposals only need an ergodic
-                # inner draw, not certified uniformity, and the exactness
-                # default (vertex count to the 4th power) is hopeless inside
-                # a search loop on host-sized subgraphs.  Failed draws fall
-                # back to the state's own matching — under "stay" the missed
-                # removals pile up and the chain drifts far above the
-                # post-selection size.  Pass a full DoubleLoopConfig to
-                # override.
-                pm = PMSamplerConfig(inner_steps=max(64, 4 * g.n),
-                                     max_attempts=2)
-                chain = DoubleLoopConfig(
-                    chain=chain if chain is not None
-                    else ChainConfig(fugacity=1.0), pm=pm,
-                    on_inner_failure="fallback")
-            self.dl_cfg = chain
-            self.chain_cfg = chain.chain
-        else:
-            if chain is None:
-                chain = ChainConfig(fugacity=1.0)
-            if not isinstance(chain, ChainConfig):
-                raise SolverConfigError(
-                    f"{cfg.sampler} sampler takes a ChainConfig")
-            self.dl_cfg = None
-            self.chain_cfg = chain
-        self.lam = self.chain_cfg.resolved_fugacity()
-        self.x = self.chain_cfg.make_initial(g)
-
-    def _advance(self, target_edges: int):
-        if self.cfg.sampler == "glauber":
-            return _drive_glauber(self.g, self.x, self.lam,
-                                  self.chain_cfg.lazy, self.cfg.mixing_steps,
-                                  self.rng, target_edges=target_edges)
-        if self.cfg.sampler == "jerrum":
-            return _drive_jerrum(self.g, self.x, self.lam,
-                                 self.chain_cfg.lazy, self.cfg.mixing_steps,
-                                 self.rng, target_edges=target_edges)
-        snap, step, _ = _drive_double(self.g, self.x, self.lam, self.dl_cfg,
-                                      self.cfg.mixing_steps, self.rng,
-                                      weighted=self.g.weighted,
-                                      stats=self.stats,
-                                      target_edges=target_edges)
-        return snap, step
+        chain = ChainConfig(fugacity=1.0) if cfg.chain is None else cfg.chain
+        kinds = ((ChainConfig, DoubleLoopConfig)
+                 if cfg.sampler == "double_loop" else (ChainConfig,))
+        if not isinstance(chain, kinds):
+            raise SolverConfigError(
+                f"{cfg.sampler} sampler takes a "
+                + " or a ".join(kind.__name__ for kind in kinds))
+        base = chain
+        if isinstance(chain, DoubleLoopConfig):
+            base = chain.chain
+        elif cfg.sampler == "double_loop":
+            # Search-grade inner budget: proposals only need an ergodic
+            # inner draw, not certified uniformity, and the exactness
+            # default (vertex count to the 4th power) is hopeless inside
+            # a search loop on host-sized subgraphs.  Failed draws fall
+            # back to the state's own matching — under "stay" the missed
+            # removals pile up and the chain drifts far above the
+            # post-selection size.  Pass a full DoubleLoopConfig to
+            # override.
+            pm = PMSamplerConfig(inner_steps=max(64, 4 * g.n),
+                                 max_attempts=2)
+            chain = DoubleLoopConfig(chain=base, pm=pm,
+                                     on_inner_failure="fallback")
+        self.chain = chain  # the sampler's own config
+        self.lam = base.resolved_fugacity()
+        self.start = base.make_initial(g)
+        self.x = Matching(g, self.start.idxs)
 
     def draw(self, k_vertices: int):
         """Vertex bitset of the latest size-k state, or None on starvation
         (``retry_bound`` extra windows exhausted)."""
         if not self.cfg.warm_start:
-            self.x = self.chain_cfg.make_initial(self.g)
+            self.x = Matching(self.g, self.start.idxs)
         target = k_vertices // 2
         for _ in range(self.cfg.retry_bound + 1):
-            snap, _ = self._advance(target)
+            snap, _ = drive(self.cfg.sampler, self.g, self.x, self.lam,
+                            self.chain, self.cfg.mixing_steps, self.rng,
+                            stats=self.stats, target_edges=target)
             if snap is not None:
                 return Matching(self.g, snap).covered
         return None

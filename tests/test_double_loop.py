@@ -13,15 +13,10 @@ from gbsmc.double_loop import (
     DoubleLoopConfig,
     InnerSamplerError,
     InnerStats,
-    PostSelectionMiss,
     RejectionCapError,
     _drive_double,
-    double_loop_step,
-    rejection_sample,
     rejection_sample_stream,
-    sample_vertex_set,
     vertex_set_histogram,
-    weighted_double_loop_step,
 )
 from gbsmc.glauber import ChainConfig, ChainConfigError
 from gbsmc.graphs import Graph, GraphSpec, Matching, gen_graph
@@ -73,7 +68,7 @@ def test_steps_preserve_matching_validity(seed):
     rng = random.Random(seed)
     x = Matching(g)
     for _ in range(30):
-        x = double_loop_step(g, x, cfg, rng)
+        _drive_double(g, x, 0.8, cfg, 1, rng)
         x.validate()
 
 
@@ -86,7 +81,7 @@ def test_double_loop_step_changes_at_most_one_edge(seed):
     x = Matching(g)
     for _ in range(50):
         before = set(x.idxs)
-        double_loop_step(g, x, cfg, rng)
+        _drive_double(g, x, 1.5, cfg, 1, rng)
         assert len(before.symmetric_difference(x.idxs)) <= 1
 
 
@@ -103,7 +98,6 @@ def test_double_loop_driver_follows_the_exact_kernel_powers(name, request):
     check_kernel_powers(
         g, kernel,
         lambda x, steps, rng: _drive_double(g, x, lam, cfg, steps, rng,
-                                            weighted=g.weighted,
                                             haf_memo=memo),
         starts=((), ((0, 1),), ((0, 1), (2, 3))), label=f"double/{name}")
 
@@ -130,9 +124,8 @@ def test_double_loop_post_selected_window_reports_a_step_inside_it():
     memo = {}
     seen = 0
     for w in range(200):
-        snap, step, _ = _drive_double(g, x, 0.7, cfg, 30, rng,
-                                      weighted=False, target_edges=2,
-                                      start_step=30 * w, haf_memo=memo)
+        snap, step = _drive_double(g, x, 0.7, cfg, 30, rng, target_edges=2,
+                                   start_step=30 * w, haf_memo=memo)
         if snap is None:
             assert step is None and len(x) != 2
             continue
@@ -158,19 +151,18 @@ def test_single_edge_removal_shortcut_counted():
     one_to_empty = 0
     for _ in range(40_000):
         before = len(x.idxs)
-        double_loop_step(g, x, cfg, rng, stats=stats)
+        _drive_double(g, x, 5.0, cfg, 1, rng, stats=stats)
         one_to_empty += before == 1 and len(x.idxs) == 0
     assert stats.shortcuts == one_to_empty > 0
 
 
 def test_abort_policy_raises():
     g = gen_graph(GraphSpec.of("complete", n=8))
-    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=4.0, steps=4000,
-                                             seed=13),
+    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=4.0),
                            pm=PMSamplerConfig(inner_steps=1, max_attempts=1),
                            on_inner_failure="abort")
     with pytest.raises(InnerSamplerError):
-        sample_vertex_set(g, cfg)
+        _drive_double(g, Matching(g), 4.0, cfg, 4000, random.Random(13))
 
 
 def test_stay_policy_counts_failures_and_continues():
@@ -185,32 +177,20 @@ def test_stay_policy_counts_failures_and_continues():
 def test_weighted_graph_requires_normalized_weights():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
               weights=[Fraction(1, 4), 1, 1, 1])
-    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=1.0, steps=10))
-    with pytest.raises(ChainConfigError):
-        sample_vertex_set(g, cfg)
-
-
-def test_plain_step_refuses_weighted_graph():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], weights=[1, 2, 3, 4])
     cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=1.0))
     with pytest.raises(ChainConfigError):
-        double_loop_step(g, Matching(g), cfg, random.Random(0))
-    # the weighted entry point accepts it
-    weighted_double_loop_step(g, Matching(g), cfg, random.Random(0))
+        _drive_double(g, Matching(g), 1.0, cfg, 10, random.Random(0))
 
 
 def test_post_selection_size_and_miss():
     g = gen_graph(GraphSpec.of("complete", n=6))
-    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=1.0, steps=3000,
-                                             seed=21), inner="exact")
-    bits = sample_vertex_set(g, cfg, post_select_size=4)
-    assert bits.bit_count() == 4
-    with pytest.raises(ChainConfigError):
-        sample_vertex_set(g, cfg, post_select_size=3)
-    tiny = DoubleLoopConfig(chain=ChainConfig(fugacity=1e-9, steps=20,
-                                              seed=0), inner="exact")
-    with pytest.raises(PostSelectionMiss):
-        sample_vertex_set(g, tiny, post_select_size=6)
+    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=1.0), inner="exact")
+    snap, _ = _drive_double(g, Matching(g), 1.0, cfg, 3000,
+                            random.Random(21), target_edges=2)
+    assert Matching(g, snap).covered.bit_count() == 4
+    tiny = DoubleLoopConfig(chain=ChainConfig(fugacity=1e-9), inner="exact")
+    assert _drive_double(g, Matching(g), 1e-9, tiny, 20, random.Random(0),
+                         target_edges=3) == (None, None)
 
 
 def test_exact_inner_law_on_dense_graph():
@@ -284,13 +264,13 @@ def test_rejection_sampler_matches_double_loop_law():
 def test_rejection_cap_error():
     g = gen_graph(GraphSpec.of("complete", n=8))
     with pytest.raises(RejectionCapError):
-        rejection_sample(g, ChainConfig(fugacity=1.0, steps=3, seed=1),
-                         max_rounds=0)
+        next(rejection_sample_stream(
+            g, ChainConfig(fugacity=1.0, steps=3, seed=1), max_rounds=0))
 
 
 def test_rejection_sample_returns_single_bitset():
     g = gen_graph(GraphSpec.of("complete", n=4))
-    bits = rejection_sample(g, ChainConfig(c=0.5, steps=200, seed=8),
-                            max_rounds=5000)
+    [bits] = rejection_sample_stream(g, ChainConfig(c=0.5, steps=200, seed=8),
+                                     max_rounds=5000, limit=1)
     assert 0 <= bits <= g.full_bits
     assert bits.bit_count() % 2 == 0

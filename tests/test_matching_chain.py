@@ -16,9 +16,6 @@ from gbsmc.glauber import (
     _drive_glauber,
     _drive_jerrum,
     _run_add_remove,
-    glauber_step,
-    jerrum_step,
-    run_chain,
     sample_states,
 )
 from gbsmc.graphs import GraphSpec, Matching, gen_graph
@@ -52,59 +49,55 @@ def test_missing_and_nonpositive_fugacity():
        st.booleans())
 def test_steps_preserve_matching_validity(seed, dynamics, lazy):
     g = gen_graph(GraphSpec.of("erdos_renyi", n=8, p=0.5), seed=seed % 53)
-    cfg = ChainConfig(fugacity=Fraction(3, 2), lazy=lazy)
+    lam = Fraction(3, 2)
     rng = random.Random(seed)
-    step = glauber_step if dynamics == "glauber" else jerrum_step
+    drive = _drive_glauber if dynamics == "glauber" else _drive_jerrum
     x = Matching(g)
     for _ in range(40):
-        x = step(g, x, cfg, rng)
+        drive(g, x, lam, lazy, 1, rng)
         x.validate()
 
 
-def test_run_chain_deterministic():
+def test_chain_windows_are_deterministic():
     g = gen_graph(GraphSpec.of("complete", n=6))
-    cfg = ChainConfig(fugacity=1, steps=500, seed=11)
-    a = run_chain(g, cfg)
-    b = run_chain(g, cfg)
-    assert a.final.idxs == b.final.idxs
-    assert a.steps_run == 500
+    for drive in (_drive_glauber, _drive_jerrum):
+        a, b = Matching(g), Matching(g)
+        drive(g, a, 1, False, 500, random.Random(11))
+        drive(g, b, 1, False, 500, random.Random(11))
+        assert a.idxs == b.idxs
 
 
-def test_run_chain_rejects_an_unknown_step():
+def test_sample_states_rejects_an_unknown_dynamics():
     g = gen_graph(GraphSpec.of("complete", n=4))
     with pytest.raises(ChainConfigError, match="'glauber' or 'jerrum'"):
-        run_chain(g, ChainConfig(fugacity=1, steps=7), step="metropolis")
+        sample_states(g, ChainConfig(fugacity=1), dynamics="metropolis",
+                      n_samples=3)
 
 
 def test_post_selection_returns_requested_size():
     g = gen_graph(GraphSpec.of("complete", n=8))
-    cfg = ChainConfig(fugacity=2, steps=4000, seed=5)
-    trace = run_chain(g, cfg, post_select_size=4)
-    assert trace.post_selected is not None
-    assert trace.post_selected.vertex_bitset().bit_count() == 4
-    assert 0 <= trace.step_of_post_selection <= 4000
-
-
-def test_post_selection_odd_size_rejected():
-    g = gen_graph(GraphSpec.of("complete", n=6))
-    with pytest.raises(ChainConfigError):
-        run_chain(g, ChainConfig(fugacity=1, steps=10), post_select_size=3)
+    for drive in (_drive_glauber, _drive_jerrum):
+        snap, step = drive(g, Matching(g), 2, False, 4000, random.Random(5),
+                           target_edges=2)
+        assert snap is not None
+        assert Matching(g, snap).vertex_bitset().bit_count() == 4
+        assert 0 <= step <= 4000
 
 
 def test_post_selection_miss_is_explicit():
     # a single edge can never cover 4 vertices
     g = gen_graph(GraphSpec.of("path", n=2))
-    trace = run_chain(g, ChainConfig(fugacity=1, steps=50, seed=0),
-                      post_select_size=4)
-    assert trace.post_selected is None
-    assert trace.step_of_post_selection is None
+    for drive in (_drive_glauber, _drive_jerrum):
+        assert drive(g, Matching(g), 1, False, 50, random.Random(0),
+                     target_edges=2) == (None, None)
 
 
 def test_initial_state_from_pairs():
     g = gen_graph(GraphSpec.of("complete", n=6))
-    cfg = ChainConfig(fugacity=1, steps=0, initial=[(0, 1), (2, 3)])
-    trace = run_chain(g, cfg)
-    assert sorted(trace.final.pairs()) == [(0, 1), (2, 3)]
+    cfg = ChainConfig(fugacity=1, initial=[(0, 1), (2, 3)])
+    x = cfg.make_initial(g)
+    _drive_glauber(g, x, 1, False, 0, random.Random(0))
+    assert sorted(x.pairs()) == [(0, 1), (2, 3)]
 
 
 def test_sample_states_counts_and_thinning():
@@ -133,9 +126,9 @@ def test_edgeless_graph_still_yields_n_samples(dynamics):
     counts = sample_states(g, ChainConfig(fugacity=1, seed=1),
                            dynamics=dynamics, n_samples=10, thin=3, burn_in=7)
     assert counts == {(): 10}
-    trace = run_chain(g, ChainConfig(fugacity=1, steps=5, seed=1),
-                      step=dynamics, post_select_size=0)
-    assert trace.step_of_post_selection == 5
+    drive = _drive_glauber if dynamics == "glauber" else _drive_jerrum
+    assert drive(g, Matching(g), 1, False, 5, random.Random(1),
+                 target_edges=0) == ((), 5)
 
 
 @pytest.mark.parametrize("lazy", [False, True])
@@ -241,12 +234,11 @@ def test_lazy_chain_converges_to_same_law():
 @given(st.integers(0, 2**31), st.booleans())
 def test_glauber_step_changes_at_most_one_edge(seed, lazy):
     g = gen_graph(GraphSpec.of("erdos_renyi", n=8, p=0.6), seed=seed % 41)
-    cfg = ChainConfig(fugacity=Fraction(3, 2), lazy=lazy)
     rng = random.Random(seed)
     x = Matching(g)
     for _ in range(50):
         before = set(x.idxs)
-        x = glauber_step(g, x, cfg, rng)
+        _drive_glauber(g, x, Fraction(3, 2), lazy, 1, rng)
         assert len(before.symmetric_difference(x.idxs)) <= 1
 
 
@@ -254,12 +246,11 @@ def test_glauber_step_changes_at_most_one_edge(seed, lazy):
 def test_jerrum_moves_are_single_edge_changes(seed):
     """Each accepted Jerrum move adds, removes, or slides one edge."""
     g = gen_graph(GraphSpec.of("erdos_renyi", n=8, p=0.6), seed=seed % 41)
-    cfg = ChainConfig(fugacity=1)
     rng = random.Random(seed)
     x = Matching(g)
     for _ in range(50):
         before = set(x.idxs)
-        x = jerrum_step(g, x, cfg, rng)
+        _drive_jerrum(g, x, 1, False, 1, rng)
         after = set(x.idxs)
         delta = before.symmetric_difference(after)
         assert len(delta) <= 2

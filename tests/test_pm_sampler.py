@@ -16,14 +16,26 @@ from gbsmc.pm_chain import (
     PMSamplerConfig,
     PMStateError,
     default_inner_steps,
+    _pm_walk,
     default_max_attempts,
-    pm_chain_step,
     sample_perfect_matching,
-    weighted_pm_chain_step,
 )
 
 from conftest import check_kernel_powers
 from oracles import naive_tv
+
+
+def pm_steps(g, m, steps, rng):
+    """Advance the Matching ``m`` in place by ``steps`` moves of the
+    perfect-matching chain over all of ``g``'s edges (weight-tilted on a
+    weighted graph), through the samplers' step loop on a partner array."""
+    moves = [g.edges[i] + (i,) for i in range(g.m)]
+    moves += moves[-1:]
+    _pm_walk(g, m.partner, g.n - m.covered.bit_count(), moves, steps, rng,
+             g.weighted)
+    m.idxs = {g.edge_index[(u, w)] for u, w in enumerate(m.partner) if u < w}
+    m.covered = sum(g.edge_bits[i] for i in m.idxs)
+    return m
 
 
 def test_default_budget_formulas():
@@ -49,16 +61,10 @@ def test_chain_lives_on_perfect_and_near_perfect(seed):
     rng = random.Random(seed)
     m = Matching.from_pairs(g, [(0, 1), (2, 3), (4, 5)])
     for _ in range(80):
-        m = pm_chain_step(g, m, rng)
+        m = pm_steps(g, m, 1, rng)
         holes = g.n - m.covered.bit_count()
         assert holes in (0, 2)
         m.validate()
-
-
-def test_step_rejects_bad_state():
-    g = gen_graph(GraphSpec.of("complete", n=6))
-    with pytest.raises(PMStateError):
-        pm_chain_step(g, Matching(g, [0]), random.Random(0))  # 4 holes
 
 
 def test_sampler_rejects_non_perfect_initial():
@@ -137,7 +143,7 @@ def test_weighted_chain_tilts_by_matching_weight():
     burn = 200
     total = 60_000
     for t in range(burn + total):
-        m = weighted_pm_chain_step(g, m, rng)
+        m = pm_steps(g, m, 1, rng)
         if t >= burn and m.covered == g.full_bits:
             counts[tuple(sorted(m.pairs()))] += 1
     n = sum(counts.values())
@@ -149,33 +155,19 @@ def test_weighted_chain_requires_normalized_weights():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
               weights=[Fraction(1, 2), 1, 1, 1])
     with pytest.raises(PMStateError):
-        weighted_pm_chain_step(g, Matching.from_pairs(g, [(0, 1), (2, 3)]),
-                               random.Random(0))
-
-
-def test_weighted_step_on_unweighted_graph_is_plain():
-    g = gen_graph(GraphSpec.of("complete", n=4))
-    a = Matching.from_pairs(g, [(0, 1), (2, 3)])
-    b = Matching.from_pairs(g, [(0, 1), (2, 3)])
-    ra, rb = random.Random(4), random.Random(4)
-    for _ in range(30):
-        a = pm_chain_step(g, a, ra)
-        b = weighted_pm_chain_step(g, b, rb)
-        assert set(a.idxs) == set(b.idxs)
+        sample_perfect_matching(g, PMSamplerConfig(),
+                                Matching.from_pairs(g, [(0, 1), (2, 3)]),
+                                random.Random(0))
 
 
 @pytest.mark.parametrize("name", ["k4", "k33", "weighted_square"])
 def test_pm_steps_follow_the_exact_kernel_powers(name, request):
     """X_T from a perfect and a near-perfect start, T = 1, 2, 5, against
-    rows of P^T; the samplers' restricted runs walk the same loop."""
+    rows of P^T, on the step loop the samplers' restricted runs walk."""
     g = request.getfixturevalue(name)
     perfect = enumerate_perfect_matchings(g)[-1].pairs()
     starts = (perfect, perfect[1:])
     kernel = transition_kernel(g, "pm_weighted" if g.weighted else "pm")
-    step = weighted_pm_chain_step if g.weighted else pm_chain_step
-
-    def advance(x, steps, rng):
-        for _ in range(steps):
-            step(g, x, rng)
-
-    check_kernel_powers(g, kernel, advance, starts, label=f"pm/{name}")
+    check_kernel_powers(
+        g, kernel, lambda x, steps, rng: pm_steps(g, x, steps, rng), starts,
+        label=f"pm/{name}")

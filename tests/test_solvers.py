@@ -6,8 +6,9 @@ import math
 import pytest
 
 from gbsmc import solvers
-from gbsmc.glauber import ChainConfig
-from gbsmc.graphs import Graph, bits_to_tuple, complete, planted_clique
+from gbsmc.glauber import ChainConfig, ChainConfigError
+from gbsmc.graphs import (Graph, GraphSpec, Matching, bits_to_tuple, complete,
+                          gen_graph, planted_clique)
 from gbsmc.solvers import (
     SAParams,
     SolverConfig,
@@ -97,6 +98,19 @@ def test_glauber_sampler_rejects_double_loop_config():
                   chain=DoubleLoopConfig(chain=ChainConfig(fugacity=1.0)))
     with pytest.raises(SolverConfigError, match="ChainConfig"):
         enhanced_random_search(complete(6), cfg)
+
+
+def test_double_loop_sampler_rejects_other_configs():
+    cfg = _rs_cfg(sampler="double_loop", chain=SAParams())
+    with pytest.raises(SolverConfigError, match="DoubleLoopConfig"):
+        enhanced_random_search(complete(6), cfg)
+
+
+def test_drive_rejects_an_unknown_chain():
+    g = complete(4)
+    with pytest.raises(ChainConfigError, match="'double_loop'"):
+        solvers.drive("metropolis", g, Matching(g), 1.0,
+                      ChainConfig(fugacity=1.0), 10, None)
 
 
 # --- objective scoring ----------------------------------------------------
@@ -214,6 +228,39 @@ def test_plain_solvers_never_build_chain_machinery(monkeypatch):
     with pytest.raises(AssertionError):
         enhanced_random_search(
             g, _rs_cfg(sampler="glauber", iterations=5))
+
+
+def test_proposal_windows_go_through_the_module_attributes(monkeypatch):
+    """Each proposal window calls its ``_drive_*`` function through the
+    attribute of ``gbsmc.solvers``, with the window's step count as the
+    fifth positional argument, and double-loop inner draws go through
+    ``double_loop._run_restricted``: a wrapper set on either attribute sees
+    every call."""
+    from gbsmc import double_loop
+    calls = {}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kw):
+            calls.setdefault(name, []).append(args)
+            return original(*args, **kw)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("_drive_glauber", "_drive_jerrum", "_drive_double"):
+        spy(solvers, name)
+    spy(double_loop, "_run_restricted")
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=12, p=0.5), seed=1)
+    for sampler, name in (("glauber", "_drive_glauber"),
+                          ("jerrum", "_drive_jerrum"),
+                          ("double_loop", "_drive_double")):
+        enhanced_random_search(
+            g, _rs_cfg(iterations=5, sampler=sampler, mixing_steps=200,
+                       chain=ChainConfig(fugacity=1.0)))
+        assert calls[name]
+        assert all(type(args[4]) is int and args[4] == 200
+                   for args in calls[name])
+    assert calls["_run_restricted"]
 
 
 def test_cold_restarts_run_and_reproduce():
