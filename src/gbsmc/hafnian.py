@@ -6,8 +6,9 @@ matchings of the product of edge weights.  Everything here is computed by
 recursive branch-and-sum: repeatedly pair the lowest-indexed uncovered
 vertex with each of its uncovered neighbors.  That exploits sparsity, yields
 exact integers (Python ints never overflow) or exact Fractions, and doubles
-as the enumerator.  Fine up to ~32-vertex subgraphs, which covers every
-hafnian evaluation in the benchmark experiments.
+as the enumerator; the hafnian memoises every sub-set it sums.  Fine up to
+~32-vertex subgraphs, which covers every hafnian evaluation in the benchmark
+experiments.
 """
 
 from __future__ import annotations
@@ -22,60 +23,66 @@ def _as_bits(g: Graph, s) -> int:
     return s if isinstance(s, int) else bitset(s)
 
 
+# A memo that a caller keeps across calls is cleared on entry once it holds
+# more than this many sub-results, so no caller's memo grows without limit.
+MEMO_LIMIT = 1 << 18
+
+
+def _haf(adj, wmap, bits, memo):
+    # Not a nested closure: one that calls itself is a reference cycle and
+    # keeps its memo alive until the cyclic garbage collector runs.
+    if not bits:
+        return 1
+    got = memo.get(bits)
+    if got is not None:
+        return got
+    low = bits & -bits
+    v = low.bit_length() - 1
+    rest = bits ^ low
+    nb = adj[v] & rest
+    total = 0
+    if wmap is None:
+        while nb:
+            ub = nb & -nb
+            total += _haf(adj, wmap, rest ^ ub, memo)
+            nb ^= ub
+    else:
+        while nb:
+            ub = nb & -nb
+            u = ub.bit_length() - 1
+            w = wmap[(v, u) if v < u else (u, v)]
+            total += w * _haf(adj, wmap, rest ^ ub, memo)
+            nb ^= ub
+    memo[bits] = total
+    return total
+
+
 def hafnian_bits(g: Graph, uncovered: int, memo=None):
     """Hafnian of the subgraph of ``g`` induced by the ``uncovered`` bitset.
 
     Works directly on the host graph's labels (no relabeling), so chains can
-    evaluate hafnians of their current vertex set cheaply.  ``memo`` may be a
-    dict keyed by uncovered-bitset for repeated evaluations on one graph.
+    evaluate hafnians of their current vertex set cheaply.  Sub-results are
+    memoised by uncovered bitset in a dict of the call's own, or in ``memo``
+    if the caller keeps one for repeated evaluations on one graph.
     """
     if uncovered.bit_count() & 1:
         return 0
-    adj = g.adj
-    wmap = g.weight_map() if g.weighted else None
-
-    def rec(bits):
-        if not bits:
-            return 1
-        if memo is not None:
-            got = memo.get(bits)
-            if got is not None:
-                return got
-        low = bits & -bits
-        v = low.bit_length() - 1
-        rest = bits ^ low
-        nb = adj[v] & rest
-        total = 0
-        if wmap is None:
-            while nb:
-                ub = nb & -nb
-                total += rec(rest ^ ub)
-                nb ^= ub
-        else:
-            while nb:
-                ub = nb & -nb
-                u = ub.bit_length() - 1
-                w = wmap[(v, u) if v < u else (u, v)]
-                total += w * rec(rest ^ ub)
-                nb ^= ub
-        if memo is not None:
-            memo[bits] = total
-        return total
-
-    return rec(uncovered)
+    if memo is None:
+        memo = {}
+    elif len(memo) > MEMO_LIMIT:
+        memo.clear()
+    return _haf(g.adj, g.weight_map() if g.weighted else None, uncovered,
+                memo)
 
 
-def hafnian(g: Graph, s=None, memo: bool = False):
+def hafnian(g: Graph, s=None):
     """Hafnian of the subgraph induced by vertex set ``s`` (default: all).
 
     Returns an exact int for unweighted graphs; for weighted graphs the
     result type follows the weight types (int/Fraction stay exact, floats
     give floats).  Odd-size sets give 0, the empty set gives 1.
-
-    ``memo=True`` caches intermediate results keyed by the uncovered vertex
-    bitset — worthwhile for dense graphs, wasteful for sparse ones.
     """
-    return hafnian_bits(g, _as_bits(g, s), {} if memo else None)
+    return hafnian_bits(g, _as_bits(g, s))
 
 
 def perfect_matchings_bits(g: Graph, uncovered: int, cap: int = 2_000_000):

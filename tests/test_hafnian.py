@@ -4,6 +4,9 @@ The references in ``oracles.py`` recurse over raw pairings and never touch
 package internals, so agreement here is meaningful.
 """
 
+import gc
+import importlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,9 @@ from gbsmc.hafnian import (
 )
 
 from oracles import double_factorial, factorial, naive_hafnian_subset
+
+# the package re-exports the function ``hafnian`` under the module's name
+hafnian_module = importlib.import_module("gbsmc.hafnian")
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -67,10 +73,24 @@ def test_random_graph_matches_naive_recursion(seed, n):
 @given(st.integers(0, 10_000))
 def test_random_subset_matches_naive_recursion(seed):
     g = gen_graph(GraphSpec.of("erdos_renyi", n=10, p=0.5), seed=seed)
-    import random
     rng = random.Random(seed)
     subset = sorted(rng.sample(range(10), 6))
     assert hafnian(g, subset) == naive_hafnian_subset(10, g.edges, subset)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@given(st.integers(0, 10_000))
+def test_dense_subset_matches_naive_recursion(weighted, seed):
+    # 12 of 32 vertices at p = 0.8: most pairings share sub-sets, so the
+    # memo is hit on nearly every branch.
+    rng = random.Random(seed)
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=32, p=0.8), seed=seed)
+    weights = [rng.randrange(1, 6) for _ in range(g.m)] if weighted else None
+    if weighted:
+        g = Graph(32, g.edges, weights=weights)
+    subset = rng.sample(range(32), 12)
+    assert hafnian_bits(g, bitset(subset)) == naive_hafnian_subset(
+        32, g.edges, subset, weights)
 
 
 def test_weighted_hafnian_sums_products():
@@ -82,7 +102,6 @@ def test_weighted_hafnian_sums_products():
 
 @given(st.integers(0, 5_000))
 def test_weighted_matches_naive(seed):
-    import random
     rng = random.Random(seed)
     g0 = gen_graph(GraphSpec.of("erdos_renyi", n=8, p=0.6), seed=seed)
     weights = [rng.randrange(1, 6) for _ in range(g0.m)]
@@ -91,8 +110,7 @@ def test_weighted_matches_naive(seed):
 
 
 def test_values_are_exact_integers_not_floats():
-    big = hafnian(gen_graph(GraphSpec.of("hard_instance", n_squares=64)),
-                  memo=True)
+    big = hafnian(gen_graph(GraphSpec.of("hard_instance", n_squares=64)))
     assert isinstance(big, int)
     assert big == 1 + 2 ** 64  # needs arbitrary precision: > 2**53
 
@@ -111,6 +129,35 @@ def test_hafnian_memo_consistency():
     assert hafnian_bits(g, g.full_bits, memo) == first == hafnian(g)
 
 
+def test_a_kept_memo_stays_bounded(monkeypatch):
+    limit = 64
+    monkeypatch.setattr(hafnian_module, "MEMO_LIMIT", limit)
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=40, p=0.6), seed=5)
+    rng = random.Random(5)
+    memo, cleared = {}, 0
+    for _ in range(200):
+        bits = bitset(rng.sample(range(40), rng.choice((4, 8, 10))))
+        fresh = {}
+        expected = hafnian_bits(g, bits, fresh)
+        before = len(memo)
+        assert hafnian_bits(g, bits, memo) == expected
+        cleared += len(memo) < before
+        # cleared on entry, so one call adds at most its own sub-results
+        assert len(memo) <= limit + len(fresh)
+    assert cleared
+
+
+def test_a_call_leaves_no_cyclic_garbage():
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=12, p=0.6), seed=4)
+    gc.collect()
+    gc.disable()
+    try:
+        hafnian_bits(g, g.full_bits)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_enumerate_perfect_matchings_k4():
     g = gen_graph(GraphSpec.of("complete", n=4))
     pms = list(enumerate_perfect_matchings(g))
@@ -124,6 +171,10 @@ def test_perfect_matchings_bits_counts_match_hafnian():
     subset = bitset([0, 1, 4, 5, 6, 7])
     pms = list(perfect_matchings_bits(g, subset))
     assert len(pms) == hafnian_bits(g, subset)
+    # a dense 16-vertex subset, where the memo merges most branches
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=64, p=0.6), seed=21)
+    subset = bitset(random.Random(21).sample(range(64), 16))
+    assert len(perfect_matchings_bits(g, subset)) == hafnian_bits(g, subset)
 
 
 def test_matching_weight_products():
@@ -139,7 +190,6 @@ def test_count_induced_edges_and_density():
     assert density(g, s) == pytest.approx(1.0)
     # density normalizes by |S|, matching edges-per-vertex scoring
     assert density(g, [0, 1]) == pytest.approx(0.5)
-    import random
     rng = random.Random(11)
     for seed in range(20):
         g = gen_graph(GraphSpec.of("erdos_renyi", n=24, p=rng.random()),

@@ -263,6 +263,31 @@ def test_proposal_windows_go_through_the_module_attributes(monkeypatch):
     assert calls["_run_restricted"]
 
 
+def test_objectives_go_through_the_module_attributes(monkeypatch):
+    """Every evaluation of either objective calls ``hafnian_bits`` or
+    ``count_induced_edges`` through the attribute of ``gbsmc.solvers``, so
+    a wrapper set there sees each one."""
+    calls = {}
+
+    def spy(name):
+        original = getattr(solvers, name)
+
+        def wrapper(*args, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kw)
+        monkeypatch.setattr(solvers, name, wrapper)
+
+    for name in ("hafnian_bits", "count_induced_edges"):
+        spy(name)
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=12, p=0.5), seed=1)
+    for objective, name in (("hafnian", "hafnian_bits"),
+                            ("density", "count_induced_edges")):
+        record = random_search(g, _rs_cfg(objective=objective, iterations=7))
+        assert record.evaluations == 7
+        assert calls.pop(name) == record.evaluations
+    assert not calls
+
+
 def test_cold_restarts_run_and_reproduce():
     g = complete(8)
     cfg = _rs_cfg(iterations=10, sampler="glauber",
