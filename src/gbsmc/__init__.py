@@ -28,14 +28,12 @@ from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
                      gen_graph, hard_instance_core_matching,
                      induced_subgraph, load_edge_list, normalize_weights,
                      save_edge_list, to_edge_list_text)
-from .hafnian import (density, enumerate_perfect_matchings, hafnian,
-                      hafnian_bits)
+from .hafnian import density, enumerate_perfect_matchings, hafnian_bits
 from .pm_chain import (PMSampleBudgetError, PMSamplerConfig, PMStateError,
                        default_inner_steps, default_max_attempts,
                        sample_perfect_matching)
 from .seeds import child_rng, derive_seed
 from .solvers import (SAParams, SolverConfig, SolverConfigError, TrialRecord,
-                      enhanced_random_search, enhanced_simulated_annealing,
                       random_search, score_advantage, simulated_annealing,
                       solver_for)
 
@@ -50,11 +48,10 @@ __all__ = [
     "RejectionCapError", "SAParams", "SolverConfig", "SolverConfigError",
     "TrialRecord", "check_detailed_balance", "child_rng",
     "default_inner_steps", "default_max_attempts", "density",
-    "derive_seed", "encode_state", "enhanced_random_search",
-    "enhanced_simulated_annealing", "enumerate_matchings",
+    "derive_seed", "encode_state", "enumerate_matchings",
     "enumerate_perfect_matchings", "exact_stationary", "exit_probability",
     "exit_time_experiment", "from_edge_list_text", "gen_graph",
-    "geometric_fit", "hafnian", "hafnian_bits",
+    "geometric_fit", "hafnian_bits",
     "hard_instance_core_matching", "induced_subgraph", "load_edge_list",
     "mixing_curve", "normalize_weights", "pm_stationary", "random_search",
     "sample_perfect_matching", "sample_states", "save_edge_list",

@@ -53,8 +53,8 @@ from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
                      Matching, gen_graph, load_edge_list, to_edge_list_text)
 from .pm_chain import PMSampleBudgetError, PMSamplerConfig, PMStateError
 from .seeds import child_rng, derive_seed
-from .solvers import (SOLVERS, SAParams, SolverConfig, SolverConfigError,
-                      advantage_at, drive, solver_for)
+from .solvers import (SAParams, SolverConfig, SolverConfigError, advantage_at,
+                      drive, solver_for)
 from .svg import Series, histogram_plot, line_plot
 
 EXIT_OK = 0
@@ -410,7 +410,7 @@ def _cmd_solve(args) -> int:
     for j in range(n_seeds):
         trial_seed = derive_seed(master, f"trial{j}")
         cfg = replace(base, seed=trial_seed)
-        rec = SOLVERS[alg](g, cfg)
+        rec = solver_for(cfg)(g, cfg)
         records.append(rec)
         blocks.append(_record_block(rec, trial_seed, chash))
         for i, best in enumerate(rec.score_trajectory, start=1):
@@ -505,8 +505,7 @@ def _run_trials(g, algs, seeds, master, failures):
             cfg = replace(base, seed=trial_seed)
             try:
                 out[label].append((trial_seed, solver_for(cfg)(g, cfg)))
-            except (InnerSamplerError, PMSampleBudgetError,
-                    RejectionCapError, RuntimeError) as err:
+            except RuntimeError as err:
                 failures.append({"trial": f"{label}/s{j}", "error": str(err)})
     return out
 

@@ -97,10 +97,6 @@ class DistributionTable:
             lines.append(f"{encode_state(key)},{repr(float(p))}")
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
-
 
 def tv_distance(p: DistributionTable, q: DistributionTable):
     """Total variation distance: half the L1 gap, supports unioned."""
@@ -115,12 +111,6 @@ def tv_distance(p: DistributionTable, q: DistributionTable):
 # ---------------------------------------------------------------------------
 # Exact stationary laws
 # ---------------------------------------------------------------------------
-
-def _exact_fugacity(lam):
-    if isinstance(lam, (int, Fraction)):
-        return Fraction(lam)
-    return Fraction(lam)  # floats convert exactly (binary expansion)
-
 
 def _matching_key(g: Graph, idxs) -> tuple:
     return tuple(sorted(g.edges[i] for i in idxs))
@@ -151,7 +141,7 @@ def exact_stationary(g: Graph, lam, law: str) -> DistributionTable:
     """
     if law not in LAW_KINDS:
         raise ValueError(f"unknown law {law!r}")
-    lamF = _exact_fugacity(lam)
+    lamF = Fraction(lam)
     weights = {}
     if law.startswith("matching"):
         if g.n > 12:
@@ -221,7 +211,7 @@ def transition_kernel(g: Graph, dynamics: str, lam=None, lazy=False) -> dict:
                              lambda i, j: min(1, w[i] / w[j]))
     if lam is None:
         raise ValueError(f"{dynamics} kernel needs a fugacity")
-    lamF = _exact_fugacity(lam)
+    lamF = Fraction(lam)
     states = enumerate_matchings(g)
     half = Fraction(1, 2) if lazy else 1
     if dynamics == "glauber":
@@ -377,7 +367,7 @@ def exit_probability(n_squares: int, lam) -> Fraction:
     """Per-step probability that the double-loop chain started at the
     isolated perfect matching of ``hard_instance(n_squares)`` removes one of
     its edges: (1/3) * 1/(1+2^n) * 1/(1+lambda^2)."""
-    lamF = _exact_fugacity(lam)
+    lamF = Fraction(lam)
     return (Fraction(1, 3) * Fraction(1, 1 + 2 ** n_squares)
             / (1 + lamF * lamF))
 

@@ -41,10 +41,6 @@ def bits_to_tuple(bits: int) -> tuple:
     return tuple(out)
 
 
-def popcount(bits: int) -> int:
-    return bits.bit_count()
-
-
 class Graph:
     """Immutable undirected graph with optional positive edge weights.
 
@@ -120,11 +116,6 @@ class Graph:
         """Weight of edge index ``i`` (1 for unweighted graphs)."""
         return 1 if self.weights is None else self.weights[i]
 
-    def weight_of_pair(self, u: int, v: int):
-        if self.weights is None:
-            return 1
-        return self.weights[self.edge_index[(u, v) if u < v else (v, u)]]
-
     def weight_map(self) -> dict:
         """Dict ``(u, v) -> weight`` over canonical pairs (cached)."""
         if self._wmap is None:
@@ -133,12 +124,6 @@ class Graph:
             else:
                 self._wmap = dict(zip(self.edges, self.weights))
         return self._wmap
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_index
-
-    def degree(self, v: int) -> int:
-        return len(self.nbrs[v])
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
@@ -219,32 +204,15 @@ class Matching:
         self.partner[u] = -1
         self.partner[v] = -1
 
-    def can_add(self, i: int) -> bool:
-        return not self.covered & self.g.edge_bits[i]
-
     def __contains__(self, i: int) -> bool:
         return i in self.idxs
 
     def __len__(self):
         return len(self.idxs)
 
-    @property
-    def size(self) -> int:
-        return len(self.idxs)
-
-    def vertex_bitset(self) -> int:
-        return self.covered
-
     def pairs(self) -> tuple:
         """Canonical sorted tuple of ``(u, v)`` pairs."""
         return tuple(sorted(self.g.edges[i] for i in self.idxs))
-
-    def key(self) -> tuple:
-        """Canonical hashable encoding (sorted edge indices)."""
-        return tuple(sorted(self.idxs))
-
-    def copy(self) -> "Matching":
-        return Matching(self.g, self.idxs)
 
     def validate(self):
         """Re-derive the cached views and assert coherence (test helper)."""

@@ -21,7 +21,6 @@ retry" a practical uniform sampler for perfect matchings.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,23 +39,27 @@ class PMSampleBudgetError(RuntimeError):
         self.attempts = attempts
 
 
-def default_inner_steps(n_vertices: int, c_mix: float = 1.0) -> int:
-    """Per-attempt step budget: c_mix * n^4, floored at 16.
+FAILURE_BUDGET = 0.01
+
+
+def default_inner_steps(n_vertices: int) -> int:
+    """Per-attempt step budget: n^4, floored at 16.
 
     The rigorous mixing bounds are much larger; this default trades
     certificates for practice and is recorded in experiment provenance.
     """
-    return max(16, math.ceil(c_mix * n_vertices ** 4))
+    return max(16, n_vertices ** 4)
 
 
-def default_max_attempts(n_vertices: int, failure_budget: float) -> int:
-    """Retry count ceil((2 + 4q^2) * ln(2/eta)) with q = n_vertices/2.
+def default_max_attempts(n_vertices: int) -> int:
+    """Retry count ceil((2 + 4q^2) * ln(2/eta)) with q = n_vertices/2 and
+    eta = ``FAILURE_BUDGET``.
 
     Chosen so that, given near-uniform per-attempt samples, all attempts
     miss the perfect states with probability at most eta.
     """
     q = n_vertices // 2
-    return math.ceil((2 + 4 * q * q) * math.log(2.0 / failure_budget))
+    return math.ceil((2 + 4 * q * q) * math.log(2.0 / FAILURE_BUDGET))
 
 
 @dataclass
@@ -67,21 +70,18 @@ class PMSamplerConfig:
     :func:`default_inner_steps` / :func:`default_max_attempts` sized to the
     graph at hand when left as None.
     """
-    failure_budget: float = 0.01
     inner_steps: Optional[int] = None
     max_attempts: Optional[int] = None
-    c_mix: float = 1.0
-    seed: object = 0
 
     def steps_for(self, n_vertices: int) -> int:
         if self.inner_steps is not None:
             return self.inner_steps
-        return default_inner_steps(n_vertices, self.c_mix)
+        return default_inner_steps(n_vertices)
 
     def attempts_for(self, n_vertices: int) -> int:
         if self.max_attempts is not None:
             return self.max_attempts
-        return default_max_attempts(n_vertices, self.failure_budget)
+        return default_max_attempts(n_vertices)
 
 
 def _pm_walk(g: Graph, partner, holes: int, moves, steps: int, rng,
@@ -152,7 +152,7 @@ def _run_restricted(g: Graph, vbits: int, pool, start_idxs, steps: int,
 
 
 def sample_perfect_matching(g: Graph, cfg: PMSamplerConfig,
-                            initial: Matching, rng=None) -> Matching:
+                            initial: Matching, rng) -> Matching:
     """Draw a (near-)uniform perfect matching of ``g``.
 
     Runs the chain from ``initial`` (a perfect matching of ``g``) in rounds
@@ -168,8 +168,6 @@ def sample_perfect_matching(g: Graph, cfg: PMSamplerConfig,
     if g.weighted and min(g.weights) < 1:
         raise PMStateError("weighted chain needs all weights >= 1; "
                            "normalize_weights() first")
-    if rng is None:
-        rng = random.Random(cfg.seed)
     steps = cfg.steps_for(g.n)
     attempts = cfg.attempts_for(g.n)
     got = _run_restricted(g, g.full_bits, range(g.m), initial.idxs,

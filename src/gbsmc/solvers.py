@@ -1,10 +1,11 @@
 """Stochastic search for max-hafnian and densest-k-subgraph targets.
 
-Four algorithms over k-vertex subsets of a host graph: random search and
-simulated annealing, each in a plain flavor (uniform proposals) and an
-enhanced flavor whose proposals come from a matching chain with
-post-selection — the chain is advanced until its most recent state covers
-exactly k vertices, and that vertex set is the proposal.  Chains
+Two algorithms over k-vertex subsets of a host graph: random search and
+simulated annealing.  ``SolverConfig.sampler`` runs each in a plain flavor
+(``"uniform"`` proposals) or an enhanced one whose proposals come from a
+matching chain with post-selection — the chain is advanced until its most
+recent state covers exactly k vertices, and that vertex set is the
+proposal.  Chains
 concentrate on subsets rich in perfect matchings, which is correlated with
 both objectives, so the enhanced variants spend their evaluation budget in
 a much better region than blind sampling.
@@ -53,7 +54,7 @@ class SolverConfig:
     subset_size: int = 2
     iterations: int = 100
     sampler: str = "uniform"
-    chain: object = None          # ChainConfig / DoubleLoopConfig for enhanced runs
+    chain: Optional[ChainConfig] = None  # proposal chain; fugacity 1 if None
     sa: Optional[SAParams] = None
     seed: object = 0
     mixing_steps: int = 1000      # chain budget per enhanced proposal
@@ -88,7 +89,7 @@ def objective_value(g: Graph, objective: str, bits: int):
     return count_induced_edges(g, bits) / bits.bit_count()
 
 
-def _validate(g: Graph, cfg: SolverConfig, *, enhanced: bool, need_sa: bool):
+def _validate(g: Graph, cfg: SolverConfig):
     if cfg.objective not in OBJECTIVES:
         raise SolverConfigError(f"unknown objective {cfg.objective!r}")
     if cfg.sampler not in SAMPLERS:
@@ -105,25 +106,10 @@ def _validate(g: Graph, cfg: SolverConfig, *, enhanced: bool, need_sa: bool):
         if cfg.subset_size > _HAFNIAN_SIZE_GUARD:
             raise SolverConfigError(
                 f"hafnian objective guarded at {_HAFNIAN_SIZE_GUARD} vertices")
-    if enhanced:
-        if cfg.sampler == "uniform":
-            raise SolverConfigError(
-                "enhanced variants need a chain sampler "
-                "(glauber, jerrum, or double_loop)")
-        if cfg.subset_size % 2:
-            raise SolverConfigError(
-                "chain proposals cover an even number of vertices; "
-                "enhanced variants need an even subset size")
-    elif cfg.sampler != "uniform":
+    if cfg.sampler != "uniform" and cfg.subset_size % 2:
         raise SolverConfigError(
-            f"plain variants use the uniform sampler, not {cfg.sampler!r}")
-    if need_sa:
-        if cfg.sa is None:
-            raise SolverConfigError("this solver needs sa parameters")
-        if not 0 < cfg.sa.gamma < 1:
-            raise SolverConfigError(f"gamma {cfg.sa.gamma} outside (0, 1)")
-        if not cfg.sa.initial_temperature > 0:
-            raise SolverConfigError("initial temperature must be positive")
+            "chain proposals cover an even number of vertices; "
+            "chain samplers need an even subset size")
 
 
 def drive(chain, g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
@@ -165,30 +151,23 @@ class _ChainProposals:
         self.cfg = cfg
         self.rng = child_rng(cfg.seed, "proposal-chain")
         self.stats = InnerStats()
-        chain = ChainConfig(fugacity=1.0) if cfg.chain is None else cfg.chain
-        kinds = ((ChainConfig, DoubleLoopConfig)
-                 if cfg.sampler == "double_loop" else (ChainConfig,))
-        if not isinstance(chain, kinds):
+        base = ChainConfig(fugacity=1.0) if cfg.chain is None else cfg.chain
+        if not isinstance(base, ChainConfig):
             raise SolverConfigError(
-                f"{cfg.sampler} sampler takes a "
-                + " or a ".join(kind.__name__ for kind in kinds))
-        base = chain
-        if isinstance(chain, DoubleLoopConfig):
-            base = chain.chain
-        elif cfg.sampler == "double_loop":
+                f"{cfg.sampler} sampler takes a ChainConfig")
+        self.chain = base  # the sampler's own config
+        if cfg.sampler == "double_loop":
             # Search-grade inner budget: proposals only need an ergodic
             # inner draw, not certified uniformity, and the exactness
             # default (vertex count to the 4th power) is hopeless inside
             # a search loop on host-sized subgraphs.  Failed draws fall
             # back to the state's own matching — under "stay" the missed
             # removals pile up and the chain drifts far above the
-            # post-selection size.  Pass a full DoubleLoopConfig to
-            # override.
+            # post-selection size.
             pm = PMSamplerConfig(inner_steps=max(64, 4 * g.n),
                                  max_attempts=2)
-            chain = DoubleLoopConfig(chain=base, pm=pm,
-                                     on_inner_failure="fallback")
-        self.chain = chain  # the sampler's own config
+            self.chain = DoubleLoopConfig(chain=base, pm=pm,
+                                          on_inner_failure="fallback")
         self.lam = base.resolved_fugacity()
         self.start = base.make_initial(g)
         self.x = Matching(g, self.start.idxs)
@@ -212,78 +191,98 @@ def _uniform_subset(rng, n: int, k: int) -> list:
     return sorted(rng.sample(range(n), k))
 
 
+def _record(name, cfg, chain, best, best_set, traj, starved, t0):
+    if cfg.sampler != "uniform":
+        name = "enhanced_" + name
+    failures = 0 if chain is None else chain.stats.failures
+    return TrialRecord(name, cfg, best_set, best, tuple(traj), len(traj),
+                       failures, starved, time.perf_counter() - t0)
+
+
 def random_search(g: Graph, cfg: SolverConfig) -> TrialRecord:
-    """Score ``iterations`` i.i.d. uniform k-subsets; keep the strict best."""
-    _validate(g, cfg, enhanced=False, need_sa=False)
-    t0 = time.perf_counter()
-    rng = child_rng(cfg.seed, "rs")
-    best, best_set = 0, None
-    traj = []
-    evals = 0
-    for _ in range(cfg.iterations):
-        bits = bitset(_uniform_subset(rng, g.n, cfg.subset_size))
-        score = objective_value(g, cfg.objective, bits)
-        evals += 1
-        if score > best:
-            best, best_set = score, bits
-        traj.append(best)
-    return TrialRecord("random_search", cfg, best_set, best, tuple(traj),
-                       evals, 0, 0, time.perf_counter() - t0)
+    """Score ``iterations`` k-subsets; keep the strict best.
 
-
-def enhanced_random_search(g: Graph, cfg: SolverConfig) -> TrialRecord:
-    """Random search with chain-drawn proposals.
-
-    Each iteration takes the chain's latest post-selected k-subset; an
-    iteration whose draw starves falls back to one uniform subset so the
-    evaluation budget stays identical to plain random search (the fallback
-    is counted in ``starvation_count``).
+    The uniform sampler draws i.i.d. uniform subsets.  A chain sampler
+    takes each from the chain's latest post-selected k-subset; a draw that
+    starves falls back to one uniform subset, so the evaluation budget
+    stays that of plain random search (the fallback is counted in
+    ``starvation_count``).
     """
-    _validate(g, cfg, enhanced=True, need_sa=False)
+    _validate(g, cfg)
     t0 = time.perf_counter()
-    rng = child_rng(cfg.seed, "ers-fallback")
-    chain = _ChainProposals(g, cfg)
+    chain = None if cfg.sampler == "uniform" else _ChainProposals(g, cfg)
+    rng = child_rng(cfg.seed, "rs" if chain is None else "ers-fallback")
     best, best_set = 0, None
     traj = []
-    evals = 0
     starved = 0
     for _ in range(cfg.iterations):
-        bits = chain.draw(cfg.subset_size)
+        bits = None if chain is None else chain.draw(cfg.subset_size)
         if bits is None:
-            starved += 1
+            starved += chain is not None
             bits = bitset(_uniform_subset(rng, g.n, cfg.subset_size))
         score = objective_value(g, cfg.objective, bits)
-        evals += 1
         if score > best:
             best, best_set = score, bits
         traj.append(best)
-    return TrialRecord("enhanced_random_search", cfg, best_set, best,
-                       tuple(traj), evals, chain.stats.failures, starved,
-                       time.perf_counter() - t0)
+    return _record("random_search", cfg, chain, best, best_set, traj,
+                   starved, t0)
 
 
-def _anneal(g: Graph, cfg: SolverConfig, propose, rng) -> tuple:
-    """Shared Metropolis loop: ``propose(current, keep_count)`` supplies the
-    refreshed part of each neighbor.  Returns trajectory and best info.
+def simulated_annealing(g: Graph, cfg: SolverConfig) -> TrialRecord:
+    """Metropolis search with geometric cooling.
 
-    Iteration 1 evaluates the uniform starting subset; each later iteration
+    Iteration 1 evaluates a uniform starting subset; each later iteration
     keeps a uniformly-chosen prefix of the current subset, refreshes the
     rest, and accepts with probability min(1, exp((f_new - f_cur)/t)).
+
+    The uniform sampler refreshes with uniform vertices.  A chain sampler
+    takes them from a chain proposal: vertices colliding with the kept part
+    are discarded, the remainder is trimmed uniformly to the needed count.
+    Draws that starve or cannot supply enough non-overlapping vertices are
+    retried up to ``retry_bound`` times, then the iteration falls back to a
+    uniform refresh (counted in ``starvation_count``).
     """
+    _validate(g, cfg)
+    if cfg.sa is None:
+        raise SolverConfigError("this solver needs sa parameters")
+    if not 0 < cfg.sa.gamma < 1:
+        raise SolverConfigError(f"gamma {cfg.sa.gamma} outside (0, 1)")
+    if not cfg.sa.initial_temperature > 0:
+        raise SolverConfigError("initial temperature must be positive")
+    t0 = time.perf_counter()
+    if cfg.iterations == 0:
+        return _record("simulated_annealing", cfg, None, 0, None, (), 0, t0)
+    chain = None if cfg.sampler == "uniform" else _ChainProposals(g, cfg)
+    rng = child_rng(cfg.seed, "sa" if chain is None else "esa")
     k = cfg.subset_size
     current = _uniform_subset(rng, g.n, k)
     f_cur = objective_value(g, cfg.objective, bitset(current))
     best, best_set = (f_cur, bitset(current)) if f_cur > 0 else (0, None)
     traj = [best]
-    evals = 1
+    starved = 0
+    tries = 0 if chain is None else cfg.retry_bound + 1
     temp = cfg.sa.initial_temperature
     for _ in range(cfg.iterations - 1):
         m = rng.randint(0, k - 1)
         keep = sorted(rng.sample(current, m))
-        fresh = propose(keep, k - m)
+        banned = set(keep)
+        need = k - m
+        fresh = None
+        for _ in range(tries):
+            bits = chain.draw(k)
+            if bits is None:
+                break
+            usable = [v for v in bits_to_tuple(bits) if v not in banned]
+            if len(usable) >= need:
+                fresh = (rng.sample(usable, need) if len(usable) > need
+                         else usable)
+                break
+        if fresh is None:
+            starved += chain is not None
+            fresh = rng.sample([v for v in range(g.n) if v not in banned],
+                               need)
         candidate = sorted(keep + fresh)
         f_new = objective_value(g, cfg.objective, bitset(candidate))
-        evals += 1
         if f_new > best:
             best, best_set = f_new, bitset(candidate)
         delta = float(f_new) - float(f_cur)
@@ -291,84 +290,15 @@ def _anneal(g: Graph, cfg: SolverConfig, propose, rng) -> tuple:
             current, f_cur = candidate, f_new
         temp *= cfg.sa.gamma
         traj.append(best)
-    return traj, best, best_set, evals
-
-
-def simulated_annealing(g: Graph, cfg: SolverConfig) -> TrialRecord:
-    """Metropolis search with uniform refreshes and geometric cooling."""
-    _validate(g, cfg, enhanced=False, need_sa=True)
-    if cfg.iterations == 0:
-        return TrialRecord("simulated_annealing", cfg, None, 0, (), 0, 0, 0,
-                           0.0)
-    t0 = time.perf_counter()
-    rng = child_rng(cfg.seed, "sa")
-
-    def refresh(keep, need):
-        banned = set(keep)
-        pool = [v for v in range(g.n) if v not in banned]
-        return rng.sample(pool, need)
-
-    traj, best, best_set, evals = _anneal(g, cfg, refresh, rng)
-    return TrialRecord("simulated_annealing", cfg, best_set, best,
-                       tuple(traj), evals, 0, 0, time.perf_counter() - t0)
-
-
-def enhanced_simulated_annealing(g: Graph, cfg: SolverConfig) -> TrialRecord:
-    """Annealing whose refreshed vertices come from chain proposals.
-
-    The chain supplies a k-subset; vertices colliding with the kept part
-    are discarded, the remainder is trimmed uniformly to the needed count.
-    Draws that starve or cannot supply enough non-overlapping vertices are
-    retried up to ``retry_bound`` times, then the iteration falls back to a
-    uniform refresh (counted in ``starvation_count``).
-    """
-    _validate(g, cfg, enhanced=True, need_sa=True)
-    if cfg.iterations == 0:
-        return TrialRecord("enhanced_simulated_annealing", cfg, None, 0, (),
-                           0, 0, 0, 0.0)
-    t0 = time.perf_counter()
-    rng = child_rng(cfg.seed, "esa")
-    chain = _ChainProposals(g, cfg)
-    starved = 0
-
-    def refresh(keep, need):
-        nonlocal starved
-        banned = set(keep)
-        for _ in range(cfg.retry_bound + 1):
-            bits = chain.draw(cfg.subset_size)
-            if bits is None:
-                break
-            usable = [v for v in bits_to_tuple(bits) if v not in banned]
-            if len(usable) >= need:
-                if len(usable) > need:
-                    usable = rng.sample(usable, need)
-                return sorted(usable)
-        starved += 1
-        pool = [v for v in range(g.n) if v not in banned]
-        return rng.sample(pool, need)
-
-    traj, best, best_set, evals = _anneal(g, cfg, refresh, rng)
-    return TrialRecord("enhanced_simulated_annealing", cfg, best_set, best,
-                       tuple(traj), evals, chain.stats.failures, starved,
-                       time.perf_counter() - t0)
-
-
-SOLVERS = {
-    "random_search": random_search,
-    "enhanced_random_search": enhanced_random_search,
-    "simulated_annealing": simulated_annealing,
-    "enhanced_simulated_annealing": enhanced_simulated_annealing,
-}
+    return _record("simulated_annealing", cfg, chain, best, best_set, traj,
+                   starved, t0)
 
 
 def solver_for(cfg: SolverConfig):
-    """Pick the solver a config describes: chain samplers run the enhanced
-    variant, an ``sa`` block selects annealing."""
-    enhanced = cfg.sampler != "uniform"
-    if cfg.sa is not None:
-        return (enhanced_simulated_annealing if enhanced
-                else simulated_annealing)
-    return enhanced_random_search if enhanced else random_search
+    """Pick the solver a config describes: an ``sa`` block selects
+    annealing, otherwise random search; either runs plain or
+    chain-enhanced by ``cfg.sampler``."""
+    return random_search if cfg.sa is None else simulated_annealing
 
 
 def advantage_at(g: Graph, cfg_pair, k: int, n_seeds: int = 1) -> tuple:

@@ -246,8 +246,8 @@ def test_pm_stationary_masses(k4, weighted_square):
     tilted = pm_stationary(weighted_square, weighted=True)
     g = weighted_square
     pms = [((0, 1), (2, 3)), ((0, 3), (1, 2))]
-    pm_weights = [Fraction(g.weight_of_pair(*a)) * g.weight_of_pair(*b)
-                  for a, b in pms]
+    pm_weights = [Fraction(g.weight(g.edge_index[a]))
+                  * g.weight(g.edge_index[b]) for a, b in pms]
     total = sum(Fraction(w) for w in g.weights) + sum(pm_weights)
     assert tilted.prob(pms[0]) == pm_weights[0] / total
     assert tilted.prob(pms[1]) == pm_weights[1] / total

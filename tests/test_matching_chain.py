@@ -80,7 +80,7 @@ def test_post_selection_returns_requested_size():
         snap, step = drive(g, Matching(g), 2, False, 4000, random.Random(5),
                            target_edges=2)
         assert snap is not None
-        assert Matching(g, snap).vertex_bitset().bit_count() == 4
+        assert Matching(g, snap).covered.bit_count() == 4
         assert 0 <= step <= 4000
 
 

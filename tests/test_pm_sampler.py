@@ -41,10 +41,9 @@ def pm_steps(g, m, steps, rng):
 def test_default_budget_formulas():
     assert default_inner_steps(6) == 6 ** 4
     assert default_inner_steps(1) == 16  # floor
-    assert default_inner_steps(6, c_mix=0.5) == math.ceil(0.5 * 6 ** 4)
     q = 3
     expect = math.ceil((2 + 4 * q * q) * math.log(2 / 0.01))
-    assert default_max_attempts(6, 0.01) == expect
+    assert default_max_attempts(6) == expect
 
 
 def test_config_overrides_win():
@@ -70,7 +69,8 @@ def test_chain_lives_on_perfect_and_near_perfect(seed):
 def test_sampler_rejects_non_perfect_initial():
     g = gen_graph(GraphSpec.of("complete", n=4))
     with pytest.raises(PMStateError):
-        sample_perfect_matching(g, PMSamplerConfig(), Matching(g))
+        sample_perfect_matching(g, PMSamplerConfig(), Matching(g),
+                                random.Random(0))
 
 
 def test_sampler_returns_perfect_matching():

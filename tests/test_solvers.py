@@ -13,8 +13,6 @@ from gbsmc.solvers import (
     SAParams,
     SolverConfig,
     SolverConfigError,
-    enhanced_random_search,
-    enhanced_simulated_annealing,
     objective_value,
     random_search,
     score_advantage,
@@ -64,20 +62,10 @@ def test_subset_size_must_fit_graph():
         random_search(complete(4), _rs_cfg(subset_size=0))
 
 
-def test_enhanced_requires_chain_sampler():
-    with pytest.raises(SolverConfigError, match="chain sampler"):
-        enhanced_random_search(complete(6), _rs_cfg(sampler="uniform"))
-
-
 def test_enhanced_requires_even_subset_even_for_density():
     cfg = _rs_cfg(objective="density", subset_size=3, sampler="glauber")
     with pytest.raises(SolverConfigError, match="even"):
-        enhanced_random_search(complete(6), cfg)
-
-
-def test_plain_rejects_chain_samplers():
-    with pytest.raises(SolverConfigError, match="uniform"):
-        random_search(complete(6), _rs_cfg(sampler="jerrum"))
+        random_search(complete(6), cfg)
 
 
 def test_annealing_parameter_validation():
@@ -97,13 +85,16 @@ def test_glauber_sampler_rejects_double_loop_config():
     cfg = _rs_cfg(sampler="glauber",
                   chain=DoubleLoopConfig(chain=ChainConfig(fugacity=1.0)))
     with pytest.raises(SolverConfigError, match="ChainConfig"):
-        enhanced_random_search(complete(6), cfg)
+        random_search(complete(6), cfg)
 
 
 def test_double_loop_sampler_rejects_other_configs():
-    cfg = _rs_cfg(sampler="double_loop", chain=SAParams())
-    with pytest.raises(SolverConfigError, match="DoubleLoopConfig"):
-        enhanced_random_search(complete(6), cfg)
+    from gbsmc.double_loop import DoubleLoopConfig
+    for chain in (SAParams(),
+                  DoubleLoopConfig(chain=ChainConfig(fugacity=1.0))):
+        cfg = _rs_cfg(sampler="double_loop", chain=chain)
+        with pytest.raises(SolverConfigError, match="takes a ChainConfig"):
+            random_search(complete(6), cfg)
 
 
 def test_drive_rejects_an_unknown_chain():
@@ -181,11 +172,15 @@ def test_identical_seeds_reproduce_the_whole_record():
 
 
 def test_zero_iteration_annealing_returns_empty_record():
-    record = simulated_annealing(
-        complete(6), _rs_cfg(iterations=0, sa=SAParams()))
-    assert record.evaluations == 0
-    assert record.score_trajectory == ()
-    assert record.best_set is None
+    for sampler, name in (("uniform", "simulated_annealing"),
+                          ("glauber", "enhanced_simulated_annealing")):
+        record = simulated_annealing(
+            complete(6), _rs_cfg(iterations=0, sa=SAParams(),
+                                 sampler=sampler))
+        assert record.algorithm == name
+        assert record.evaluations == 0
+        assert record.score_trajectory == ()
+        assert record.best_set is None
 
 
 def test_best_set_none_when_nothing_scores():
@@ -212,7 +207,7 @@ def test_starved_draws_fall_back_without_losing_budget():
     cfg = _rs_cfg(subset_size=4, iterations=12, sampler="glauber",
                   chain=ChainConfig(fugacity=1.0), mixing_steps=40,
                   retry_bound=1)
-    record = enhanced_random_search(g, cfg)
+    record = random_search(g, cfg)
     assert record.starvation_count == 12
     assert record.evaluations == 12
 
@@ -226,7 +221,7 @@ def test_plain_solvers_never_build_chain_machinery(monkeypatch):
     random_search(g, _rs_cfg(iterations=5))
     simulated_annealing(g, _rs_cfg(iterations=5, sa=SAParams()))
     with pytest.raises(AssertionError):
-        enhanced_random_search(
+        random_search(
             g, _rs_cfg(sampler="glauber", iterations=5))
 
 
@@ -254,7 +249,7 @@ def test_proposal_windows_go_through_the_module_attributes(monkeypatch):
     for sampler, name in (("glauber", "_drive_glauber"),
                           ("jerrum", "_drive_jerrum"),
                           ("double_loop", "_drive_double")):
-        enhanced_random_search(
+        random_search(
             g, _rs_cfg(iterations=5, sampler=sampler, mixing_steps=200,
                        chain=ChainConfig(fugacity=1.0)))
         assert calls[name]
@@ -293,18 +288,18 @@ def test_cold_restarts_run_and_reproduce():
     cfg = _rs_cfg(iterations=10, sampler="glauber",
                   chain=ChainConfig(fugacity=0.5), mixing_steps=50,
                   warm_start=False)
-    first = enhanced_random_search(g, cfg)
-    second = enhanced_random_search(g, cfg)
+    first = random_search(g, cfg)
+    second = random_search(g, cfg)
     assert first.evaluations == 10
     assert first.score_trajectory == second.score_trajectory
 
 
 def test_solver_for_mapping():
     assert solver_for(_rs_cfg()) is random_search
-    assert solver_for(_rs_cfg(sampler="glauber")) is enhanced_random_search
+    assert solver_for(_rs_cfg(sampler="glauber")) is random_search
     assert solver_for(_rs_cfg(sa=SAParams())) is simulated_annealing
     assert solver_for(_rs_cfg(sampler="double_loop", sa=SAParams())) \
-        is enhanced_simulated_annealing
+        is simulated_annealing
 
 
 # --- directional behaviour and ratios -------------------------------------
@@ -316,7 +311,7 @@ def test_enhanced_search_finds_the_planted_matching_rich_set():
     for seed in (0, 1, 2):
         plain = random_search(
             g, _rs_cfg(subset_size=6, iterations=80, seed=seed))
-        enh = enhanced_random_search(
+        enh = random_search(
             g, _rs_cfg(subset_size=6, iterations=80, seed=seed,
                        sampler="glauber", chain=ChainConfig(fugacity=lam),
                        mixing_steps=400))
