@@ -48,7 +48,7 @@ from .diagnostics import (LAW_KINDS, DistributionTable, OracleGuardError,
                           exit_time_experiment, geometric_fit, pm_stationary,
                           transition_kernel, tv_distance)
 from .double_loop import DoubleLoopConfig, InnerSamplerError, RejectionCapError
-from .glauber import ChainConfig, ChainConfigError
+from .glauber import ChainConfig, ChainConfigError, move_probabilities
 from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
                      Matching, gen_graph, load_edge_list, to_edge_list_text)
 from .pm_chain import PMSampleBudgetError, PMSamplerConfig, PMStateError
@@ -262,11 +262,18 @@ def _cmd_gen_graph(args) -> int:
 # sample
 # ---------------------------------------------------------------------------
 
-def _chain_config(fugacity, c, lazy=False) -> ChainConfig:
+def _chain_config(fugacity, c, lazy=False, chain=None) -> ChainConfig:
+    """A ChainConfig checked now, at fugacity 1 unless one is given;
+    ``lazy`` only where the move rule of ``chain`` has a lazy form."""
     cfg = ChainConfig(fugacity=fugacity, c=c, lazy=lazy)
     if cfg.fugacity is None and cfg.c is None:
         cfg = replace(cfg, fugacity=1.0)
-    cfg.resolved_fugacity()  # validate now
+    lam = cfg.resolved_fugacity()
+    if lazy:
+        try:
+            move_probabilities(chain, lam, lazy)
+        except ChainConfigError:
+            raise CliError(f"--lazy has no {_dashed(chain)} form") from None
     return cfg
 
 
@@ -286,38 +293,36 @@ def _sample_lines(g: Graph, args):
     (lines already written stay on disk).  The options are checked before
     the first line is asked for."""
     chain = args.chain.replace("-", "_")
-    cc = _chain_config(args.fugacity, args.c, args.lazy)
+    cc = _chain_config(args.fugacity, args.c, args.lazy, chain)
     target = -1
     k = args.post_select_k
     if k is not None:
         if k % 2:
             raise CliError(f"post-selection size {k} is odd")
         target = k // 2
-    lam = cc.resolved_fugacity()
     cfg = _double_loop_config(cc, args) if chain == "double_loop" else cc
 
     def lines():
         rng = child_rng(args.seed, "sample")
-        x = cc.make_initial(g)
+        x = Matching(g)
         memo = {}
-        at = 0
+        at = 0  # steps before the window
         if args.burn_in:
-            drive(chain, g, x, lam, cfg, args.burn_in, rng, haf_memo=memo,
+            drive(chain, g, x, cfg, args.burn_in, rng, haf_memo=memo,
                   target_edges=target)
             at = args.burn_in
         window = args.steps
         for _ in range(args.samples):
-            snap, snap_step = drive(chain, g, x, lam, cfg, window, rng,
-                                    haf_memo=memo, target_edges=target,
-                                    start_step=at)
-            at += window
+            snap, snap_step = drive(chain, g, x, cfg, window, rng,
+                                    haf_memo=memo, target_edges=target)
             if target < 0:
-                yield f"{at},0x{x.covered:x}\n"
+                yield f"{at + window},0x{x.covered:x}\n"
             elif snap is None:
                 raise CliError(f"no size-{k} state in a {window}-step window",
                                EXIT_STARVATION)
             else:
-                yield f"{snap_step},0x{Matching(g, snap).covered:x}\n"
+                yield f"{at + snap_step},0x{Matching(g, snap).covered:x}\n"
+            at += window
     return lines()
 
 
@@ -341,56 +346,80 @@ _ALG_NAMES = {"rs": "random_search", "ers": "enhanced_random_search",
               "esa": "enhanced_simulated_annealing"}
 
 
+# solve options (dests) that only the enhanced algorithms read, and those
+# that only annealing reads; solve's defaults are None, for "not given"
+_CHAIN_DESTS = ("sampler", "fugacity", "c", "mixing_steps", "retry_bound",
+                "cold_restart")
+_ANNEAL_DESTS = ("t0", "gamma")
+
+
+def _given(**values) -> dict:
+    return {key: v for key, v in values.items() if v is not None}
+
+
 def _solver_config(args) -> tuple:
-    """(algorithm name, base SolverConfig) from the solve options."""
+    """(algorithm name, base SolverConfig) from the solve options; a flag
+    the algorithm does not read is refused."""
     alg = _ALG_NAMES.get(args.alg, args.alg)
     enhanced = alg.startswith("enhanced")
-    sampler = args.sampler.replace("-", "_") if enhanced else "uniform"
+    anneal = alg.endswith("simulated_annealing")
+    unread = [("--lambda" if dest == "fugacity" else _dashed("--" + dest))
+              for dest in (() if enhanced else _CHAIN_DESTS)
+              + (() if anneal else _ANNEAL_DESTS)
+              if getattr(args, dest) is not None]
+    if unread:
+        raise CliError(f"--alg {args.alg} does not use {', '.join(unread)}")
+    sampler = (args.sampler or "double-loop").replace("-", "_") \
+        if enhanced else "uniform"
     chain = _chain_config(args.fugacity, args.c) if enhanced else None
     sa = None
-    if alg.endswith("simulated_annealing"):
-        sa = SAParams(initial_temperature=args.t0, gamma=args.gamma)
-    cfg = SolverConfig(objective=args.objective, subset_size=args.k,
-                       iterations=args.iterations, sampler=sampler,
-                       chain=chain, sa=sa, mixing_steps=args.mixing_steps,
-                       retry_bound=args.retry_bound,
-                       warm_start=not args.cold_restart)
+    if anneal:
+        sa = SAParams(**_given(initial_temperature=args.t0, gamma=args.gamma))
+    cfg = SolverConfig(
+        objective=args.objective, subset_size=args.k,
+        iterations=args.iterations, sampler=sampler, chain=chain, sa=sa,
+        **_given(mixing_steps=args.mixing_steps, retry_bound=args.retry_bound,
+                 warm_start=False if args.cold_restart else None))
     return alg, cfg
 
 
-def _solver_cfg_payload(alg: str, cfg: SolverConfig) -> dict:
-    payload = {"algorithm": alg, "objective": cfg.objective,
-               "subset_size": cfg.subset_size, "iterations": cfg.iterations,
-               "sampler": cfg.sampler, "mixing_steps": cfg.mixing_steps,
-               "retry_bound": cfg.retry_bound, "warm_start": cfg.warm_start}
+def _solver_fields(cfg: SolverConfig) -> dict:
+    """What records.txt says of a SolverConfig, in its order: the chain
+    fields for an enhanced run, the schedule for annealing."""
+    fields = {"objective": cfg.objective, "subset_size": cfg.subset_size,
+              "iterations": cfg.iterations, "sampler": cfg.sampler}
     if cfg.chain is not None:
-        payload["fugacity"] = str(cfg.chain.resolved_fugacity())
+        fields.update(fugacity=cfg.chain.resolved_fugacity(),
+                      mixing_steps=cfg.mixing_steps,
+                      warm_start=cfg.warm_start)
     if cfg.sa is not None:
-        payload["initial_temperature"] = cfg.sa.initial_temperature
-        payload["gamma"] = cfg.sa.gamma
+        fields.update(initial_temperature=cfg.sa.initial_temperature,
+                      gamma=cfg.sa.gamma)
+    return fields
+
+
+def _solver_cfg_payload(alg: str, cfg: SolverConfig) -> dict:
+    """The config hash's options: the record's fields, with the fugacity as
+    a string, and the chain budgets of plain runs too."""
+    payload = {"algorithm": alg, "mixing_steps": cfg.mixing_steps,
+               "retry_bound": cfg.retry_bound, "warm_start": cfg.warm_start,
+               **_solver_fields(cfg)}
+    if cfg.chain is not None:
+        payload["fugacity"] = str(payload["fugacity"])
     return payload
 
 
 def _record_block(rec, trial_seed, chash) -> str:
     """One trial of records.txt, in the manifest's "key: value" format."""
-    cfg = rec.config
-    trial = {"algorithm": rec.algorithm, "config_hash": chash,
-             "seed": trial_seed, "objective": cfg.objective,
-             "subset_size": cfg.subset_size, "iterations": cfg.iterations,
-             "sampler": cfg.sampler}
-    if cfg.chain is not None:
-        trial.update(fugacity=cfg.chain.resolved_fugacity(),
-                     mixing_steps=cfg.mixing_steps, warm_start=cfg.warm_start)
-    if cfg.sa is not None:
-        trial.update(initial_temperature=cfg.sa.initial_temperature,
-                     gamma=cfg.sa.gamma)
     best_vertices = rec.best_vertices()
-    trial.update(best_score=rec.best_score,
-                 best_vertices=(" ".join(map(str, best_vertices))
-                                if best_vertices else "-"),
-                 evaluations=rec.evaluations,
-                 starvation_count=rec.starvation_count,
-                 inner_failure_count=rec.inner_failures)
+    trial = {"algorithm": rec.algorithm, "config_hash": chash,
+             "seed": trial_seed, **_solver_fields(rec.config),
+             "best_score": rec.best_score,
+             "best_vertices": (" ".join(map(str, best_vertices))
+                               if best_vertices else "-"),
+             "evaluations": rec.evaluations,
+             "starvation_count": rec.starvation_count,
+             "inner_failure_count": rec.inner_failures}
     return "\n".join(_manifest_lines({"trial": trial})) + "\n"
 
 
@@ -441,9 +470,8 @@ _BALANCE_LAWS = {"glauber": "matching_single", "jerrum": "matching_single",
 def _cmd_verify_balance(args) -> int:
     g, _ = _graph_from_args(args)
     dynamics = args.dynamics.replace("-", "_")
-    if args.lazy and dynamics not in ("glauber", "jerrum"):
-        raise CliError(f"--lazy has no {args.dynamics} kernel; "
-                       "it applies to glauber and jerrum")
+    lam = _chain_config(args.fugacity, args.c, args.lazy,
+                        dynamics).resolved_fugacity()
     if dynamics.startswith("pm"):
         law = pm_stationary(g, weighted=dynamics.endswith("weighted"))
         violation = check_detailed_balance(g, dynamics, law)
@@ -451,7 +479,6 @@ def _cmd_verify_balance(args) -> int:
         if dynamics == "double_loop" and g.weighted:
             raise CliError("this graph carries weights; "
                            "use --dynamics double-loop-weighted")
-        lam = _chain_config(args.fugacity, args.c).resolved_fugacity()
         law = exact_stationary(g, lam, _BALANCE_LAWS[dynamics])
         kernel = transition_kernel(g, dynamics, lam=lam, lazy=args.lazy)
         violation = check_detailed_balance(g, kernel, law)
@@ -464,23 +491,21 @@ def _cmd_verify_balance(args) -> int:
 def _cmd_verify_law(args) -> int:
     g, _ = _graph_from_args(args)
     chain = args.dynamics.replace("-", "_")
-    cc = _chain_config(args.fugacity, args.c, args.lazy)
-    lam = cc.resolved_fugacity()
+    cc = _chain_config(args.fugacity, args.c, args.lazy, chain)
     law_name = args.law
     if law_name is None:
         law_name = ("vertexset_double" if chain == "double_loop"
                     else "matching_single")
-    exact = exact_stationary(g, lam, law_name)
+    exact = exact_stationary(g, cc.resolved_fugacity(), law_name)
     key_kind = ("vertexset" if law_name.startswith("vertexset")
                 else "matching")
     n_samples = args.samples
     thin = args.thin or max(1, g.m)  # default: one edge sweep apart
     burn = args.burn_in
     rng = child_rng(args.seed, "verify")
-    x = cc.make_initial(g)
     counts: Counter = Counter()
     cfg = _double_loop_config(cc, args) if chain == "double_loop" else cc
-    drive(chain, g, x, lam, cfg, burn + n_samples * thin, rng,
+    drive(chain, g, Matching(g), cfg, burn + n_samples * thin, rng,
           collect=counts, key_kind=key_kind, thin=thin, burn_in=burn)
     tv = float(tv_distance(DistributionTable.from_counts(counts), exact))
     ok = tv <= args.tol
@@ -1079,17 +1104,17 @@ def build_parser(parser_class=argparse.ArgumentParser
     p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--iters", dest="iterations", type=int, default=1000)
     p.add_argument("--sampler", choices=("glauber", "jerrum", "double-loop"),
-                   type=_dashed, default="double-loop")
+                   type=_dashed)  # default double-loop
     _add_fugacity_args(p)
-    p.add_argument("--mixing-steps", type=int, default=1000)
-    p.add_argument("--retry-bound", type=int, default=3)
+    p.add_argument("--mixing-steps", type=int)  # default 1000
+    p.add_argument("--retry-bound", type=int)  # default 3
     _add_anneal_args(p)
     p.add_argument("--seeds", type=int, default=1, help="seed-sweep size")
     p.add_argument("--seed", type=_seed_arg, default=0)
-    p.add_argument("--cold-restart", action="store_true",
+    p.add_argument("--cold-restart", action="store_true", default=None,
                    help="reset the proposal chain before every draw")
     p.add_argument("--out-dir", default="runs/solve")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_solve, gamma=None, t0=None)
 
     p = sub.add_parser("verify", help="exactness checks")
     vsub = p.add_subparsers(dest="check", required=True)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .graphs import (Graph, Matching, enumerate_matchings, hard_instance,
                      hard_instance_core_matching)
-from .glauber import ChainConfig
+from .glauber import ChainConfig, move_probabilities
 from .double_loop import DoubleLoopConfig, _drive_double
 from .hafnian import hafnian_bits, matching_weight
 from .seeds import child_rng
@@ -197,46 +197,42 @@ def transition_kernel(g: Graph, dynamics: str, lam=None, lazy=False) -> dict:
     """
     if dynamics not in KERNEL_KINDS:
         raise ValueError(f"unknown dynamics {dynamics!r}")
-    if lazy and dynamics not in ("glauber", "jerrum"):
-        raise ValueError(f"no lazy {dynamics} kernel; lazy applies to "
-                         "glauber and jerrum")
     weighted = dynamics.endswith("weighted")
     if weighted and g.weighted and min(g.weights) < 1:
         raise ValueError("weighted chain needs all weights >= 1")
     w = [Fraction(g.weight(i) if weighted else 1) for i in range(g.m)]
     if dynamics.startswith("pm"):
+        if lazy:
+            raise ValueError(f"no lazy {dynamics} kernel; lazy applies to "
+                             "glauber and jerrum")
         states, q = _pm_states(g)
         return _local_kernel(g, states, 1,
                              lambda x, i: 1 / w[i] if len(x.idxs) == q else 0,
                              lambda i, j: min(1, w[i] / w[j]))
     if lam is None:
         raise ValueError(f"{dynamics} kernel needs a fugacity")
-    lamF = Fraction(lam)
-    states = enumerate_matchings(g)
-    half = Fraction(1, 2) if lazy else 1
-    if dynamics == "glauber":
-        return _local_kernel(g, states, half * lamF / (1 + lamF),
-                             lambda x, i: half / (1 + lamF), None)
-    if dynamics == "jerrum":
-        return _local_kernel(g, states, half * min(1, lamF),
-                             lambda x, i: half * min(1, 1 / lamF),
-                             lambda i, j: half)
-    # the double loop with its inner draw marginalized exactly: a removal
-    # passes the 1/(1+lambda^2) gate, the 1/w_e^2 coin and the draw, where
-    # Pr[e in E] = w_e Haf(G_{V(X)} - {u,v}) / Haf(G_{V(X)})
-    lam2 = lamF * lamF
-    gh = Graph(g.n, g.edges) if (g.weighted and not weighted) else g
-    memo = {}
+    chain = "double_loop" if dynamics.startswith("double") else dynamics
+    p_add, p_rem, p_slide = move_probabilities(chain, Fraction(lam), lazy)
+    if chain == "double_loop":
+        # the inner draw marginalized exactly: a removal passes the gate
+        # p_rem, the 1/w_e^2 coin and the draw, where
+        # Pr[e in E] = w_e Haf(G_{V(X)} - {u,v}) / Haf(G_{V(X)})
+        gh = Graph(g.n, g.edges) if (g.weighted and not weighted) else g
+        memo = {}
 
-    def haf(bits):
-        val = hafnian_bits(gh, bits, memo)
-        return Fraction(val) if not isinstance(val, float) else val
+        def haf(bits):
+            val = hafnian_bits(gh, bits, memo)
+            return Fraction(val) if not isinstance(val, float) else val
 
-    def p_rem(x, i):
-        return (haf(x.covered & ~g.edge_bits[i]) / haf(x.covered)
-                / (1 + lam2) / w[i])
+        def remove(x, i):
+            return (haf(x.covered & ~g.edge_bits[i]) / haf(x.covered)
+                    * p_rem / w[i])
+    else:
+        def remove(x, i):
+            return p_rem
 
-    return _local_kernel(g, states, lam2 / (1 + lam2), p_rem, None)
+    return _local_kernel(g, enumerate_matchings(g), p_add, remove,
+                         lambda i, j: p_slide)
 
 
 def _local_kernel(g: Graph, states, p_add, p_rem, p_slide) -> dict:
@@ -245,8 +241,8 @@ def _local_kernel(g: Graph, states, p_add, p_rem, p_slide) -> dict:
     A step picks edge i uniformly.  If it joins two free vertices it is
     added with probability ``p_add``; if it is in X it is removed with
     probability ``p_rem(x, i)``; if exactly one end is blocked, by edge j,
-    it slides in for j with probability ``p_slide(i, j)`` (``None``: the
-    chain has no slides).  Anything else holds.
+    it slides in for j with probability ``p_slide(i, j)``.  Anything else
+    holds.
     """
     per_edge = Fraction(1, g.m or 1)  # with no edge every row holds
     eindex = g.edge_index
@@ -260,7 +256,7 @@ def _local_kernel(g: Graph, states, p_add, p_rem, p_slide) -> dict:
                 p, flip = p_add, {i}
             elif pu == v:
                 p, flip = p_rem(x, i), {i}
-            elif (pu == -1 or pv == -1) and p_slide is not None:
+            elif pu == -1 or pv == -1:
                 a, z = (v, pv) if pu == -1 else (u, pu)
                 j = eindex[(a, z) if a < z else (z, a)]
                 p, flip = p_slide(i, j), {i, j}
@@ -342,14 +338,13 @@ def mixing_curve(g: Graph, cfg, law: DistributionTable, checkpoints,
         chain_cfg = cfg
         if dynamics == "double_loop":
             raise ValueError("double-loop diagnostics need a DoubleLoopConfig")
-    lam = chain_cfg.resolved_fugacity()
     counts = {t: Counter() for t in checkpoints}
     for rep in range(replicas):
         rng = child_rng(chain_cfg.seed, f"rep{rep}")
-        x = chain_cfg.make_initial(g)
+        x = Matching(g)
         here = 0
         for t in checkpoints:
-            drive(dynamics, g, x, lam, cfg, t - here, rng)
+            drive(dynamics, g, x, cfg, t - here, rng)
             here = t
             key = x.covered if key_kind == "vertexset" \
                 else _matching_key(g, x.idxs)

@@ -28,9 +28,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import Graph, bits_to_tuple
+from .graphs import Graph, Matching, bits_to_tuple
 from .glauber import (ChainConfig, ChainConfigError, _drive_glauber,
-                      _run_add_remove)
+                      _run_add_remove, move_probabilities)
 from .hafnian import hafnian_bits
 from .pm_chain import PMSamplerConfig, _run_restricted
 from .seeds import derive_seed
@@ -94,14 +94,16 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
     The outer walk is the add/remove loop at fugacity lambda^2, so a removal
     candidate has already passed the 1/(1+lambda^2) gate coin; the 1/w^2
     coin (weighted graphs) and then the inner draw decide whether it moves.
+    A lazy ``cfg.chain`` raises ChainConfigError.
     """
+    p_add, p_gate, _ = map(float, move_probabilities(
+        "double_loop", float(lam), cfg.chain.lazy))
     if g.weighted and min(g.weights) < 1:
         raise ChainConfigError("weighted double loop needs all weights >= 1; "
                                "normalize_weights() first")
     adj = g.adj
     eindex = g.edge_index
     rnd = rng.random
-    lam2 = float(lam) * float(lam)
     wf = [float(w) for w in g.weights] if g.weighted else None
     exact_inner = cfg.inner == "exact"
     pm_cfg = cfg.pm
@@ -139,14 +141,14 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
         if got is None:
             stats.failures += 1
             if abort:
-                raise InnerSamplerError(f"inner budget exhausted at step {t}")
+                raise InnerSamplerError(
+                    f"inner budget exhausted at step {t} of the window")
             # "stay" refuses the removal; "fallback" stands in X itself (a
             # perfect matching of V(X) that contains the proposed edge).
             return fallback
         return i in got
 
-    return _run_add_remove(g, x, lam2 / (1.0 + lam2), 1.0 / (1.0 + lam2),
-                           steps, rng, in_inner, **kw)
+    return _run_add_remove(g, x, p_add, p_gate, steps, rng, in_inner, **kw)
 
 
 def vertex_set_histogram(g: Graph, cfg: DoubleLoopConfig, n_samples: int,
@@ -154,7 +156,7 @@ def vertex_set_histogram(g: Graph, cfg: DoubleLoopConfig, n_samples: int,
     """Counter of vertex-set bitsets visited by one long outer run
     (every ``thin``-th state after ``burn_in``), plus inner stats."""
     rng = random.Random(cfg.chain.seed)
-    x = cfg.chain.make_initial(g)
+    x = Matching(g)
     counts: Counter = Counter()
     stats = InnerStats()
     _drive_double(g, x, cfg.chain.resolved_fugacity(), cfg,
@@ -176,8 +178,8 @@ def rejection_sample_stream(g: Graph, cfg: ChainConfig, *, max_rounds: int,
         round_steps = max(1, cfg.steps)
     rng_a = random.Random(derive_seed(cfg.seed, "reject-a"))
     rng_b = random.Random(derive_seed(cfg.seed, "reject-b"))
-    xa = cfg.make_initial(g)
-    xb = cfg.make_initial(g)
+    xa = Matching(g)
+    xb = Matching(g)
     _drive_glauber(g, xa, lam, cfg.lazy, cfg.steps, rng_a)
     _drive_glauber(g, xb, lam, cfg.lazy, cfg.steps, rng_b)
     produced = 0

@@ -1,14 +1,10 @@
 """Single-loop Glauber dynamics over matchings, and Jerrum's variant.
 
 Both chains walk the set of matchings of a host graph and leave the
-monomer-dimer law mu(X) proportional to lambda^|X| invariant:
-
-* ``glauber``: pick an edge uniformly; if it can be added, add it with
-  probability lambda/(1+lambda); if it is currently in the matching, remove
-  it with probability 1/(1+lambda); otherwise hold.
-* ``jerrum``: pick an edge uniformly; propose add / remove / slide (replace
-  the conflicting edge when exactly one endpoint is blocked); accept with
-  the Metropolis probability min(1, lambda^(size change)).
+monomer-dimer law mu(X) proportional to lambda^|X| invariant.  A step
+picks an edge uniformly and then adds, removes or (jerrum only) slides it
+in, with the probabilities of :func:`move_probabilities`: heat-bath coins
+for glauber, Metropolis coins for jerrum.
 
 With the rescaling lambda = c^2 the vertex-set marginal of mu is
 Pr[S] proportional to c^|S| * Haf(S), which is what makes these chains
@@ -24,6 +20,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from math import log, log1p
 
 from .graphs import Graph, Matching
@@ -39,15 +36,13 @@ class ChainConfig:
 
     Exactly one of ``fugacity`` (lambda) or ``c`` must pin down the fugacity;
     when ``c`` is given, lambda = c*c exactly (give c as int/Fraction to keep
-    exact arithmetic downstream).  ``initial`` may be a Matching or an
-    iterable of (u, v) pairs; the default empty matching is always valid.
+    exact arithmetic downstream).  Every run starts from the empty matching.
     """
     fugacity: object = None
     c: object = None
     steps: int = 0
     seed: object = 0
     lazy: bool = False
-    initial: object = None
 
     def resolved_fugacity(self):
         if self.c is not None:
@@ -63,12 +58,28 @@ class ChainConfig:
             raise ChainConfigError(f"fugacity must be positive, got {lam}")
         return lam
 
-    def make_initial(self, g: Graph) -> Matching:
-        if self.initial is None:
-            return Matching(g)
-        if isinstance(self.initial, Matching):
-            return Matching(g, self.initial.idxs)
-        return Matching.from_pairs(g, self.initial)
+
+def move_probabilities(chain, lam, lazy=False):
+    """``(p_add, p_rem, p_slide)`` of one pick-an-edge step of ``chain``,
+    for the drivers and the exact kernels alike.  The double loop is
+    glauber at lambda^2; its p_rem is the removal gate, before the 1/w^2
+    coin and the inner draw.  ``lazy`` halves every move, for glauber and
+    jerrum only.  Exact for a Fraction lambda; floats or exact constants
+    for a float lambda."""
+    if chain == "glauber":
+        moves = lam / (1 + lam), 1 / (1 + lam), 0
+    elif chain == "jerrum":
+        moves = min(1, lam), min(1, 1 / lam), 1
+    elif chain == "double_loop":
+        if lazy:
+            raise ChainConfigError("the double loop has no lazy form; "
+                                   "lazy applies to glauber and jerrum")
+        lam2 = lam * lam
+        return lam2 / (1 + lam2), 1 / (1 + lam2), 0
+    else:
+        raise ChainConfigError(f"unknown chain {chain!r}; use 'glauber', "
+                               "'jerrum' or 'double_loop'")
+    return tuple(Fraction(1, 2) * p for p in moves) if lazy else moves
 
 
 def _candidate_counts(g, x):
@@ -91,7 +102,7 @@ def _candidate_counts(g, x):
 
 def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                     p_slide=0.0, target_edges=-1, collect=None,
-                    key_kind="matching", thin=0, burn_in=0, start_step=0):
+                    key_kind="matching", thin=0, burn_in=0):
     """Advance ``x`` in place by ``steps`` steps of the add/remove/slide
     chain.
 
@@ -116,7 +127,8 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     Tracks the most recent state of ``target_edges`` edges (post-selection)
     and fills ``collect`` (a Counter) with state keys every ``thin`` steps
     once past ``burn_in``; a hold adds one count per sample point in it.
-    Returns ``(post_snapshot, post_step)``.
+    Returns ``(post_snapshot, post_step)``, the step counted from the
+    window's start.
     """
     m = g.m
     edges = g.edges
@@ -130,11 +142,11 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     xs = sorted(idxs)  # the edges of X, as a list for uniform picks
     addable, slides = _candidate_counts(g, x)
     thin = max(1, thin)
-    base = max(start_step, burn_in)  # sample points: base + thin*j, j >= 1
-    taken = 0                        # sample points before the current hold
-    end = start_step + steps
+    base = burn_in  # sample points: base + thin*j, j >= 1
+    taken = 0       # sample points before the current hold
+    end = steps
     snap, snap_step = None, None
-    t = start_step                   # X is the state from step t on
+    t = 0           # X is the state from step t on
     while True:
         p_out = len(xs) * p_rem
         p_sl = slides * p_slide
@@ -253,15 +265,14 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
 def _drive_glauber(g, x, lam, lazy, steps, rng, **kw):
     """Run ``steps`` Glauber steps, mutating ``x`` in place; the keyword
     options and the result are :func:`_run_add_remove`'s."""
-    lam = float(lam)
-    scale = 0.5 if lazy else 1.0
-    return _run_add_remove(g, x, scale * lam / (1.0 + lam),
-                           scale / (1.0 + lam), steps, rng, **kw)
+    p_add, p_rem, _ = map(float, move_probabilities("glauber", float(lam),
+                                                     lazy))
+    return _run_add_remove(g, x, p_add, p_rem, steps, rng, **kw)
 
 
 def _drive_jerrum(g, x, lam, lazy, steps, rng,
                   target_edges=-1, collect=None, key_kind="matching",
-                  thin=0, burn_in=0, start_step=0):
+                  thin=0, burn_in=0):
     """Jerrum-style counterpart of :func:`_drive_glauber` (same contract).
 
     The add/remove/slide event loop runs the window when its start state
@@ -273,26 +284,18 @@ def _drive_jerrum(g, x, lam, lazy, steps, rng,
     draw from the same kernel.
     """
     m = g.m
-    lam = float(lam)
-    p_add = min(1.0, lam)
-    p_rem = min(1.0, 1.0 / lam)
-    p_slide = 1.0
-    if lazy:
-        p_add *= 0.5
-        p_rem *= 0.5
-        p_slide = 0.5
+    p_add, p_rem, p_slide = map(float, move_probabilities(
+        "jerrum", float(lam), lazy))
     addable, slides = _candidate_counts(g, x)
     rate = addable * p_add + len(x.idxs) * p_rem + slides * p_slide
     if 8 * rate < m or not m:
         return _run_add_remove(g, x, p_add, p_rem, steps, rng,
                                p_slide=p_slide, target_edges=target_edges,
                                collect=collect, key_kind=key_kind, thin=thin,
-                               burn_in=burn_in, start_step=start_step)
+                               burn_in=burn_in)
     snap, snap_step = None, None
     if target_edges >= 0 and len(x.idxs) == target_edges:
-        snap, snap_step = tuple(x.idxs), start_step
-    if steps == 0:
-        return snap, snap_step
+        snap, snap_step = tuple(x.idxs), 0
     edges = g.edges
     ebits = g.edge_bits
     eindex = g.edge_index
@@ -303,7 +306,7 @@ def _drive_jerrum(g, x, lam, lazy, steps, rng,
     countdown = thin if collect is not None else -1
     vertex_keys = key_kind == "vertexset"
 
-    for t in range(start_step + 1, start_step + steps + 1):
+    for t in range(1, steps + 1):
         r = rnd()
         i = int(r * m)
         if i == m:
@@ -369,7 +372,7 @@ def sample_states(g: Graph, cfg: ChainConfig, *, dynamics="glauber",
         raise ChainConfigError(
             f"unknown dynamics {dynamics!r}; use 'glauber' or 'jerrum'")
     rng = random.Random(cfg.seed)
-    x = cfg.make_initial(g)
+    x = Matching(g)
     counts: Counter = Counter()
     total = burn_in + n_samples * thin
     run(g, x, cfg.resolved_fugacity(), cfg.lazy, total, rng,

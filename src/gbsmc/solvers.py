@@ -24,7 +24,7 @@ from typing import Optional
 
 from .graphs import Graph, Matching, bitset, bits_to_tuple
 from .glauber import (ChainConfig, ChainConfigError, _drive_glauber,
-                      _drive_jerrum)
+                      _drive_jerrum, move_probabilities)
 from .double_loop import DoubleLoopConfig, InnerStats, _drive_double
 from .pm_chain import PMSamplerConfig
 from .hafnian import count_induced_edges, hafnian_bits
@@ -112,13 +112,13 @@ def _validate(g: Graph, cfg: SolverConfig):
             "chain samplers need an even subset size")
 
 
-def drive(chain, g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
+def drive(chain, g, x, cfg, steps, rng, *, stats=None, haf_memo=None,
           **window):
     """Advance ``x`` in place by ``steps`` steps of ``chain`` (``"glauber"``,
-    ``"jerrum"`` or ``"double_loop"``) at fugacity ``lam``; returns the
-    window's latest post-selected state and its step, as
-    :func:`~gbsmc.glauber._run_add_remove` does, whose options ``window``
-    holds.
+    ``"jerrum"`` or ``"double_loop"``) at the fugacity ``cfg`` resolves to;
+    returns the window's latest post-selected state and its step, counted
+    from the window's start, as :func:`~gbsmc.glauber._run_add_remove`
+    does, whose options ``window`` holds.
 
     ``cfg`` is the chain's ChainConfig, or for the double loop its
     DoubleLoopConfig; ``stats`` and ``haf_memo`` go to the double loop only.
@@ -128,12 +128,14 @@ def drive(chain, g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
     sees every window.
     """
     if chain == "glauber":
-        return _drive_glauber(g, x, lam, cfg.lazy, steps, rng, **window)
+        return _drive_glauber(g, x, cfg.resolved_fugacity(), cfg.lazy, steps,
+                              rng, **window)
     if chain == "jerrum":
-        return _drive_jerrum(g, x, lam, cfg.lazy, steps, rng, **window)
+        return _drive_jerrum(g, x, cfg.resolved_fugacity(), cfg.lazy, steps,
+                             rng, **window)
     if chain == "double_loop":
-        return _drive_double(g, x, lam, cfg, steps, rng, stats=stats,
-                             haf_memo=haf_memo, **window)
+        return _drive_double(g, x, cfg.chain.resolved_fugacity(), cfg, steps,
+                             rng, stats=stats, haf_memo=haf_memo, **window)
     raise ChainConfigError(f"unknown chain {chain!r}; use 'glauber', "
                            "'jerrum' or 'double_loop'")
 
@@ -142,8 +144,8 @@ class _ChainProposals:
     """Post-selected k-subset proposals from a persistent chain.
 
     One instance per trial; the chain state and RNG stream persist across
-    draws when ``warm_start`` (the default), or reset to the configured
-    initial state before every draw otherwise.
+    draws when ``warm_start`` (the default), or the chain restarts from the
+    empty matching before every draw otherwise.
     """
 
     def __init__(self, g: Graph, cfg: SolverConfig):
@@ -168,20 +170,20 @@ class _ChainProposals:
                                  max_attempts=2)
             self.chain = DoubleLoopConfig(chain=base, pm=pm,
                                           on_inner_failure="fallback")
-        self.lam = base.resolved_fugacity()
-        self.start = base.make_initial(g)
-        self.x = Matching(g, self.start.idxs)
+        # a bad fugacity or a lazy double loop fails before the first draw
+        move_probabilities(cfg.sampler, base.resolved_fugacity(), base.lazy)
+        self.x = Matching(g)
 
     def draw(self, k_vertices: int):
         """Vertex bitset of the latest size-k state, or None on starvation
         (``retry_bound`` extra windows exhausted)."""
         if not self.cfg.warm_start:
-            self.x = Matching(self.g, self.start.idxs)
+            self.x = Matching(self.g)
         target = k_vertices // 2
         for _ in range(self.cfg.retry_bound + 1):
-            snap, _ = drive(self.cfg.sampler, self.g, self.x, self.lam,
-                            self.chain, self.cfg.mixing_steps, self.rng,
-                            stats=self.stats, target_edges=target)
+            snap, _ = drive(self.cfg.sampler, self.g, self.x, self.chain,
+                            self.cfg.mixing_steps, self.rng, stats=self.stats,
+                            target_edges=target)
             if snap is not None:
                 return Matching(self.g, snap).covered
         return None

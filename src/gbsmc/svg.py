@@ -7,8 +7,8 @@ byte-identical files, which the benchmark harness relies on when it
 re-renders plots from persisted CSVs.
 
 Two figure kinds cover everything the benchmarks emit: multi-series line
-plots (optionally with shaded confidence bands, optionally log-scaled) and
-histograms with an optional overlay curve.
+plots (optionally with shaded confidence bands) and histograms with an
+optional overlay curve.  Every figure is 720 by 460 pixels.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from xml.sax.saxutils import escape
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
+_WIDTH = 720.0
+_HEIGHT = 460.0
 _MARGIN_LEFT = 68.0
 _MARGIN_RIGHT = 18.0
 _MARGIN_TOP = 34.0
@@ -34,7 +36,6 @@ class Series:
     xs: tuple
     ys: tuple
     band: Optional[tuple] = None
-    color: Optional[str] = None
 
 
 def _fmt(v: float) -> str:
@@ -65,46 +66,29 @@ def _nice_ticks(lo: float, hi: float, target: int = 5):
     return ticks
 
 
-def _log_ticks(lo: float, hi: float):
-    lo_e = math.floor(math.log10(lo))
-    hi_e = math.ceil(math.log10(hi))
-    return [10.0 ** e for e in range(lo_e, hi_e + 1)
-            if lo / 1.001 <= 10.0 ** e <= hi * 1.001]
-
-
 class _Frame:
     """Data-to-pixel transform plus the shared axes/grid/labels chrome."""
 
-    def __init__(self, width, height, x_range, y_range, x_log, y_log):
-        self.w, self.h = float(width), float(height)
-        self.x_log, self.y_log = x_log, y_log
+    def __init__(self, x_range, y_range):
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
         self.px0 = _MARGIN_LEFT
-        self.px1 = self.w - _MARGIN_RIGHT
-        self.py0 = self.h - _MARGIN_BOTTOM
+        self.px1 = _WIDTH - _MARGIN_RIGHT
+        self.py0 = _HEIGHT - _MARGIN_BOTTOM
         self.py1 = _MARGIN_TOP
 
     def tx(self, v: float) -> float:
         a, b = self.x0, self.x1
-        if self.x_log:
-            v, a, b = math.log10(v), math.log10(a), math.log10(b)
         return self.px0 + (v - a) / (b - a) * (self.px1 - self.px0)
 
     def ty(self, v: float) -> float:
         a, b = self.y0, self.y1
-        if self.y_log:
-            v, a, b = math.log10(v), math.log10(a), math.log10(b)
         return self.py0 + (v - a) / (b - a) * (self.py1 - self.py0)
 
     def chrome(self, title, x_label, y_label) -> list:
-        out = [f'<rect width="{_fmt(self.w)}" height="{_fmt(self.h)}" '
+        out = [f'<rect width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" '
                'fill="#ffffff"/>']
-        x_ticks = (_log_ticks(self.x0, self.x1) if self.x_log
-                   else _nice_ticks(self.x0, self.x1))
-        y_ticks = (_log_ticks(self.y0, self.y1) if self.y_log
-                   else _nice_ticks(self.y0, self.y1))
-        for v in x_ticks:
+        for v in _nice_ticks(self.x0, self.x1):
             px = self.tx(v)
             out.append(f'<line x1="{_coord(px)}" y1="{_coord(self.py0)}" '
                        f'x2="{_coord(px)}" y2="{_coord(self.py1)}" '
@@ -112,7 +96,7 @@ class _Frame:
             out.append(f'<text x="{_coord(px)}" y="{_coord(self.py0 + 16)}" '
                        'font-size="11" text-anchor="middle" '
                        f'fill="#333333">{_fmt(v)}</text>')
-        for v in y_ticks:
+        for v in _nice_ticks(self.y0, self.y1):
             py = self.ty(v)
             out.append(f'<line x1="{_coord(self.px0)}" y1="{_coord(py)}" '
                        f'x2="{_coord(self.px1)}" y2="{_coord(py)}" '
@@ -125,12 +109,12 @@ class _Frame:
                    f'height="{_coord(self.py0 - self.py1)}" fill="none" '
                    'stroke="#444444" stroke-width="1"/>')
         if title:
-            out.append(f'<text x="{_coord(self.w / 2)}" y="20" '
+            out.append(f'<text x="{_coord(_WIDTH / 2)}" y="20" '
                        'font-size="14" text-anchor="middle" '
                        f'fill="#000000">{escape(title)}</text>')
         if x_label:
             out.append(f'<text x="{_coord((self.px0 + self.px1) / 2)}" '
-                       f'y="{_coord(self.h - 12)}" font-size="12" '
+                       f'y="{_coord(_HEIGHT - 12)}" font-size="12" '
                        f'text-anchor="middle" fill="#000000">'
                        f'{escape(x_label)}</text>')
         if y_label:
@@ -159,7 +143,7 @@ def _finite(values):
     return [v for v in values if not (math.isinf(v) or math.isnan(v))]
 
 
-def _data_ranges(series, x_log, y_log):
+def _data_ranges(series):
     xs, ys = [], []
     for s in series:
         xs.extend(_finite([float(v) for v in s.xs]))
@@ -172,43 +156,32 @@ def _data_ranges(series, x_log, y_log):
         xs = [0.0, 1.0]
     if not ys:
         ys = [0.0, 1.0]
-    if x_log:
-        xs = [v for v in xs if v > 0] or [0.1, 1.0]
-    if y_log:
-        ys = [v for v in ys if v > 0] or [0.1, 1.0]
 
-    def padded(vals, log):
+    def padded(vals):
         lo, hi = min(vals), max(vals)
-        if log:
-            if hi <= lo:
-                return lo / 2 or 0.1, (hi or 0.2) * 2
-            return lo / 1.15, hi * 1.15
         if hi <= lo:
             return lo - 0.5, hi + 0.5
         pad = (hi - lo) * 0.05
         return lo - pad, hi + pad
 
-    return padded(xs, x_log), padded(ys, y_log)
+    return padded(xs), padded(ys)
 
 
-def _document(width, height, body) -> str:
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-            f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} '
-            f'{_fmt(height)}">')
+def _document(body) -> str:
+    w, h = _fmt(_WIDTH), _fmt(_HEIGHT)
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
+            f'height="{h}" viewBox="0 0 {w} {h}">')
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
 def line_plot(series: Sequence[Series], *, title: str = "",
-              x_label: str = "", y_label: str = "", width: int = 720,
-              height: int = 460, x_log: bool = False,
-              y_log: bool = False) -> str:
+              x_label: str = "", y_label: str = "") -> str:
     """Render curves (with optional confidence bands) to an SVG string."""
-    x_range, y_range = _data_ranges(series, x_log, y_log)
-    frame = _Frame(width, height, x_range, y_range, x_log, y_log)
+    frame = _Frame(*_data_ranges(series))
     body = frame.chrome(title, x_label, y_label)
     entries = []
     for i, s in enumerate(series):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         entries.append((s.label, color))
         pts = [(float(x), float(y)) for x, y in zip(s.xs, s.ys)
                if not (math.isinf(float(y)) or math.isnan(float(y)))]
@@ -229,13 +202,12 @@ def line_plot(series: Sequence[Series], *, title: str = "",
             body.append(f'<polyline points="{path}" fill="none" '
                         f'stroke="{color}" stroke-width="1.8"/>')
     body.extend(frame.legend(entries))
-    return _document(width, height, body)
+    return _document(body)
 
 
 def histogram_plot(bin_edges: Sequence[float], counts: Sequence[float], *,
                    overlay: Optional[Series] = None, title: str = "",
-                   x_label: str = "", y_label: str = "count",
-                   width: int = 720, height: int = 460) -> str:
+                   x_label: str = "", y_label: str = "count") -> str:
     """Render pre-binned counts as bars, with an optional overlay curve
     (e.g. an expected frequency line) sharing the axes."""
     if len(bin_edges) != len(counts) + 1:
@@ -247,8 +219,7 @@ def histogram_plot(bin_edges: Sequence[float], counts: Sequence[float], *,
     if not x_hi > x_lo:
         x_hi = x_lo + 1.0
     y_hi = max(ys) if ys else 1.0
-    frame = _Frame(width, height, (x_lo, x_hi), (0.0, y_hi * 1.08 or 1.0),
-                   False, False)
+    frame = _Frame((x_lo, x_hi), (0.0, y_hi * 1.08 or 1.0))
     body = frame.chrome(title, x_label, y_label)
     color = PALETTE[0]
     base = frame.ty(0.0)
@@ -264,7 +235,7 @@ def histogram_plot(bin_edges: Sequence[float], counts: Sequence[float], *,
                     'fill-opacity="0.75"/>')
     entries = [("observed", color)]
     if overlay is not None:
-        ocolor = overlay.color or PALETTE[1]
+        ocolor = PALETTE[1]
         pts = " ".join(
             f"{_coord(frame.tx(float(x)))},{_coord(frame.ty(float(y)))}"
             for x, y in zip(overlay.xs, overlay.ys))
@@ -272,4 +243,4 @@ def histogram_plot(bin_edges: Sequence[float], counts: Sequence[float], *,
                     f'stroke="{ocolor}" stroke-width="1.8"/>')
         entries.append((overlay.label, ocolor))
     body.extend(frame.legend(entries))
-    return _document(width, height, body)
+    return _document(body)

@@ -138,6 +138,30 @@ def test_solve_enhanced_chain_sampler(tmp_path, capsys):
     assert "starved=" in capsys.readouterr().out
 
 
+def test_solve_refuses_chain_flags_a_plain_algorithm_ignores(tmp_path,
+                                                              capsys):
+    for alg in ("rs", "sa"):
+        assert run("solve", "--gen", "complete", "--n", 8, "--alg", alg,
+                   "--k", 4, "--iters", 5, "--sampler", "jerrum",
+                   "--lambda", "1/5", "--mixing-steps", 7, "--retry-bound", 1,
+                   "--cold-restart",
+                   "--out-dir", tmp_path / alg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        for flag in ("--sampler", "--lambda", "--mixing-steps",
+                     "--retry-bound", "--cold-restart"):
+            assert flag in err
+        assert not (tmp_path / alg).exists()
+
+
+def test_solve_refuses_anneal_flags_random_search_ignores(tmp_path, capsys):
+    for alg in ("rs", "ers"):
+        assert run("solve", "--gen", "complete", "--n", 8, "--alg", alg,
+                   "--k", 4, "--iters", 5, "--gamma", 0.5, "--t0", 3,
+                   "--out-dir", tmp_path / alg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--gamma" in err and "--t0" in err
+
+
 def test_solve_odd_hafnian_subset_is_config_error(tmp_path, capsys):
     assert run("solve", "--gen", "complete", "--n", 8, "--alg", "rs",
                "--k", 3, "--iters", 5,
@@ -207,6 +231,18 @@ def test_verify_balance_lazy_without_a_lazy_kernel_is_config_error(
                "--dynamics", dynamics, "--lambda", "3/2",
                "--lazy") == EXIT_CONFIG
     assert "--lazy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [("sample", "--chain"),
+                                     ("verify", "law", "--dynamics")],
+                         ids=["sample", "verify-law"])
+def test_lazy_double_loop_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "states.txt"
+    flags = ("--out", out) if command[0] == "sample" else ()
+    assert run(*command, "double-loop", "--gen", "complete", "--n", 4,
+               "--lambda", 1, "--lazy", *flags) == EXIT_CONFIG
+    assert "--lazy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_law_passes_with_a_modest_sample_budget(capsys):

@@ -125,11 +125,12 @@ def test_double_loop_post_selected_window_reports_a_step_inside_it():
     seen = 0
     for w in range(200):
         snap, step = _drive_double(g, x, 0.7, cfg, 30, rng, target_edges=2,
-                                   start_step=30 * w, haf_memo=memo)
+                                   haf_memo=memo)
         if snap is None:
             assert step is None and len(x) != 2
             continue
         seen += 1
+        step += 30 * w  # the steps before the window, as gbsmc sample adds
         assert len(Matching(g, snap)) == 2
         assert 30 * w <= step <= 30 * w + 30
         if len(x) == 2:
@@ -172,6 +173,13 @@ def test_stay_policy_counts_failures_and_continues():
     counts, stats = vertex_set_histogram(g, cfg, n_samples=3000)
     assert stats.failures > 0
     assert sum(counts.values()) == 3000
+
+
+def test_lazy_double_loop_is_refused():
+    g = gen_graph(GraphSpec.of("complete", n=4))
+    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=1.0, lazy=True))
+    with pytest.raises(ChainConfigError, match="lazy"):
+        vertex_set_histogram(g, cfg, n_samples=10)
 
 
 def test_weighted_graph_requires_normalized_weights():

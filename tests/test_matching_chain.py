@@ -16,6 +16,7 @@ from gbsmc.glauber import (
     _drive_glauber,
     _drive_jerrum,
     _run_add_remove,
+    move_probabilities,
     sample_states,
 )
 from gbsmc.graphs import GraphSpec, Matching, gen_graph
@@ -94,10 +95,26 @@ def test_post_selection_miss_is_explicit():
 
 def test_initial_state_from_pairs():
     g = gen_graph(GraphSpec.of("complete", n=6))
-    cfg = ChainConfig(fugacity=1, initial=[(0, 1), (2, 3)])
-    x = cfg.make_initial(g)
+    x = Matching.from_pairs(g, [(0, 1), (2, 3)])
     _drive_glauber(g, x, 1, False, 0, random.Random(0))
     assert sorted(x.pairs()) == [(0, 1), (2, 3)]
+
+
+@pytest.mark.parametrize("chain", ["glauber", "jerrum", "double_loop"])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_move_probabilities_are_exact_for_a_fraction(chain, lazy):
+    """One rule for both kinds of fugacity: exact for a Fraction, and the
+    same numbers as floats; jerrum's rule exceeds 1 nowhere."""
+    if chain == "double_loop" and lazy:
+        with pytest.raises(ChainConfigError, match="lazy"):
+            move_probabilities(chain, Fraction(1, 4), lazy)
+        return
+    for lam in (Fraction(1, 4), Fraction(3, 2)):
+        exact = move_probabilities(chain, lam, lazy)
+        assert all(isinstance(p, (int, Fraction)) for p in exact)
+        assert all(0 <= p <= 1 for p in exact)
+        floats = move_probabilities(chain, float(lam), lazy)
+        assert [float(p) for p in floats] == [float(p) for p in exact]
 
 
 def test_sample_states_counts_and_thinning():
@@ -153,8 +170,7 @@ def test_jerrum_event_loop_follows_the_exact_kernel_powers(family, n, lazy):
     sparse graphs at lambda = 1/4: X_T against rows of P^T."""
     g = gen_graph(GraphSpec.of(family, n=n))
     lam = Fraction(1, 4)
-    scale = 0.5 if lazy else 1.0
-    p_add, p_rem, p_slide = scale * float(lam), scale, scale
+    p_add, p_rem, p_slide = map(float, move_probabilities("jerrum", lam, lazy))
     starts = ((), ((0, 1),), ((0, 1), (2, 3)))
     sparse = 0
     for start in starts:
@@ -190,17 +206,20 @@ def test_sparse_jerrum_windows_run_on_the_event_loop(monkeypatch):
 
 @pytest.mark.parametrize("start_step", [0, 40])
 def test_post_selected_window_reports_a_step_inside_it(start_step):
+    """The step is counted from the window's start; ``gbsmc sample`` adds
+    the steps before the window, as here."""
     g = gen_graph(GraphSpec.of("complete", n=8))
     rng = random.Random(start_step)
     x = Matching(g)
     seen = 0
     for _ in range(200):
         snap, step = _drive_glauber(g, x, 0.5, False, 30, rng,
-                                    target_edges=2, start_step=start_step)
+                                    target_edges=2)
         if snap is None:
             assert step is None and len(x) != 2
             continue
         seen += 1
+        step += start_step
         assert len(snap) == 2 and len(Matching(g, snap)) == 2
         assert start_step <= step <= start_step + 30
         if len(x) == 2:

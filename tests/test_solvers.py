@@ -100,8 +100,15 @@ def test_double_loop_sampler_rejects_other_configs():
 def test_drive_rejects_an_unknown_chain():
     g = complete(4)
     with pytest.raises(ChainConfigError, match="'double_loop'"):
-        solvers.drive("metropolis", g, Matching(g), 1.0,
+        solvers.drive("metropolis", g, Matching(g),
                       ChainConfig(fugacity=1.0), 10, None)
+
+
+def test_lazy_double_loop_sampler_is_refused():
+    cfg = _rs_cfg(sampler="double_loop",
+                  chain=ChainConfig(fugacity=1.0, lazy=True))
+    with pytest.raises(ChainConfigError, match="lazy"):
+        random_search(complete(6), cfg)
 
 
 # --- objective scoring ----------------------------------------------------
