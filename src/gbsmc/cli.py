@@ -277,12 +277,26 @@ def _chain_config(fugacity, c, lazy=False, chain=None) -> ChainConfig:
     return cfg
 
 
-def _double_loop_config(chain_cfg: ChainConfig, args) -> DoubleLoopConfig:
+# inner-sampler options (dests), read by the double loop only; their
+# defaults are None, for "not given"
+_INNER_DESTS = ("inner", "inner_steps", "max_attempts", "on_inner_failure")
+
+
+def _window_config(chain: str, chain_cfg: ChainConfig, args):
+    """The config a window of ``chain`` runs on: a DoubleLoopConfig for the
+    double loop, else ``chain_cfg``, refusing the inner-sampler flags."""
+    if chain != "double_loop":
+        unread = [_dashed("--" + dest) for dest in _INNER_DESTS
+                  if getattr(args, dest) is not None]
+        if unread:
+            raise CliError(f"{_dashed(chain)} does not use "
+                           f"{', '.join(unread)}")
+        return chain_cfg
     return DoubleLoopConfig(
         chain=chain_cfg,
         pm=PMSamplerConfig(inner_steps=args.inner_steps,
                            max_attempts=args.max_attempts),
-        on_inner_failure=args.on_inner_failure, inner=args.inner)
+        **_given(on_inner_failure=args.on_inner_failure, inner=args.inner))
 
 
 def _sample_lines(g: Graph, args):
@@ -300,7 +314,7 @@ def _sample_lines(g: Graph, args):
         if k % 2:
             raise CliError(f"post-selection size {k} is odd")
         target = k // 2
-    cfg = _double_loop_config(cc, args) if chain == "double_loop" else cc
+    cfg = _window_config(chain, cc, args)
 
     def lines():
         rng = child_rng(args.seed, "sample")
@@ -470,12 +484,18 @@ _BALANCE_LAWS = {"glauber": "matching_single", "jerrum": "matching_single",
 def _cmd_verify_balance(args) -> int:
     g, _ = _graph_from_args(args)
     dynamics = args.dynamics.replace("-", "_")
-    lam = _chain_config(args.fugacity, args.c, args.lazy,
-                        dynamics).resolved_fugacity()
     if dynamics.startswith("pm"):
+        unread = [flag for flag, given in (
+            ("--lambda", args.fugacity is not None),
+            ("--c", args.c is not None), ("--lazy", args.lazy)) if given]
+        if unread:
+            raise CliError(f"--dynamics {args.dynamics} does not use "
+                           f"{', '.join(unread)}")
         law = pm_stationary(g, weighted=dynamics.endswith("weighted"))
         violation = check_detailed_balance(g, dynamics, law)
     else:
+        lam = _chain_config(args.fugacity, args.c, args.lazy,
+                            dynamics).resolved_fugacity()
         if dynamics == "double_loop" and g.weighted:
             raise CliError("this graph carries weights; "
                            "use --dynamics double-loop-weighted")
@@ -504,7 +524,7 @@ def _cmd_verify_law(args) -> int:
     burn = args.burn_in
     rng = child_rng(args.seed, "verify")
     counts: Counter = Counter()
-    cfg = _double_loop_config(cc, args) if chain == "double_loop" else cc
+    cfg = _window_config(chain, cc, args)
     drive(chain, g, Matching(g), cfg, burn + n_samples * thin, rng,
           collect=counts, key_kind=key_kind, thin=thin, burn_in=burn)
     tv = float(tv_distance(DistributionTable.from_counts(counts), exact))
@@ -1045,15 +1065,15 @@ def _add_fugacity_args(p):
 
 
 def _add_inner_args(p):
-    p.add_argument("--inner", choices=("chain", "exact"), default="chain",
-                   help="inner perfect-matching sampler (double loop)")
-    p.add_argument("--inner-steps", type=int, default=None,
+    """The double loop's inner-sampler flags; other chains refuse them."""
+    p.add_argument("--inner", choices=("chain", "exact"),
+                   help="inner perfect-matching sampler (default chain)")
+    p.add_argument("--inner-steps", type=int,
                    help="inner chain steps per attempt")
-    p.add_argument("--max-attempts", type=int, default=None,
+    p.add_argument("--max-attempts", type=int,
                    help="inner chain attempts before giving up")
-    p.add_argument("--on-inner-failure",
-                   choices=("stay", "abort", "fallback"), default="stay",
-                   help="policy when the inner budget runs out")
+    p.add_argument("--on-inner-failure", choices=("stay", "abort", "fallback"),
+                   help="policy when the inner budget runs out (default stay)")
 
 
 def _add_anneal_args(p):

@@ -28,7 +28,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import Graph, Matching, bits_to_tuple
+from .graphs import Graph, Matching
 from .glauber import (ChainConfig, ChainConfigError, _drive_glauber,
                       _run_add_remove, move_probabilities)
 from .hafnian import hafnian_bits
@@ -101,8 +101,6 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
     if g.weighted and min(g.weights) < 1:
         raise ChainConfigError("weighted double loop needs all weights >= 1; "
                                "normalize_weights() first")
-    adj = g.adj
-    eindex = g.edge_index
     rnd = rng.random
     wf = [float(w) for w in g.weights] if g.weighted else None
     exact_inner = cfg.inner == "exact"
@@ -113,6 +111,7 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
         stats = InnerStats()
     if haf_memo is None:
         haf_memo = {}
+    tables = {}  # the window's inner-chain tables; see _run_restricted
 
     def in_inner(i, t):
         """Whether the gated removal of edge i goes ahead."""
@@ -131,13 +130,10 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
                 ratio *= wf[i]
             return rnd() < ratio
         stats.calls += 1
-        # edges inside V(X), in index order
-        pool = [eindex[(a, z)] for a in bits_to_tuple(covered)
-                for z in bits_to_tuple(adj[a] & covered) if z > a]
         nv = 2 * len(idxs)
-        got = _run_restricted(g, covered, pool, idxs, pm_cfg.steps_for(nv),
-                              pm_cfg.attempts_for(nv), rng,
-                              weighted=wf is not None)
+        got = _run_restricted(g, covered, idxs, pm_cfg.steps_for(nv),
+                              pm_cfg.attempts_for(nv), rng, wf is not None,
+                              tables)
         if got is None:
             stats.failures += 1
             if abort:

@@ -88,3 +88,19 @@ def check_kernel_powers(g, kernel, advance, starts, label, runs=10_000):
             tv = naive_tv({k: v / runs for k, v in counts.items()},
                           {k: float(v) for k, v in row.items()})
             assert tv <= bound, (label, start, steps, tv, bound)
+
+
+def spy_table_builds(monkeypatch):
+    """Record every inner-chain transition table built from now on, as a
+    list of (vertex set, table) pairs."""
+    from gbsmc import pm_chain
+
+    built = []
+
+    class Spy(pm_chain._PMTable):
+        def __init__(self, g, vbits):
+            super().__init__(g, vbits)
+            built.append((vbits, self))
+
+    monkeypatch.setattr(pm_chain, "_PMTable", Spy)
+    return built

@@ -245,6 +245,31 @@ def test_lazy_double_loop_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [("sample", "--chain"),
+                                     ("verify", "law", "--dynamics")],
+                         ids=["sample", "verify-law"])
+def test_inner_flags_without_the_double_loop_are_config_errors(
+        tmp_path, capsys, command):
+    out = tmp_path / "states.txt"
+    flags = ("--out", out) if command[0] == "sample" else ()
+    for chain in ("glauber", "jerrum"):
+        for flag, value in (("--inner", "exact"), ("--inner-steps", 3),
+                            ("--max-attempts", 1),
+                            ("--on-inner-failure", "abort")):
+            assert run(*command, chain, "--gen", "complete", "--n", 4,
+                       flag, value, *flags) == EXIT_CONFIG
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("dynamics", ["pm", "pm-weighted"])
+def test_verify_balance_pm_refuses_a_fugacity(capsys, dynamics):
+    for flag, value in (("--lambda", "3/2"), ("--c", "1/2")):
+        assert run("verify", "balance", "--gen", "complete", "--n", 4,
+                   "--dynamics", dynamics, flag, value) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+
+
 def test_verify_law_passes_with_a_modest_sample_budget(capsys):
     assert run("verify", "law", "--gen", "complete", "--n", 4,
                "--dynamics", "glauber", "--lambda", 1,

@@ -22,7 +22,7 @@ from gbsmc.glauber import ChainConfig, ChainConfigError
 from gbsmc.graphs import Graph, GraphSpec, Matching, gen_graph
 from gbsmc.pm_chain import PMSamplerConfig
 
-from conftest import check_kernel_powers
+from conftest import check_kernel_powers, spy_table_builds
 from oracles import naive_hafnian_subset, naive_tv
 
 
@@ -180,6 +180,27 @@ def test_lazy_double_loop_is_refused():
     cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=1.0, lazy=True))
     with pytest.raises(ChainConfigError, match="lazy"):
         vertex_set_histogram(g, cfg, n_samples=10)
+
+
+def test_a_window_builds_one_table_per_vertex_set(k6, monkeypatch):
+    """A K6 window at c = 1/2 builds at most one inner-chain table per
+    V(X), each with at most K6's 60 states; a weighted window builds
+    none."""
+    built = spy_table_builds(monkeypatch)
+    cfg = DoubleLoopConfig(chain=ChainConfig(c=0.5, seed=7))
+    _, stats = vertex_set_histogram(k6, cfg, n_samples=2500, thin=k6.m,
+                                    burn_in=1000)
+    sets = [vbits for vbits, _ in built]
+    assert sets and len(set(sets)) == len(sets)
+    assert all(len(table.keys) <= 60 for _, table in built)
+    assert stats.calls > 10 * len(sets)
+    del built[:]
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
+              weights=[1, 2, 3, Fraction(5, 2), 1])
+    _, stats = vertex_set_histogram(
+        g, DoubleLoopConfig(chain=ChainConfig(fugacity=1.0, seed=2)),
+        n_samples=500, thin=g.m)
+    assert stats.calls and not built
 
 
 def test_weighted_graph_requires_normalized_weights():

@@ -16,9 +16,12 @@ from gbsmc.pm_chain import (
     PMSamplerConfig,
     PMStateError,
     default_inner_steps,
+    _PMTable,
     _pm_walk,
+    _run_restricted,
     default_max_attempts,
     sample_perfect_matching,
+    table_transitions,
 )
 
 from conftest import check_kernel_powers
@@ -163,7 +166,8 @@ def test_weighted_chain_requires_normalized_weights():
 @pytest.mark.parametrize("name", ["k4", "k33", "weighted_square"])
 def test_pm_steps_follow_the_exact_kernel_powers(name, request):
     """X_T from a perfect and a near-perfect start, T = 1, 2, 5, against
-    rows of P^T, on the step loop the samplers' restricted runs walk."""
+    rows of P^T, on the step loop the samplers' restricted runs walk and,
+    unweighted, on the transition table the double loop walks."""
     g = request.getfixturevalue(name)
     perfect = enumerate_perfect_matchings(g)[-1].pairs()
     starts = (perfect, perfect[1:])
@@ -171,3 +175,77 @@ def test_pm_steps_follow_the_exact_kernel_powers(name, request):
     check_kernel_powers(
         g, kernel, lambda x, steps, rng: pm_steps(g, x, steps, rng), starts,
         label=f"pm/{name}")
+    if g.weighted:
+        return
+    table = _PMTable(g, g.full_bits)
+
+    def on_table(x, steps, rng):
+        end = Matching(g, table.keys[table.walk(table.state(x.idxs), steps,
+                                                1, rng)])
+        x.idxs, x.covered, x.partner = end.idxs, end.covered, end.partner
+
+    check_kernel_powers(g, kernel, on_table, starts, label=f"pm/{name}/table")
+
+
+def _er12_set():
+    """An ER(12, 1/2) graph, the vertex set of a 4-edge matching of it, and
+    that matching."""
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=12, p=0.5), seed=4)
+    x = Matching(g)
+    for i, bits in enumerate(g.edge_bits):
+        if not x.covered & bits and len(x.idxs) < 4:
+            x.add(i)
+    return g, x.covered, x.idxs
+
+
+@pytest.mark.parametrize("name", ["k4", "k6", "k33", "er12"])
+def test_table_walk_draws_what_the_step_loop_draws(name, request):
+    """A run of draws, each from the last one's matching, with and without
+    a table: the same results, successes and budget run-outs alike, and the
+    same random draws consumed."""
+    if name == "er12":
+        g, vbits, start = _er12_set()
+    else:
+        g = request.getfixturevalue(name)
+        vbits, start = g.full_bits, enumerate_perfect_matchings(g)[0].idxs
+    loop_rng, table_rng = random.Random(name), random.Random(name)
+    tables = {vbits: table_transitions(len(start))}
+    outcomes = Counter()
+    for t in range(300):
+        steps, attempts = (1, 2, 3, 8, 40)[t % 5], 1 + t % 3
+        want = _run_restricted(g, vbits, start, steps, attempts, loop_rng,
+                               False)
+        got = _run_restricted(g, vbits, start, steps, attempts, table_rng,
+                              False, tables)
+        assert got == want
+        assert loop_rng.getstate() == table_rng.getstate()
+        outcomes[want is None] += 1
+        if want is not None:
+            start = want
+    assert isinstance(tables[vbits], _PMTable)
+    assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_the_table_of_k2q_holds_every_perfect_and_near_perfect_matching(q):
+    """Built from one perfect matching, K_2q's table lists all of them and
+    every near-perfect one, and has table_transitions(q) transitions; a
+    start it holds adds nothing."""
+    g = gen_graph(GraphSpec.of("complete", n=2 * q))
+    table = _PMTable(g, g.full_bits)
+    assert not table.keys
+    pms = enumerate_perfect_matchings(g)
+    first = table.state(pms[0].idxs)  # a start the table lacks
+    assert table.keys[first] == frozenset(pms[0].idxs)
+    perfect = sum(len(key) == q for key in table.keys)
+    assert perfect == len(pms)
+    assert len(table.keys) - perfect == g.m * len(
+        enumerate_perfect_matchings(gen_graph(
+            GraphSpec.of("complete", n=2 * q - 2))))
+    assert len(table.rows) * g.m == table_transitions(q)
+    assert all(len(row) == g.m + 1 and row[-1] == row[-2]
+               for row in table.rows)
+    for pm in pms:
+        assert table.keys[table.state(pm.idxs)] == frozenset(pm.idxs)
+    assert len(table.rows) == len(table.keys)
+    assert table_transitions(q) == {2: 54, 3: 900, 4: 14_700}[q]

@@ -20,6 +20,7 @@ from gbsmc.solvers import (
     solver_for,
 )
 
+from conftest import spy_table_builds
 from oracles import naive_hafnian_subset
 
 
@@ -263,6 +264,19 @@ def test_proposal_windows_go_through_the_module_attributes(monkeypatch):
         assert all(type(args[4]) is int and args[4] == 200
                    for args in calls[name])
     assert calls["_run_restricted"]
+
+
+def test_search_grade_double_loop_builds_no_large_table(monkeypatch):
+    """On G(256, 0.4) at k = 8, a table of 10 or more vertices waits for
+    at least 255,150 steps walked on its set in one window, which the
+    search-grade draws of 2 x 1,024 steps do not reach: none is built."""
+    built = spy_table_builds(monkeypatch)
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=256, p=0.4), seed=1)
+    rec = random_search(g, _rs_cfg(
+        subset_size=8, iterations=200, sampler="double_loop",
+        mixing_steps=1000, chain=ChainConfig(fugacity=math.sqrt(4 / g.m))))
+    assert rec.evaluations == 200
+    assert all(vbits.bit_count() < 10 for vbits, _ in built)
 
 
 def test_objectives_go_through_the_module_attributes(monkeypatch):
