@@ -163,21 +163,23 @@ def vertex_set_histogram(g: Graph, cfg: DoubleLoopConfig, n_samples: int,
 
 
 def rejection_sample_stream(g: Graph, cfg: ChainConfig, *, max_rounds: int,
-                            round_steps=None, limit=None):
+                            burn_in: int = 0, round_steps=None, limit=None):
     """Yield accepted vertex-set bitsets, at most ``limit`` of them.
 
-    ``max_rounds`` caps the comparisons spent per accepted sample;
-    exceeding it raises :class:`RejectionCapError`.
+    Both chains first run ``burn_in`` steps; each round then runs
+    ``round_steps`` (default ``max(1, burn_in)``).  ``max_rounds`` caps the
+    comparisons spent per accepted sample; exceeding it raises
+    :class:`RejectionCapError`.
     """
     lam = cfg.resolved_fugacity()
     if round_steps is None:
-        round_steps = max(1, cfg.steps)
+        round_steps = max(1, burn_in)
     rng_a = random.Random(derive_seed(cfg.seed, "reject-a"))
     rng_b = random.Random(derive_seed(cfg.seed, "reject-b"))
     xa = Matching(g)
     xb = Matching(g)
-    _drive_glauber(g, xa, lam, cfg.lazy, cfg.steps, rng_a)
-    _drive_glauber(g, xb, lam, cfg.lazy, cfg.steps, rng_b)
+    _drive_glauber(g, xa, lam, cfg.lazy, burn_in, rng_a)
+    _drive_glauber(g, xb, lam, cfg.lazy, burn_in, rng_b)
     produced = 0
     while limit is None or produced < limit:
         for _ in range(max_rounds):

@@ -40,7 +40,6 @@ class ChainConfig:
     """
     fugacity: object = None
     c: object = None
-    steps: int = 0
     seed: object = 0
     lazy: bool = False
 

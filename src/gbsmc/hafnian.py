@@ -6,9 +6,21 @@ matchings of the product of edge weights.  Everything here is computed by
 recursive branch-and-sum: repeatedly pair the lowest-indexed uncovered
 vertex with each of its uncovered neighbors.  That exploits sparsity, yields
 exact integers (Python ints never overflow) or exact Fractions, and doubles
-as the enumerator; the hafnian memoises every sub-set it sums.  Fine up to
-~32-vertex subgraphs, which covers every hafnian evaluation in the benchmark
-experiments.
+as the enumerator; the hafnian memoises every sub-set it sums.
+
+Which vertex is "lowest" is an elimination order, and host labels are
+arbitrary.  A sub-set the recursion reaches has lost the first i vertices
+of the order and some of their partners, which all lie on the *frontier*:
+the vertices not yet ordered that neighbour an ordered one.  So there are
+at most 2^|frontier| sub-sets per i.  A one-shot unweighted hafnian of
+``RELABEL_MIN`` or more vertices therefore first relabels the set 0..k-1
+in a static order that keeps the frontier small (:func:`_frontier_adj`),
+then runs the same recursion on adjacency ints of k bits instead of n.
+Memos kept by a caller, weighted graphs (whose float sums would change in
+the last bits) and the enumerator stay in host order.
+
+Fine up to ~32-vertex subgraphs, which covers every hafnian evaluation in
+the benchmark experiments.
 """
 
 from __future__ import annotations
@@ -57,17 +69,50 @@ def _haf(adj, wmap, bits, memo):
     return total
 
 
+# One-shot unweighted hafnians of at least this many vertices are
+# relabelled.  Measured on ER(256, 0.4) subsets: relabelling costs more than
+# it saves at 10 vertices and less at 12.
+RELABEL_MIN = 12
+
+
+def _frontier_adj(adj, bits):
+    """Adjacency of the subgraph induced by ``bits``, relabelled 0..k-1 in
+    a static elimination order: vertex i is the one that leaves the fewest
+    vertices on the frontier once it is ordered, ties going to the lowest
+    host label.  The first is therefore a vertex of minimum degree."""
+    left = list(bits_to_tuple(bits))
+    order = []
+    rest = bits      # not yet ordered
+    front = 0        # not yet ordered, with an ordered neighbour
+    while left:
+        v = min(left, key=lambda u: (
+            (front | adj[u]) & (rest ^ 1 << u)).bit_count())
+        left.remove(v)
+        order.append(v)
+        rest ^= 1 << v
+        front = (front | adj[v]) & rest
+    local = {v: 1 << i for i, v in enumerate(order)}
+    return [sum(local[u] for u in bits_to_tuple(adj[v] & bits))
+            for v in order]
+
+
 def hafnian_bits(g: Graph, uncovered: int, memo=None):
     """Hafnian of the subgraph of ``g`` induced by the ``uncovered`` bitset.
 
-    Works directly on the host graph's labels (no relabeling), so chains can
-    evaluate hafnians of their current vertex set cheaply.  Sub-results are
-    memoised by uncovered bitset in a dict of the call's own, or in ``memo``
-    if the caller keeps one for repeated evaluations on one graph.
+    With a ``memo`` kept by the caller for repeated evaluations on one graph,
+    sub-results are memoised in it keyed by host-label bitset, so calls share
+    them.  Without one, the call memoises in a dict of its own; a set of
+    ``RELABEL_MIN`` or more vertices of an unweighted graph is first
+    relabelled in a frontier-minimising order (module docstring), which
+    changes the work but not the exact integer result.
     """
-    if uncovered.bit_count() & 1:
+    size = uncovered.bit_count()
+    if size & 1:
         return 0
     if memo is None:
+        if size >= RELABEL_MIN and not g.weighted:
+            return _haf(_frontier_adj(g.adj, uncovered), None,
+                        (1 << size) - 1, {})
         memo = {}
     elif len(memo) > MEMO_LIMIT:
         memo.clear()
@@ -87,7 +132,9 @@ def hafnian(g: Graph, s=None):
 
 def perfect_matchings_bits(g: Graph, uncovered: int, cap: int = 2_000_000):
     """All perfect matchings of the induced subgraph, as lists of edge
-    indices of the *host* graph.  Same recursion as :func:`hafnian_bits`."""
+    indices of the *host* graph.  Always in host order (the recursion that
+    :func:`hafnian_bits` runs with a caller's memo), so the output order
+    does not depend on the set's size."""
     if uncovered.bit_count() & 1:
         return []
     adj = g.adj

@@ -158,10 +158,9 @@ def test_acceptance_5_rejection_double_loop_agreement(verdict):
     k6 = complete(6)
     t0 = time.perf_counter()
     rejected = Counter()
-    stream = rejection_sample_stream(k6, ChainConfig(c=0.5, steps=120,
-                                                     seed=5),
-                                     max_rounds=10_000, round_steps=40,
-                                     limit=100_000)
+    stream = rejection_sample_stream(k6, ChainConfig(c=0.5, seed=5),
+                                     max_rounds=10_000, burn_in=120,
+                                     round_steps=40, limit=100_000)
     for bits in stream:
         rejected[bits] += 1
     dl_cfg = DoubleLoopConfig(chain=ChainConfig(c=0.5, seed=9),

@@ -282,7 +282,7 @@ def test_rejection_sampler_matches_double_loop_law():
     g = gen_graph(GraphSpec.of("complete", n=6))
     lam = 0.25  # c = 0.5; rejection chains run at fugacity c
     stream = rejection_sample_stream(
-        g, ChainConfig(c=0.5, steps=120, seed=44), max_rounds=10_000,
+        g, ChainConfig(c=0.5, seed=44), max_rounds=10_000, burn_in=120,
         round_steps=40, limit=20_000)
     counts = Counter(stream)
     n = sum(counts.values())
@@ -294,12 +294,12 @@ def test_rejection_cap_error():
     g = gen_graph(GraphSpec.of("complete", n=8))
     with pytest.raises(RejectionCapError):
         next(rejection_sample_stream(
-            g, ChainConfig(fugacity=1.0, steps=3, seed=1), max_rounds=0))
+            g, ChainConfig(fugacity=1.0, seed=1), max_rounds=0, burn_in=3))
 
 
 def test_rejection_sample_returns_single_bitset():
     g = gen_graph(GraphSpec.of("complete", n=4))
-    [bits] = rejection_sample_stream(g, ChainConfig(c=0.5, steps=200, seed=8),
-                                     max_rounds=5000, limit=1)
+    [bits] = rejection_sample_stream(g, ChainConfig(c=0.5, seed=8),
+                                     max_rounds=5000, burn_in=200, limit=1)
     assert 0 <= bits <= g.full_bits
     assert bits.bit_count() % 2 == 0

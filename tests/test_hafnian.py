@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import gbsmc
 from gbsmc import hafnian as hafnian_module
-from gbsmc.graphs import Graph, GraphSpec, bitset, gen_graph, hard_instance
+from gbsmc.graphs import (Graph, GraphSpec, bitset, complete_bipartite,
+                          decreasing_degree, gen_graph, hard_instance,
+                          planted_clique)
 from gbsmc.hafnian import (
     count_induced_edges,
     density,
@@ -95,6 +97,105 @@ def test_dense_subset_matches_naive_recursion(weighted, seed):
     subset = rng.sample(range(32), 12)
     assert hafnian_bits(g, bitset(subset)) == naive_hafnian_subset(
         32, g.edges, subset, weights)
+
+
+def _crossover_cases():
+    """(graph, subset) params on both sides of ``RELABEL_MIN``."""
+    cases = []
+    for p in (0.3, 0.5, 0.8):
+        g = gen_graph(GraphSpec.of("erdos_renyi", n=40, p=p), seed=f"x{p}")
+        rng = random.Random(p)
+        cases += [(f"er{p}-{size}", g, rng.sample(range(40), size))
+                  for size in range(4, 17, 2)]
+    g = planted_clique(40, 14, 0.3, seed=2)
+    rng = random.Random(2)
+    cases += [(f"near-clique-{j}-outsiders", g,
+               list(range(14 - j)) + rng.sample(range(14, 40), j))
+              for j in range(5)]
+    g = hard_instance(4)
+    cases += [("hard-instance", g, range(16)),
+              ("hard-instance-12", g, range(2, 14))]
+    g = complete_bipartite(8, 8)
+    cases += [("complete-bipartite", g, range(16)),
+              ("complete-bipartite-6-6", g, [*range(1, 7), *range(9, 15)]),
+              ("complete-bipartite-8-6", g, [*range(8), *range(9, 15)])]
+    g = decreasing_degree(16)
+    cases += [("decreasing-degree", g, range(16)),
+              ("decreasing-degree-12", g, range(4, 16))]
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=40, p=0.6), seed=9)
+    g = Graph(40, [e for e in g.edges if 39 not in e])
+    cases += [("isolated-vertex", g, [39, *range(13)]),
+              ("odd-set", g, range(13))]
+    return [pytest.param(g, subset, id=name) for name, g, subset in cases]
+
+
+@pytest.mark.parametrize("g, subset", _crossover_cases())
+def test_both_orders_match_naive_recursion_across_the_crossover(g, subset):
+    # One-shot calls of RELABEL_MIN or more vertices are relabelled; a kept
+    # memo always runs in host order.
+    bits = bitset(subset)
+    expected = naive_hafnian_subset(g.n, g.edges, subset)
+    assert hafnian_bits(g, bits) == expected
+    assert hafnian_bits(g, bits, {}) == expected
+
+
+def test_the_order_keeps_the_frontier_small():
+    # A star on 0 with leaves 1, 2, 3, and the edge 2-3.  Vertex 1 has the
+    # least degree, so it goes first and puts 0 on the frontier.  Ordering
+    # any of 0, 2 or 3 next leaves two vertices there; the lowest label wins
+    # the tie.  Local labels 0..3 are host vertices 1, 0, 2, 3.
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
+    assert hafnian_module._frontier_adj(g.adj, g.full_bits) == [
+        0b0010, 0b1101, 0b1010, 0b0110]
+
+
+def test_complete_bipartite_memo_stays_at_two_to_the_side():
+    # Sides {0, 2, 4, ...} and {1, 3, 5, ...}.  Host order alternates the
+    # sides and so does an order by minimum degree among the unordered;
+    # both need several times the 2^m - 1 sub-sets of an order that keeps
+    # the frontier to one side.
+    m = 8
+    g = Graph(2 * m, [(2 * i, 2 * j + 1) for i in range(m) for j in range(m)])
+    local = hafnian_module._frontier_adj(g.adj, g.full_bits)
+    memo, host_memo = {}, {}
+    assert hafnian_module._haf(local, None, g.full_bits, memo) == factorial(m)
+    assert hafnian_bits(g, g.full_bits, host_memo) == factorial(m)
+    assert len(memo) == 2 ** m - 1 < len(host_memo)
+
+
+def test_only_one_shot_unweighted_sets_past_the_crossover_relabel(
+        monkeypatch):
+    relabelled = []
+    real = hafnian_module._frontier_adj
+    monkeypatch.setattr(hafnian_module, "_frontier_adj",
+                        lambda adj, bits: relabelled.append(bits)
+                        or real(adj, bits))
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=30, p=0.5), seed=1)
+    weighted = Graph(30, g.edges, weights=[2] * g.m)
+    small = bitset(range(hafnian_module.RELABEL_MIN - 2))
+    big = bitset(range(hafnian_module.RELABEL_MIN))
+    hafnian_bits(g, small)
+    hafnian_bits(g, big, {})
+    hafnian_bits(weighted, big)
+    assert relabelled == []
+    hafnian_bits(g, big)
+    assert relabelled == [big]
+
+
+def test_float_weights_keep_the_host_summation_order():
+    # A new order would change the last bits of a float sum; the host order
+    # is the naive recursion's, term for term.
+    rng = random.Random(3)
+    g0 = gen_graph(GraphSpec.of("erdos_renyi", n=30, p=0.6), seed=3)
+    weights = [rng.uniform(0.5, 2.0) for _ in range(g0.m)]
+    g = Graph(30, g0.edges, weights=weights)
+    for size in (8, 12, 14, 16):
+        subset = rng.sample(range(30), size)
+        bits = bitset(subset)
+        expected = naive_hafnian_subset(30, g.edges, subset, weights)
+        assert isinstance(expected, float)
+        assert hafnian_bits(g, bits) == expected
+        assert hafnian_bits(g, bits, {}) == expected
 
 
 def test_weighted_hafnian_sums_products():
