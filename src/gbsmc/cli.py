@@ -43,10 +43,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .diagnostics import (LAW_KINDS, DistributionTable, OracleGuardError,
-                          check_detailed_balance, exact_stationary,
-                          exit_time_experiment, geometric_fit, pm_stationary,
-                          transition_kernel, tv_distance)
+from .diagnostics import (LAW_KINDS, OracleGuardError, check_detailed_balance,
+                          exact_stationary, exit_time_experiment,
+                          geometric_fit, pm_stationary, transition_kernel,
+                          tv_distance)
 from .double_loop import DoubleLoopConfig, InnerSamplerError, RejectionCapError
 from .glauber import ChainConfig, ChainConfigError, move_probabilities
 from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
@@ -335,7 +335,7 @@ def _sample_lines(g: Graph, args):
                 raise CliError(f"no size-{k} state in a {window}-step window",
                                EXIT_STARVATION)
             else:
-                yield f"{at + snap_step},0x{Matching(g, snap).covered:x}\n"
+                yield f"{at + snap_step},0x{snap:x}\n"
             at += window
     return lines()
 
@@ -492,7 +492,7 @@ def _cmd_verify_balance(args) -> int:
             raise CliError(f"--dynamics {args.dynamics} does not use "
                            f"{', '.join(unread)}")
         law = pm_stationary(g, weighted=dynamics.endswith("weighted"))
-        violation = check_detailed_balance(g, dynamics, law)
+        kernel = transition_kernel(g, dynamics)
     else:
         lam = _chain_config(args.fugacity, args.c, args.lazy,
                             dynamics).resolved_fugacity()
@@ -501,7 +501,7 @@ def _cmd_verify_balance(args) -> int:
                            "use --dynamics double-loop-weighted")
         law = exact_stationary(g, lam, _BALANCE_LAWS[dynamics])
         kernel = transition_kernel(g, dynamics, lam=lam, lazy=args.lazy)
-        violation = check_detailed_balance(g, kernel, law)
+    violation = check_detailed_balance(kernel, law)
     ok = float(violation) < args.tol
     print(f"max_violation {float(violation)!r} tol {args.tol!r} "
           f"{'PASS' if ok else 'FAIL'}")
@@ -527,7 +527,7 @@ def _cmd_verify_law(args) -> int:
     cfg = _window_config(chain, cc, args)
     drive(chain, g, Matching(g), cfg, burn + n_samples * thin, rng,
           collect=counts, key_kind=key_kind, thin=thin, burn_in=burn)
-    tv = float(tv_distance(DistributionTable.from_counts(counts), exact))
+    tv = float(tv_distance(counts, exact))
     ok = tv <= args.tol
     print(f"tv {tv!r} samples {n_samples} law {law_name} tol {args.tol!r} "
           f"{'PASS' if ok else 'FAIL'}")
@@ -677,8 +677,12 @@ def _chain_for_bench(opts, g: Graph, k: int,
     Without an explicit fugacity the preset aims the chain at the
     post-selection size: for small fugacity the single-loop matching size
     is about fugacity times the edge count, so k/2 edges wants about
-    (k/2)/m; the double loop weighs states by fugacity^(2|X|), so it gets
-    the square root.  Post-selection conditions on the size anyway — the
+    (k/2)/m.  The double loop gets the square root of that, which is the
+    single loop's rule applied to its outer fugacity^2.  The rule is not
+    derived for the double loop's own law, under which size q+1 outweighs
+    size q about 3 times at this fugacity; its proposals stay near k/2
+    only because the search-grade "fallback" inner-failure policy opens
+    the removal gate.  Post-selection conditions on the size anyway — the
     fugacity only has to make that size reachable, not exact."""
     if opts["fugacity"] is None and opts["c"] is None:
         frac = (k / 2) / max(1, g.m)

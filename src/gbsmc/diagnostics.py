@@ -13,6 +13,7 @@ is what "inner sampler replaced by exact enumeration" means operationally.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,77 +32,37 @@ class OracleGuardError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Distribution tables
+# Laws and total variation
 # ---------------------------------------------------------------------------
 
-def encode_state(key) -> str:
-    """Human/CSV encoding: vertex-set bitsets as hex, matchings as edge
-    pair lists."""
-    if isinstance(key, int):
-        return f"0x{key:x}"
-    if not key:
-        return "-"
-    return ";".join(f"{u}-{v}" for u, v in key)
+def _normalize(weights) -> dict:
+    """``{state: mass}`` from a weight map (a law, or a Counter of samples).
 
-
-@dataclass(frozen=True)
-class DistributionTable:
-    """A probability mass function over canonically-encoded states.
-
-    ``support`` is sorted; masses are Fractions when built from exact
-    weights/counts, floats otherwise.  States carrying zero mass are dropped.
+    Masses are Fractions when every weight is an int or a Fraction, floats
+    otherwise; states carrying zero mass are dropped.  Float weights that
+    already sum to 1 up to rounding are a law and keep their masses:
+    dividing by their float sum again would move masses by an ulp.
     """
-    support: tuple
-    mass: tuple
-
-    @classmethod
-    def from_weights(cls, weights: dict) -> "DistributionTable":
-        total = sum(weights.values())
-        if not total > 0:
-            raise ValueError("all weights vanish; no distribution")
-        items = sorted((k, w) for k, w in weights.items() if w > 0)
-        exact = all(isinstance(w, (int, Fraction)) for _, w in items) \
-            and isinstance(total, (int, Fraction))
-        if exact:
-            masses = [Fraction(w, total) if isinstance(w, int)
-                      and isinstance(total, int) else Fraction(w) / total
-                      for _, w in items]
-        else:
-            ftot = float(total)
-            masses = [float(w) / ftot for _, w in items]
-        return cls(tuple(k for k, _ in items), tuple(masses))
-
-    @classmethod
-    def from_counts(cls, counts) -> "DistributionTable":
-        return cls.from_weights(dict(counts))
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.support, self.mass))
-
-    def prob(self, key):
-        try:
-            i = self.support.index(key)
-        except ValueError:
-            return 0
-        return self.mass[i]
-
-    def total(self):
-        return sum(self.mass)
-
-    def __len__(self):
-        return len(self.support)
-
-    def to_csv_text(self) -> str:
-        lines = ["state_encoding,probability"]
-        for key, p in zip(self.support, self.mass):
-            lines.append(f"{encode_state(key)},{repr(float(p))}")
-        return "\n".join(lines) + "\n"
+    total = sum(weights.values())
+    if not total > 0:
+        raise ValueError("all weights vanish; no distribution")
+    items = sorted((k, w) for k, w in weights.items() if w > 0)
+    exact = all(isinstance(w, (int, Fraction)) for _, w in items) \
+        and isinstance(total, (int, Fraction))
+    if exact:
+        return {k: Fraction(w) / total for k, w in items}
+    ftot = float(total)
+    if abs(ftot - 1) <= len(items) * sys.float_info.epsilon:
+        ftot = 1.0
+    return {k: float(w) / ftot for k, w in items}
 
 
-def tv_distance(p: DistributionTable, q: DistributionTable):
-    """Total variation distance: half the L1 gap, supports unioned."""
-    pd = p.as_dict()
-    qd = q.as_dict()
+def tv_distance(p, q):
+    """Total variation distance between two weight maps, each normalised
+    first (a law, or a Counter of samples): half the L1 gap, supports
+    unioned."""
+    pd = _normalize(p)
+    qd = _normalize(q)
     acc = 0
     for key in set(pd) | set(qd):
         acc += abs(pd.get(key, 0) - qd.get(key, 0))
@@ -126,8 +87,8 @@ LAW_KINDS = ("matching_single", "matching_double",
              "vertexset_single", "vertexset_double")
 
 
-def exact_stationary(g: Graph, lam, law: str) -> DistributionTable:
-    """Exact stationary distribution of one of the four chain laws.
+def exact_stationary(g: Graph, lam, law: str) -> dict:
+    """Exact stationary law ``{state: mass}`` of one of the four chain laws.
 
     * ``matching_single``:  mu(X)  ~ lambda^|X|           (keys: edge pairs)
     * ``matching_double``:  pi(X)  ~ lambda^(2|X|) Haf(G_X) w(X)
@@ -174,7 +135,7 @@ def exact_stationary(g: Graph, lam, law: str) -> DistributionTable:
                 w = lamF ** size * haf * haf
             if w > 0:
                 weights[bits] = w
-    return DistributionTable.from_weights(weights)
+    return _normalize(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -281,34 +242,30 @@ def _pm_states(g: Graph):
     return states, q
 
 
-def pm_stationary(g: Graph, weighted=False) -> DistributionTable:
-    """Stationary law of the perfect-matching chain: uniform over perfect
-    plus near-perfect matchings, or proportional to matching weight."""
+def pm_stationary(g: Graph, weighted=False) -> dict:
+    """Stationary law ``{matching: mass}`` of the perfect-matching chain:
+    uniform over perfect plus near-perfect matchings, or proportional to
+    matching weight."""
     states, _ = _pm_states(g)
-    return DistributionTable.from_weights({
+    return _normalize({
         _matching_key(g, x.idxs):
             Fraction(matching_weight(g, x.idxs)) if weighted else Fraction(1)
         for x in states})
 
 
-def check_detailed_balance(g: Graph, kernel, law: DistributionTable,
-                           lam=None):
-    """Max over ordered state pairs of ``|pi(x) P(x,y) - pi(y) P(y,x)|``.
-
-    ``kernel`` may be a prebuilt nested dict or one of the dynamics names
-    accepted by :func:`transition_kernel` (then ``lam`` applies).  With
-    exact tables and kernels the result is an exact Fraction — a true zero
-    certifies reversibility.
+def check_detailed_balance(kernel: dict, law: dict):
+    """Max over ordered state pairs of ``|pi(x) P(x,y) - pi(y) P(y,x)|``,
+    for a kernel from :func:`transition_kernel` and a law ``{state: mass}``.
+    With exact laws and kernels the result is an exact Fraction — a true
+    zero certifies reversibility.
     """
-    if isinstance(kernel, str):
-        kernel = transition_kernel(g, kernel, lam=lam)
-    pi = law.as_dict()
     worst = 0
     for x, row in kernel.items():
         for y, pxy in row.items():
             if y == x:
                 continue
-            gap = abs(pi.get(x, 0) * pxy - pi.get(y, 0) * kernel[y].get(x, 0))
+            gap = abs(law.get(x, 0) * pxy
+                      - law.get(y, 0) * kernel[y].get(x, 0))
             if gap > worst:
                 worst = gap
     return worst
@@ -318,7 +275,7 @@ def check_detailed_balance(g: Graph, kernel, law: DistributionTable,
 # Empirical mixing diagnostics
 # ---------------------------------------------------------------------------
 
-def mixing_curve(g: Graph, cfg, law: DistributionTable, checkpoints,
+def mixing_curve(g: Graph, cfg, law: dict, checkpoints,
                  replicas: int, dynamics="glauber",
                  key_kind="matching") -> dict:
     """Empirical TV to ``law`` at each checkpoint, over a replica ensemble.
@@ -349,9 +306,7 @@ def mixing_curve(g: Graph, cfg, law: DistributionTable, checkpoints,
             key = x.covered if key_kind == "vertexset" \
                 else _matching_key(g, x.idxs)
             counts[t][key] += 1
-    return {t: float(tv_distance(DistributionTable.from_counts(counts[t]),
-                                 law))
-            for t in checkpoints}
+    return {t: float(tv_distance(counts[t], law)) for t in checkpoints}
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,9 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     Tracks the most recent state of ``target_edges`` edges (post-selection)
     and fills ``collect`` (a Counter) with state keys every ``thin`` steps
     once past ``burn_in``; a hold adds one count per sample point in it.
-    Returns ``(post_snapshot, post_step)``, the step counted from the
-    window's start.
+    Returns ``(post_snapshot, post_step)``: the vertex bitset of that state,
+    or None if the window never reached the size, and its step counted from
+    the window's start.
     """
     m = g.m
     edges = g.edges
@@ -158,7 +159,7 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
             nxt = t + 1 + int(log(1.0 - rnd()) / log1p(-rate / m))
         last = min(nxt - 1, end)
         if len(xs) == target_edges:
-            snap, snap_step = tuple(idxs), last
+            snap, snap_step = x.covered, last
         points = (last - base) // thin
         if collect is not None and points > taken:
             collect[x.covered if key_kind == "vertexset" else
@@ -294,7 +295,7 @@ def _drive_jerrum(g, x, lam, lazy, steps, rng,
                                burn_in=burn_in)
     snap, snap_step = None, None
     if target_edges >= 0 and len(x.idxs) == target_edges:
-        snap, snap_step = tuple(x.idxs), 0
+        snap, snap_step = x.covered, 0
     edges = g.edges
     ebits = g.edge_bits
     eindex = g.edge_index
@@ -343,7 +344,7 @@ def _drive_jerrum(g, x, lam, lazy, steps, rng,
                 partner[v] = u
         # both endpoints blocked by other edges: hold
         if target_edges >= 0 and len(idxs) == target_edges:
-            snap, snap_step = tuple(idxs), t
+            snap, snap_step = covered, t
         if countdown >= 0 and t > burn_in:
             countdown -= 1
             if countdown <= 0:

@@ -56,15 +56,12 @@ class Graph:
             (for uniform neighbor draws and degrees).
         edge_bits: per-edge endpoint bitsets ``(1<<u) | (1<<v)``.
         edge_index: dict mapping each canonical pair to its index in ``edges``.
-        labels: for graphs produced by :func:`induced_subgraph`, a tuple
-            mapping the new dense indices back to the parent graph's vertex
-            labels; ``None`` otherwise.
     """
 
     __slots__ = ("n", "edges", "weights", "adj", "nbrs", "edge_bits",
-                 "edge_index", "m", "full_bits", "labels", "_wmap")
+                 "edge_index", "m", "full_bits", "_wmap")
 
-    def __init__(self, n, edges, weights=None, labels=None):
+    def __init__(self, n, edges, weights=None):
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         canon = []
@@ -94,7 +91,6 @@ class Graph:
         self.edges = tuple(canon)
         self.weights = weights
         self.m = len(canon)
-        self.labels = tuple(labels) if labels is not None else None
         nbrs = [[] for _ in range(n)]
         for u, v in canon:
             nbrs[u].append(v)  # sorted edges: each list comes out ascending
@@ -135,28 +131,6 @@ class Graph:
     def __repr__(self):
         tag = ", weighted" if self.weighted else ""
         return f"Graph(n={self.n}, m={self.m}{tag})"
-
-
-def induced_subgraph(g: Graph, members) -> Graph:
-    """Subgraph induced by a vertex set, relabeled densely to ``0..|S|-1``.
-
-    ``members`` may be an int bitset or an iterable of vertices.  The
-    returned graph's ``labels`` attribute records the back-map from new
-    indices to the original labels.  Weights are carried over.
-    """
-    bits = members if isinstance(members, int) else bitset(members)
-    if bits & ~g.full_bits:
-        raise GraphError("vertex set contains vertices outside the graph")
-    keep = bits_to_tuple(bits)
-    relabel = {v: i for i, v in enumerate(keep)}
-    edges = []
-    weights = [] if g.weighted else None
-    for i, (u, v) in enumerate(g.edges):
-        if bits >> u & 1 and bits >> v & 1:
-            edges.append((relabel[u], relabel[v]))
-            if weights is not None:
-                weights.append(g.weights[i])
-    return Graph(len(keep), edges, weights, labels=keep)
 
 
 class Matching:
@@ -450,7 +424,7 @@ def normalize_weights(g: Graph):
         scaled = [w / w_min for w in g.weights]
     else:
         scaled = [Fraction(w, w_min) for w in g.weights]
-    return Graph(g.n, g.edges, scaled, labels=g.labels), w_min
+    return Graph(g.n, g.edges, scaled), w_min
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +459,6 @@ def to_edge_list_text(g: Graph) -> str:
         else:
             lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
-
-
-def save_edge_list(g: Graph, path):
-    with open(path, "w") as fh:
-        fh.write(to_edge_list_text(g))
 
 
 def from_edge_list_text(text: str) -> Graph:

@@ -26,7 +26,7 @@ the benchmark experiments.
 from __future__ import annotations
 
 from .graphs import (Graph, Matching, EnumerationCapError, bits_to_tuple,
-                     bitset, induced_subgraph)
+                     bitset)
 
 
 def _as_bits(g: Graph, s) -> int:

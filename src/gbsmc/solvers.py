@@ -116,9 +116,10 @@ def drive(chain, g, x, cfg, steps, rng, *, stats=None, haf_memo=None,
           **window):
     """Advance ``x`` in place by ``steps`` steps of ``chain`` (``"glauber"``,
     ``"jerrum"`` or ``"double_loop"``) at the fugacity ``cfg`` resolves to;
-    returns the window's latest post-selected state and its step, counted
-    from the window's start, as :func:`~gbsmc.glauber._run_add_remove`
-    does, whose options ``window`` holds.
+    returns the vertex bitset of the window's latest post-selected state
+    and its step, counted from the window's start, as
+    :func:`~gbsmc.glauber._run_add_remove` does, whose options ``window``
+    holds.
 
     ``cfg`` is the chain's ChainConfig, or for the double loop its
     DoubleLoopConfig; ``stats`` and ``haf_memo`` go to the double loop only.
@@ -185,7 +186,7 @@ class _ChainProposals:
                             self.cfg.mixing_steps, self.rng, stats=self.stats,
                             target_edges=target)
             if snap is not None:
-                return Matching(self.g, snap).covered
+                return snap
         return None
 
 
@@ -324,9 +325,3 @@ def advantage_at(g: Graph, cfg_pair, k: int, n_seeds: int = 1) -> tuple:
         return plain_mean, enhanced_mean, (1.0 if enhanced_mean == 0
                                            else math.inf)
     return plain_mean, enhanced_mean, enhanced_mean / plain_mean
-
-
-def score_advantage(g: Graph, cfg_pair, k_range, n_seeds: int = 1) -> dict:
-    """Mean-best ratio (enhanced over plain) per subset size; see
-    :func:`advantage_at`."""
-    return {k: advantage_at(g, cfg_pair, k, n_seeds)[2] for k in k_range}

@@ -3,7 +3,6 @@
 import csv
 import json
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 from gbsmc.diagnostics import (
     KERNEL_KINDS,
     LAW_KINDS,
-    DistributionTable,
     OracleGuardError,
+    _normalize,
     check_detailed_balance,
-    encode_state,
     even_subsets,
     exact_stationary,
     exit_probability,
@@ -25,73 +25,83 @@ from gbsmc.diagnostics import (
     tv_distance,
 )
 from gbsmc.glauber import ChainConfig
-from gbsmc.graphs import Graph, complete, enumerate_matchings, path_graph
+from gbsmc.graphs import Graph, complete, enumerate_matchings
 
 from oracles import CHI2_CRIT_1PCT, matching_law, naive_hafnian_subset
 
 settings.load_profile("suite")
 
 
-# --- distribution tables ---------------------------------------------------
+# --- laws and total variation ---------------------------------------------
 
 def test_from_weights_is_exact_and_drops_zero_mass():
-    table = DistributionTable.from_weights({"a": 3, "b": 1, "c": 0})
-    assert table.support == ("a", "b")
-    assert table.mass == (Fraction(3, 4), Fraction(1, 4))
-    assert table.total() == 1
-    assert table.prob("c") == 0
+    law = _normalize({"a": 3, "b": 1, "c": 0})
+    assert law == {"a": Fraction(3, 4), "b": Fraction(1, 4)}
+    assert all(isinstance(p, Fraction) for p in law.values())
 
 
 def test_from_weights_rejects_empty_mass():
     with pytest.raises(ValueError, match="vanish"):
-        DistributionTable.from_weights({"a": 0})
+        _normalize({"a": 0})
+    with pytest.raises(ValueError, match="vanish"):
+        tv_distance(Counter(), Counter({"a": 1}))
 
 
 def test_from_counts_and_length():
-    table = DistributionTable.from_counts({"x": 2, "y": 2})
-    assert len(table) == 2
-    assert table.prob("x") == Fraction(1, 2)
+    law = _normalize(Counter({"x": 2, "y": 2}))
+    assert len(law) == 2
+    assert law["x"] == Fraction(1, 2)
 
 
-def test_csv_text_has_header_and_hex_bitsets():
-    table = DistributionTable.from_weights({0b101: 1, 0b11: 3})
-    text = table.to_csv_text()
-    lines = text.splitlines()
-    assert lines[0] == "state_encoding,probability"
-    assert lines[1].startswith("0x3,")
-    assert lines[2].startswith("0x5,")
+def test_normalize_is_float_once_any_weight_is():
+    assert _normalize({"a": 1, "b": Fraction(1, 2), "c": 0.5}) == {
+        "a": 0.5, "b": 0.25, "c": 0.25}
+    assert all(isinstance(p, float)
+               for p in _normalize({"a": 1, "b": 1.0}).values())
 
 
-def test_encode_state_forms():
-    assert encode_state(10) == "0xa"
-    assert encode_state(()) == "-"
-    assert encode_state(((0, 1), (2, 5))) == "0-1;2-5"
+def test_normalize_keeps_the_masses_of_a_float_law():
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)],
+              weights=[2.0, 1.75, 1.5, 1.1, 1.25])
+    law = exact_stationary(g, 1, "matching_double")
+    assert sum(law.values()) != 1  # one rounding short of a law
+    assert _normalize(law) == law
+    assert _normalize({"a": 2.0, "b": 2.0}) == {"a": 0.5, "b": 0.5}
+
+
+def test_tv_distance_on_raw_counters_is_that_of_their_laws():
+    p = Counter({"a": 3, "b": 1})
+    q = Counter({"b": 2, "c": 2})
+    tv = tv_distance(p, q)
+    assert tv == Fraction(3, 4)
+    assert isinstance(tv, Fraction)
+    assert tv == tv_distance(_normalize(p), _normalize(q))
+    assert isinstance(tv_distance(p, {"b": 0.5, "c": 0.5}), float)
 
 
 @given(st.dictionaries(st.integers(0, 5), st.integers(1, 9),
                        min_size=1, max_size=6),
        st.dictionaries(st.integers(0, 5), st.integers(1, 9),
-                       min_size=1, max_size=6))
-def test_tv_distance_is_a_metric_on_tables(wp, wq):
-    p = DistributionTable.from_weights(wp)
-    q = DistributionTable.from_weights(wq)
-    assert tv_distance(p, p) == 0
-    assert tv_distance(p, q) == tv_distance(q, p)
-    assert 0 <= tv_distance(p, q) <= 1
+                       min_size=1, max_size=6),
+       st.integers(1, 7))
+def test_tv_distance_is_a_metric_on_tables(wp, wq, scale):
+    assert tv_distance(wp, wp) == 0
+    assert tv_distance(wp, wq) == tv_distance(wq, wp)
+    assert 0 <= tv_distance(wp, wq) <= 1
+    scaled = {k: scale * w for k, w in wp.items()}
+    assert tv_distance(scaled, wq) == tv_distance(wp, wq)
 
 
 def test_tv_distance_disjoint_supports_is_one():
-    p = DistributionTable.from_weights({"a": 1})
-    q = DistributionTable.from_weights({"b": 1})
-    assert tv_distance(p, q) == 1
+    assert tv_distance({"a": 1}, {"b": 1}) == 1
 
 
 # --- exact stationary laws -------------------------------------------------
 
 @pytest.mark.parametrize("lam", [Fraction(1, 4), 1, Fraction(5, 2)])
 def test_matching_single_law_matches_independent_enumeration(lam, k4):
-    table = exact_stationary(k4, lam, "matching_single")
-    assert table.as_dict() == matching_law(k4.edges, lam)
+    assert exact_stationary(k4, lam, "matching_single") \
+        == matching_law(k4.edges, lam)
 
 
 def test_matching_double_law_on_weighted_graph(weighted_square):
@@ -107,9 +117,8 @@ def test_matching_double_law_on_weighted_graph(weighted_square):
         for i in x.idxs:
             w *= Fraction(g.weight(i))
         expected[key] = lam ** (2 * len(x.idxs)) * Fraction(haf) * w
-    table = exact_stationary(g, lam, "matching_double")
-    assert table.as_dict() == DistributionTable.from_weights(
-        expected).as_dict()
+    assert exact_stationary(g, lam, "matching_double") \
+        == _normalize(expected)
 
 
 @pytest.mark.parametrize("law,power,square",
@@ -125,15 +134,13 @@ def test_vertexset_laws_match_brute_force(law, power, square, k6):
         w = lam ** exponent * haf ** power
         if w > 0:
             weights[bits] = w
-    table = exact_stationary(k6, lam, law)
-    assert table.as_dict() == DistributionTable.from_weights(
-        weights).as_dict()
+    assert exact_stationary(k6, lam, law) == _normalize(weights)
 
 
 def test_vertexset_single_ignores_edge_weights(weighted_square):
     plain = Graph(weighted_square.n, weighted_square.edges)
-    assert exact_stationary(weighted_square, 1, "vertexset_single").as_dict() \
-        == exact_stationary(plain, 1, "vertexset_single").as_dict()
+    assert exact_stationary(weighted_square, 1, "vertexset_single") \
+        == exact_stationary(plain, 1, "vertexset_single")
 
 
 def test_oracle_guards_trip_before_enumerating():
@@ -217,40 +224,40 @@ def test_detailed_balance_is_literally_zero(dynamics, law_kind, lam, k4,
             dyn, law = "double_loop_weighted", law_kind
         else:
             dyn, law = dynamics, law_kind
-        gap = check_detailed_balance(g, dyn,
-                                     exact_stationary(g, lam, law), lam=lam)
+        gap = check_detailed_balance(transition_kernel(g, dyn, lam=lam),
+                                     exact_stationary(g, lam, law))
         assert gap == 0
 
 
 def test_pm_detailed_balance_exact(k33, weighted_square):
     assert check_detailed_balance(
-        k33, "pm", pm_stationary(k33)) == 0
+        transition_kernel(k33, "pm"), pm_stationary(k33)) == 0
     assert check_detailed_balance(
-        weighted_square, "pm_weighted",
+        transition_kernel(weighted_square, "pm_weighted"),
         pm_stationary(weighted_square, weighted=True)) == 0
 
 
 def test_detailed_balance_flags_a_wrong_law(k4):
-    law = exact_stationary(k4, 1, "matching_single")
-    skew = dict(law.as_dict())
+    skew = exact_stationary(k4, 1, "matching_single")
     keys = list(skew)
     skew[keys[0]], skew[keys[1]] = skew[keys[1]], skew[keys[0]] * 2
-    wrong = DistributionTable.from_weights(skew)
-    assert check_detailed_balance(k4, "glauber", wrong, lam=1) > 0
+    wrong = _normalize(skew)
+    assert check_detailed_balance(transition_kernel(k4, "glauber", lam=1),
+                                  wrong) > 0
 
 
 def test_pm_stationary_masses(k4, weighted_square):
     uniform = pm_stationary(k4)
     assert len(uniform) == 9  # 3 perfect + 6 single-edge states on K4
-    assert set(uniform.mass) == {Fraction(1, 9)}
+    assert set(uniform.values()) == {Fraction(1, 9)}
     tilted = pm_stationary(weighted_square, weighted=True)
     g = weighted_square
     pms = [((0, 1), (2, 3)), ((0, 3), (1, 2))]
     pm_weights = [Fraction(g.weight(g.edge_index[a]))
                   * g.weight(g.edge_index[b]) for a, b in pms]
     total = sum(Fraction(w) for w in g.weights) + sum(pm_weights)
-    assert tilted.prob(pms[0]) == pm_weights[0] / total
-    assert tilted.prob(pms[1]) == pm_weights[1] / total
+    assert tilted[pms[0]] == pm_weights[0] / total
+    assert tilted[pms[1]] == pm_weights[1] / total
 
 
 # --- empirical mixing ------------------------------------------------------

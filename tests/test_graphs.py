@@ -19,10 +19,10 @@ from gbsmc.graphs import (
     gen_graph,
     hard_instance,
     hard_instance_core_matching,
-    induced_subgraph,
     normalize_weights,
     to_edge_list_text,
 )
+from gbsmc.hafnian import count_induced_edges
 
 from oracles import double_factorial, factorial
 
@@ -92,8 +92,7 @@ def test_planted_clique_occupies_prefix():
 def test_planted_clique_induces_complete_graph():
     g = gen_graph(GraphSpec.of("planted_clique", n=24, clique_size=6, p=0.1),
                   seed=3)
-    sub = induced_subgraph(g, range(6))
-    assert sub.m == 15
+    assert count_induced_edges(g, range(6)) == 15
 
 
 def test_sparse_bipartite_exact_edge_count():
@@ -128,26 +127,6 @@ def test_hard_instance_core_matching_is_perfect():
     m0 = hard_instance_core_matching(g)
     assert m0.covered == g.full_bits
     m0.validate()
-
-
-def test_induced_subgraph_identity():
-    g = gen_graph(GraphSpec.of("erdos_renyi", n=9, p=0.5), seed=8)
-    same = induced_subgraph(g, range(9))
-    assert same.edges == g.edges
-
-
-def test_induced_subgraph_rejects_foreign_vertices():
-    g = gen_graph(GraphSpec.of("complete", n=4))
-    with pytest.raises(GraphError):
-        induced_subgraph(g, [2, 7])
-
-
-def test_induced_subgraph_carries_weights():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)], weights=[2, 3, 4])
-    sub = induced_subgraph(g, [1, 2, 3])
-    assert sub.weighted
-    assert sorted(sub.weights) == [3, 4]
-    assert sub.labels == (1, 2, 3)
 
 
 def test_enumerate_matchings_path():

@@ -10,7 +10,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import gbsmc
 from gbsmc import hafnian as hafnian_module

@@ -2,7 +2,6 @@
 post-selection, and convergence to the fugacity-weighted law."""
 
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -81,7 +80,7 @@ def test_post_selection_returns_requested_size():
         snap, step = drive(g, Matching(g), 2, False, 4000, random.Random(5),
                            target_edges=2)
         assert snap is not None
-        assert Matching(g, snap).covered.bit_count() == 4
+        assert snap.bit_count() == 4
         assert 0 <= step <= 4000
 
 
@@ -145,7 +144,7 @@ def test_edgeless_graph_still_yields_n_samples(dynamics):
     assert counts == {(): 10}
     drive = _drive_glauber if dynamics == "glauber" else _drive_jerrum
     assert drive(g, Matching(g), 1, False, 5, random.Random(1),
-                 target_edges=0) == ((), 5)
+                 target_edges=0) == (0, 5)
 
 
 @pytest.mark.parametrize("lazy", [False, True])
@@ -220,11 +219,11 @@ def test_post_selected_window_reports_a_step_inside_it(start_step):
             continue
         seen += 1
         step += start_step
-        assert len(snap) == 2 and len(Matching(g, snap)) == 2
+        assert snap.bit_count() == 4
         assert start_step <= step <= start_step + 30
         if len(x) == 2:
             assert step == start_step + 30
-            assert set(snap) == x.idxs
+            assert snap == x.covered
     assert seen > 50
 
 

@@ -13,9 +13,9 @@ from gbsmc.solvers import (
     SAParams,
     SolverConfig,
     SolverConfigError,
+    advantage_at,
     objective_value,
     random_search,
-    score_advantage,
     simulated_annealing,
     solver_for,
 )
@@ -352,15 +352,13 @@ def test_score_advantage_sentinels_and_keys():
                             sampler="glauber",
                             chain=ChainConfig(fugacity=1.0),
                             mixing_steps=200, seed=11)
-    adv = score_advantage(g, (plain, enhanced), [4, 6], n_seeds=2)
-    assert list(adv) == [4, 6]
-    assert math.isinf(adv[4])
-    assert adv[6] == 1.0
+    pair = (plain, enhanced)
+    assert math.isinf(advantage_at(g, pair, 4, n_seeds=2)[2])
+    assert advantage_at(g, pair, 6, n_seeds=2)[2] == 1.0
 
 
 def test_score_advantage_finite_ratio():
     g = complete(8)
     cfg = SolverConfig(objective="density", iterations=6, sampler="uniform",
                        seed=5)
-    adv = score_advantage(g, (cfg, cfg), [4], n_seeds=2)
-    assert adv[4] == pytest.approx(1.0)
+    assert advantage_at(g, (cfg, cfg), 4, n_seeds=2)[2] == pytest.approx(1.0)
