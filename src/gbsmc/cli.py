@@ -54,7 +54,7 @@ from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
 from .pm_chain import PMSampleBudgetError, PMSamplerConfig, PMStateError
 from .seeds import child_rng, derive_seed
 from .solvers import (SAParams, SolverConfig, SolverConfigError, advantage_at,
-                      drive, solver_for)
+                      drive, proposal_fugacity, solver_for)
 from .svg import Series, histogram_plot, line_plot
 
 EXIT_OK = 0
@@ -262,12 +262,13 @@ def _cmd_gen_graph(args) -> int:
 # sample
 # ---------------------------------------------------------------------------
 
-def _chain_config(fugacity, c, lazy=False, chain=None) -> ChainConfig:
-    """A ChainConfig checked now, at fugacity 1 unless one is given;
-    ``lazy`` only where the move rule of ``chain`` has a lazy form."""
+def _chain_config(fugacity, c, lazy=False, chain=None, default=1.0
+                  ) -> ChainConfig:
+    """A ChainConfig checked now, at fugacity ``default`` unless one is
+    given; ``lazy`` only where the move rule of ``chain`` has a lazy form."""
     cfg = ChainConfig(fugacity=fugacity, c=c, lazy=lazy)
     if cfg.fugacity is None and cfg.c is None:
-        cfg = replace(cfg, fugacity=1.0)
+        cfg = replace(cfg, fugacity=default)
     lam = cfg.resolved_fugacity()
     if lazy:
         try:
@@ -307,6 +308,10 @@ def _sample_lines(g: Graph, args):
     (lines already written stay on disk).  The options are checked before
     the first line is asked for."""
     chain = args.chain.replace("-", "_")
+    for flag, count in (("--steps", args.steps), ("--burn-in", args.burn_in),
+                        ("--samples", args.samples)):
+        if count < 0:
+            raise CliError(f"{flag} must be non-negative, got {count}")
     cc = _chain_config(args.fugacity, args.c, args.lazy, chain)
     target = -1
     k = args.post_select_k
@@ -371,9 +376,9 @@ def _given(**values) -> dict:
     return {key: v for key, v in values.items() if v is not None}
 
 
-def _solver_config(args) -> tuple:
-    """(algorithm name, base SolverConfig) from the solve options; a flag
-    the algorithm does not read is refused."""
+def _solver_config(args, g: Graph) -> tuple:
+    """(algorithm name, base SolverConfig) from the solve options on
+    ``g``; a flag the algorithm does not read is refused."""
     alg = _ALG_NAMES.get(args.alg, args.alg)
     enhanced = alg.startswith("enhanced")
     anneal = alg.endswith("simulated_annealing")
@@ -385,7 +390,8 @@ def _solver_config(args) -> tuple:
         raise CliError(f"--alg {args.alg} does not use {', '.join(unread)}")
     sampler = (args.sampler or "double-loop").replace("-", "_") \
         if enhanced else "uniform"
-    chain = _chain_config(args.fugacity, args.c) if enhanced else None
+    chain = _chain_config(args.fugacity, args.c, default=proposal_fugacity(
+        g, args.k, sampler)) if enhanced else None
     sa = None
     if anneal:
         sa = SAParams(**_given(initial_temperature=args.t0, gamma=args.gamma))
@@ -439,7 +445,7 @@ def _record_block(rec, trial_seed, chash) -> str:
 
 def _cmd_solve(args) -> int:
     g, graph_desc = _graph_from_args(args)
-    alg, base = _solver_config(args)
+    alg, base = _solver_config(args, g)
     master = args.seed
     chash = _config_hash({"command": "solve", "graph": graph_desc,
                           "options": _solver_cfg_payload(alg, base),
@@ -477,30 +483,24 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 _BALANCE_LAWS = {"glauber": "matching_single", "jerrum": "matching_single",
-                 "double_loop": "matching_double",
-                 "double_loop_weighted": "matching_double"}
+                 "double_loop": "matching_double"}
 
 
 def _cmd_verify_balance(args) -> int:
     g, _ = _graph_from_args(args)
     dynamics = args.dynamics.replace("-", "_")
-    if dynamics.startswith("pm"):
+    if dynamics == "pm":
         unread = [flag for flag, given in (
             ("--lambda", args.fugacity is not None),
             ("--c", args.c is not None), ("--lazy", args.lazy)) if given]
         if unread:
-            raise CliError(f"--dynamics {args.dynamics} does not use "
-                           f"{', '.join(unread)}")
-        law = pm_stationary(g, weighted=dynamics.endswith("weighted"))
-        kernel = transition_kernel(g, dynamics)
+            raise CliError(f"--dynamics pm does not use {', '.join(unread)}")
+        lam, law = None, pm_stationary(g)
     else:
         lam = _chain_config(args.fugacity, args.c, args.lazy,
                             dynamics).resolved_fugacity()
-        if dynamics == "double_loop" and g.weighted:
-            raise CliError("this graph carries weights; "
-                           "use --dynamics double-loop-weighted")
         law = exact_stationary(g, lam, _BALANCE_LAWS[dynamics])
-        kernel = transition_kernel(g, dynamics, lam=lam, lazy=args.lazy)
+    kernel = transition_kernel(g, dynamics, lam=lam, lazy=args.lazy)
     violation = check_detailed_balance(kernel, law)
     ok = float(violation) < args.tol
     print(f"max_violation {float(violation)!r} tol {args.tol!r} "
@@ -670,27 +670,6 @@ def _render_plots(run_dir: Path) -> list:
     return written
 
 
-def _chain_for_bench(opts, g: Graph, k: int,
-                     sampler: str = "glauber") -> ChainConfig:
-    """Proposal-chain config for a bench preset.
-
-    Without an explicit fugacity the preset aims the chain at the
-    post-selection size: for small fugacity the single-loop matching size
-    is about fugacity times the edge count, so k/2 edges wants about
-    (k/2)/m.  The double loop gets the square root of that, which is the
-    single loop's rule applied to its outer fugacity^2.  The rule is not
-    derived for the double loop's own law, under which size q+1 outweighs
-    size q about 3 times at this fugacity; its proposals stay near k/2
-    only because the search-grade "fallback" inner-failure policy opens
-    the removal gate.  Post-selection conditions on the size anyway — the
-    fugacity only has to make that size reachable, not exact."""
-    if opts["fugacity"] is None and opts["c"] is None:
-        frac = (k / 2) / max(1, g.m)
-        lam = math.sqrt(frac) if sampler == "double_loop" else frac
-        return ChainConfig(fugacity=max(1e-6, lam))
-    return _chain_config(opts["fugacity"], opts["c"])
-
-
 def _preset_graph(name, opts, k=None):
     """The preset's graph at the run's scale, and its description."""
     spec = _PRESETS[name].graph(opts["scale"], k)
@@ -708,7 +687,8 @@ def _bench_trajectory(name, opts, out_dir: Path) -> dict:
     preset = _PRESETS[name]
     k = preset.k(opts["scale"])
     g, desc = _preset_graph(name, opts, k)
-    chains = {sampler: _chain_for_bench(opts, g, k, sampler)
+    chains = {sampler: _chain_config(opts["fugacity"], opts["c"],
+                                     default=proposal_fugacity(g, k, sampler))
               for sampler in ("glauber", "jerrum", "double_loop")}
     resolved = {
         "fugacity_resolved": float(chains["glauber"].resolved_fugacity()),
@@ -756,7 +736,8 @@ def _bench_score_advantage(name, opts, out_dir: Path) -> dict:
                          seed=derive_seed(master, "plain"))
     rows = []
     for k in range(opts["k_min"] + opts["k_min"] % 2, opts["k_max"] + 1, 2):
-        chain = _chain_for_bench(opts, g, k, "double_loop")
+        chain = _chain_config(opts["fugacity"], opts["c"], default=(
+            proposal_fugacity(g, k, "double_loop")))
         enhanced = replace(plain, sampler="double_loop", chain=chain,
                            seed=derive_seed(master, "enhanced"))
         rows.append((chash, master, k,
@@ -772,7 +753,7 @@ def _bench_score_advantage(name, opts, out_dir: Path) -> dict:
 
 def _bench_exit_time(name, opts, out_dir: Path) -> dict:
     squares = opts["squares"]
-    lam = 1.0 if opts["fugacity"] is None else opts["fugacity"]
+    lam = _chain_config(opts["fugacity"], opts["c"]).resolved_fugacity()
     trials = opts["trials"]
     master = opts["seed"]
     chash = _config_hash({"experiment": name, "squares": squares,
@@ -1145,8 +1126,7 @@ def build_parser(parser_class=argparse.ArgumentParser
     pb = vsub.add_parser("balance", help="detailed-balance certificate")
     _add_graph_args(pb)
     pb.add_argument("--dynamics", type=_dashed, default="glauber",
-                    choices=("glauber", "jerrum", "double-loop",
-                             "double-loop-weighted", "pm", "pm-weighted"))
+                    choices=("glauber", "jerrum", "double-loop", "pm"))
     _add_fugacity_args(pb)
     pb.add_argument("--lazy", action="store_true")
     pb.add_argument("--tol", type=float, default=1e-12)

@@ -142,8 +142,7 @@ def exact_stationary(g: Graph, lam, law: str) -> dict:
 # Exact one-step kernels
 # ---------------------------------------------------------------------------
 
-KERNEL_KINDS = ("glauber", "jerrum", "double_loop", "double_loop_weighted",
-                "pm", "pm_weighted")
+KERNEL_KINDS = ("glauber", "jerrum", "double_loop", "pm")
 
 
 def transition_kernel(g: Graph, dynamics: str, lam=None, lazy=False) -> dict:
@@ -153,36 +152,36 @@ def transition_kernel(g: Graph, dynamics: str, lam=None, lazy=False) -> dict:
     sum to 1 exactly.  For matching-space dynamics the state space is every
     matching of ``g``; for the perfect-matching dynamics it is the perfect
     plus near-perfect matchings (``g.n`` must be even and a perfect matching
-    must exist).  The weighted dynamics need every weight >= 1.  ``lazy``
-    (each move's probability halved) exists for glauber and jerrum only.
+    must exist).  On a weighted graph the double loop and the
+    perfect-matching chain tilt by edge weight, as their drivers do, and
+    need every weight >= 1.  ``lazy`` (each move's probability halved)
+    exists for glauber and jerrum only.
     """
     if dynamics not in KERNEL_KINDS:
         raise ValueError(f"unknown dynamics {dynamics!r}")
-    weighted = dynamics.endswith("weighted")
-    if weighted and g.weighted and min(g.weights) < 1:
+    if dynamics in ("double_loop", "pm") and g.weighted \
+            and min(g.weights) < 1:
         raise ValueError("weighted chain needs all weights >= 1")
-    w = [Fraction(g.weight(i) if weighted else 1) for i in range(g.m)]
-    if dynamics.startswith("pm"):
+    w = [Fraction(g.weight(i)) for i in range(g.m)]
+    if dynamics == "pm":
         if lazy:
-            raise ValueError(f"no lazy {dynamics} kernel; lazy applies to "
-                             "glauber and jerrum")
+            raise ValueError("no lazy pm kernel; lazy applies to glauber "
+                             "and jerrum")
         states, q = _pm_states(g)
         return _local_kernel(g, states, 1,
                              lambda x, i: 1 / w[i] if len(x.idxs) == q else 0,
                              lambda i, j: min(1, w[i] / w[j]))
     if lam is None:
         raise ValueError(f"{dynamics} kernel needs a fugacity")
-    chain = "double_loop" if dynamics.startswith("double") else dynamics
-    p_add, p_rem, p_slide = move_probabilities(chain, Fraction(lam), lazy)
-    if chain == "double_loop":
+    p_add, p_rem, p_slide = move_probabilities(dynamics, Fraction(lam), lazy)
+    if dynamics == "double_loop":
         # the inner draw marginalized exactly: a removal passes the gate
         # p_rem, the 1/w_e^2 coin and the draw, where
         # Pr[e in E] = w_e Haf(G_{V(X)} - {u,v}) / Haf(G_{V(X)})
-        gh = Graph(g.n, g.edges) if (g.weighted and not weighted) else g
         memo = {}
 
         def haf(bits):
-            val = hafnian_bits(gh, bits, memo)
+            val = hafnian_bits(g, bits, memo)
             return Fraction(val) if not isinstance(val, float) else val
 
         def remove(x, i):
@@ -242,15 +241,13 @@ def _pm_states(g: Graph):
     return states, q
 
 
-def pm_stationary(g: Graph, weighted=False) -> dict:
+def pm_stationary(g: Graph) -> dict:
     """Stationary law ``{matching: mass}`` of the perfect-matching chain:
-    uniform over perfect plus near-perfect matchings, or proportional to
-    matching weight."""
+    uniform over perfect plus near-perfect matchings, or on a weighted
+    graph proportional to matching weight."""
     states, _ = _pm_states(g)
-    return _normalize({
-        _matching_key(g, x.idxs):
-            Fraction(matching_weight(g, x.idxs)) if weighted else Fraction(1)
-        for x in states})
+    return _normalize({_matching_key(g, x.idxs):
+                       Fraction(matching_weight(g, x.idxs)) for x in states})
 
 
 def check_detailed_balance(kernel: dict, law: dict):
@@ -350,8 +347,11 @@ def exit_time_experiment(n_squares: int, lam, trials: int, seed=0,
     draw is exact (enumeration marginal), matching the assumption behind the
     geometric escape law; each step then exits independently with
     probability :func:`exit_probability`, so the observed times should be
-    Geometric(phi) with mean 1/phi.
+    Geometric(phi) with mean 1/phi.  ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"exit-time experiment needs at least one trial, "
+                         f"got {trials}")
     g = hard_instance(n_squares)
     core = hard_instance_core_matching(g)
     phi = exit_probability(n_squares, lam)

@@ -10,10 +10,10 @@ tilts the stationary law from lambda^|X| to
     pi(X) proportional to lambda^(2|X|) * Haf(G_X),
 
 whose vertex-set marginal is Pr[S] proportional to c^(2|S|) * Haf^2(S) with
-lambda = c^2 — the Gaussian boson sampling distribution.  The weighted
-variant gates removals by an extra 1/w_e^2 and draws the inner matching with
-probability proportional to its weight, giving Pr[S] ~ lambda^|S| * Haf^2(S)
-for the weighted hafnian.
+lambda = c^2 — the Gaussian boson sampling distribution.  On a weighted
+graph the chain gates removals by an extra 1/w_e^2 and draws the inner
+matching with probability proportional to its weight, giving
+Pr[S] ~ lambda^|S| * Haf^2(S) for the weighted hafnian.
 
 Two inner samplers are available: ``"chain"`` runs the perfect-matching
 chain of :mod:`gbsmc.pm_chain` under a finite budget (the real algorithm),
@@ -132,8 +132,7 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
         stats.calls += 1
         nv = 2 * len(idxs)
         got = _run_restricted(g, covered, idxs, pm_cfg.steps_for(nv),
-                              pm_cfg.attempts_for(nv), rng, wf is not None,
-                              tables)
+                              pm_cfg.attempts_for(nv), rng, tables)
         if got is None:
             stats.failures += 1
             if abort:

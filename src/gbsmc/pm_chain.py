@@ -10,12 +10,13 @@ vertex pair).  Pick an edge ``e = (u, v)`` uniformly at random:
 * anything else: hold.
 
 Every move is matched by its mirror image at the same proposal probability,
-so the stationary law is uniform over the state space.  The weighted variant
-accepts removals with probability 1/w_e and slides with min(1, w_e/w_zu),
-tilting the stationary law to Pr[M] proportional to the product of edge
-weights.  On dense graphs the perfect states carry at least a 1/(2q^2+1)
-share of the space (q = matching size), which is what makes "run, check,
-retry" a practical uniform sampler for perfect matchings.
+so the stationary law is uniform over the state space.  On a weighted
+graph the chain accepts removals with probability 1/w_e and slides with
+min(1, w_e/w_zu), tilting the stationary law to Pr[M] proportional to the
+product of edge weights.  On dense graphs the perfect states carry at
+least a 1/(2q^2+1) share of the space (q = matching size), which is what
+makes "run, check, retry" a practical uniform sampler for perfect
+matchings.
 
 The chain runs in one of two walks, which make the same random draws and
 so reach the same states.  The step loop, :func:`_pm_walk`, moves a partner
@@ -27,8 +28,8 @@ walked as many steps as the table of a complete graph of its size has
 transitions (:func:`table_transitions`: 54 at 4 vertices, 900 at 6,
 14,700 at 8, 4.8e6 at 12).  So a table never has more transitions than
 steps already walked on its set, and large vertex sets, which rarely
-repeat, stay on the step loop.  Weighted chains always take the step
-loop.
+repeat, stay on the step loop.  Chains on weighted graphs always take
+the step loop.
 """
 
 from __future__ import annotations
@@ -97,18 +98,18 @@ class PMSamplerConfig:
         return default_max_attempts(n_vertices)
 
 
-def _pm_walk(g: Graph, partner, holes: int, moves, steps: int, rng,
-             weighted: bool) -> int:
+def _pm_walk(g: Graph, partner, holes: int, moves, steps: int, rng) -> int:
     """Advance the chain ``steps`` moves on the partner array ``partner``
-    (-1 at an uncovered vertex), in place.  ``holes`` is the state's
-    uncovered-vertex count, 0 or 2; returns the new one.
+    (-1 at an uncovered vertex), in place, weight-tilted on a weighted
+    graph.  ``holes`` is the state's uncovered-vertex count, 0 or 2;
+    returns the new one.
 
     ``moves[r]`` is ``(u, v, i)`` for the r-th proposable edge index ``i``,
     with the last entry repeated: it takes the rare proposal
     ``int(random() * k)``, k = ``len(moves) - 1``, that rounds up to k.
     """
     eindex = g.edge_index
-    weights = g.weights
+    weights = g.weights  # None on an unweighted graph
     k = len(moves) - 1
     rnd = rng.random
     for _ in range(steps):
@@ -116,7 +117,8 @@ def _pm_walk(g: Graph, partner, holes: int, moves, steps: int, rng,
         pu = partner[u]
         pv = partner[v]
         if holes == 0:
-            if pu == v and (not weighted or rnd() < 1.0 / float(weights[i])):
+            if pu == v and (weights is None
+                            or rnd() < 1.0 / float(weights[i])):
                 partner[u] = -1
                 partner[v] = -1
                 holes = 2
@@ -127,7 +129,7 @@ def _pm_walk(g: Graph, partner, holes: int, moves, steps: int, rng,
         elif pu == -1 or pv == -1:
             # slide: add (u, v), drop the edge (w, z) blocking it at w
             w, z = (v, pv) if pu == -1 else (u, pu)
-            if weighted:
+            if weights is not None:
                 j = eindex[(w, z) if w < z else (z, w)]
                 ratio = float(weights[i]) / float(weights[j])
                 if ratio < 1.0 and rnd() >= ratio:
@@ -240,7 +242,7 @@ class _PMTable:
 
 
 def _run_restricted(g: Graph, vbits: int, start_idxs, steps: int,
-                    attempts: int, rng, weighted: bool, tables=None):
+                    attempts: int, rng, tables=None):
     """Drive the chain on the subgraph induced by ``vbits``, checking for
     perfection every ``steps`` moves.
 
@@ -252,10 +254,11 @@ def _run_restricted(g: Graph, vbits: int, start_idxs, steps: int,
     ``tables`` is a caller's memory across draws, by vertex set: the steps
     walked there so far, replaced by the set's :class:`_PMTable` once they
     reach :func:`table_transitions`, so that a table never has more
-    transitions than steps already walked on its set.  Unweighted draws
-    then walk the table; weighted ones always take the step loop.
+    transitions than steps already walked on its set.  Draws on an
+    unweighted graph then walk the table; on a weighted one they always
+    take the step loop.
     """
-    if weighted:
+    if g.weighted:
         tables = None
     if tables is not None:
         table = tables.get(vbits, 0)
@@ -277,7 +280,7 @@ def _run_restricted(g: Graph, vbits: int, start_idxs, steps: int,
     got = None
     walked = 0
     for _ in range(attempts):
-        holes = _pm_walk(g, partner, holes, moves, steps, rng, weighted)
+        holes = _pm_walk(g, partner, holes, moves, steps, rng)
         walked += steps
         if holes == 0:
             got = {g.edge_index[(u, w)] for u, w in enumerate(partner)
@@ -307,8 +310,7 @@ def sample_perfect_matching(g: Graph, cfg: PMSamplerConfig,
                            "normalize_weights() first")
     steps = cfg.steps_for(g.n)
     attempts = cfg.attempts_for(g.n)
-    got = _run_restricted(g, g.full_bits, initial.idxs, steps, attempts, rng,
-                          weighted=g.weighted)
+    got = _run_restricted(g, g.full_bits, initial.idxs, steps, attempts, rng)
     if got is None:
         raise PMSampleBudgetError(attempts)
     return Matching(g, got)

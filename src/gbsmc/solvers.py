@@ -54,7 +54,7 @@ class SolverConfig:
     subset_size: int = 2
     iterations: int = 100
     sampler: str = "uniform"
-    chain: Optional[ChainConfig] = None  # proposal chain; fugacity 1 if None
+    chain: Optional[ChainConfig] = None  # None: at proposal_fugacity
     sa: Optional[SAParams] = None
     seed: object = 0
     mixing_steps: int = 1000      # chain budget per enhanced proposal
@@ -112,6 +112,20 @@ def _validate(g: Graph, cfg: SolverConfig):
             "chain samplers need an even subset size")
 
 
+def proposal_fugacity(g: Graph, k: int, sampler: str) -> float:
+    """The fugacity of a proposal chain given none, aimed at the
+    post-selection size ``k``: at small fugacity the single loop holds
+    about fugacity * m edges, so k/2 edges wants (k/2)/m, floored at 1e-6.
+    The double loop gets its square root, the single loop's rule at its
+    outer fugacity^2.  Under the double loop's own law size q+1 then
+    outweighs size q about 3 times; its proposals stay near k/2 only
+    because the search-grade "fallback" inner-failure policy opens the
+    removal gate.  Post-selection conditions on the size anyway: the
+    fugacity only has to make that size reachable."""
+    frac = (k / 2) / max(1, g.m)
+    return max(1e-6, math.sqrt(frac) if sampler == "double_loop" else frac)
+
+
 def drive(chain, g, x, cfg, steps, rng, *, stats=None, haf_memo=None,
           **window):
     """Advance ``x`` in place by ``steps`` steps of ``chain`` (``"glauber"``,
@@ -154,7 +168,8 @@ class _ChainProposals:
         self.cfg = cfg
         self.rng = child_rng(cfg.seed, "proposal-chain")
         self.stats = InnerStats()
-        base = ChainConfig(fugacity=1.0) if cfg.chain is None else cfg.chain
+        base = cfg.chain or ChainConfig(fugacity=proposal_fugacity(
+            g, cfg.subset_size, cfg.sampler))
         if not isinstance(base, ChainConfig):
             raise SolverConfigError(
                 f"{cfg.sampler} sampler takes a ChainConfig")

@@ -14,7 +14,8 @@ from gbsmc.cli import (
     main,
 )
 from gbsmc.diagnostics import transition_kernel
-from gbsmc.graphs import from_edge_list_text
+from gbsmc.graphs import GraphSpec, from_edge_list_text, gen_graph
+from gbsmc.solvers import proposal_fugacity
 
 
 def run(*argv):
@@ -99,6 +100,15 @@ def test_sample_double_loop_weighted_graph(tmp_path):
     assert len(out.read_text().splitlines()) == 10
 
 
+@pytest.mark.parametrize("flag", ["--steps", "--burn-in", "--samples"])
+def test_sample_refuses_a_negative_count(tmp_path, capsys, flag):
+    out = tmp_path / "states.txt"
+    assert run("sample", "--gen", "complete", "--n", 4, flag, -1,
+               "--out", out) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- solve -------------------------------------------------------------------
 
 def _read_trajectory(path):
@@ -135,6 +145,30 @@ def test_solve_enhanced_chain_sampler(tmp_path, capsys):
                "--iters", 15, "--mixing-steps", 50,
                "--out-dir", out_dir) == EXIT_OK
     assert "starved=" in capsys.readouterr().out
+
+
+def test_solve_without_a_fugacity_records_the_proposal_fugacity(tmp_path,
+                                                                capsys):
+    """With no --lambda, enhanced search runs at the solvers' proposal
+    fugacity, starves no draw on a planted clique, and writes what an
+    explicit --lambda at that fugacity writes."""
+    def solve(out, *flags):
+        return run("solve", "--gen", "planted-clique", "--n", 64,
+                   "--clique", 8, "--p", 0.2, "--alg", "ers",
+                   "--sampler", "glauber", "--k", 8, "--iters", 50,
+                   "--seeds", 2, *flags, "--out-dir", tmp_path / out)
+
+    assert solve("default") == EXIT_OK
+    assert capsys.readouterr().out.count(" starved=0 ") == 2
+    g = gen_graph(GraphSpec.of("planted_clique", n=64, clique_size=8, p=0.2),
+                  seed=0)
+    lam = proposal_fugacity(g, 8, "glauber")
+    records = (tmp_path / "default" / "records.txt").read_text()
+    assert records.count(f"  fugacity: {lam!r}\n") == 2
+    assert solve("explicit", "--lambda", repr(lam)) == EXIT_OK
+    for name in ("records.txt", "trajectory.csv"):
+        assert ((tmp_path / "default" / name).read_bytes()
+                == (tmp_path / "explicit" / name).read_bytes())
 
 
 def test_solve_refuses_chain_flags_a_plain_algorithm_ignores(tmp_path,
@@ -183,15 +217,15 @@ def test_verify_balance_reports_an_exact_zero(capsys):
     assert "PASS" in out
 
 
-def test_verify_balance_weighted_graph_needs_weighted_dynamics(tmp_path,
-                                                               capsys):
+def test_verify_balance_certifies_the_weighted_chains_on_a_weighted_graph(
+        tmp_path, capsys):
     graph_file = tmp_path / "w.txt"
     graph_file.write_text(WEIGHTED_SQUARE_TEXT)
-    assert run("verify", "balance", "--graph", graph_file,
-               "--dynamics", "double-loop", "--lambda", 1) == EXIT_CONFIG
-    assert "double-loop-weighted" in capsys.readouterr().err
-    assert run("verify", "balance", "--graph", graph_file,
-               "--dynamics", "double-loop-weighted", "--lambda", 1) == EXIT_OK
+    for flags in (("--dynamics", "double-loop", "--lambda", 1),
+                  ("--dynamics", "pm")):
+        assert run("verify", "balance", "--graph", graph_file,
+                   *flags) == EXIT_OK
+        assert capsys.readouterr().out.startswith("max_violation 0.0 ")
 
 
 def test_verify_balance_weights_below_one_are_a_config_error(tmp_path,
@@ -199,7 +233,7 @@ def test_verify_balance_weights_below_one_are_a_config_error(tmp_path,
     graph_file = tmp_path / "light.txt"
     graph_file.write_text("2 1 weighted\n0 1 1/10\n")
     assert run("verify", "balance", "--graph", graph_file,
-               "--dynamics", "double-loop-weighted",
+               "--dynamics", "double-loop",
                "--lambda", "1/10") == EXIT_CONFIG
     assert "weights >= 1" in capsys.readouterr().err
 
@@ -261,11 +295,16 @@ def test_inner_flags_without_the_double_loop_are_config_errors(
             assert not out.exists()
 
 
-@pytest.mark.parametrize("dynamics", ["pm", "pm-weighted"])
-def test_verify_balance_pm_refuses_a_fugacity(capsys, dynamics):
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["pm", "pm-weighted"])
+def test_verify_balance_pm_refuses_a_fugacity(tmp_path, capsys, weighted):
+    graph = ("--gen", "complete", "--n", 4)
+    if weighted:
+        graph = ("--graph", tmp_path / "w.txt")
+        graph[1].write_text(WEIGHTED_SQUARE_TEXT)
     for flag, value in (("--lambda", "3/2"), ("--c", "1/2")):
-        assert run("verify", "balance", "--gen", "complete", "--n", 4,
-                   "--dynamics", dynamics, flag, value) == EXIT_CONFIG
+        assert run("verify", "balance", *graph,
+                   "--dynamics", "pm", flag, value) == EXIT_CONFIG
         assert flag in capsys.readouterr().err
 
 
@@ -293,9 +332,33 @@ def test_verify_law_oracle_guard_exit_code(capsys):
 
 # --- bench / replot ----------------------------------------------------------
 
-def _bench_exit_time(out_dir, trials=40):
+def _bench_exit_time(out_dir, trials=40, fugacity=("--lambda", 1)):
     return run("bench", "exit-time", "--squares", 1, "--trials", trials,
-               "--lambda", 1, "--out-dir", out_dir)
+               *fugacity, "--out-dir", out_dir)
+
+
+def test_bench_exit_time_runs_at_the_fugacity_c_gives(tmp_path):
+    tables = {}
+    for name, fugacity in (("c", ("--c", "1/2")),
+                           ("quarter", ("--lambda", "1/4")),
+                           ("one", ("--lambda", 1))):
+        assert _bench_exit_time(tmp_path / name,
+                                fugacity=fugacity) == EXIT_OK
+        tables[name] = {p.name: p.read_bytes()
+                        for p in (tmp_path / name).glob("*.csv")}
+    assert tables["c"] == tables["quarter"] != tables["one"]
+
+
+@pytest.mark.parametrize("trials,fugacity", [
+    (40, ("--lambda", 0)), (40, ("--lambda", -1)), (40, ("--c", 0)),
+    (0, ("--lambda", 1))], ids=["lambda-0", "lambda-negative", "c-0",
+                                "no-trials"])
+def test_bench_exit_time_refuses_a_bad_fugacity_or_trial_count(
+        tmp_path, capsys, trials, fugacity):
+    assert _bench_exit_time(tmp_path / "exit", trials,
+                            fugacity) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not list((tmp_path / "exit").glob("*.csv"))
 
 
 def test_bench_exit_time_produces_manifest_tables_and_figures(tmp_path,

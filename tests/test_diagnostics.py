@@ -177,10 +177,8 @@ def test_edgeless_graph_kernel_holds(dynamics):
 
 def test_pm_kernel_rows_sum_to_one(k4, weighted_square):
     assert _rows_sum_to_one(transition_kernel(k4, "pm"))
-    assert _rows_sum_to_one(transition_kernel(weighted_square,
-                                              "pm_weighted"))
-    assert _rows_sum_to_one(transition_kernel(weighted_square,
-                                              "double_loop_weighted",
+    assert _rows_sum_to_one(transition_kernel(weighted_square, "pm"))
+    assert _rows_sum_to_one(transition_kernel(weighted_square, "double_loop",
                                               lam=Fraction(1, 2)))
 
 
@@ -190,17 +188,39 @@ def test_kernel_validation_errors(k4):
     with pytest.raises(ValueError, match="fugacity"):
         transition_kernel(k4, "glauber")
     light = Graph(2, [(0, 1)], weights=[Fraction(1, 10)])
-    for dynamics in ("double_loop_weighted", "pm_weighted"):
+    for dynamics in ("double_loop", "pm"):
         with pytest.raises(ValueError, match="weights >= 1"):
             transition_kernel(light, dynamics, lam=Fraction(1, 10))
-    assert len(KERNEL_KINDS) == 6
+    assert len(KERNEL_KINDS) == 4
 
 
-@pytest.mark.parametrize("dynamics", ["double_loop", "double_loop_weighted",
-                                      "pm", "pm_weighted"])
-def test_lazy_kernel_is_refused_where_there_is_none(k4, dynamics):
+@pytest.mark.parametrize("dynamics,graph",
+                         [("double_loop", "k4"),
+                          ("double_loop", "weighted_square"),
+                          ("pm", "k4"), ("pm", "weighted_square")],
+                         ids=["double_loop", "double_loop_weighted", "pm",
+                              "pm_weighted"])
+def test_lazy_kernel_is_refused_where_there_is_none(dynamics, graph,
+                                                    request):
+    g = request.getfixturevalue(graph)
     with pytest.raises(ValueError, match="lazy"):
-        transition_kernel(k4, dynamics, lam=1, lazy=True)
+        transition_kernel(g, dynamics, lam=1, lazy=True)
+
+
+def test_a_weighted_graph_tilts_the_double_loop_and_pm_kernels(
+        weighted_square):
+    """Both kernels read the weighting from the graph: on a weighted
+    graph each differs from its unweighted copy's and balances the
+    weight-tilted law."""
+    g = weighted_square
+    plain = Graph(g.n, g.edges)
+    lam = Fraction(1, 2)
+    for dynamics, law in (
+            ("double_loop", exact_stationary(g, lam, "matching_double")),
+            ("pm", pm_stationary(g))):
+        kernel = transition_kernel(g, dynamics, lam=lam)
+        assert kernel != transition_kernel(plain, dynamics, lam=lam)
+        assert check_detailed_balance(kernel, law) == 0
 
 
 def test_lazy_kernel_halves_off_diagonal_mass(k4):
@@ -220,12 +240,8 @@ def test_lazy_kernel_halves_off_diagonal_mass(k4):
 def test_detailed_balance_is_literally_zero(dynamics, law_kind, lam, k4,
                                             weighted_square):
     for g in (k4, weighted_square):
-        if dynamics == "double_loop" and g.weighted:
-            dyn, law = "double_loop_weighted", law_kind
-        else:
-            dyn, law = dynamics, law_kind
-        gap = check_detailed_balance(transition_kernel(g, dyn, lam=lam),
-                                     exact_stationary(g, lam, law))
+        gap = check_detailed_balance(transition_kernel(g, dynamics, lam=lam),
+                                     exact_stationary(g, lam, law_kind))
         assert gap == 0
 
 
@@ -233,8 +249,8 @@ def test_pm_detailed_balance_exact(k33, weighted_square):
     assert check_detailed_balance(
         transition_kernel(k33, "pm"), pm_stationary(k33)) == 0
     assert check_detailed_balance(
-        transition_kernel(weighted_square, "pm_weighted"),
-        pm_stationary(weighted_square, weighted=True)) == 0
+        transition_kernel(weighted_square, "pm"),
+        pm_stationary(weighted_square)) == 0
 
 
 def test_detailed_balance_flags_a_wrong_law(k4):
@@ -250,7 +266,7 @@ def test_pm_stationary_masses(k4, weighted_square):
     uniform = pm_stationary(k4)
     assert len(uniform) == 9  # 3 perfect + 6 single-edge states on K4
     assert set(uniform.values()) == {Fraction(1, 9)}
-    tilted = pm_stationary(weighted_square, weighted=True)
+    tilted = pm_stationary(weighted_square)
     g = weighted_square
     pms = [((0, 1), (2, 3)), ((0, 3), (1, 2))]
     pm_weights = [Fraction(g.weight(g.edge_index[a]))

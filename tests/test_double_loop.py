@@ -91,8 +91,7 @@ def test_double_loop_driver_follows_the_exact_kernel_powers(name, request):
     exact inner draw that the kernel marginalizes."""
     g = request.getfixturevalue(name)
     lam = Fraction(3, 2)
-    kernel = transition_kernel(
-        g, "double_loop_weighted" if g.weighted else "double_loop", lam=lam)
+    kernel = transition_kernel(g, "double_loop", lam=lam)
     cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=lam), inner="exact")
     memo = {}
     check_kernel_powers(

@@ -34,8 +34,7 @@ def pm_steps(g, m, steps, rng):
     weighted graph), through the samplers' step loop on a partner array."""
     moves = [g.edges[i] + (i,) for i in range(g.m)]
     moves += moves[-1:]
-    _pm_walk(g, m.partner, g.n - m.covered.bit_count(), moves, steps, rng,
-             g.weighted)
+    _pm_walk(g, m.partner, g.n - m.covered.bit_count(), moves, steps, rng)
     m.idxs = {g.edge_index[(u, w)] for u, w in enumerate(m.partner) if u < w}
     m.covered = sum(g.edge_bits[i] for i in m.idxs)
     return m
@@ -171,7 +170,7 @@ def test_pm_steps_follow_the_exact_kernel_powers(name, request):
     g = request.getfixturevalue(name)
     perfect = enumerate_perfect_matchings(g)[-1].pairs()
     starts = (perfect, perfect[1:])
-    kernel = transition_kernel(g, "pm_weighted" if g.weighted else "pm")
+    kernel = transition_kernel(g, "pm")
     check_kernel_powers(
         g, kernel, lambda x, steps, rng: pm_steps(g, x, steps, rng), starts,
         label=f"pm/{name}")
@@ -213,10 +212,9 @@ def test_table_walk_draws_what_the_step_loop_draws(name, request):
     outcomes = Counter()
     for t in range(300):
         steps, attempts = (1, 2, 3, 8, 40)[t % 5], 1 + t % 3
-        want = _run_restricted(g, vbits, start, steps, attempts, loop_rng,
-                               False)
+        want = _run_restricted(g, vbits, start, steps, attempts, loop_rng)
         got = _run_restricted(g, vbits, start, steps, attempts, table_rng,
-                              False, tables)
+                              tables)
         assert got == want
         assert loop_rng.getstate() == table_rng.getstate()
         outcomes[want is None] += 1

@@ -15,6 +15,7 @@ from gbsmc.solvers import (
     SolverConfigError,
     advantage_at,
     objective_value,
+    proposal_fugacity,
     random_search,
     simulated_annealing,
     solver_for,
@@ -110,6 +111,21 @@ def test_lazy_double_loop_sampler_is_refused():
                   chain=ChainConfig(fugacity=1.0, lazy=True))
     with pytest.raises(ChainConfigError, match="lazy"):
         random_search(complete(6), cfg)
+
+
+def test_a_chain_sampler_without_a_config_runs_at_the_proposal_fugacity():
+    """With no ChainConfig a trial is the one an explicit config at
+    ``proposal_fugacity`` gives, for every chain sampler."""
+    g = planted_clique(24, 6, 0.3, seed=2)
+    for sampler in ("glauber", "jerrum", "double_loop"):
+        cfg = _rs_cfg(subset_size=6, sampler=sampler, mixing_steps=200)
+        lam = proposal_fugacity(g, 6, sampler)
+        implicit = random_search(g, cfg)
+        explicit = random_search(g, dataclasses.replace(
+            cfg, chain=ChainConfig(fugacity=lam)))
+        assert 0 < lam < 1
+        assert (implicit.score_trajectory, implicit.starvation_count) == (
+            explicit.score_trajectory, explicit.starvation_count)
 
 
 # --- objective scoring ----------------------------------------------------
@@ -274,7 +290,7 @@ def test_search_grade_double_loop_builds_no_large_table(monkeypatch):
     g = gen_graph(GraphSpec.of("erdos_renyi", n=256, p=0.4), seed=1)
     rec = random_search(g, _rs_cfg(
         subset_size=8, iterations=200, sampler="double_loop",
-        mixing_steps=1000, chain=ChainConfig(fugacity=math.sqrt(4 / g.m))))
+        mixing_steps=1000))
     assert rec.evaluations == 200
     assert all(vbits.bit_count() < 10 for vbits, _ in built)
 
@@ -327,15 +343,13 @@ def test_solver_for_mapping():
 
 def test_enhanced_search_finds_the_planted_matching_rich_set():
     g = planted_clique(24, 6, 0.25, seed=3)
-    lam = 3 / g.m
     plain_total = enhanced_total = 0
     for seed in (0, 1, 2):
         plain = random_search(
             g, _rs_cfg(subset_size=6, iterations=80, seed=seed))
         enh = random_search(
             g, _rs_cfg(subset_size=6, iterations=80, seed=seed,
-                       sampler="glauber", chain=ChainConfig(fugacity=lam),
-                       mixing_steps=400))
+                       sampler="glauber", mixing_steps=400))
         plain_total += float(plain.best_score)
         enhanced_total += float(enh.best_score)
     assert enhanced_total >= plain_total
