@@ -21,9 +21,9 @@ form (``mixing_steps``, ``fugacity`` for ``--lambda``).  The parser below
 checks spec values as it checks flags; a numeric option must also be given
 a JSON number, and a switch ``true`` or ``false``.
 
-Exit codes: 0 success, 1 failed check or partly-failed run, 2 configuration
-error, 3 post-selection starvation, 4 inner-sampler budget exhaustion,
-5 exactness guard exceeded.
+Exit codes: 0 success, 1 failed check, 2 configuration error,
+3 post-selection starvation, 4 inner-sampler budget exhaustion, 5 exactness
+guard exceeded.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
 from .pm_chain import PMSampleBudgetError, PMSamplerConfig, PMStateError
 from .seeds import child_rng, derive_seed
 from .solvers import (SAParams, SolverConfig, SolverConfigError, advantage_at,
-                      drive, proposal_fugacity, solver_for)
+                      drive, proposal_fugacity, run_trials)
 from .svg import Series, histogram_plot, line_plot
 
 EXIT_OK = 0
@@ -153,6 +153,13 @@ def _manifest_lines(value, indent=0):
 
 def _write_manifest(path: Path, tree: dict):
     path.write_text("\n".join(_manifest_lines(tree)) + "\n")
+
+
+def _check_counts(*counts):
+    """Refuse each (flag, value, least) whose value is below least."""
+    for flag, value, least in counts:
+        if value < least:
+            raise CliError(f"{flag} must be at least {least}, got {value}")
 
 
 def _even(k: int) -> int:
@@ -308,10 +315,8 @@ def _sample_lines(g: Graph, args):
     (lines already written stay on disk).  The options are checked before
     the first line is asked for."""
     chain = args.chain.replace("-", "_")
-    for flag, count in (("--steps", args.steps), ("--burn-in", args.burn_in),
-                        ("--samples", args.samples)):
-        if count < 0:
-            raise CliError(f"{flag} must be non-negative, got {count}")
+    _check_counts(("--steps", args.steps, 0), ("--burn-in", args.burn_in, 0),
+                  ("--samples", args.samples, 0))
     cc = _chain_config(args.fugacity, args.c, args.lazy, chain)
     target = -1
     k = args.post_select_k
@@ -429,11 +434,11 @@ def _solver_cfg_payload(alg: str, cfg: SolverConfig) -> dict:
     return payload
 
 
-def _record_block(rec, trial_seed, chash) -> str:
+def _record_block(rec, chash) -> str:
     """One trial of records.txt, in the manifest's "key: value" format."""
     best_vertices = rec.best_vertices()
     trial = {"algorithm": rec.algorithm, "config_hash": chash,
-             "seed": trial_seed, **_solver_fields(rec.config),
+             "seed": rec.config.seed, **_solver_fields(rec.config),
              "best_score": rec.best_score,
              "best_vertices": (" ".join(map(str, best_vertices))
                                if best_vertices else "-"),
@@ -444,6 +449,7 @@ def _record_block(rec, trial_seed, chash) -> str:
 
 
 def _cmd_solve(args) -> int:
+    _check_counts(("--seeds", args.seeds, 1))
     g, graph_desc = _graph_from_args(args)
     alg, base = _solver_config(args, g)
     master = args.seed
@@ -452,27 +458,20 @@ def _cmd_solve(args) -> int:
                           "seed": master})
     out_dir = _resolve_out(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_seeds = args.seeds
-    records = []
-    traj_rows = []
-    blocks = []
-    for j in range(n_seeds):
-        trial_seed = derive_seed(master, f"trial{j}")
-        cfg = replace(base, seed=trial_seed)
-        rec = solver_for(cfg)(g, cfg)
-        records.append(rec)
-        blocks.append(_record_block(rec, trial_seed, chash))
-        for i, best in enumerate(rec.score_trajectory, start=1):
-            traj_rows.append((chash, trial_seed, i, best))
-    (out_dir / "records.txt").write_text("\n".join(blocks))
+    records = run_trials(g, base, [derive_seed(master, f"trial{j}")
+                                   for j in range(args.seeds)])
+    (out_dir / "records.txt").write_text(
+        "\n".join(_record_block(rec, chash) for rec in records))
     _write_csv(out_dir / "trajectory.csv",
-               ("config_hash", "seed", "iteration", "best_score"), traj_rows)
+               ("config_hash", "seed", "iteration", "best_score"),
+               [(chash, rec.config.seed, i, best) for rec in records
+                for i, best in enumerate(rec.score_trajectory, start=1)])
     for j, rec in enumerate(records):
         print(f"trial {j}: best={_num(rec.best_score)} "
               f"evaluations={rec.evaluations} "
               f"starved={rec.starvation_count} "
               f"wall_time_s={rec.wall_time:.3f}")
-    mean_best = sum(float(r.best_score) for r in records) / max(1, n_seeds)
+    mean_best = sum(float(r.best_score) for r in records) / len(records)
     print(f"mean_best {mean_best!r}")
     print(f"wrote {out_dir}/records.txt and {out_dir}/trajectory.csv")
     return EXIT_OK
@@ -510,6 +509,10 @@ def _cmd_verify_balance(args) -> int:
 
 def _cmd_verify_law(args) -> int:
     g, _ = _graph_from_args(args)
+    n_samples, burn = args.samples, args.burn_in
+    thin = max(1, g.m) if args.thin is None else args.thin  # one edge sweep
+    _check_counts(("--samples", n_samples, 1), ("--burn-in", burn, 0),
+                  ("--thin", thin, 1))
     chain = args.dynamics.replace("-", "_")
     cc = _chain_config(args.fugacity, args.c, args.lazy, chain)
     law_name = args.law
@@ -519,9 +522,6 @@ def _cmd_verify_law(args) -> int:
     exact = exact_stationary(g, cc.resolved_fugacity(), law_name)
     key_kind = ("vertexset" if law_name.startswith("vertexset")
                 else "matching")
-    n_samples = args.samples
-    thin = args.thin or max(1, g.m)  # default: one edge sweep apart
-    burn = args.burn_in
     rng = child_rng(args.seed, "verify")
     counts: Counter = Counter()
     cfg = _window_config(chain, cc, args)
@@ -538,28 +538,11 @@ def _cmd_verify_law(args) -> int:
 # bench: shared machinery
 # ---------------------------------------------------------------------------
 
-def _run_trials(g, algs, seeds, master, failures):
-    """Run every (label, config) over the seed sweep.
-
-    Returns {label: [TrialRecord...]}; failed trials are recorded and
-    skipped so a partial run still produces output."""
-    out = {label: [] for label, _ in algs}
-    for label, base in algs:
-        for j in range(seeds):
-            trial_seed = derive_seed(master, f"{label}/s{j}")
-            cfg = replace(base, seed=trial_seed)
-            try:
-                out[label].append((trial_seed, solver_for(cfg)(g, cfg)))
-            except RuntimeError as err:
-                failures.append({"trial": f"{label}/s{j}", "error": str(err)})
-    return out
-
-
 def _curve_rows(chash, master, results):
     rows = []
-    for label, trials in results.items():
-        trajs = [rec.score_trajectory for _, rec in trials]
-        if not trajs or not trajs[0]:
+    for label, records in results.items():
+        trajs = [rec.score_trajectory for rec in records]
+        if not trajs[0]:
             continue
         for i in range(len(trajs[0])):
             vals = sorted(float(t[i]) for t in trajs)
@@ -577,9 +560,9 @@ def _curve_rows(chash, master, results):
 
 def _summary_rows(chash, results):
     rows = []
-    for label, trials in results.items():
-        for trial_seed, rec in trials:
-            rows.append((chash, label, trial_seed, rec.best_score,
+    for label, records in results.items():
+        for rec in records:
+            rows.append((chash, label, rec.config.seed, rec.best_score,
                          rec.evaluations, rec.starvation_count,
                          rec.inner_failures))
     return rows
@@ -709,24 +692,28 @@ def _bench_trajectory(name, opts, out_dir: Path) -> dict:
                           "options": {key: str(v) for key, v in
                                       {**opts, **resolved}.items()},
                           "algorithms": [a for a, _ in algs]})
-    failures = []
-    results = _run_trials(g, algs, opts["seeds"], master, failures)
+    results = {label: run_trials(g, cfg, [derive_seed(master, f"{label}/s{j}")
+                                          for j in range(opts["seeds"])])
+               for label, cfg in algs}
     _write_csv(out_dir / "summary.csv", _SUMMARY_HEADER,
                _summary_rows(chash, results))
     _write_csv(out_dir / "curves.csv", _CURVES_HEADER,
                _curve_rows(chash, master, results))
     outputs = ["summary.csv", "curves.csv"] + _render_plots(out_dir)
-    finals = {label: [float(rec.best_score) for _, rec in trials]
-              for label, trials in results.items()}
-    return {"config_hash": chash, "outputs": outputs, "failures": failures,
-            "resolved": resolved,
-            "final_means": {label: sum(v) / len(v) if v else 0.0
+    finals = {label: [float(rec.best_score) for rec in records]
+              for label, records in results.items()}
+    return {"config_hash": chash, "outputs": outputs, "resolved": resolved,
+            "final_means": {label: sum(v) / len(v)
                             for label, v in finals.items()},
             "positive_counts": {label: sum(1 for b in v if b > 0)
                                 for label, v in finals.items()}}
 
 
 def _bench_score_advantage(name, opts, out_dir: Path) -> dict:
+    sizes = range(opts["k_min"] + opts["k_min"] % 2, opts["k_max"] + 1, 2)
+    if not sizes:
+        raise CliError(f"--k-min {opts['k_min']} to --k-max {opts['k_max']} "
+                       "holds no even subset size")
     g, desc = _preset_graph(name, opts)
     master = opts["seed"]
     chash = _config_hash({"experiment": name, "graph": desc,
@@ -735,7 +722,7 @@ def _bench_score_advantage(name, opts, out_dir: Path) -> dict:
                          sampler="uniform", mixing_steps=opts["mixing_steps"],
                          seed=derive_seed(master, "plain"))
     rows = []
-    for k in range(opts["k_min"] + opts["k_min"] % 2, opts["k_max"] + 1, 2):
+    for k in sizes:
         chain = _chain_config(opts["fugacity"], opts["c"], default=(
             proposal_fugacity(g, k, "double_loop")))
         enhanced = replace(plain, sampler="double_loop", chain=chain,
@@ -747,7 +734,7 @@ def _bench_score_advantage(name, opts, out_dir: Path) -> dict:
                ("config_hash", "seed", "k", "plain_mean", "enhanced_mean",
                 "ratio", "fugacity", "seeds"), rows)
     outputs = ["advantage.csv"] + _render_plots(out_dir)
-    return {"config_hash": chash, "outputs": outputs, "failures": [],
+    return {"config_hash": chash, "outputs": outputs,
             "ratios": {str(row[2]): row[5] for row in rows}}
 
 
@@ -780,7 +767,7 @@ def _bench_exit_time(name, opts, out_dir: Path) -> dict:
                  fit.passed if fit else False)])
     outputs = ["exit_times.csv", "exit_summary.csv"] + _render_plots(out_dir)
     print(result.summary())
-    return {"config_hash": chash, "outputs": outputs, "failures": [],
+    return {"config_hash": chash, "outputs": outputs,
             "mean": result.mean, "expected_mean": result.expected_mean}
 
 
@@ -833,6 +820,7 @@ def _cmd_bench(args) -> int:
         return _run_spec(ExperimentSpec.from_file(args.spec))
     if not args.preset:
         raise CliError(f"choose a preset {sorted(_PRESETS)} or --spec FILE")
+    _check_counts(("--seeds", args.seeds, 1))
     preset = _PRESETS[args.preset]
     opts = {key: value for key, value in vars(args).items()
             if key not in ("command", "func", "preset", "spec", "out_dir")}
@@ -853,16 +841,10 @@ def _cmd_bench(args) -> int:
                 "options": options,
                 "outputs": info["outputs"],
                 "results": {k: v for k, v in info.items()
-                            if k not in ("config_hash", "outputs",
-                                         "failures")},
-                "failures": info["failures"],
+                            if k not in ("config_hash", "outputs")},
                 "timing": {"wall_time_s": f"{wall:.3f}"}}
     _write_manifest(out_dir / "manifest.txt", manifest)
     print(f"wrote {out_dir} ({', '.join(info['outputs'])})")
-    if info["failures"]:
-        print(f"{len(info['failures'])} trial(s) failed; see manifest",
-              file=sys.stderr)
-        return EXIT_INNER_BUDGET
     return EXIT_OK
 
 
@@ -961,6 +943,8 @@ class ExperimentSpec:
         replicates = data.get("replicates", 1)
         if not isinstance(replicates, int) or replicates < 1:
             raise CliError("replicates must be a positive integer")
+        if replicates > 1 and data["task"] not in ("sample", "bench"):
+            raise CliError(f"task {data['task']!r} does not read replicates")
         if data["task"] == "bench" and data.get("name") not in _PRESETS:
             raise CliError(
                 f"bench spec needs a preset name from {sorted(_PRESETS)}")

@@ -319,22 +319,28 @@ def solver_for(cfg: SolverConfig):
     return random_search if cfg.sa is None else simulated_annealing
 
 
+def run_trials(g: Graph, cfg: SolverConfig, seeds) -> list:
+    """One TrialRecord per seed, in the order of ``seeds``: the solver
+    ``cfg`` describes, run on ``g`` with ``cfg.seed`` set to that seed."""
+    trial_cfgs = [replace(cfg, seed=seed) for seed in seeds]
+    return [solver_for(c)(g, c) for c in trial_cfgs]
+
+
 def advantage_at(g: Graph, cfg_pair, k: int, n_seeds: int = 1) -> tuple:
     """(plain mean, enhanced mean, ratio) of the best scores at size ``k``.
 
-    ``cfg_pair`` is (plain_cfg, enhanced_cfg); each runs ``n_seeds`` trials
-    with seeds derived from its own seed field.  A zero plain mean gives
-    ratio ``inf`` when the enhanced mean is positive, 1.0 when both found
-    nothing.
+    ``cfg_pair`` is (plain_cfg, enhanced_cfg); each runs ``n_seeds`` >= 1
+    trials with seeds derived from its own seed field.  A zero plain mean
+    gives ratio ``inf`` when the enhanced mean is positive, 1.0 when both
+    found nothing.
     """
+    if n_seeds < 1:
+        raise SolverConfigError(f"n_seeds must be at least 1, got {n_seeds}")
     means = []
     for cfg in cfg_pair:
-        total = 0.0
-        for j in range(n_seeds):
-            trial_cfg = replace(cfg, subset_size=k,
-                                seed=derive_seed(cfg.seed, f"k{k}/t{j}"))
-            total += float(solver_for(trial_cfg)(g, trial_cfg).best_score)
-        means.append(total / max(1, n_seeds))
+        records = run_trials(g, replace(cfg, subset_size=k), [
+            derive_seed(cfg.seed, f"k{k}/t{j}") for j in range(n_seeds)])
+        means.append(sum(float(r.best_score) for r in records) / n_seeds)
     plain_mean, enhanced_mean = means
     if plain_mean == 0:
         return plain_mean, enhanced_mean, (1.0 if enhanced_mean == 0

@@ -9,6 +9,7 @@ import pytest
 from gbsmc.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE,
+    EXIT_INNER_BUDGET,
     EXIT_OK,
     EXIT_STARVATION,
     main,
@@ -57,6 +58,13 @@ def test_sample_emits_one_hex_state_per_window(capsys):
         assert state.startswith("0x")
 
 
+def test_sample_window_labels_count_the_burn_in(capsys):
+    assert run("sample", "--gen", "complete", "--n", 4, "--lambda", 1,
+               "--burn-in", 100, "--steps", 10, "--samples", 3) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [int(line.split(",")[0]) for line in lines] == [110, 120, 130]
+
+
 def test_sample_post_selection_emits_the_requested_size(tmp_path):
     out = tmp_path / "states.txt"
     assert run("sample", "--gen", "complete", "--n", 6, "--steps", 200,
@@ -85,6 +93,14 @@ def test_sample_starvation_has_its_own_exit_code(capsys):
     # A single edge can never reach two matched edges.
     assert run("sample", "--gen", "path", "--n", 2, "--steps", 50,
                "--samples", 3, "--post-select-k", 4) == EXIT_STARVATION
+
+
+def test_inner_budget_exhaustion_has_its_own_exit_code(capsys):
+    assert run("sample", "--gen", "complete", "--n", 6, "--chain",
+               "double-loop", "--lambda", 1, "--inner-steps", 1,
+               "--max-attempts", 1,
+               "--on-inner-failure", "abort") == EXIT_INNER_BUDGET
+    assert "inner budget" in capsys.readouterr().err
 
 
 WEIGHTED_SQUARE_TEXT = "4 4 weighted\n0 1 1\n0 3 5/2\n1 2 2\n2 3 3\n"
@@ -199,6 +215,19 @@ def test_solve_odd_hafnian_subset_is_config_error(tmp_path, capsys):
     assert run("solve", "--gen", "complete", "--n", 8, "--alg", "rs",
                "--k", 3, "--iters", 5,
                "--out-dir", tmp_path / "x") == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("solve", "--gen", "complete", "--n", 6, "--k", 4, "--seeds", 0),
+     "--seeds"),
+    (("bench", "planted-clique", "--scale", 16, "--seeds", 0), "--seeds"),
+    (("bench", "score-advantage", "--scale", 16, "--k-min", 8, "--k-max", 4),
+     "--k-max"),
+], ids=["solve", "bench", "score-advantage-sizes"])
+def test_a_run_of_no_trials_is_refused(tmp_path, capsys, argv, flag):
+    assert run(*argv, "--out-dir", tmp_path / "out") == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.*"))
 
 
 def test_unknown_algorithm_is_an_argparse_error():
@@ -321,6 +350,14 @@ def test_verify_law_fails_at_an_impossible_tolerance(capsys):
                "--dynamics", "glauber", "--lambda", 1, "--samples", 500,
                "--tol", 1e-6, "--seed", 1) == EXIT_FAILURE
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,value", [("--samples", 0), ("--burn-in", -5),
+                                        ("--thin", 0)])
+def test_verify_law_refuses_a_count_below_its_least(capsys, flag, value):
+    assert run("verify", "law", "--gen", "complete", "--n", 4,
+               "--samples", 10, flag, value) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
 
 
 def test_verify_law_oracle_guard_exit_code(capsys):
@@ -498,6 +535,21 @@ def test_malformed_spec_values_are_config_errors(tmp_path, capsys, spec):
     assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"task": "solve", "graph": {"kind": "complete", "params": {"n": 6}},
+     "config": {"k": 4, "iterations": 5}},
+    {"task": "verify", "graph": {"kind": "complete", "params": {"n": 4}},
+     "config": {"mode": "balance"}},
+    {"task": "exit-time", "config": {"squares": 1, "trials": 20}},
+], ids=["solve", "verify", "exit-time"])
+def test_spec_replicates_outside_sample_and_bench_are_refused(tmp_path,
+                                                               capsys, spec):
+    spec.update(replicates=3, out_dir=str(tmp_path / "out"))
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
+    assert "replicates" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_spec_writes_what_its_command_line_writes(tmp_path):

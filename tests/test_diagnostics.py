@@ -24,6 +24,7 @@ from gbsmc.diagnostics import (
     transition_kernel,
     tv_distance,
 )
+from gbsmc.double_loop import DoubleLoopConfig
 from gbsmc.glauber import ChainConfig
 from gbsmc.graphs import Graph, complete, enumerate_matchings
 
@@ -294,6 +295,16 @@ def test_mixing_curve_vertexset_keys(k4):
     cfg = ChainConfig(fugacity=0.5, seed=4)
     curve = mixing_curve(k4, cfg, law, checkpoints=(128,), replicas=400,
                          dynamics="jerrum", key_kind="vertexset")
+    assert curve[128] < 0.1
+
+
+def test_mixing_curve_runs_the_double_loop_its_config_names(k4):
+    law = exact_stationary(k4, 1, "vertexset_double")
+    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=1.0, seed=5),
+                           inner="exact")
+    curve = mixing_curve(k4, cfg, law, checkpoints=(1, 128), replicas=400,
+                         key_kind="vertexset")
+    assert curve[128] < curve[1]
     assert curve[128] < 0.1
 
 

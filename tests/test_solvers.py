@@ -17,6 +17,7 @@ from gbsmc.solvers import (
     objective_value,
     proposal_fugacity,
     random_search,
+    run_trials,
     simulated_annealing,
     solver_for,
 )
@@ -195,6 +196,19 @@ def test_identical_seeds_reproduce_the_whole_record():
         assert first.starvation_count == second.starvation_count
 
 
+def test_run_trials_runs_one_trial_per_seed_in_seed_order():
+    g = planted_clique(14, 4, 0.3, seed=1)
+    seeds = ["b", "a", 7]
+    for name, cfg in _all_variant_configs(iterations=10):
+        records = run_trials(g, cfg, seeds)
+        assert [rec.config.seed for rec in records] == seeds
+        for seed, rec in zip(seeds, records):
+            alone = dataclasses.replace(cfg, seed=seed)
+            assert rec.config == alone and rec.algorithm == name
+            assert (rec.score_trajectory
+                    == solver_for(alone)(g, alone).score_trajectory)
+
+
 def test_zero_iteration_annealing_returns_empty_record():
     for sampler, name in (("uniform", "simulated_annealing"),
                           ("glauber", "enhanced_simulated_annealing")):
@@ -369,6 +383,12 @@ def test_score_advantage_sentinels_and_keys():
     pair = (plain, enhanced)
     assert math.isinf(advantage_at(g, pair, 4, n_seeds=2)[2])
     assert advantage_at(g, pair, 6, n_seeds=2)[2] == 1.0
+
+
+def test_score_advantage_needs_a_trial():
+    cfg = SolverConfig(objective="density", iterations=6, seed=5)
+    with pytest.raises(SolverConfigError, match="n_seeds"):
+        advantage_at(complete(8), (cfg, cfg), 4, n_seeds=0)
 
 
 def test_score_advantage_finite_ratio():
