@@ -20,8 +20,8 @@ from .diagnostics import (ExitTimeResult, GeometricFit, OracleGuardError,
                           exit_probability, exit_time_experiment,
                           geometric_fit, mixing_curve, pm_stationary,
                           transition_kernel, tv_distance)
-from .double_loop import (DoubleLoopConfig, InnerSamplerError, InnerStats,
-                          RejectionCapError, vertex_set_histogram)
+from .double_loop import (DoubleLoopConfig, InnerGuardError, InnerSamplerError,
+                          InnerStats, RejectionCapError, vertex_set_histogram)
 from .glauber import ChainConfig, ChainConfigError, sample_states
 from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
                      Matching, enumerate_matchings, from_edge_list_text,
@@ -40,8 +40,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainConfig", "ChainConfigError", "DoubleLoopConfig",
     "EnumerationCapError", "ExitTimeResult", "GeometricFit", "Graph",
-    "GraphError", "GraphSpec", "InnerSamplerError", "InnerStats",
-    "Matching", "OracleGuardError", "PMSampleBudgetError",
+    "GraphError", "GraphSpec", "InnerGuardError", "InnerSamplerError",
+    "InnerStats", "Matching", "OracleGuardError", "PMSampleBudgetError",
     "PMSamplerConfig", "PMStateError", "RejectionCapError", "SAParams",
     "SolverConfig", "SolverConfigError", "TrialRecord",
     "check_detailed_balance", "child_rng", "default_inner_steps",

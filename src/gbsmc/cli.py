@@ -47,7 +47,8 @@ from .diagnostics import (LAW_KINDS, OracleGuardError, check_detailed_balance,
                           exact_stationary, exit_time_experiment,
                           geometric_fit, pm_stationary, transition_kernel,
                           tv_distance)
-from .double_loop import DoubleLoopConfig, InnerSamplerError, RejectionCapError
+from .double_loop import (DoubleLoopConfig, InnerGuardError, InnerSamplerError,
+                          RejectionCapError)
 from .glauber import ChainConfig, ChainConfigError, move_probabilities
 from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
                      Matching, gen_graph, load_edge_list, to_edge_list_text)
@@ -1172,7 +1173,7 @@ def main(argv=None) -> int:
     except (InnerSamplerError, PMSampleBudgetError, RejectionCapError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INNER_BUDGET
-    except (OracleGuardError, EnumerationCapError) as err:
+    except (OracleGuardError, EnumerationCapError, InnerGuardError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ORACLE_GUARD
     except (GraphError, ChainConfigError, SolverConfigError, PMStateError,

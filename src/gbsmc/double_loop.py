@@ -31,13 +31,18 @@ from dataclasses import dataclass, field
 from .graphs import Graph, Matching
 from .glauber import (ChainConfig, ChainConfigError, _drive_glauber,
                       _run_add_remove, move_probabilities)
-from .hafnian import hafnian_bits
+from .hafnian import SIZE_GUARD, hafnian_bits
 from .pm_chain import PMSamplerConfig, _run_restricted
 from .seeds import derive_seed
 
 
 class InnerSamplerError(RuntimeError):
     """Inner perfect-matching draw exhausted its budget (policy: abort)."""
+
+
+class InnerGuardError(RuntimeError):
+    """The exact inner draw met a V(X) past ``hafnian.SIZE_GUARD``
+    vertices."""
 
 
 class RejectionCapError(RuntimeError):
@@ -94,7 +99,8 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
     The outer walk is the add/remove loop at fugacity lambda^2, so a removal
     candidate has already passed the 1/(1+lambda^2) gate coin; the 1/w^2
     coin (weighted graphs) and then the inner draw decide whether it moves.
-    A lazy ``cfg.chain`` raises ChainConfigError.
+    A lazy ``cfg.chain`` raises ChainConfigError, and the exact inner draw
+    raises :class:`InnerGuardError` on a V(X) past ``hafnian.SIZE_GUARD``.
     """
     p_add, p_gate, _ = map(float, move_probabilities(
         "double_loop", float(lam), cfg.chain.lazy))
@@ -123,6 +129,11 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
             stats.shortcuts += 1
             return True  # 2-vertex subgraph: E is forced
         if exact_inner:
+            if 2 * len(idxs) > SIZE_GUARD:
+                raise InnerGuardError(
+                    f"exact inner draw on {2 * len(idxs)} vertices at step "
+                    f"{t} of the window; hafnians are guarded at "
+                    f"{SIZE_GUARD}")
             big = hafnian_bits(g, covered, haf_memo)
             small = hafnian_bits(g, covered & ~g.edge_bits[i], haf_memo)
             ratio = float(small) / float(big)

@@ -35,6 +35,11 @@ def _as_bits(g: Graph, s) -> int:
     return s if isinstance(s, int) else bitset(s)
 
 
+# Largest vertex set whose exact hafnian a run may ask for when the set's
+# size is not the caller's own choice: the solvers' hafnian objective and
+# the double loop's exact inner draw refuse larger sets.
+SIZE_GUARD = 32
+
 # A memo that a caller keeps across calls is cleared on entry once it holds
 # more than this many sub-results, so no caller's memo grows without limit.
 MEMO_LIMIT = 1 << 18

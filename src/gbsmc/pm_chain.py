@@ -18,24 +18,34 @@ least a 1/(2q^2+1) share of the space (q = matching size), which is what
 makes "run, check, retry" a practical uniform sampler for perfect
 matchings.
 
+An attempt's edge picks come in bulk from :func:`_picks`: exactly uniform
+indices drawn by rejection from ``rng.randbytes``, not one ``random()``
+call a step.  The weighted chain's acceptance coins still come from
+``rng.random``.
+
 The chain runs in one of two walks, which make the same random draws and
 so reach the same states.  The step loop, :func:`_pm_walk`, moves a partner
 array.  A transition table, :class:`_PMTable`, lists the states of the
 unweighted chain on one vertex set and, for each, the state every pick
-leads to, so a move is one lookup.  The double loop keeps one table per
-vertex set for a window, built only once earlier draws on that set have
-walked as many steps as the table of a complete graph of its size has
-transitions (:func:`table_transitions`: 54 at 4 vertices, 900 at 6,
-14,700 at 8, 4.8e6 at 12).  So a table never has more transitions than
-steps already walked on its set, and large vertex sets, which rarely
-repeat, stay on the step loop.  Chains on weighted graphs always take
-the step loop.
+leads to, so an attempt is one ``reduce`` over the picks.  The double loop
+keeps one table per vertex set for a window, built only once earlier
+draws on that set have walked as many steps as the table of a complete
+graph of its size has transitions (:func:`table_transitions`: 54 at 4
+vertices, 900 at 6, 14,700 at 8, 4.8e6 at 12).  So a table never has more
+transitions than steps already walked on its set, and large vertex sets,
+which rarely repeat, stay on the step loop.  Chains on weighted graphs
+always take the step loop.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import cache, reduce
+from itertools import chain
+from operator import getitem
 from typing import Optional
 
 from .graphs import Graph, Matching, bits_to_tuple
@@ -98,22 +108,68 @@ class PMSamplerConfig:
         return default_max_attempts(n_vertices)
 
 
+_CHUNK = 1 << 16  # picks drawn at a time; longer runs draw as they go
+
+
+@cache
+def _byte_table(k: int) -> bytes:
+    """``bytes.translate`` table for picks from ``range(k)``, k <= 256:
+    byte b maps to b % k when b < floor(256 / k) * k, and otherwise to 255,
+    the reject marker; only k < 256 has rejects, and its picks stop at
+    254."""
+    limit = 256 - 256 % k
+    return bytes(b % k if b < limit else 255 for b in range(256))
+
+
+def _picks(rng, k: int, n: int):
+    """``n`` independent, exactly uniform picks from ``range(k)``.
+
+    A pick is a byte of ``rng.randbytes`` for k <= 256; above that it is a
+    little-endian 16-bit word, or a 32-bit one past k = 2^16.  A byte or
+    word b with B possible values is kept as b % k when
+    b < floor(B / k) * k, and otherwise rejected and drawn again.  At most
+    ``_CHUNK`` picks are drawn at once; a longer run draws the next ones
+    as the last are used.
+    """
+    if n > _CHUNK:
+        return chain.from_iterable(_picks(rng, k, min(_CHUNK, n - done))
+                                   for done in range(0, n, _CHUNK))
+    if k <= 256:
+        table = _byte_table(k)
+        out = rng.randbytes(n).translate(table)
+        if 256 % k:
+            out = out.replace(b"\xff", b"")
+            while len(out) < n:
+                out += rng.randbytes(n - len(out)).translate(table).replace(
+                    b"\xff", b"")
+        return out
+    width = 2 if k <= 1 << 16 else 4
+    limit = (1 << 8 * width) - (1 << 8 * width) % k
+    out = []
+    while len(out) < n:
+        words = array("H" if width == 2 else "I",
+                      rng.randbytes(width * (n - len(out))))
+        if sys.byteorder == "big":
+            words.byteswap()
+        out += [w % k for w in words if w < limit]
+    return out
+
+
 def _pm_walk(g: Graph, partner, holes: int, moves, steps: int, rng) -> int:
     """Advance the chain ``steps`` moves on the partner array ``partner``
     (-1 at an uncovered vertex), in place, weight-tilted on a weighted
     graph.  ``holes`` is the state's uncovered-vertex count, 0 or 2;
     returns the new one.
 
-    ``moves[r]`` is ``(u, v, i)`` for the r-th proposable edge index ``i``,
-    with the last entry repeated: it takes the rare proposal
-    ``int(random() * k)``, k = ``len(moves) - 1``, that rounds up to k.
+    ``moves[r]`` is ``(u, v, i)`` for the r-th proposable edge index
+    ``i``.  The picks come from ``_picks(rng, len(moves), steps)``, and
+    a weighted graph's acceptance coins from ``rng.random``.
     """
     eindex = g.edge_index
     weights = g.weights  # None on an unweighted graph
-    k = len(moves) - 1
     rnd = rng.random
-    for _ in range(steps):
-        u, v, i = moves[int(rnd() * k)]
+    for r in _picks(rng, len(moves), steps):
+        u, v, i = moves[r]
         pu = partner[u]
         pv = partner[v]
         if holes == 0:
@@ -160,14 +216,16 @@ class _PMTable:
     """The unweighted chain on one vertex set as a transition table.
 
     A state is the frozenset of its edge indices; ``keys[s]`` is state
-    ``s``.  ``rows[s][r]`` is the state that pick ``r`` leads to from ``s``,
-    r indexing :func:`_inner_edges`, with the last entry repeated as in
-    ``_pm_walk``'s ``moves``.  A state the table lacks is added, with every
-    state it reaches, when a walk asks for it.  From a perfect matching the
-    chain reaches every perfect and near-perfect matching of the set
-    (alternating cycles join perfect matchings, and an augmenting path
-    joins a near-perfect one to a perfect one), so the first start fills
-    the table; later starts are looked up, never assumed present.
+    ``s``, and ``rows[s]`` its row: ``rows[s][r]`` is the row of the state
+    that pick ``r`` leads to from ``s``, r indexing :func:`_inner_edges`,
+    and ``rows[s][k]`` is ``s`` itself, k the number of picks.  A walk
+    is then ``reduce(getitem, picks, row)``.  A state the table lacks is
+    added, with every state it reaches, when a walk asks for it.  From a
+    perfect matching the chain reaches every perfect and near-perfect
+    matching of the set (alternating cycles join perfect matchings, and an
+    augmenting path joins a near-perfect one to a perfect one), so the
+    first start fills the table; later starts are looked up, never assumed
+    present.
     """
 
     def __init__(self, g: Graph, vbits: int):
@@ -177,6 +235,13 @@ class _PMTable:
         self.ids = {}
         self.keys = []
         self.rows = []
+
+    def _add(self, key) -> int:
+        """Number the new state ``key``, giving it a row still to fill."""
+        s = self.ids[key] = len(self.keys)
+        self.keys.append(key)
+        self.rows.append([None] * len(self.moves) + [s])
+        return s
 
     def state(self, idxs) -> int:
         """The id of the matching with edge indices ``idxs``."""
@@ -188,13 +253,13 @@ class _PMTable:
         eindex = g.edge_index
         ids = self.ids
         keys = self.keys
-        s = ids[key] = len(keys)
-        keys.append(key)
-        # a breadth-first search that numbers states as it finds them, so
-        # that rows[id] lines up with keys[id]
+        rows = self.rows
+        s = self._add(key)
+        # a breadth-first search that fills each row as it reaches it
         j = s
         while j < len(keys):
             key = keys[j]
+            row = rows[j]
             j += 1
             partner = {}
             for i in key:
@@ -202,8 +267,7 @@ class _PMTable:
                 partner[u] = v
                 partner[v] = u
             perfect = len(key) == self.half
-            row = []
-            for u, v, i in self.moves:
+            for r, (u, v, i) in enumerate(self.moves):
                 pu = partner.get(u)
                 pv = partner.get(v)
                 nxt = key
@@ -216,29 +280,22 @@ class _PMTable:
                     w, z = (v, pv) if pu is None else (u, pu)
                     nxt = (key - {eindex[(w, z) if w < z else (z, w)]}) | {i}
                 t = ids.get(nxt)
-                if t is None:
-                    t = ids[nxt] = len(keys)
-                    keys.append(nxt)
-                row.append(t)
-            row.append(row[-1])
-            self.rows.append(row)
+                row[r] = rows[self._add(nxt) if t is None else t]
         return s
 
     def walk(self, s: int, steps: int, attempts: int, rng) -> int:
         """From state ``s``, up to ``attempts`` rounds of ``steps`` moves,
         stopping after the first round that ends perfect; returns the last
-        state.  One ``random()`` a move, as in ``_pm_walk``."""
-        rows = self.rows
+        state.  The picks are ``_pm_walk``'s."""
         keys = self.keys
         half = self.half
         k = len(self.moves)
-        rnd = rng.random
+        row = self.rows[s]
         for _ in range(attempts):
-            for _ in range(steps):
-                s = rows[s][int(rnd() * k)]
-            if len(keys[s]) == half:
+            row = reduce(getitem, _picks(rng, k, steps), row)
+            if len(keys[row[k]]) == half:
                 break
-        return s
+        return row[k]
 
 
 def _run_restricted(g: Graph, vbits: int, start_idxs, steps: int,
@@ -276,7 +333,6 @@ def _run_restricted(g: Graph, vbits: int, start_idxs, steps: int,
         partner[v] = u
     holes = 0  # start state is perfect by contract
     moves = [g.edges[i] + (i,) for i in _inner_edges(g, vbits)]
-    moves += moves[-1:]  # see _pm_walk
     got = None
     walked = 0
     for _ in range(attempts):

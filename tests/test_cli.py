@@ -11,6 +11,7 @@ from gbsmc.cli import (
     EXIT_FAILURE,
     EXIT_INNER_BUDGET,
     EXIT_OK,
+    EXIT_ORACLE_GUARD,
     EXIT_STARVATION,
     main,
 )
@@ -101,6 +102,20 @@ def test_inner_budget_exhaustion_has_its_own_exit_code(capsys):
                "--max-attempts", 1,
                "--on-inner-failure", "abort") == EXIT_INNER_BUDGET
     assert "inner budget" in capsys.readouterr().err
+
+
+def test_an_exact_inner_draw_past_the_hafnian_guard_exits_5(tmp_path,
+                                                            capsys):
+    """A perfect matching of 20 disjoint edges at a large lambda: X passes
+    16 edges, and its hafnians stay 1 on the way there."""
+    graph_file = tmp_path / "pm20.txt"
+    graph_file.write_text("40 20\n" + "".join(
+        f"{2 * i} {2 * i + 1}\n" for i in range(20)))
+    assert run("sample", "--graph", graph_file, "--chain", "double-loop",
+               "--lambda", 10, "--inner", "exact", "--steps", 1000,
+               "--samples", 1, "--out", tmp_path / "states.txt"
+               ) == EXIT_ORACLE_GUARD
+    assert "guarded at 32" in capsys.readouterr().err
 
 
 WEIGHTED_SQUARE_TEXT = "4 4 weighted\n0 1 1\n0 3 5/2\n1 2 2\n2 3 3\n"

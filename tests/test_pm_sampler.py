@@ -17,6 +17,7 @@ from gbsmc.pm_chain import (
     PMStateError,
     default_inner_steps,
     _PMTable,
+    _picks,
     _pm_walk,
     _run_restricted,
     default_max_attempts,
@@ -33,7 +34,6 @@ def pm_steps(g, m, steps, rng):
     perfect-matching chain over all of ``g``'s edges (weight-tilted on a
     weighted graph), through the samplers' step loop on a partner array."""
     moves = [g.edges[i] + (i,) for i in range(g.m)]
-    moves += moves[-1:]
     _pm_walk(g, m.partner, g.n - m.covered.bit_count(), moves, steps, rng)
     m.idxs = {g.edge_index[(u, w)] for u, w in enumerate(m.partner) if u < w}
     m.covered = sum(g.edge_bits[i] for i in m.idxs)
@@ -241,9 +241,76 @@ def test_the_table_of_k2q_holds_every_perfect_and_near_perfect_matching(q):
         enumerate_perfect_matchings(gen_graph(
             GraphSpec.of("complete", n=2 * q - 2))))
     assert len(table.rows) * g.m == table_transitions(q)
-    assert all(len(row) == g.m + 1 and row[-1] == row[-2]
-               for row in table.rows)
+    assert all(len(row) == g.m + 1 and row[g.m] == s
+               and all(table.rows[nxt[g.m]] is nxt for nxt in row[:g.m])
+               for s, row in enumerate(table.rows))
     for pm in pms:
         assert table.keys[table.state(pm.idxs)] == frozenset(pm.idxs)
     assert len(table.rows) == len(table.keys)
     assert table_transitions(q) == {2: 54, 3: 900, 4: 14_700}[q]
+
+
+class ScriptedBytes:
+    """An RNG stub whose ``randbytes`` reads on through a fixed byte
+    stream, starting it again at its end."""
+
+    def __init__(self, stream: bytes):
+        self.stream = stream
+        self.pos = 0
+
+    def randbytes(self, n):
+        out = bytearray()
+        while len(out) < n:
+            take = self.stream[self.pos:self.pos + n - len(out)]
+            out += take
+            self.pos = (self.pos + len(take)) % len(self.stream)
+        return bytes(out)
+
+
+def every_word(width):
+    """Every ``width``-byte word in order, little-endian."""
+    return ScriptedBytes(b"".join(w.to_bytes(width, "little")
+                                  for w in range(256 ** width)))
+
+
+@pytest.mark.parametrize("k, width", [(1, 1), (2, 1), (255, 1), (256, 1),
+                                      (257, 2), (65_535, 2), (65_536, 2)])
+def test_picks_over_every_word_pattern_are_exactly_uniform(k, width):
+    """Two rounds of the words a pick keeps, through a stream of every
+    word pattern: each index exactly as often.  Where k does not divide
+    the word range, the first draw crosses the rejected words and a
+    refill makes up the count."""
+    kept = 256 ** width - 256 ** width % k
+    picks = list(_picks(every_word(width), k, 2 * kept))
+    assert len(picks) == 2 * kept
+    assert Counter(picks) == {r: 2 * kept // k for r in range(k)}
+
+
+def test_picks_past_the_16_bit_words_reject_at_the_32_bit_boundary():
+    """k = 65,537 takes 32-bit words, little-endian on any machine; 2^32 - 1
+    is the one word at or past the largest multiple of k."""
+    k = 65_537
+    kept = 2 ** 32 - 2 ** 32 % k
+    words = [kept - 1, kept, 0, k, k - 1, 2 ** 31]
+    rng = ScriptedBytes(b"".join(w.to_bytes(4, "little") for w in words))
+    assert list(_picks(rng, k, 5)) == [(kept - 1) % k, 0, 0, k - 1,
+                                       2 ** 31 % k]
+
+
+def test_picks_refill_until_they_have_n():
+    rng = ScriptedBytes(b"\xff" * 10 + bytes(range(3)) * 4)
+    assert list(_picks(rng, 3, 10)) == [0, 1, 2] * 3 + [0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000, 200_000])
+def test_picks_from_one_choice_are_all_zero(n):
+    assert list(_picks(random.Random(n), 1, n)) == [0] * n
+
+
+@pytest.mark.parametrize("k", [3, 300])
+def test_picks_past_a_chunk_come_back_n(k):
+    """More picks than one draw takes come back as many as asked for, the
+    same on every rerun."""
+    first = list(_picks(random.Random(k), k, 200_000))
+    assert len(first) == 200_000 and set(first) == set(range(k))
+    assert first == list(_picks(random.Random(k), k, 200_000))
