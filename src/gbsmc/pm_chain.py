@@ -136,12 +136,10 @@ def _picks(rng, k: int, n: int):
                                    for done in range(0, n, _CHUNK))
     if k <= 256:
         table = _byte_table(k)
-        out = rng.randbytes(n).translate(table)
-        if 256 % k:
-            out = out.replace(b"\xff", b"")
-            while len(out) < n:
-                out += rng.randbytes(n - len(out)).translate(table).replace(
-                    b"\xff", b"")
+        out = b""
+        while len(out) < n:
+            got = rng.randbytes(n - len(out)).translate(table)
+            out += got if k == 256 else got.replace(b"\xff", b"")
         return out
     width = 2 if k <= 1 << 16 else 4
     limit = (1 << 8 * width) - (1 << 8 * width) % k
