@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .graphs import Graph, Matching
 from .glauber import (ChainConfig, ChainConfigError, _drive_glauber,
                       _run_add_remove, move_probabilities)
-from .hafnian import SIZE_GUARD, hafnian_bits
+from .hafnian import MEMO_LIMIT, hafnian_bits, memo_bound
 from .pm_chain import PMSamplerConfig, _run_restricted
 from .seeds import derive_seed
 
@@ -41,8 +41,8 @@ class InnerSamplerError(RuntimeError):
 
 
 class InnerGuardError(RuntimeError):
-    """The exact inner draw met a V(X) past ``hafnian.SIZE_GUARD``
-    vertices."""
+    """The exact inner draw met a V(X) whose hafnian may memoise more than
+    ``hafnian.MEMO_LIMIT`` sub-sets (:func:`hafnian.memo_bound`)."""
 
 
 class RejectionCapError(RuntimeError):
@@ -100,7 +100,8 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
     candidate has already passed the 1/(1+lambda^2) gate coin; the 1/w^2
     coin (weighted graphs) and then the inner draw decide whether it moves.
     A lazy ``cfg.chain`` raises ChainConfigError, and the exact inner draw
-    raises :class:`InnerGuardError` on a V(X) past ``hafnian.SIZE_GUARD``.
+    raises :class:`InnerGuardError` on a V(X) whose hafnian could memoise
+    more than ``hafnian.MEMO_LIMIT`` sub-sets.
     """
     p_add, p_gate, _ = map(float, move_probabilities(
         "double_loop", float(lam), cfg.chain.lazy))
@@ -129,13 +130,20 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
             stats.shortcuts += 1
             return True  # 2-vertex subgraph: E is forced
         if exact_inner:
-            if 2 * len(idxs) > SIZE_GUARD:
-                raise InnerGuardError(
-                    f"exact inner draw on {2 * len(idxs)} vertices at step "
-                    f"{t} of the window; hafnians are guarded at "
-                    f"{SIZE_GUARD}")
+            rest = covered & ~g.edge_bits[i]
+            for bits in (covered, rest):
+                # A set in the memo passed this check or was reached from
+                # one that did, so its hafnian costs no more.
+                if bits not in haf_memo:
+                    bound = memo_bound(g, bits)
+                    if bound > MEMO_LIMIT:
+                        raise InnerGuardError(
+                            f"exact inner draw at step {t} of the window: "
+                            f"the hafnian of {bits.bit_count()} vertices may "
+                            f"memoise {bound} sub-sets, past the guard of "
+                            f"{MEMO_LIMIT}")
             big = hafnian_bits(g, covered, haf_memo)
-            small = hafnian_bits(g, covered & ~g.edge_bits[i], haf_memo)
+            small = hafnian_bits(g, rest, haf_memo)
             ratio = float(small) / float(big)
             if wf is not None:
                 ratio *= wf[i]

@@ -25,6 +25,8 @@ the benchmark experiments.
 
 from __future__ import annotations
 
+from math import comb
+
 from .graphs import (Graph, Matching, EnumerationCapError, bits_to_tuple,
                      bitset)
 
@@ -34,11 +36,6 @@ def _as_bits(g: Graph, s) -> int:
         return g.full_bits
     return s if isinstance(s, int) else bitset(s)
 
-
-# Largest vertex set whose exact hafnian a run may ask for when the set's
-# size is not the caller's own choice: the solvers' hafnian objective and
-# the double loop's exact inner draw refuse larger sets.
-SIZE_GUARD = 32
 
 # A memo that a caller keeps across calls is cleared on entry once it holds
 # more than this many sub-results, so no caller's memo grows without limit.
@@ -123,6 +120,33 @@ def hafnian_bits(g: Graph, uncovered: int, memo=None):
         memo.clear()
     return _haf(g.adj, g.weight_map() if g.weighted else None, uncovered,
                 memo)
+
+
+def memo_bound(g: Graph, uncovered: int) -> int:
+    """Most sub-sets that :func:`hafnian_bits` with a caller's memo can
+    store while it sums the ``uncovered`` bitset: a bound on the call's
+    memory and work, found without running it.
+
+    Host order.  A set the recursion reaches with lowest vertex v (the
+    i-th of the set) has lost all i earlier vertices and r later ones.
+    Those were partners of earlier vertices, so they lie on v's frontier
+    of f later vertices adjacent to earlier ones; and r <= i, r = i mod 2.
+    Exact on complete graphs.
+    """
+    adj = g.adj
+    total = 0
+    front = 0
+    rest = uncovered
+    i = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        front &= rest
+        f = front.bit_count()
+        total += sum(comb(f, r) for r in range(i & 1, min(i, f) + 1, 2))
+        front |= adj[low.bit_length() - 1]
+        i += 1
+    return total
 
 
 def hafnian(g: Graph, s=None):

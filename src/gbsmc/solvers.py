@@ -27,7 +27,7 @@ from .glauber import (ChainConfig, ChainConfigError, _drive_glauber,
                       _drive_jerrum, move_probabilities)
 from .double_loop import DoubleLoopConfig, InnerStats, _drive_double
 from .pm_chain import PMSamplerConfig
-from .hafnian import SIZE_GUARD, count_induced_edges, hafnian_bits
+from .hafnian import count_induced_edges, hafnian_bits
 from .seeds import child_rng, derive_seed
 
 
@@ -37,6 +37,7 @@ class SolverConfigError(ValueError):
 
 OBJECTIVES = ("hafnian", "density")
 SAMPLERS = ("uniform", "glauber", "jerrum", "double_loop")
+_HAFNIAN_SIZE_GUARD = 32
 
 
 @dataclass
@@ -102,9 +103,9 @@ def _validate(g: Graph, cfg: SolverConfig):
         if cfg.subset_size % 2:
             raise SolverConfigError(
                 "hafnian objective needs an even subset size")
-        if cfg.subset_size > SIZE_GUARD:
+        if cfg.subset_size > _HAFNIAN_SIZE_GUARD:
             raise SolverConfigError(
-                f"hafnian objective guarded at {SIZE_GUARD} vertices")
+                f"hafnian objective guarded at {_HAFNIAN_SIZE_GUARD} vertices")
     if cfg.sampler != "uniform" and cfg.subset_size % 2:
         raise SolverConfigError(
             "chain proposals cover an even number of vertices; "

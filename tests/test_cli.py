@@ -106,16 +106,14 @@ def test_inner_budget_exhaustion_has_its_own_exit_code(capsys):
 
 def test_an_exact_inner_draw_past_the_hafnian_guard_exits_5(tmp_path,
                                                             capsys):
-    """A perfect matching of 20 disjoint edges at a large lambda: X passes
-    16 edges, and its hafnians stay 1 on the way there."""
-    graph_file = tmp_path / "pm20.txt"
-    graph_file.write_text("40 20\n" + "".join(
-        f"{2 * i} {2 * i + 1}\n" for i in range(20)))
-    assert run("sample", "--graph", graph_file, "--chain", "double-loop",
-               "--lambda", 10, "--inner", "exact", "--steps", 1000,
-               "--samples", 1, "--out", tmp_path / "states.txt"
+    """On K28 at a large lambda X grows to a perfect matching, whose
+    hafnian could memoise 514,228 sub-sets, past hafnian.MEMO_LIMIT."""
+    assert run("sample", "--gen", "complete", "--n", 28, "--chain",
+               "double-loop", "--lambda", 10, "--inner", "exact", "--steps",
+               3000, "--samples", 1, "--out", tmp_path / "states.txt"
                ) == EXIT_ORACLE_GUARD
-    assert "guarded at 32" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "the hafnian of 28 vertices may memoise 514228 sub-sets" in err
 
 
 WEIGHTED_SQUARE_TEXT = "4 4 weighted\n0 1 1\n0 3 5/2\n1 2 2\n2 3 3\n"
@@ -399,6 +397,13 @@ def test_bench_exit_time_runs_at_the_fugacity_c_gives(tmp_path):
         tables[name] = {p.name: p.read_bytes()
                         for p in (tmp_path / name).glob("*.csv")}
     assert tables["c"] == tables["quarter"] != tables["one"]
+
+
+def test_bench_exit_time_runs_on_cheap_hafnians_of_many_vertices(tmp_path):
+    # Trials start at a matching on all 36 vertices of hard_instance(9),
+    # whose sparse hafnians pass the exact inner draw's guard.
+    assert run("bench", "exit-time", "--squares", 9, "--trials", 3,
+               "--out-dir", tmp_path / "exit") == EXIT_OK
 
 
 @pytest.mark.parametrize("trials,fugacity", [

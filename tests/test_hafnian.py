@@ -24,6 +24,7 @@ from gbsmc.hafnian import (
     hafnian,
     hafnian_bits,
     matching_weight,
+    memo_bound,
     perfect_matchings_bits,
 )
 
@@ -250,6 +251,34 @@ def test_a_kept_memo_stays_bounded(monkeypatch):
         # cleared on entry, so one call adds at most its own sub-results
         assert len(memo) <= limit + len(fresh)
     assert cleared
+
+
+@pytest.mark.parametrize("n", range(2, 21, 2))
+def test_the_memo_bound_is_exact_on_complete_graphs(n):
+    g = gen_graph(GraphSpec.of("complete", n=n))
+    memo = {}
+    hafnian_bits(g, g.full_bits, memo)
+    assert memo_bound(g, g.full_bits) == len(memo)
+
+
+def test_the_memo_bound_covers_what_a_call_memoises():
+    rng = random.Random(8)
+    for seed in range(40):
+        n = rng.randrange(2, 21, 2)
+        g = gen_graph(GraphSpec.of("erdos_renyi", n=n, p=rng.random()),
+                      seed=seed)
+        bits = bitset(rng.sample(range(n), rng.randrange(0, n + 1, 2)))
+        memo = {}
+        hafnian_bits(g, bits, memo)
+        assert len(memo) <= memo_bound(g, bits)
+
+
+def test_the_memo_bound_grows_linearly_on_a_cycle_of_squares():
+    # Host order keeps the frontier of hard_instance to a few vertices.
+    g = hard_instance(64)
+    memo = {}
+    assert hafnian_bits(g, g.full_bits, memo) == hafnian(g)
+    assert len(memo) <= memo_bound(g, g.full_bits) < 4 * g.n
 
 
 def test_a_call_leaves_no_cyclic_garbage():

@@ -302,15 +302,10 @@ def test_picks_refill_until_they_have_n():
     assert list(_picks(rng, 3, 10)) == [0, 1, 2] * 3 + [0]
 
 
-@pytest.mark.parametrize("n", [0, 1, 1000, 200_000])
-def test_picks_from_one_choice_are_all_zero(n):
-    assert list(_picks(random.Random(n), 1, n)) == [0] * n
-
-
-@pytest.mark.parametrize("k", [3, 300])
-def test_picks_past_a_chunk_come_back_n(k):
-    """More picks than one draw takes come back as many as asked for, the
-    same on every rerun."""
-    first = list(_picks(random.Random(k), k, 200_000))
-    assert len(first) == 200_000 and set(first) == set(range(k))
-    assert first == list(_picks(random.Random(k), k, 200_000))
+def test_byte_picks_past_a_chunk_come_back_n():
+    """More byte picks than one draw takes come back as many as asked for,
+    the same on every rerun.  (The 16-bit cases of the every-word test
+    cross chunks too.)"""
+    first = list(_picks(random.Random(3), 3, 200_000))
+    assert len(first) == 200_000 and set(first) == {0, 1, 2}
+    assert first == list(_picks(random.Random(3), 3, 200_000))
