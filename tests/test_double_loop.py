@@ -122,7 +122,9 @@ def test_double_loop_post_selected_window_reports_a_step_inside_it():
     x = Matching(g)
     memo = {}
     seen = 0
-    for w in range(200):
+    for w in range(2000):  # until 51 post-selected windows are checked
+        if seen > 50:
+            break
         snap, step = _drive_double(g, x, 0.7, cfg, 30, rng, target_edges=2,
                                    haf_memo=memo)
         if snap is None:
