@@ -121,6 +121,8 @@ def _resolve_out(path_text: str) -> Path:
 
 
 def _write_csv(path: Path, header, rows):
+    # the directory comes with the first table: a refused run leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -829,7 +831,6 @@ def _cmd_bench(args) -> int:
         if opts[key] is None:
             opts[key] = getattr(preset, key)
     out_dir = _resolve_out(args.out_dir or f"runs/{args.preset}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     info = preset.runner(args.preset, opts, out_dir)
     wall = time.perf_counter() - t0

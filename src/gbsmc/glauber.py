@@ -10,9 +10,10 @@ With the rescaling lambda = c^2 the vertex-set marginal of mu is
 Pr[S] proportional to c^|S| * Haf(S), which is what makes these chains
 useful as samplers for hafnian-weighted vertex sets.
 
-Both run on one event loop, :func:`_run_add_remove`, which skips the steps
-that hold; the double loop's outer chain runs on it too.  Jerrum keeps a
-step loop for windows that start where many steps are move candidates.
+All three chains, the double loop's outer chain included, run on one
+window loop, :func:`_run_add_remove`.  Where few steps are move candidates
+it skips the steps that hold, one event at a time; where many are, it
+takes plain steps on byte-drawn edge picks.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from fractions import Fraction
 from math import log, log1p
 
 from .graphs import Graph, Matching
+from .pm_chain import _picks
 
 
 class ChainConfigError(ValueError):
@@ -81,6 +83,9 @@ def move_probabilities(chain, lam, lazy=False):
     return tuple(Fraction(1, 2) * p for p in moves) if lazy else moves
 
 
+_STEP_BLOCK = 256  # plain steps between two readings of the candidate rate
+
+
 def _candidate_counts(g, x):
     """``(A, S)`` for the matching ``x``: A addable edges, and S = sum over
     covered vertices a of (deg a - 1) slide candidates (a, w), w a neighbour
@@ -111,17 +116,20 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     an edge with exactly one end covered slides in for the edge covering
     that end with probability ``p_slide``, and anything else holds.
 
-    Rather than draw every step, the loop draws the Geometric(R/m) holding
-    time to the next candidate, R = A * p_add + |X| * p_rem + S * p_slide
-    (A and S as in :func:`_candidate_counts`), and then the candidate: the
-    n-fold way of Bortz, Kalos and Lebowitz (1975).  A slide candidate is a
-    covered vertex a drawn with weight deg a - 1 and a uniform neighbour w
-    other than a's partner; it moves only when w is free (thinning, Lewis
-    and Shedler 1979), so each edge with one covered end is proposed at
-    rate p_slide / m and each edge with both ends covered by different
-    edges holds, as in the step chain.  In a state where R >= m the loop
-    takes one plain pick-an-edge step instead.  X_t has the step chain's
-    law at every t; a refused removal is a hold.
+    The loop runs in one of two modes, by the candidate rate
+    R = A * p_add + |X| * p_rem + S * p_slide (A and S as in
+    :func:`_candidate_counts`).  While 8R < m it skips the steps that
+    hold: it draws the Geometric(R/m) holding time to the next candidate,
+    and then the candidate, the n-fold way of Bortz, Kalos and Lebowitz
+    (1975).  A slide candidate is a covered vertex a drawn with weight
+    deg a - 1 and a uniform neighbour w other than a's partner; it moves
+    only when w is free (thinning, Lewis and Shedler 1979), so each edge
+    with one covered end is proposed at rate p_slide / m and each edge with
+    both ends covered by different edges holds, as in the step chain.  A
+    move that lifts 8R to m hands over to plain pick-an-edge steps on
+    :func:`pm_chain._picks`, which re-read R every ``_STEP_BLOCK`` steps
+    and hand back once 8R < m; they draw no coin whose probability is 1.
+    X_t has the step chain's law at every t; a refused removal is a hold.
 
     Tracks the most recent state of ``target_edges`` edges (post-selection)
     and fills ``collect`` (a Counter) with state keys every ``thin`` steps
@@ -142,87 +150,132 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     xs = sorted(idxs)  # the edges of X, as a list for uniform picks
     addable, slides = _candidate_counts(g, x)
     thin = max(1, thin)
-    base = burn_in  # sample points: base + thin*j, j >= 1
-    taken = 0       # sample points before the current hold
     end = steps
+    # the next sample point; they are burn_in + thin * j, j >= 1
+    point = burn_in + thin if collect is not None else end + 1
+    vertex_keys = key_kind == "vertexset"
+
+    def count(covered, last, point):
+        """Count the state ``covered`` at the sample points from ``point``
+        to ``last``; returns the next point."""
+        k = (last - point) // thin + 1
+        collect[covered if vertex_keys else
+                tuple(sorted(edges[i] for i in idxs))] += k
+        return point + k * thin
+
+    add_coin, rem_coin, slide_coin = p_add < 1, p_rem < 1, p_slide < 1
     snap, snap_step = None, None
     t = 0           # X is the state from step t on
     while True:
-        p_out = len(xs) * p_rem
+        p_out = len(idxs) * p_rem
         p_sl = slides * p_slide
         rate = addable * p_add + p_out + p_sl
+        if 8 * rate >= m > 0:
+            # plain steps; a move at step t first counts X_{t-1} at its
+            # sample points and, if it changes the size, post-selects it
+            covered = x.covered
+            add, remove = idxs.add, idxs.remove
+            for i in _picks(rng, m, min(_STEP_BLOCK, end - t)):
+                t += 1
+                u, v = edges[i]
+                pu = partner[u]
+                pv = partner[v]
+                if pu == pv:  # both ends free
+                    if add_coin and rnd() >= p_add:
+                        continue
+                    if point < t:
+                        point = count(covered, t - 1, point)
+                    if len(idxs) == target_edges:
+                        snap, snap_step = covered, t - 1
+                    add(i)
+                    partner[u] = v
+                    partner[v] = u
+                    covered |= ebits[i]
+                elif pu == v:
+                    if rem_coin and rnd() >= p_rem:
+                        continue
+                    if remove_ok is not None:
+                        x.covered = covered
+                        if not remove_ok(i, t):
+                            continue
+                    if point < t:
+                        point = count(covered, t - 1, point)
+                    if len(idxs) == target_edges:
+                        snap, snap_step = covered, t - 1
+                    remove(i)
+                    partner[u] = -1
+                    partner[v] = -1
+                    covered ^= ebits[i]
+                elif p_slide and (pu == -1 or pv == -1):
+                    if slide_coin and rnd() >= p_slide:
+                        continue
+                    if point < t:
+                        point = count(covered, t - 1, point)
+                    # edge i slides in for edge j = (v, z) or (u, z)
+                    if pu == -1:
+                        z = pv
+                        j = eindex[(v, z) if v < z else (z, v)]
+                    else:
+                        z = pu
+                        j = eindex[(u, z) if u < z else (z, u)]
+                    remove(j)
+                    add(i)
+                    partner[z] = -1
+                    partner[u] = v
+                    partner[v] = u
+                    covered ^= ebits[i] ^ ebits[j]
+            x.covered = covered
+            if t < end:
+                xs = sorted(idxs)
+                addable, slides = _candidate_counts(g, x)
+                continue
+            rate = 0.0  # the window's last state holds to its end
         if rate <= 0.0:
             nxt = end + 1
-        elif rate >= m:
-            nxt = t + 1
         else:
             nxt = t + 1 + int(log(1.0 - rnd()) / log1p(-rate / m))
         last = min(nxt - 1, end)
-        if len(xs) == target_edges:
+        if len(idxs) == target_edges:
             snap, snap_step = x.covered, last
-        points = (last - base) // thin
-        if collect is not None and points > taken:
-            collect[x.covered if key_kind == "vertexset" else
-                    tuple(sorted(edges[i] for i in idxs))] += points - taken
-            taken = points
+        if last >= point:
+            point = count(x.covered, last, point)
         if nxt > end:
             break
         t = nxt
         covered = x.covered
         # the move: k = -1 adds edge i, k = -2 slides edge (a, w) in for
         # edge j = (a, z), and k >= 0 removes edge i = xs[k]
-        if rate >= m:  # a plain step: pick an edge, then its coin
-            i = int(rnd() * m)
-            u, v = edges[i]
-            pu = partner[u]
-            pv = partner[v]
-            if pu == -1 and pv == -1:
-                if rnd() >= p_add:
-                    continue
-                k = -1
-            elif pu == v:
-                if rnd() >= p_rem or (remove_ok is not None
-                                      and not remove_ok(i, t)):
-                    continue
-                k = xs.index(i)
-            elif (pu == -1 or pv == -1) and rnd() < p_slide:
-                a, z, w = (v, pv, u) if pu == -1 else (u, pu, v)
-                j = eindex[(a, z) if a < z else (z, a)]
-                k = -2
-            else:
+        r = rnd() * rate
+        if r < p_out:
+            k = int(rnd() * len(xs))
+            i = xs[k]
+            if remove_ok is not None and not remove_ok(i, t):
                 continue
+        elif r < p_out + p_sl:
+            r = int(rnd() * slides)  # a's block of deg a - 1 in [0, S)
+            for j in xs:
+                a, z = edges[j]
+                d = len(nbrs[a]) - 1
+                if r < d:
+                    break
+                r -= d
+                a, z = z, a
+                d = len(nbrs[a]) - 1
+                if r < d:
+                    break
+                r -= d
+            nb = nbrs[a]
+            w = nb[r]
+            if w == z:
+                w = nb[-1]
+            if covered >> w & 1:
+                continue  # both ends covered: the step holds
+            k = -2
         else:
-            r = rnd() * rate
-            if r < p_out:
-                k = int(rnd() * len(xs))
-                i = xs[k]
-                if remove_ok is not None and not remove_ok(i, t):
-                    continue
-            elif r < p_out + p_sl:
-                r = int(rnd() * slides)  # a's block of deg a - 1 in [0, S)
-                for j in xs:
-                    a, z = edges[j]
-                    d = len(nbrs[a]) - 1
-                    if r < d:
-                        break
-                    r -= d
-                    a, z = z, a
-                    d = len(nbrs[a]) - 1
-                    if r < d:
-                        break
-                    r -= d
-                nb = nbrs[a]
-                w = nb[r]
-                if w == z:
-                    w = nb[-1]
-                if covered >> w & 1:
-                    continue  # both ends covered: the step holds
-                k = -2
-            else:
+            i = int(rnd() * m)
+            while covered & ebits[i]:
                 i = int(rnd() * m)
-                while covered & ebits[i]:
-                    i = int(rnd() * m)
-                k = -1
+            k = -1
         if k == -1:
             u, v = edges[i]
             xs.append(i)
@@ -270,89 +323,13 @@ def _drive_glauber(g, x, lam, lazy, steps, rng, **kw):
     return _run_add_remove(g, x, p_add, p_rem, steps, rng, **kw)
 
 
-def _drive_jerrum(g, x, lam, lazy, steps, rng,
-                  target_edges=-1, collect=None, key_kind="matching",
-                  thin=0, burn_in=0):
-    """Jerrum-style counterpart of :func:`_drive_glauber` (same contract).
-
-    The add/remove/slide event loop runs the window when its start state
-    has candidate rate R < m/8, which holds in the post-selection regime.
-    One candidate costs the event loop as much as five to eight steps of
-    the step loop below (measured on K6 and on Erdos-Renyi graphs with
-    30 to 256 vertices), so a window that starts denser, such as one from
-    the empty matching of K6 at lambda = 1, runs on the step loop.  Both
-    draw from the same kernel.
-    """
-    m = g.m
+def _drive_jerrum(g, x, lam, lazy, steps, rng, **kw):
+    """Jerrum-style counterpart of :func:`_drive_glauber` (same contract):
+    its move probabilities, slides included, on :func:`_run_add_remove`."""
     p_add, p_rem, p_slide = map(float, move_probabilities(
         "jerrum", float(lam), lazy))
-    addable, slides = _candidate_counts(g, x)
-    rate = addable * p_add + len(x.idxs) * p_rem + slides * p_slide
-    if 8 * rate < m or not m:
-        return _run_add_remove(g, x, p_add, p_rem, steps, rng,
-                               p_slide=p_slide, target_edges=target_edges,
-                               collect=collect, key_kind=key_kind, thin=thin,
-                               burn_in=burn_in)
-    snap, snap_step = None, None
-    if target_edges >= 0 and len(x.idxs) == target_edges:
-        snap, snap_step = x.covered, 0
-    edges = g.edges
-    ebits = g.edge_bits
-    eindex = g.edge_index
-    idxs = x.idxs
-    partner = x.partner
-    covered = x.covered
-    rnd = rng.random
-    countdown = thin if collect is not None else -1
-    vertex_keys = key_kind == "vertexset"
-
-    for t in range(1, steps + 1):
-        r = rnd()
-        i = int(r * m)
-        if i == m:
-            i = m - 1
-        u, v = edges[i]
-        pu = partner[u]
-        pv = partner[v]
-        if pu == -1 and pv == -1:
-            if rnd() < p_add:
-                idxs.add(i)
-                covered |= ebits[i]
-                partner[u] = v
-                partner[v] = u
-        elif pu == v:
-            if rnd() < p_rem:
-                idxs.remove(i)
-                covered &= ~ebits[i]
-                partner[u] = -1
-                partner[v] = -1
-        elif pu == -1 or pv == -1:
-            # exactly one endpoint blocked: slide the blocking edge off
-            if p_slide == 1.0 or rnd() < p_slide:
-                if pu == -1:
-                    w = pv
-                    j = eindex[(v, w) if v < w else (w, v)]
-                else:
-                    w = pu
-                    j = eindex[(u, w) if u < w else (w, u)]
-                idxs.remove(j)
-                covered &= ~ebits[j]
-                partner[w] = -1
-                idxs.add(i)
-                covered |= ebits[i]
-                partner[u] = v
-                partner[v] = u
-        # both endpoints blocked by other edges: hold
-        if target_edges >= 0 and len(idxs) == target_edges:
-            snap, snap_step = covered, t
-        if countdown >= 0 and t > burn_in:
-            countdown -= 1
-            if countdown <= 0:
-                countdown = thin
-                collect[covered if vertex_keys else
-                        tuple(sorted(edges[i] for i in idxs))] += 1
-    x.covered = covered
-    return snap, snap_step
+    return _run_add_remove(g, x, p_add, p_rem, steps, rng, p_slide=p_slide,
+                           **kw)
 
 
 _DRIVERS = {"glauber": _drive_glauber, "jerrum": _drive_jerrum}

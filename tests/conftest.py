@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -88,6 +89,40 @@ def check_kernel_powers(g, kernel, advance, starts, label, runs=10_000):
             tv = naive_tv({k: v / runs for k, v in counts.items()},
                           {k: float(v) for k, v in row.items()})
             assert tv <= bound, (label, start, steps, tv, bound)
+
+
+def spy_plain_steps(monkeypatch):
+    """Record the size of every batch of plain-step edge picks that the
+    chains' window loop draws from now on (the inner perfect-matching
+    chain's picks are not counted)."""
+    from gbsmc import glauber
+
+    real = glauber._picks
+    batches = []
+
+    def spy(rng, k, n):
+        batches.append(n)
+        return real(rng, k, n)
+
+    monkeypatch.setattr(glauber, "_picks", spy)
+    return batches
+
+
+class ScriptedRng:
+    """An RNG whose coins (``random``) and edge picks (``randbytes``, one
+    byte per 32-bit word) come from two streams of their own, so that a
+    window cut short at step s makes the same draws up to s as the whole
+    window, whichever mode each step runs in."""
+
+    def __init__(self, seed):
+        self._coins = random.Random(f"coins/{seed}")
+        self._bytes = random.Random(f"bytes/{seed}")
+
+    def random(self):
+        return self._coins.random()
+
+    def randbytes(self, n):
+        return bytes(self._bytes.getrandbits(8) for _ in range(n))
 
 
 def spy_table_builds(monkeypatch):

@@ -243,6 +243,17 @@ def test_a_run_of_no_trials_is_refused(tmp_path, capsys, argv, flag):
     assert not list(tmp_path.glob("out/*.*"))
 
 
+@pytest.mark.parametrize("argv", [
+    ("score-advantage", "--scale", 16, "--k-min", 8, "--k-max", 4),
+    ("exit-time", "--squares", 1, "--trials", 0)],
+    ids=["score-advantage-sizes", "exit-time-trials"])
+def test_a_refused_bench_run_makes_no_run_directory(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert run("bench", *argv, "--out-dir", out) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_algorithm_is_an_argparse_error():
     with pytest.raises(SystemExit):
         run("solve", "--gen", "complete", "--n", 8, "--alg", "tabu",

@@ -22,7 +22,7 @@ from gbsmc.glauber import ChainConfig, ChainConfigError
 from gbsmc.graphs import Graph, GraphSpec, Matching, gen_graph
 from gbsmc.pm_chain import PMSamplerConfig
 
-from conftest import check_kernel_powers, spy_table_builds
+from conftest import check_kernel_powers, spy_plain_steps, spy_table_builds
 from oracles import naive_hafnian_subset, naive_tv
 
 
@@ -99,6 +99,27 @@ def test_double_loop_driver_follows_the_exact_kernel_powers(name, request):
         lambda x, steps, rng: _drive_double(g, x, lam, cfg, steps, rng,
                                             haf_memo=memo),
         starts=((), ((0, 1),), ((0, 1), (2, 3))), label=f"double/{name}")
+
+
+@pytest.mark.parametrize("graph", ["k4", "k6", "k33"])
+@pytest.mark.parametrize("inner", ["chain", "exact"])
+def test_double_loop_plain_steps_follow_the_exact_kernel_powers(
+        graph, inner, request, monkeypatch):
+    """At lambda = 3/2 the empty matching is dense (8R >= m), so windows
+    from it start on plain steps; X_T against rows of P^T, with both
+    inner draws."""
+    g = request.getfixturevalue(graph)
+    lam = Fraction(3, 2)
+    batches = spy_plain_steps(monkeypatch)
+    kernel = transition_kernel(g, "double_loop", lam=lam)
+    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=lam), inner=inner)
+    memo = {}
+    check_kernel_powers(
+        g, kernel,
+        lambda x, steps, rng: _drive_double(g, x, lam, cfg, steps, rng,
+                                            haf_memo=memo),
+        starts=((), (g.edges[0],)), label=f"double/{graph}/{inner}/plain")
+    assert batches
 
 
 @pytest.mark.parametrize("thin", [1, 3, "m"])

@@ -2,11 +2,13 @@
 post-selection, and convergence to the fugacity-weighted law."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import gbsmc.glauber
 from gbsmc.diagnostics import transition_kernel
 from gbsmc.glauber import (
     ChainConfig,
@@ -20,7 +22,7 @@ from gbsmc.glauber import (
 )
 from gbsmc.graphs import GraphSpec, Matching, gen_graph
 
-from conftest import check_kernel_powers
+from conftest import ScriptedRng, check_kernel_powers, spy_plain_steps
 from oracles import matching_law, naive_tv
 
 
@@ -184,23 +186,140 @@ def test_jerrum_event_loop_follows_the_exact_kernel_powers(family, n, lazy):
         starts=starts, label=f"jerrum/{family}{n}/{lazy}")
 
 
-def test_sparse_jerrum_windows_run_on_the_event_loop(monkeypatch):
-    import gbsmc.glauber
-    calls = []
+def _drivers():
+    """Each chain's window driver as ``drive(g, x, lam, steps, rng, **kw)``;
+    the double loop draws its inner matchings exactly, on one memo."""
+    from gbsmc.double_loop import DoubleLoopConfig, _drive_double
+    exact, memo = DoubleLoopConfig(inner="exact"), {}
+    return {
+        "glauber": lambda g, x, lam, *a, **kw: _drive_glauber(
+            g, x, lam, False, *a, **kw),
+        "jerrum": lambda g, x, lam, *a, **kw: _drive_jerrum(
+            g, x, lam, False, *a, **kw),
+        "double_loop": lambda g, x, lam, *a, **kw: _drive_double(
+            g, x, lam, exact, *a, haf_memo=memo, **kw),
+    }
 
-    def spy(*args, **kw):
-        calls.append(kw["p_slide"])
-        return _run_add_remove(*args, **kw)
 
-    monkeypatch.setattr(gbsmc.glauber, "_run_add_remove", spy)
-    sparse = gen_graph(GraphSpec.of("erdos_renyi", n=64, p=0.3), seed=1)
-    x = Matching(sparse)
-    _drive_jerrum(sparse, x, 4 / sparse.m, False, 1000, random.Random(1),
-                  target_edges=4)
-    assert calls == [1.0]
+@pytest.mark.parametrize("chain", ["glauber", "jerrum", "double_loop"])
+def test_sparse_windows_skip_holds_and_dense_ones_take_plain_steps(
+        chain, monkeypatch):
+    """A post-selection window at lambda = 4/m on ER(256, 0.4) stays on
+    the event loop; a K6 window at lambda = 1 takes plain steps.  (On
+    ER(64, 0.3) jerrum's windows reach three edges, whose slide candidates
+    alone lift 8R past m, and rightly take plain steps there.)"""
+    batches = spy_plain_steps(monkeypatch)
+    drive = _drivers()[chain]
+    sparse = gen_graph(GraphSpec.of("erdos_renyi", n=256, p=0.4), seed=1)
+    snap, _ = drive(sparse, Matching(sparse), 4 / sparse.m, 1000,
+                    random.Random(1), target_edges=4)
+    assert batches == []
     dense = gen_graph(GraphSpec.of("complete", n=6))
-    _drive_jerrum(dense, Matching(dense), 1, False, 1000, random.Random(1))
-    assert calls == [1.0]  # R = m from the empty matching: the step loop
+    drive(dense, Matching(dense), 1, 1000, random.Random(1))
+    assert batches
+
+
+# one case for each coin that plain steps leave out: jerrum's removal coin
+# at lambda <= 1, its addition coin at lambda >= 1, and its slide coin
+# unless lazy
+DENSE_CASES = [("glauber", Fraction(3, 2), False),
+               ("glauber", Fraction(3, 2), True),
+               ("jerrum", Fraction(1, 2), False),
+               ("jerrum", Fraction(1), False),
+               ("jerrum", Fraction(2), False),
+               ("jerrum", Fraction(1), True)]
+
+
+@pytest.mark.parametrize("graph", ["k4", "k6", "k33"])
+@pytest.mark.parametrize("dynamics,lam,lazy", DENSE_CASES)
+def test_plain_steps_follow_the_exact_kernel_powers(dynamics, lam, lazy,
+                                                    graph, request,
+                                                    monkeypatch):
+    """Windows from the empty matching, where 8R >= m, start on plain
+    steps; windows from one edge may start on events and hand over.  X_T
+    against rows of P^T."""
+    g = request.getfixturevalue(graph)
+    p_add = float(move_probabilities(dynamics, lam, lazy)[0])
+    assert 8 * g.m * p_add >= g.m  # the empty matching is dense
+    batches = spy_plain_steps(monkeypatch)
+    kernel = transition_kernel(g, dynamics, lam=lam, lazy=lazy)
+    drive = _drive_glauber if dynamics == "glauber" else _drive_jerrum
+    check_kernel_powers(
+        g, kernel,
+        lambda x, steps, rng: drive(g, x, lam, lazy, steps, rng),
+        starts=((), (g.edges[0],)),
+        label=f"{dynamics}/{graph}/{lam}/{lazy}/plain")
+    assert batches
+
+
+@pytest.mark.parametrize("chain", ["glauber", "jerrum", "double_loop"])
+@pytest.mark.parametrize("thin", [1, "m"])
+def test_plain_step_collection_returns_exactly_n_samples(chain, thin,
+                                                         monkeypatch):
+    from gbsmc.double_loop import DoubleLoopConfig, vertex_set_histogram
+    batches = spy_plain_steps(monkeypatch)
+    g = gen_graph(GraphSpec.of("complete", n=6))
+    thin = g.m if thin == "m" else thin
+    for burn_in in (0, 7):
+        cfg = ChainConfig(fugacity=1, seed=burn_in)
+        if chain == "double_loop":
+            counts, _ = vertex_set_histogram(g, DoubleLoopConfig(chain=cfg),
+                                             n_samples=601, thin=thin,
+                                             burn_in=burn_in)
+        else:
+            counts = sample_states(g, cfg, dynamics=chain, n_samples=601,
+                                   thin=thin, burn_in=burn_in)
+        assert sum(counts.values()) == 601
+    assert batches
+
+
+@pytest.mark.parametrize("chain,lam,target", [("glauber", 1, 2),
+                                              ("jerrum", 0.05, 1),
+                                              ("double_loop", 1, 2)])
+def test_windows_post_select_and_sample_the_states_they_walk(
+        chain, lam, target, monkeypatch):
+    """With the coins and the edge picks on streams of their own, a window
+    cut short at step s walks the whole window's first s steps, so the
+    states X_0 .. X_T are known.  The post-selected (snapshot, step) must
+    be the last of them of the target size, and the collected keys those
+    at the sample points, across switches between events and plain steps
+    both ways."""
+    g = gen_graph(GraphSpec.of("complete", n=6))
+    drive = _drivers()[chain]
+    steps, thin, burn_in = 700, 3, 5
+    log = []  # "p" per batch of plain steps, "e" per reading of 8R < m
+    real_counts, real_picks = _candidate_counts, gbsmc.glauber._picks
+    p_add, p_rem, p_slide = map(float, move_probabilities(chain, lam))
+
+    def counts(g, x):
+        addable, slides = real_counts(g, x)
+        rate = addable * p_add + len(x.idxs) * p_rem + slides * p_slide
+        log.append("e" if 8 * rate < g.m else "")
+        return addable, slides
+
+    def picks(rng, k, n):
+        log.append("p")
+        return real_picks(rng, k, n)
+
+    monkeypatch.setattr(gbsmc.glauber, "_candidate_counts", counts)
+    monkeypatch.setattr(gbsmc.glauber, "_picks", picks)
+    collected = Counter()
+    got = drive(g, Matching(g), lam, steps, ScriptedRng(chain),
+                target_edges=target, collect=collected, thin=thin,
+                burn_in=burn_in)
+    log = "".join(log)
+    assert "pe" in log and "ep" in log  # handovers both ways
+    monkeypatch.undo()
+    last, walked = None, Counter()
+    for s in range(steps + 1):
+        x = Matching(g)
+        drive(g, x, lam, s, ScriptedRng(chain))
+        if len(x) == target:
+            last = x.covered, s
+        if s > burn_in and (s - burn_in) % thin == 0:
+            walked[x.pairs()] += 1
+    assert got == last
+    assert collected == walked
 
 
 @pytest.mark.parametrize("start_step", [0, 40])
