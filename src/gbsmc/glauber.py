@@ -118,22 +118,24 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
 
     The loop runs in one of two modes, by the candidate rate
     R = A * p_add + |X| * p_rem + S * p_slide (A and S as in
-    :func:`_candidate_counts`).  While 8R < m it skips the steps that
-    hold: it draws the Geometric(R/m) holding time to the next candidate,
-    and then the candidate, the n-fold way of Bortz, Kalos and Lebowitz
-    (1975).  A slide candidate is a covered vertex a drawn with weight
-    deg a - 1 and a uniform neighbour w other than a's partner; it moves
-    only when w is free (thinning, Lewis and Shedler 1979), so each edge
-    with one covered end is proposed at rate p_slide / m and each edge with
-    both ends covered by different edges holds, as in the step chain.  A
-    move that lifts 8R to m hands over to plain pick-an-edge steps on
-    :func:`pm_chain._picks`, which re-read R every ``_STEP_BLOCK`` steps
-    and hand back once 8R < m; they draw no coin whose probability is 1.
-    X_t has the step chain's law at every t; a refused removal is a hold.
+    :func:`_candidate_counts`).  While 8R < m it runs events: it draws the
+    Geometric(R/m) holding time to the next candidate, and then the
+    candidate, the n-fold way of Bortz, Kalos and Lebowitz (1975).  A
+    slide candidate is a covered vertex a drawn with weight deg a - 1 and
+    a uniform neighbour w other than a's partner; it moves only when w is
+    free (thinning, Lewis and Shedler 1979), so each edge with one covered
+    end is proposed at rate p_slide / m and each edge with both ends
+    covered by different edges holds, as in the step chain.  A move that
+    lifts 8R to m hands over to plain steps, whose edge picks come from
+    :func:`pm_chain._picks` in blocks of ``_STEP_BLOCK``; after each block
+    the loop re-reads R and hands back once 8R < m.  Plain steps draw no
+    coin whose probability is 1.  X_t has the step chain's law at every t;
+    a refused removal is a hold.
 
     Tracks the most recent state of ``target_edges`` edges (post-selection)
     and fills ``collect`` (a Counter) with state keys every ``thin`` steps
-    once past ``burn_in``; a hold adds one count per sample point in it.
+    once past ``burn_in``; a state adds one count for each sample point it
+    holds through.
     Returns ``(post_snapshot, post_step)``: the vertex bitset of that state,
     or None if the window never reached the size, and its step counted from
     the window's start.
@@ -180,7 +182,7 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                 u, v = edges[i]
                 pu = partner[u]
                 pv = partner[v]
-                if pu == pv:  # both ends free
+                if pu == pv:  # both free: covered ends have distinct partners
                     if add_coin and rnd() >= p_add:
                         continue
                     if point < t:

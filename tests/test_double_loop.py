@@ -124,7 +124,10 @@ def test_double_loop_plain_steps_follow_the_exact_kernel_powers(
 
 @pytest.mark.parametrize("thin", [1, 3, "m"])
 @pytest.mark.parametrize("burn_in", [0, 7])
-def test_vertex_set_histogram_returns_exactly_n_samples(thin, burn_in):
+def test_vertex_set_histogram_returns_exactly_n_samples(thin, burn_in,
+                                                       monkeypatch):
+    """At lambda = 3 the outer windows take plain steps."""
+    batches = spy_plain_steps(monkeypatch)
     g = gen_graph(GraphSpec.of("erdos_renyi", n=8, p=0.5), seed=3)
     thin = g.m if thin == "m" else thin
     for lam in (0.01, 3):
@@ -134,6 +137,7 @@ def test_vertex_set_histogram_returns_exactly_n_samples(thin, burn_in):
         counts, _ = vertex_set_histogram(g, cfg, n_samples=101, thin=thin,
                                          burn_in=burn_in)
         assert sum(counts.values()) == 101
+    assert batches
 
 
 def test_double_loop_post_selected_window_reports_a_step_inside_it():

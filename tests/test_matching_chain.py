@@ -128,7 +128,10 @@ def test_sample_states_counts_and_thinning():
 @pytest.mark.parametrize("dynamics", ["glauber", "jerrum"])
 @pytest.mark.parametrize("thin", [1, 3, "m"])
 @pytest.mark.parametrize("burn_in", [0, 7])
-def test_sample_states_returns_exactly_n_samples(dynamics, thin, burn_in):
+def test_sample_states_returns_exactly_n_samples(dynamics, thin, burn_in,
+                                                monkeypatch):
+    """At lambda = 3 the windows take plain steps."""
+    batches = spy_plain_steps(monkeypatch)
     g = gen_graph(GraphSpec.of("erdos_renyi", n=8, p=0.5), seed=3)
     thin = g.m if thin == "m" else thin
     for lam, key_kind in ((0.01, "matching"), (3, "vertexset")):
@@ -136,6 +139,7 @@ def test_sample_states_returns_exactly_n_samples(dynamics, thin, burn_in):
                                dynamics=dynamics, n_samples=101, thin=thin,
                                burn_in=burn_in, key_kind=key_kind)
         assert sum(counts.values()) == 101
+    assert batches
 
 
 @pytest.mark.parametrize("dynamics", ["glauber", "jerrum"])
@@ -211,8 +215,8 @@ def test_sparse_windows_skip_holds_and_dense_ones_take_plain_steps(
     batches = spy_plain_steps(monkeypatch)
     drive = _drivers()[chain]
     sparse = gen_graph(GraphSpec.of("erdos_renyi", n=256, p=0.4), seed=1)
-    snap, _ = drive(sparse, Matching(sparse), 4 / sparse.m, 1000,
-                    random.Random(1), target_edges=4)
+    drive(sparse, Matching(sparse), 4 / sparse.m, 1000, random.Random(1),
+          target_edges=4)
     assert batches == []
     dense = gen_graph(GraphSpec.of("complete", n=6))
     drive(dense, Matching(dense), 1, 1000, random.Random(1))
@@ -239,8 +243,8 @@ def test_plain_steps_follow_the_exact_kernel_powers(dynamics, lam, lazy,
     steps; windows from one edge may start on events and hand over.  X_T
     against rows of P^T."""
     g = request.getfixturevalue(graph)
-    p_add = float(move_probabilities(dynamics, lam, lazy)[0])
-    assert 8 * g.m * p_add >= g.m  # the empty matching is dense
+    # the empty matching's rate is R = m * p_add
+    assert 8 * move_probabilities(dynamics, lam, lazy)[0] >= 1
     batches = spy_plain_steps(monkeypatch)
     kernel = transition_kernel(g, dynamics, lam=lam, lazy=lazy)
     drive = _drive_glauber if dynamics == "glauber" else _drive_jerrum
@@ -249,27 +253,6 @@ def test_plain_steps_follow_the_exact_kernel_powers(dynamics, lam, lazy,
         lambda x, steps, rng: drive(g, x, lam, lazy, steps, rng),
         starts=((), (g.edges[0],)),
         label=f"{dynamics}/{graph}/{lam}/{lazy}/plain")
-    assert batches
-
-
-@pytest.mark.parametrize("chain", ["glauber", "jerrum", "double_loop"])
-@pytest.mark.parametrize("thin", [1, "m"])
-def test_plain_step_collection_returns_exactly_n_samples(chain, thin,
-                                                         monkeypatch):
-    from gbsmc.double_loop import DoubleLoopConfig, vertex_set_histogram
-    batches = spy_plain_steps(monkeypatch)
-    g = gen_graph(GraphSpec.of("complete", n=6))
-    thin = g.m if thin == "m" else thin
-    for burn_in in (0, 7):
-        cfg = ChainConfig(fugacity=1, seed=burn_in)
-        if chain == "double_loop":
-            counts, _ = vertex_set_histogram(g, DoubleLoopConfig(chain=cfg),
-                                             n_samples=601, thin=thin,
-                                             burn_in=burn_in)
-        else:
-            counts = sample_states(g, cfg, dynamics=chain, n_samples=601,
-                                   thin=thin, burn_in=burn_in)
-        assert sum(counts.values()) == 601
     assert batches
 
 
