@@ -165,6 +165,20 @@ def _check_counts(*counts):
             raise CliError(f"{flag} must be at least {least}, got {value}")
 
 
+# dests whose flag is not "--" followed by the dest in kebab case
+_FLAGS = {"fugacity": "--lambda", "iterations": "--iters"}
+
+
+def _refuse_unread(args, who: str, dests):
+    """Refuse each of ``dests`` given on the command line, which ``who``
+    does not read; an option not given is None, or False for a switch."""
+    unread = [_FLAGS.get(dest, _dashed("--" + dest)) for dest in dests
+              if getattr(args, dest) is not None
+              and getattr(args, dest) is not False]
+    if unread:
+        raise CliError(f"{who} does not use {', '.join(unread)}")
+
+
 def _even(k: int) -> int:
     return k if k % 2 == 0 else k - 1
 
@@ -297,11 +311,7 @@ def _window_config(chain: str, chain_cfg: ChainConfig, args):
     """The config a window of ``chain`` runs on: a DoubleLoopConfig for the
     double loop, else ``chain_cfg``, refusing the inner-sampler flags."""
     if chain != "double_loop":
-        unread = [_dashed("--" + dest) for dest in _INNER_DESTS
-                  if getattr(args, dest) is not None]
-        if unread:
-            raise CliError(f"{_dashed(chain)} does not use "
-                           f"{', '.join(unread)}")
+        _refuse_unread(args, _dashed(chain), _INNER_DESTS)
         return chain_cfg
     return DoubleLoopConfig(
         chain=chain_cfg,
@@ -359,6 +369,7 @@ def _cmd_sample(args) -> int:
     if not args.out:
         sys.stdout.writelines(lines)
         return EXIT_OK
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w") as fh:
         fh.writelines(lines)
     return EXIT_OK
@@ -390,12 +401,9 @@ def _solver_config(args, g: Graph) -> tuple:
     alg = _ALG_NAMES.get(args.alg, args.alg)
     enhanced = alg.startswith("enhanced")
     anneal = alg.endswith("simulated_annealing")
-    unread = [("--lambda" if dest == "fugacity" else _dashed("--" + dest))
-              for dest in (() if enhanced else _CHAIN_DESTS)
-              + (() if anneal else _ANNEAL_DESTS)
-              if getattr(args, dest) is not None]
-    if unread:
-        raise CliError(f"--alg {args.alg} does not use {', '.join(unread)}")
+    _refuse_unread(args, f"--alg {args.alg}",
+                   (() if enhanced else _CHAIN_DESTS)
+                   + (() if anneal else _ANNEAL_DESTS))
     sampler = (args.sampler or "double-loop").replace("-", "_") \
         if enhanced else "uniform"
     chain = _chain_config(args.fugacity, args.c, default=proposal_fugacity(
@@ -460,15 +468,14 @@ def _cmd_solve(args) -> int:
                           "options": _solver_cfg_payload(alg, base),
                           "seed": master})
     out_dir = _resolve_out(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = run_trials(g, base, [derive_seed(master, f"trial{j}")
                                    for j in range(args.seeds)])
-    (out_dir / "records.txt").write_text(
-        "\n".join(_record_block(rec, chash) for rec in records))
     _write_csv(out_dir / "trajectory.csv",
                ("config_hash", "seed", "iteration", "best_score"),
                [(chash, rec.config.seed, i, best) for rec in records
                 for i, best in enumerate(rec.score_trajectory, start=1)])
+    (out_dir / "records.txt").write_text(
+        "\n".join(_record_block(rec, chash) for rec in records))
     for j, rec in enumerate(records):
         print(f"trial {j}: best={_num(rec.best_score)} "
               f"evaluations={rec.evaluations} "
@@ -492,11 +499,7 @@ def _cmd_verify_balance(args) -> int:
     g, _ = _graph_from_args(args)
     dynamics = args.dynamics.replace("-", "_")
     if dynamics == "pm":
-        unread = [flag for flag, given in (
-            ("--lambda", args.fugacity is not None),
-            ("--c", args.c is not None), ("--lazy", args.lazy)) if given]
-        if unread:
-            raise CliError(f"--dynamics pm does not use {', '.join(unread)}")
+        _refuse_unread(args, "--dynamics pm", ("fugacity", "c", "lazy"))
         lam, law = None, pm_stationary(g)
     else:
         lam = _chain_config(args.fugacity, args.c, args.lazy,
@@ -657,23 +660,22 @@ def _render_plots(run_dir: Path) -> list:
 
 
 def _preset_graph(name, opts, k=None):
-    """The preset's graph at the run's scale, and its description."""
+    """The preset's graph at the run's scale."""
     spec = _PRESETS[name].graph(opts["scale"], k)
-    g = gen_graph(spec, seed=derive_seed(opts["seed"], "graph"))
-    return g, {"kind": spec.kind, **spec.as_dict(), "n": g.n, "m": g.m}
+    return gen_graph(spec, seed=derive_seed(opts["seed"], "graph"))
 
 
 # ---------------------------------------------------------------------------
 # bench presets
 # ---------------------------------------------------------------------------
 
-def _bench_trajectory(name, opts, out_dir: Path) -> dict:
+def _bench_trajectory(name, opts, chash, out_dir: Path) -> dict:
     """Plain search against its three chain-enhanced twins, every one over
     the seed sweep; writes per-trial summaries and mean-best curves."""
     preset = _PRESETS[name]
     k = preset.k(opts["scale"])
-    g, desc = _preset_graph(name, opts, k)
-    chains = {sampler: _chain_config(opts["fugacity"], opts["c"],
+    g = _preset_graph(name, opts, k)
+    chains = {sampler: _chain_config(opts["fugacity"], None,
                                      default=proposal_fugacity(g, k, sampler))
               for sampler in ("glauber", "jerrum", "double_loop")}
     resolved = {
@@ -691,10 +693,6 @@ def _bench_trajectory(name, opts, out_dir: Path) -> dict:
         algs.append((f"enhanced_{preset.family}_{sampler}",
                      replace(base, sampler=sampler, chain=chain)))
     master = opts["seed"]
-    chash = _config_hash({"experiment": name, "graph": desc,
-                          "options": {key: str(v) for key, v in
-                                      {**opts, **resolved}.items()},
-                          "algorithms": [a for a, _ in algs]})
     results = {label: run_trials(g, cfg, [derive_seed(master, f"{label}/s{j}")
                                           for j in range(opts["seeds"])])
                for label, cfg in algs}
@@ -705,28 +703,26 @@ def _bench_trajectory(name, opts, out_dir: Path) -> dict:
     outputs = ["summary.csv", "curves.csv"] + _render_plots(out_dir)
     finals = {label: [float(rec.best_score) for rec in records]
               for label, records in results.items()}
-    return {"config_hash": chash, "outputs": outputs, "resolved": resolved,
+    return {"outputs": outputs, "resolved": resolved,
             "final_means": {label: sum(v) / len(v)
                             for label, v in finals.items()},
             "positive_counts": {label: sum(1 for b in v if b > 0)
                                 for label, v in finals.items()}}
 
 
-def _bench_score_advantage(name, opts, out_dir: Path) -> dict:
+def _bench_score_advantage(name, opts, chash, out_dir: Path) -> dict:
     sizes = range(opts["k_min"] + opts["k_min"] % 2, opts["k_max"] + 1, 2)
     if not sizes:
         raise CliError(f"--k-min {opts['k_min']} to --k-max {opts['k_max']} "
                        "holds no even subset size")
-    g, desc = _preset_graph(name, opts)
+    g = _preset_graph(name, opts)
     master = opts["seed"]
-    chash = _config_hash({"experiment": name, "graph": desc,
-                          "options": {key: str(v) for key, v in opts.items()}})
     plain = SolverConfig(objective="hafnian", iterations=opts["iterations"],
                          sampler="uniform", mixing_steps=opts["mixing_steps"],
                          seed=derive_seed(master, "plain"))
     rows = []
     for k in sizes:
-        chain = _chain_config(opts["fugacity"], opts["c"], default=(
+        chain = _chain_config(opts["fugacity"], None, default=(
             proposal_fugacity(g, k, "double_loop")))
         enhanced = replace(plain, sampler="double_loop", chain=chain,
                            seed=derive_seed(master, "enhanced"))
@@ -737,18 +733,15 @@ def _bench_score_advantage(name, opts, out_dir: Path) -> dict:
                ("config_hash", "seed", "k", "plain_mean", "enhanced_mean",
                 "ratio", "fugacity", "seeds"), rows)
     outputs = ["advantage.csv"] + _render_plots(out_dir)
-    return {"config_hash": chash, "outputs": outputs,
+    return {"outputs": outputs,
             "ratios": {str(row[2]): row[5] for row in rows}}
 
 
-def _bench_exit_time(name, opts, out_dir: Path) -> dict:
+def _bench_exit_time(name, opts, chash, out_dir: Path) -> dict:
     squares = opts["squares"]
-    lam = _chain_config(opts["fugacity"], opts["c"]).resolved_fugacity()
+    lam = ChainConfig(fugacity=opts["fugacity"]).resolved_fugacity()
     trials = opts["trials"]
     master = opts["seed"]
-    chash = _config_hash({"experiment": name, "squares": squares,
-                          "fugacity": str(lam), "trials": trials,
-                          "seed": master})
     result = exit_time_experiment(squares, lam, trials, seed=master)
     _write_csv(out_dir / "exit_times.csv",
                ("config_hash", "trial", "exit_step"),
@@ -770,16 +763,16 @@ def _bench_exit_time(name, opts, out_dir: Path) -> dict:
                  fit.passed if fit else False)])
     outputs = ["exit_times.csv", "exit_summary.csv"] + _render_plots(out_dir)
     print(result.summary())
-    return {"config_hash": chash, "outputs": outputs,
+    return {"outputs": outputs,
             "mean": result.mean, "expected_mean": result.expected_mean}
 
 
 class _Preset(NamedTuple):
-    """One bench preset: its runner, its solver budgets, and for the search
-    presets the graph, subset size, objective and solver family."""
+    """One bench preset: its runner, the options it reads (dest -> default;
+    ``bench`` refuses any other), and for the search presets the graph,
+    subset size, objective and solver family."""
     runner: Callable
-    iterations: Optional[int] = None
-    mixing_steps: Optional[int] = None
+    reads: dict
     graph: Optional[Callable] = None     # (scale, k) -> GraphSpec
     k: Optional[Callable] = None         # scale -> subset size
     objective: str = "hafnian"
@@ -790,63 +783,85 @@ def _eighth(scale: int) -> int:
     return max(2, _even(scale // 8))
 
 
+def _search_reads(iterations, mixing_steps, **more) -> dict:
+    """The options a search preset reads, with its solver budgets; no
+    fugacity means the proposal fugacity."""
+    return {"scale": 64, "seeds": 10, "iterations": iterations,
+            "mixing_steps": mixing_steps, "fugacity": None, "c": None,
+            "seed": 0, **more}
+
+
+_ANNEAL_READS = {"t0": 1.0, "gamma": 0.95}
+
 _PRESETS = {
     "planted-clique": _Preset(
-        _bench_trajectory, 1000, 10000,
+        _bench_trajectory, _search_reads(1000, 10000),
         lambda s, k: GraphSpec.of("planted_clique", n=s, clique_size=k,
                                   p=0.2), _eighth),
     "dense-subgraph": _Preset(
-        _bench_trajectory, 1000, 1000,
+        _bench_trajectory, _search_reads(1000, 1000, **_ANNEAL_READS),
         lambda s, k: GraphSpec.of("decreasing_degree", n=s),
         lambda s: max(2, _even(s * 5 // 16)), "density", "sa"),
     "bipartite-hafnian": _Preset(
-        _bench_trajectory, 1000, 1000,
+        _bench_trajectory, _search_reads(1000, 1000, **_ANNEAL_READS),
         lambda s, k: GraphSpec.of("random_bipartite", n_per_side=s // 2,
                                   p=0.3), _eighth, family="sa"),
     # Average degree 2: uniform k-subsets almost never hold a perfect
     # matching, so plain search scores zero and the chains must find one.
     "sparse-bipartite": _Preset(
-        _bench_trajectory, 200, 1000,
+        _bench_trajectory, _search_reads(200, 1000),
         lambda s, k: GraphSpec.of("sparse_bipartite", n_per_side=s // 2,
                                   n_edges=2 * (s // 2)), _eighth),
     "score-advantage": _Preset(
-        _bench_score_advantage, 100, 1000,
+        _bench_score_advantage, _search_reads(100, 1000, k_min=4, k_max=12),
         lambda s, k: GraphSpec.of("erdos_renyi", n=s, p=0.4)),
-    "exit-time": _Preset(_bench_exit_time),
+    "exit-time": _Preset(_bench_exit_time, {
+        "squares": 4, "trials": 200, "fugacity": 1.0, "c": None, "seed": 0}),
 }
 
 
 def _cmd_bench(args) -> int:
+    # the options a preset may read; their parser defaults are None, for
+    # "not given"
+    dests = [dest for dest in vars(args) if dest not in (
+        "command", "func", "preset", "spec", "out_dir")]
     if args.spec:
         if args.preset:
             raise CliError("give a preset name or --spec, not both")
+        _refuse_unread(args, "bench --spec", dests + ["out_dir"])
         return _run_spec(ExperimentSpec.from_file(args.spec))
     if not args.preset:
         raise CliError(f"choose a preset {sorted(_PRESETS)} or --spec FILE")
-    _check_counts(("--seeds", args.seeds, 1))
     preset = _PRESETS[args.preset]
-    opts = {key: value for key, value in vars(args).items()
-            if key not in ("command", "func", "preset", "spec", "out_dir")}
-    for key in ("iterations", "mixing_steps"):
-        if opts[key] is None:
-            opts[key] = getattr(preset, key)
+    _refuse_unread(args, f"bench {args.preset}",
+                   [dest for dest in dests if dest not in preset.reads])
+    opts = {dest: getattr(args, dest) for dest in preset.reads}
+    if opts.pop("c") is not None:  # --c runs and hashes as the lambda it gives
+        opts["fugacity"] = ChainConfig(
+            fugacity=args.fugacity, c=args.c).resolved_fugacity()
+    opts = {dest: preset.reads[dest] if value is None else value
+            for dest, value in opts.items()}
+    if "seeds" in opts:
+        _check_counts(("--seeds", opts["seeds"], 1))
+    chash = _config_hash({"experiment": args.preset, "options": {
+        dest: str(value) for dest, value in opts.items()}})
     out_dir = _resolve_out(args.out_dir or f"runs/{args.preset}")
     t0 = time.perf_counter()
-    info = preset.runner(args.preset, opts, out_dir)
+    info = preset.runner(args.preset, opts, chash, out_dir)
     wall = time.perf_counter() - t0
     options = {key: opts[key] for key in sorted(opts)
                if opts[key] is not None}
     options.update(info.pop("resolved", {}))
+    outputs = info.pop("outputs")
     manifest = {"experiment": args.preset,
-                "config_hash": info["config_hash"],
+                "config_hash": chash,
                 "seed": opts["seed"],
                 "options": options,
-                "outputs": info["outputs"],
-                "results": {k: v for k, v in info.items()
-                            if k not in ("config_hash", "outputs")},
+                "outputs": outputs,
+                "results": info,
                 "timing": {"wall_time_s": f"{wall:.3f}"}}
     _write_manifest(out_dir / "manifest.txt", manifest)
-    print(f"wrote {out_dir} ({', '.join(info['outputs'])})")
+    print(f"wrote {out_dir} ({', '.join(outputs)})")
     return EXIT_OK
 
 
@@ -945,12 +960,21 @@ class ExperimentSpec:
         replicates = data.get("replicates", 1)
         if not isinstance(replicates, int) or replicates < 1:
             raise CliError("replicates must be a positive integer")
-        if replicates > 1 and data["task"] not in ("sample", "bench"):
-            raise CliError(f"task {data['task']!r} does not read replicates")
         if data["task"] == "bench" and data.get("name") not in _PRESETS:
             raise CliError(
                 f"bench spec needs a preset name from {sorted(_PRESETS)}")
-        return cls(**data)
+        spec = cls(**data)
+        if replicates > 1 and not spec._reads_replicates():
+            who = (f"bench {spec.name}" if spec.task == "bench"
+                   else f"task {spec.task!r}")
+            raise CliError(f"{who} does not read replicates")
+        return spec
+
+    def _reads_replicates(self) -> bool:
+        """sample writes one file per replicate; a bench preset that reads
+        --seeds runs that many."""
+        return self.task == "sample" or (
+            self.task == "bench" and "seeds" in _PRESETS[self.name].reads)
 
     def _graph_flags(self) -> dict:
         """The graph block as dests: ``gen``, the generator's flags and
@@ -981,15 +1005,15 @@ class ExperimentSpec:
             raise CliError(
                 f"unknown config keys for {self.task}: {sorted(bad)}")
         given = {"seed": self.seed, "out_dir": self.out_dir}
-        if self.task == "bench":
+        if self.task == "bench" and self._reads_replicates():
             given["seeds"] = self.replicates
         if "gen" in options:
             given.update(self._graph_flags())
         if self.task != "sample":
             return [_spec_argv(words, options, {**given, **config})]
-        # sample writes one file per replicate, each from its own stream
+        # sample writes one file per replicate, each from its own stream;
+        # the first line that runs makes the directory
         out_dir = _resolve_out(self.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         name = str(config.pop("out", "samples.csv"))
         stem, dot, ext = name.partition(".")
         lines = []
@@ -1048,9 +1072,9 @@ def _add_inner_args(p):
 
 
 def _add_anneal_args(p):
-    p.add_argument("--gamma", type=float, default=0.95,
+    p.add_argument("--gamma", type=float,
                    help="annealing cooling factor per proposal")
-    p.add_argument("--t0", type=float, default=1.0,
+    p.add_argument("--t0", type=float,
                    help="initial annealing temperature")
 
 
@@ -1105,7 +1129,7 @@ def build_parser(parser_class=argparse.ArgumentParser
     p.add_argument("--cold-restart", action="store_true", default=None,
                    help="reset the proposal chain before every draw")
     p.add_argument("--out-dir", default="runs/solve")
-    p.set_defaults(func=_cmd_solve, gamma=None, t0=None)
+    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="exactness checks")
     vsub = p.add_subparsers(dest="check", required=True)
@@ -1135,26 +1159,25 @@ def build_parser(parser_class=argparse.ArgumentParser
     pl.add_argument("--seed", type=_seed_arg, default=0)
     pl.set_defaults(func=_cmd_verify_law)
 
+    # a preset reads only some of these; its _PRESETS row holds the defaults
     p = sub.add_parser("bench", help="run a named experiment preset")
     p.add_argument("preset", nargs="?", choices=sorted(_PRESETS))
     p.add_argument("--spec", help="ExperimentSpec JSON file")
-    p.add_argument("--out-dir", default=None,
-                   help="run directory (default runs/PRESET)")
-    p.add_argument("--scale", type=int, default=64,
+    p.add_argument("--out-dir", help="run directory (default runs/PRESET)")
+    p.add_argument("--scale", type=int,
                    help="total vertex count (structures shrink with it)")
-    p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--iters", dest="iterations", type=int, default=None,
-                   help="solver iterations (default: the preset's)")
-    p.add_argument("--mixing-steps", type=int, default=None,
-                   help="proposal-chain steps (default: the preset's)")
+    p.add_argument("--seeds", type=int)
+    p.add_argument("--iters", dest="iterations", type=int,
+                   help="solver iterations")
+    p.add_argument("--mixing-steps", type=int,
+                   help="proposal-chain steps")
     _add_fugacity_args(p)
     _add_anneal_args(p)
-    p.add_argument("--trials", type=int, default=200,
-                   help="exit-time trial count")
-    p.add_argument("--squares", type=int, default=4)
-    p.add_argument("--k-min", type=int, default=4)
-    p.add_argument("--k-max", type=int, default=12)
-    p.add_argument("--seed", type=_seed_arg, default=0)
+    p.add_argument("--trials", type=int, help="exit-time trial count")
+    p.add_argument("--squares", type=int)
+    p.add_argument("--k-min", type=int)
+    p.add_argument("--k-max", type=int)
+    p.add_argument("--seed", type=_seed_arg)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("replot", help="regenerate figures from CSVs")

@@ -228,6 +228,7 @@ def test_solve_odd_hafnian_subset_is_config_error(tmp_path, capsys):
     assert run("solve", "--gen", "complete", "--n", 8, "--alg", "rs",
                "--k", 3, "--iters", 5,
                "--out-dir", tmp_path / "x") == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -514,8 +515,17 @@ def test_solve_records_hold_no_timing(tmp_path, capsys):
 
 # --- every preset ------------------------------------------------------------
 
-_PRESET_FLAGS = ("--scale", 16, "--seeds", 2, "--iters", 20,
-                 "--mixing-steps", 200, "--k-min", 4, "--k-max", 6)
+_SEARCH_FLAGS = ("--scale", 16, "--seeds", 2, "--iters", 20,
+                 "--mixing-steps", 200)
+# the flags each preset reads; exit-time runs at its defaults
+_PRESET_FLAGS = {
+    "planted-clique": _SEARCH_FLAGS,
+    "dense-subgraph": _SEARCH_FLAGS,
+    "bipartite-hafnian": _SEARCH_FLAGS,
+    "sparse-bipartite": _SEARCH_FLAGS,
+    "score-advantage": _SEARCH_FLAGS + ("--k-min", 4, "--k-max", 6),
+    "exit-time": (),
+}
 _PRESET_FILES = {
     "planted-clique": {"summary.csv", "curves.csv", "curves.svg"},
     "dense-subgraph": {"summary.csv", "curves.csv", "curves.svg"},
@@ -538,12 +548,42 @@ def _run_files(out_dir):
 def test_every_preset_runs_and_reruns_byte_identical(tmp_path, preset):
     first, second = tmp_path / "a", tmp_path / "b"
     for out_dir in (first, second):
-        assert run("bench", preset, *_PRESET_FLAGS,
+        assert run("bench", preset, *_PRESET_FLAGS[preset],
                    "--out-dir", out_dir) == EXIT_OK
     files = _run_files(first)
     assert set(files) == _PRESET_FILES[preset] | {"manifest.txt"}
     assert files == _run_files(second)
     assert files["manifest.txt"].startswith(f"experiment: {preset}\n")
+
+
+# one flag per preset that the preset does not read
+_UNREAD_FLAG = {"planted-clique": ("--t0", 2),
+                "dense-subgraph": ("--squares", 3),
+                "bipartite-hafnian": ("--trials", 5),
+                "sparse-bipartite": ("--k-min", 4),
+                "score-advantage": ("--gamma", 0.5),
+                "exit-time": ("--scale", 16)}
+
+
+@pytest.mark.parametrize("preset", sorted(_UNREAD_FLAG))
+def test_a_preset_refuses_a_flag_it_does_not_read(tmp_path, capsys, preset):
+    flag, value = _UNREAD_FLAG[preset]
+    out = tmp_path / "run"
+    assert run("bench", preset, flag, value, "--out-dir", out) == EXIT_CONFIG
+    assert f"bench {preset} does not use {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["planted-clique", "score-advantage"])
+def test_c_and_the_lambda_it_gives_write_the_same_tables(tmp_path, preset):
+    tables = []
+    for name, fugacity in (("c", ("--c", "1/2")),
+                           ("lambda", ("--lambda", "1/4"))):
+        assert run("bench", preset, *_PRESET_FLAGS[preset], *fugacity,
+                   "--out-dir", tmp_path / name) == EXIT_OK
+        tables.append({p.name: p.read_bytes()
+                       for p in (tmp_path / name).glob("*.csv")})
+    assert tables[0] and tables[0] == tables[1]
 
 
 # --- specs are command lines -------------------------------------------------
@@ -560,12 +600,28 @@ def _write_spec(tmp_path, spec):
     {"task": "exit-time", "config": {"squares": "two"}},
     {"task": "sample", "graph": {"kind": "complete", "params": {"n": 6}},
      "config": {"chain": "metropolis"}},
-], ids=["solve-k-string", "exit-time-squares-word", "sample-unknown-chain"])
+    {"task": "sample", "graph": {"kind": "complete", "params": {"n": 6}},
+     "config": {"steps": -1}},
+], ids=["solve-k-string", "exit-time-squares-word", "sample-unknown-chain",
+        "sample-negative-steps"])
 def test_malformed_spec_values_are_config_errors(tmp_path, capsys, spec):
-    spec["out_dir"] = str(tmp_path / "out")
+    out_dir = tmp_path / "out"
+    spec["out_dir"] = str(out_dir)
     assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_a_bench_spec_refuses_every_other_bench_option(tmp_path, capsys):
+    spec = {"task": "bench", "name": "exit-time",
+            "out_dir": str(tmp_path / "out"),
+            "config": {"squares": 1, "trials": 20}}
+    assert run("bench", "--spec", _write_spec(tmp_path, spec), "--scale", 3,
+               "--trials", 5, "--k-min", 9) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bench --spec does not use --scale, --trials, --k-min" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("spec", [
@@ -574,7 +630,9 @@ def test_malformed_spec_values_are_config_errors(tmp_path, capsys, spec):
     {"task": "verify", "graph": {"kind": "complete", "params": {"n": 4}},
      "config": {"mode": "balance"}},
     {"task": "exit-time", "config": {"squares": 1, "trials": 20}},
-], ids=["solve", "verify", "exit-time"])
+    {"task": "bench", "name": "exit-time",
+     "config": {"squares": 1, "trials": 20}},
+], ids=["solve", "verify", "exit-time", "bench-exit-time"])
 def test_spec_replicates_outside_sample_and_bench_are_refused(tmp_path,
                                                                capsys, spec):
     spec.update(replicates=3, out_dir=str(tmp_path / "out"))
@@ -606,7 +664,18 @@ def test_spec_writes_what_its_command_line_writes(tmp_path):
             "config": {"squares": 1, "trials": 40, "fugacity": 1}}
     assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
     assert run("bench", "exit-time", "--squares", 1, "--trials", 40,
-               "--lambda", 1, "--seeds", 1,
-               "--out-dir", tmp_path / "exit-cli") == EXIT_OK
+               "--lambda", 1, "--out-dir", tmp_path / "exit-cli") == EXIT_OK
     assert (_run_files(tmp_path / "exit-spec")
             == _run_files(tmp_path / "exit-cli"))
+
+    # a sample task runs one command line per replicate, seeded
+    # "<seed>/replicate<r>"; each run makes the directory of its --out file
+    spec = {"task": "sample", "seed": 3, "out_dir": str(tmp_path / "s-spec"),
+            "graph": {"kind": "complete", "params": {"n": 6}},
+            "config": {"steps": 20, "samples": 5, "fugacity": 1}}
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
+    assert run("sample", "--gen", "complete", "--n", 6, "--steps", 20,
+               "--samples", 5, "--lambda", 1, "--seed", "3/replicate0",
+               "--out", tmp_path / "s-cli" / "samples.csv") == EXIT_OK
+    assert ((tmp_path / "s-spec" / "samples.csv").read_bytes()
+            == (tmp_path / "s-cli" / "samples.csv").read_bytes())
