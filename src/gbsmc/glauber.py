@@ -84,6 +84,7 @@ def move_probabilities(chain, lam, lazy=False):
 
 
 _STEP_BLOCK = 256  # plain steps between two readings of the candidate rate
+_CROSSOVER = 8  # plain steps while _CROSSOVER * R >= m, events below
 
 
 def _candidate_counts(g, x):
@@ -172,7 +173,7 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
         p_out = len(idxs) * p_rem
         p_sl = slides * p_slide
         rate = addable * p_add + p_out + p_sl
-        if 8 * rate >= m > 0:
+        if _CROSSOVER * rate >= m > 0:
             # plain steps; a move at step t first counts X_{t-1} at its
             # sample points and, if it changes the size, post-selects it
             covered = x.covered

@@ -168,38 +168,82 @@ def test_single_loop_driver_follows_the_exact_kernel_powers(dynamics, lazy):
         label=f"{dynamics}/{lazy}")
 
 
+def _check_event_loop(g, chain, lam, lazy, monkeypatch):
+    """X_T against rows of P^T, with the crossover at 1 so that windows run
+    events wherever the candidate rate R < m, from the empty matching, one
+    edge and two.  Returns the plain picks drawn, by (start, T)."""
+    monkeypatch.setattr(gbsmc.glauber, "_CROSSOVER", 1)
+    batches = spy_plain_steps(monkeypatch)
+    kernel = transition_kernel(g, chain, lam=lam, lazy=lazy)
+    drive = _drivers(lazy)[chain]
+    plain = Counter()
+
+    def advance(x, steps, rng):
+        start, before = x.pairs(), sum(batches)
+        drive(g, x, lam, steps, rng)
+        plain[start, steps] += sum(batches) - before
+
+    u, v = g.edges[0]
+    apart = next(e for e in g.edges if u not in e and v not in e)
+    check_kernel_powers(g, kernel, advance,
+                        starts=((), ((u, v),), ((u, v), apart)),
+                        label=f"{chain}/{g}/{lazy}/events")
+    # one-step runs from one edge (slides included) and two-step runs from
+    # the empty matching stay on events
+    assert plain[((u, v),), 1] == plain[(), 2] == 0
+    return plain
+
+
+def _event_graph(family, n):
+    """``family`` on ``n`` vertices; K2,3 for "complete_bipartite", whose
+    degrees 2 and 3 make the slide envelope thin."""
+    params = {"m": 2} if family == "complete_bipartite" else {}
+    return gen_graph(GraphSpec.of(family, n=n, **params))
+
+
 @pytest.mark.parametrize("lazy", [False, True])
-@pytest.mark.parametrize("family,n", [("cycle", 6), ("path", 5)])
-def test_jerrum_event_loop_follows_the_exact_kernel_powers(family, n, lazy):
-    """The event loop with jerrum's move probabilities (slides thinned), on
-    sparse graphs at lambda = 1/4: X_T against rows of P^T."""
-    g = gen_graph(GraphSpec.of(family, n=n))
-    lam = Fraction(1, 4)
-    p_add, p_rem, p_slide = map(float, move_probabilities("jerrum", lam, lazy))
-    starts = ((), ((0, 1),), ((0, 1), (2, 3)))
-    sparse = 0
-    for start in starts:
-        addable, slides = _candidate_counts(g, Matching.from_pairs(g, start))
-        sparse += addable * p_add + len(start) * p_rem + slides * p_slide < g.m
-    assert sparse >= 2  # most starts draw holding times, not plain steps
-    kernel = transition_kernel(g, "jerrum", lam=lam, lazy=lazy)
-    check_kernel_powers(
-        g, kernel,
-        lambda x, steps, rng: _run_add_remove(g, x, p_add, p_rem, steps, rng,
-                                              p_slide=p_slide),
-        starts=starts, label=f"jerrum/{family}{n}/{lazy}")
+@pytest.mark.parametrize("family,n", [("cycle", 6), ("path", 5),
+                                      ("complete_bipartite", 3)])
+def test_jerrum_event_loop_follows_the_exact_kernel_powers(family, n, lazy,
+                                                           monkeypatch):
+    """Jerrum's events, slides included, at lambda = 1/8.  Lazy windows
+    never leave events; non-lazy ones hand over at two edges, where the
+    slide candidates alone lift R to m."""
+    plain = _check_event_loop(_event_graph(family, n), "jerrum",
+                              Fraction(1, 8), lazy, monkeypatch)
+    totals = Counter()
+    for (start, _), picks in plain.items():
+        totals[start] += picks
+    if lazy:
+        assert 0 in totals.values()  # some starts draw no plain picks
 
 
-def _drivers():
+@pytest.mark.parametrize("graph", [("cycle", 6), ("path", 5),
+                                   ("complete_bipartite", 3)],
+                         ids=["cycle6", "path5", "k23"])
+@pytest.mark.parametrize("chain,lazy", [("glauber", False),
+                                        ("glauber", True),
+                                        ("double_loop", False)])
+def test_event_loop_follows_the_exact_kernel_powers(chain, lazy, graph,
+                                                    monkeypatch):
+    """Glauber's and the double loop's events at lambda = 1/4, where R < m
+    at every size, so no start draws a plain pick; the double loop draws
+    its inner matchings exactly."""
+    plain = _check_event_loop(_event_graph(*graph), chain, Fraction(1, 4),
+                              lazy, monkeypatch)
+    assert not any(plain.values())
+
+
+def _drivers(lazy=False):
     """Each chain's window driver as ``drive(g, x, lam, steps, rng, **kw)``;
     the double loop draws its inner matchings exactly, on one memo."""
     from gbsmc.double_loop import DoubleLoopConfig, _drive_double
     exact, memo = DoubleLoopConfig(inner="exact"), {}
     return {
         "glauber": lambda g, x, lam, *a, **kw: _drive_glauber(
-            g, x, lam, False, *a, **kw),
+            g, x, lam, lazy, *a, **kw),
         "jerrum": lambda g, x, lam, *a, **kw: _drive_jerrum(
-            g, x, lam, False, *a, **kw),
+            g, x, lam, lazy, *a, **kw),
         "double_loop": lambda g, x, lam, *a, **kw: _drive_double(
             g, x, lam, exact, *a, haf_memo=memo, **kw),
     }
