@@ -12,8 +12,10 @@ useful as samplers for hafnian-weighted vertex sets.
 
 All three chains, the double loop's outer chain included, run on one
 window loop, :func:`_run_add_remove`.  Where few steps are move candidates
-it skips the steps that hold, one event at a time; where many are, it
-takes plain steps on byte-drawn edge picks.
+it skips the steps that hold, one event at a time, at a candidate rate
+that depends on |X| alone (adds over all m edges, slides under the
+largest degree, thinned); where many are, it takes plain steps on
+byte-drawn edge picks.
 """
 
 from __future__ import annotations
@@ -84,25 +86,9 @@ def move_probabilities(chain, lam, lazy=False):
 
 
 _STEP_BLOCK = 256  # plain steps between two readings of the candidate rate
-_CROSSOVER = 8  # plain steps while _CROSSOVER * R >= m, events below
-
-
-def _candidate_counts(g, x):
-    """``(A, S)`` for the matching ``x``: A addable edges, and S = sum over
-    covered vertices a of (deg a - 1) slide candidates (a, w), w a neighbour
-    other than a's partner.  O(|X|)."""
-    adj = g.adj
-    nbrs = g.nbrs
-    edges = g.edges
-    covered = x.covered
-    degrees = 0
-    inside = 0  # edges inside V(X), doubled
-    for i in x.idxs:
-        u, v = edges[i]
-        degrees += len(nbrs[u]) + len(nbrs[v])
-        inside += (adj[u] & covered).bit_count() + (adj[v] & covered).bit_count()
-    # edges touching V(X), by inclusion-exclusion: degrees - inside / 2
-    return g.m - degrees + inside // 2, degrees - 2 * len(x.idxs)
+# plain steps while _CROSSOVER * R >= m, events below: one event costs
+# about as much as 3-9 plain steps (README, "The measured crossover")
+_CROSSOVER = 4
 
 
 def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
@@ -118,25 +104,29 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     that end with probability ``p_slide``, and anything else holds.
 
     The loop runs in one of two modes, by the candidate rate
-    R = A * p_add + |X| * p_rem + S * p_slide (A and S as in
-    :func:`_candidate_counts`).  While 8R < m it runs events: it draws the
-    Geometric(R/m) holding time to the next candidate, and then the
-    candidate, the n-fold way of Bortz, Kalos and Lebowitz (1975).  A
-    slide candidate is a covered vertex a drawn with weight deg a - 1 and
-    a uniform neighbour w other than a's partner; it moves only when w is
-    free (thinning, Lewis and Shedler 1979), so each edge with one covered
-    end is proposed at rate p_slide / m and each edge with both ends
-    covered by different edges holds, as in the step chain.  A move that
-    lifts 8R to m hands over to plain steps, whose edge picks come from
+    R = m * p_add + |X| * p_rem + 2|X| * (D - 1) * p_slide, D the largest
+    degree, which depends on |X| alone.  While _CROSSOVER * R < m it runs
+    events: it draws the Geometric(R/m) holding time to the next candidate
+    and then the candidate, the n-fold way of Bortz, Kalos and Lebowitz
+    (1975) on a uniformized rate (Jensen 1953).  An add candidate is a
+    uniform edge of all m, which holds if either end is covered.  A slide
+    candidate is a uniform covered-vertex slot a and an offset o < D - 1;
+    it holds if o >= deg a - 1, and otherwise names the o-th neighbour w of
+    a other than its partner, which slides in if free (thinning, Lewis and
+    Shedler 1979).  So each edge is proposed at the step chain's rate.  R
+    and its holding-time constant change only when |X| does; a run of
+    slides stays in the inner loop.  A move that lifts _CROSSOVER * R to m
+    hands over to plain steps, whose edge picks come from
     :func:`pm_chain._picks` in blocks of ``_STEP_BLOCK``; after each block
-    the loop re-reads R and hands back once 8R < m.  Plain steps draw no
-    coin whose probability is 1.  X_t has the step chain's law at every t;
-    a refused removal is a hold.
+    the loop re-reads R and hands back below it.  Plain steps draw no coin
+    whose probability is 1.  X_t has the step chain's law at every t; a
+    refused removal is a hold.
 
     Tracks the most recent state of ``target_edges`` edges (post-selection)
     and fills ``collect`` (a Counter) with state keys every ``thin`` steps
     once past ``burn_in``; a state adds one count for each sample point it
-    holds through.
+    holds through.  In both modes a move at step t first counts X_{t-1} at
+    its sample points and, if it changes the size, post-selects it.
     Returns ``(post_snapshot, post_step)``: the vertex bitset of that state,
     or None if the window never reached the size, and its step counted from
     the window's start.
@@ -145,13 +135,14 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     edges = g.edges
     ebits = g.edge_bits
     eindex = g.edge_index
-    adj = g.adj
     nbrs = g.nbrs
     idxs = x.idxs
     partner = x.partner
     rnd = rng.random
-    xs = sorted(idxs)  # the edges of X, as a list for uniform picks
-    addable, slides = _candidate_counts(g, x)
+    # slide offsets per covered vertex, below the envelope D - 1
+    offsets = g.max_degree - 1 if p_slide else 0
+    per_edge = p_rem + 2 * offsets * p_slide  # R's share per edge of X
+    per_slot = 1 / p_slide if p_slide else 0.0
     thin = max(1, thin)
     end = steps
     # the next sample point; they are burn_in + thin * j, j >= 1
@@ -168,15 +159,15 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
 
     add_coin, rem_coin, slide_coin = p_add < 1, p_rem < 1, p_slide < 1
     snap, snap_step = None, None
+    covered = x.covered
+    xs = sorted(idxs)  # the edges of X, as a list for uniform picks
     t = 0           # X is the state from step t on
-    while True:
-        p_out = len(idxs) * p_rem
-        p_sl = slides * p_slide
-        rate = addable * p_add + p_out + p_sl
+    while t < end:
+        size = len(xs)
+        rate = m * p_add + size * per_edge
         if _CROSSOVER * rate >= m > 0:
             # plain steps; a move at step t first counts X_{t-1} at its
             # sample points and, if it changes the size, post-selects it
-            covered = x.covered
             add, remove = idxs.add, idxs.remove
             for i in _picks(rng, m, min(_STEP_BLOCK, end - t)):
                 t += 1
@@ -227,94 +218,92 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                     partner[u] = v
                     partner[v] = u
                     covered ^= ebits[i] ^ ebits[j]
-            x.covered = covered
-            if t < end:
-                xs = sorted(idxs)
-                addable, slides = _candidate_counts(g, x)
-                continue
-            rate = 0.0  # the window's last state holds to its end
-        if rate <= 0.0:
-            nxt = end + 1
-        else:
-            nxt = t + 1 + int(log(1.0 - rnd()) / log1p(-rate / m))
-        last = min(nxt - 1, end)
-        if len(idxs) == target_edges:
-            snap, snap_step = x.covered, last
-        if last >= point:
-            point = count(x.covered, last, point)
-        if nxt > end:
-            break
-        t = nxt
-        covered = x.covered
-        # the move: k = -1 adds edge i, k = -2 slides edge (a, w) in for
-        # edge j = (a, z), and k >= 0 removes edge i = xs[k]
-        r = rnd() * rate
-        if r < p_out:
-            k = int(rnd() * len(xs))
-            i = xs[k]
-            if remove_ok is not None and not remove_ok(i, t):
-                continue
-        elif r < p_out + p_sl:
-            r = int(rnd() * slides)  # a's block of deg a - 1 in [0, S)
-            for j in xs:
-                a, z = edges[j]
-                d = len(nbrs[a]) - 1
-                if r < d:
-                    break
-                r -= d
-                a, z = z, a
-                d = len(nbrs[a]) - 1
-                if r < d:
-                    break
-                r -= d
-            nb = nbrs[a]
-            w = nb[r]
-            if w == z:
-                w = nb[-1]
-            if covered >> w & 1:
-                continue  # both ends covered: the step holds
-            k = -2
-        else:
-            i = int(rnd() * m)
-            while covered & ebits[i]:
-                i = int(rnd() * m)
-            k = -1
-        if k == -1:
-            u, v = edges[i]
-            xs.append(i)
-            idxs.add(i)
-            partner[u] = v
-            partner[v] = u
-            x.covered = covered | ebits[i]
-            sign = -1
-        elif k >= 0:
-            u, v = edges[i]
-            xs[k] = xs[-1]
-            xs.pop()
-            idxs.remove(i)
-            partner[u] = -1
-            partner[v] = -1
-            x.covered = covered = covered & ~ebits[i]
-            sign = 1
-        else:
-            i = eindex[(a, w) if a < w else (w, a)]
-            xs[xs.index(j)] = i
-            idxs.remove(j)
-            idxs.add(i)
-            partner[z] = -1
-            partner[a] = w
-            partner[w] = a
-            x.covered = after = covered ^ (1 << z | 1 << w)
-            addable += ((adj[z] & ~after).bit_count()
-                        - (adj[w] & ~covered).bit_count())
-            slides += len(nbrs[w]) - len(nbrs[z])
+            xs = sorted(idxs)
             continue
-        # edge i, free in ``covered``, and the addable edges it blocks
-        free = ~covered
-        addable += sign * ((adj[u] & free).bit_count()
-                           + (adj[v] & free).bit_count() - 1)
-        if p_slide:  # S is kept up to date only for chains that slide
-            slides -= sign * (len(nbrs[u]) + len(nbrs[v]) - 2)
+        if not rate:
+            break  # no edges: the state holds to the window's end
+        # events at this size: a candidate r in [0, R) slides if
+        # q = r / p_slide names one of the slots (covered vertex, offset),
+        # removes below ``out`` and adds above.  Slides leave covered
+        # stale, to be rebuilt from xs where it is next read.
+        scale = 1.0 / log1p(-rate / m)
+        slots = 2 * size * offsets
+        out = slots * p_slide + size * p_rem
+        stale = False
+        while True:
+            t += 1 + int(log(1.0 - rnd()) * scale)
+            if t > end:
+                break
+            r = rnd() * rate
+            q = int(r * per_slot)
+            if q < slots:
+                k = q // offsets
+                o = q - k * offsets
+                j = xs[k >> 1]
+                a, z = edges[j]
+                if k & 1:
+                    a, z = z, a
+                nb = nbrs[a]
+                if o >= len(nb) - 1:
+                    continue  # past deg a - 1: the step holds
+                w = nb[o]
+                if w == z:
+                    w = nb[-1]
+                if partner[w] >= 0:
+                    continue  # both ends covered: the step holds
+                if point < t:
+                    point = count(sum(map(ebits.__getitem__, xs)), t - 1,
+                                  point)
+                i = eindex[(a, w) if a < w else (w, a)]
+                xs[k >> 1] = i
+                idxs.remove(j)
+                idxs.add(i)
+                partner[z] = -1
+                partner[a] = w
+                partner[w] = a
+                stale = True
+                continue
+            if stale:
+                covered = sum(map(ebits.__getitem__, xs))
+                stale = False
+            if r < out:
+                k = int(rnd() * size)
+                i = xs[k]
+                if remove_ok is not None:
+                    x.covered = covered
+                    if not remove_ok(i, t):
+                        continue
+            else:
+                i = int(rnd() * m)
+                if covered & ebits[i]:
+                    continue  # an end is covered: the step holds
+                k = -1
+            if point < t:
+                point = count(covered, t - 1, point)
+            if size == target_edges:
+                snap, snap_step = covered, t - 1
+            u, v = edges[i]
+            if k < 0:
+                xs.append(i)
+                idxs.add(i)
+                partner[u] = v
+                partner[v] = u
+            else:
+                xs[k] = xs[-1]
+                xs.pop()
+                idxs.remove(i)
+                partner[u] = -1
+                partner[v] = -1
+            covered ^= ebits[i]
+            break
+        if stale:
+            covered = sum(map(ebits.__getitem__, xs))
+    # the window's last state holds to its end
+    x.covered = covered
+    if len(idxs) == target_edges:
+        snap, snap_step = covered, end
+    if point <= end:
+        count(covered, end, point)
     return snap, snap_step
 
 

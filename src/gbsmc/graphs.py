@@ -54,12 +54,13 @@ class Graph:
         adj: per-vertex neighbor bitsets.
         nbrs: per-vertex sorted tuples of neighbors, the same sets as ``adj``
             (for uniform neighbor draws and degrees).
+        max_degree: the largest degree, 0 for an edgeless graph.
         edge_bits: per-edge endpoint bitsets ``(1<<u) | (1<<v)``.
         edge_index: dict mapping each canonical pair to its index in ``edges``.
     """
 
-    __slots__ = ("n", "edges", "weights", "adj", "nbrs", "edge_bits",
-                 "edge_index", "m", "full_bits", "_wmap")
+    __slots__ = ("n", "edges", "weights", "adj", "nbrs", "max_degree",
+                 "edge_bits", "edge_index", "m", "full_bits", "_wmap")
 
     def __init__(self, n, edges, weights=None):
         if n < 0:
@@ -96,6 +97,7 @@ class Graph:
             nbrs[u].append(v)  # sorted edges: each list comes out ascending
             nbrs[v].append(u)
         self.nbrs = tuple(map(tuple, nbrs))
+        self.max_degree = max(map(len, nbrs), default=0)
         self.adj = tuple(map(bitset, nbrs))
         self.edge_bits = tuple((1 << u) | (1 << v) for u, v in canon)
         self.edge_index = dict(zip(canon, range(self.m)))

@@ -105,9 +105,9 @@ def test_double_loop_driver_follows_the_exact_kernel_powers(name, request):
 @pytest.mark.parametrize("inner", ["chain", "exact"])
 def test_double_loop_plain_steps_follow_the_exact_kernel_powers(
         graph, inner, request, monkeypatch):
-    """At lambda = 3/2 the empty matching is dense (8R >= m), so windows
-    from it start on plain steps; X_T against rows of P^T, with both
-    inner draws."""
+    """At lambda = 3/2 the empty matching is dense (_CROSSOVER * R >= m),
+    so windows from it start on plain steps; X_T against rows of P^T, with
+    both inner draws."""
     g = request.getfixturevalue(graph)
     lam = Fraction(3, 2)
     batches = spy_plain_steps(monkeypatch)

@@ -13,10 +13,8 @@ from gbsmc.diagnostics import transition_kernel
 from gbsmc.glauber import (
     ChainConfig,
     ChainConfigError,
-    _candidate_counts,
     _drive_glauber,
     _drive_jerrum,
-    _run_add_remove,
     move_probabilities,
     sample_states,
 )
@@ -234,6 +232,35 @@ def test_event_loop_follows_the_exact_kernel_powers(chain, lazy, graph,
     assert not any(plain.values())
 
 
+class _CountingRng(random.Random):
+    """A seeded RNG that counts its uniforms."""
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+def test_an_add_candidate_costs_one_pick(monkeypatch):
+    """Near a maximal matching few edges are addable.  An add candidate is
+    one uniform edge of all m, which holds when an end is covered, so no
+    event draws more than three uniforms: its holding time, its kind and
+    its pick.  (Glauber at lambda = 1 with the crossover at 1 runs events
+    at every size.)"""
+    monkeypatch.setattr(gbsmc.glauber, "_CROSSOVER", 1)
+    holds = []  # one log per holding time
+    real_log = gbsmc.glauber.log
+    monkeypatch.setattr(gbsmc.glauber, "log",
+                        lambda u: holds.append(u) or real_log(u))
+    batches = spy_plain_steps(monkeypatch)
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=32, p=0.4), seed=1)
+    rng = _CountingRng(1)
+    x = Matching(g)
+    _drive_glauber(g, x, 1, False, 20_000, rng)
+    assert batches == [] and len(x) >= 10
+    assert rng.calls <= 3 * len(holds)
+
+
 def _drivers(lazy=False):
     """Each chain's window driver as ``drive(g, x, lam, steps, rng, **kw)``;
     the double loop draws its inner matchings exactly, on one memo."""
@@ -255,7 +282,8 @@ def test_sparse_windows_skip_holds_and_dense_ones_take_plain_steps(
     """A post-selection window at lambda = 4/m on ER(256, 0.4) stays on
     the event loop; a K6 window at lambda = 1 takes plain steps.  (On
     ER(64, 0.3) jerrum's windows reach three edges, whose slide candidates
-    alone lift 8R past m, and rightly take plain steps there.)"""
+    alone lift _CROSSOVER * R past m, and rightly take plain steps
+    there.)"""
     batches = spy_plain_steps(monkeypatch)
     drive = _drivers()[chain]
     sparse = gen_graph(GraphSpec.of("erdos_renyi", n=256, p=0.4), seed=1)
@@ -283,12 +311,13 @@ DENSE_CASES = [("glauber", Fraction(3, 2), False),
 def test_plain_steps_follow_the_exact_kernel_powers(dynamics, lam, lazy,
                                                     graph, request,
                                                     monkeypatch):
-    """Windows from the empty matching, where 8R >= m, start on plain
-    steps; windows from one edge may start on events and hand over.  X_T
-    against rows of P^T."""
+    """Windows from the empty matching, where _CROSSOVER * R >= m, start on
+    plain steps; windows from one edge may start on events and hand over.
+    X_T against rows of P^T."""
     g = request.getfixturevalue(graph)
     # the empty matching's rate is R = m * p_add
-    assert 8 * move_probabilities(dynamics, lam, lazy)[0] >= 1
+    p_add = move_probabilities(dynamics, lam, lazy)[0]
+    assert gbsmc.glauber._CROSSOVER * p_add >= 1
     batches = spy_plain_steps(monkeypatch)
     kernel = transition_kernel(g, dynamics, lam=lam, lazy=lazy)
     drive = _drive_glauber if dynamics == "glauber" else _drive_jerrum
@@ -300,35 +329,37 @@ def test_plain_steps_follow_the_exact_kernel_powers(dynamics, lam, lazy,
     assert batches
 
 
-@pytest.mark.parametrize("chain,lam,target", [("glauber", 1, 2),
-                                              ("jerrum", 0.05, 1),
-                                              ("double_loop", 1, 2)])
+@pytest.mark.parametrize("chain,lam,target,crossover", [
+    pytest.param("glauber", 0.3, 2, None, id="glauber-0.3-2"),
+    pytest.param("jerrum", 0.05, 1, None, id="jerrum-0.05-1"),
+    pytest.param("jerrum", 0.05, 1, 1, id="jerrum-0.05-1-crossover1"),
+    pytest.param("double_loop", 0.45, 1, None, id="double_loop-0.45-1")])
 def test_windows_post_select_and_sample_the_states_they_walk(
-        chain, lam, target, monkeypatch):
+        chain, lam, target, crossover, monkeypatch):
     """With the coins and the edge picks on streams of their own, a window
     cut short at step s walks the whole window's first s steps, so the
     states X_0 .. X_T are known.  The post-selected (snapshot, step) must
     be the last of them of the target size, and the collected keys those
     at the sample points, across switches between events and plain steps
-    both ways."""
+    both ways, and so must those of the window cut at every step.  With
+    the crossover at 1, jerrum's events at one edge take slides."""
     g = gen_graph(GraphSpec.of("complete", n=6))
     drive = _drivers()[chain]
     steps, thin, burn_in = 700, 3, 5
-    log = []  # "p" per batch of plain steps, "e" per reading of 8R < m
-    real_counts, real_picks = _candidate_counts, gbsmc.glauber._picks
-    p_add, p_rem, p_slide = map(float, move_probabilities(chain, lam))
+    log = []  # "p" per batch of plain steps, "e" per entry into events
+    real_log1p, real_picks = gbsmc.glauber.log1p, gbsmc.glauber._picks
 
-    def counts(g, x):
-        addable, slides = real_counts(g, x)
-        rate = addable * p_add + len(x.idxs) * p_rem + slides * p_slide
-        log.append("e" if 8 * rate < g.m else "")
-        return addable, slides
+    def log1p(y):  # the events' holding-time constant
+        log.append("e")
+        return real_log1p(y)
 
     def picks(rng, k, n):
         log.append("p")
         return real_picks(rng, k, n)
 
-    monkeypatch.setattr(gbsmc.glauber, "_candidate_counts", counts)
+    if crossover is not None:
+        monkeypatch.setattr(gbsmc.glauber, "_CROSSOVER", crossover)
+    monkeypatch.setattr(gbsmc.glauber, "log1p", log1p)
     monkeypatch.setattr(gbsmc.glauber, "_picks", picks)
     collected = Counter()
     got = drive(g, Matching(g), lam, steps, ScriptedRng(chain),
@@ -336,13 +367,16 @@ def test_windows_post_select_and_sample_the_states_they_walk(
                 burn_in=burn_in)
     log = "".join(log)
     assert "pe" in log and "ep" in log  # handovers both ways
-    monkeypatch.undo()
-    last, walked = None, Counter()
+    monkeypatch.setattr(gbsmc.glauber, "log1p", real_log1p)
+    monkeypatch.setattr(gbsmc.glauber, "_picks", real_picks)
+    last, walked = (None, None), Counter()
     for s in range(steps + 1):
         x = Matching(g)
-        drive(g, x, lam, s, ScriptedRng(chain))
+        cut = drive(g, x, lam, s, ScriptedRng(chain), target_edges=target)
+        x.validate()
         if len(x) == target:
             last = x.covered, s
+        assert cut == last  # every cut post-selects the states it walked
         if s > burn_in and (s - burn_in) % thin == 0:
             walked[x.pairs()] += 1
     assert got == last
