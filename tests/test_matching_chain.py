@@ -205,8 +205,8 @@ def _event_graph(family, n):
 def test_jerrum_event_loop_follows_the_exact_kernel_powers(family, n, lazy,
                                                            monkeypatch):
     """Jerrum's events, slides included, at lambda = 1/8.  Lazy windows
-    never leave events; non-lazy ones hand over at two edges, where the
-    slide candidates alone lift R to m."""
+    never leave events; non-lazy ones hand over at two edges, where R
+    reaches m (at a maximal matching it always does)."""
     plain = _check_event_loop(_event_graph(family, n), "jerrum",
                               Fraction(1, 8), lazy, monkeypatch)
     totals = Counter()
