@@ -7,7 +7,7 @@ The package has three layers:
   (:mod:`~gbsmc.graphs`, :mod:`~gbsmc.hafnian`);
 * samplers — the single-loop matching chain, the perfect-matching chain,
   and the double-loop chain whose stationary vertex-set law is
-  proportional to the squared (weighted) hafnian
+  proportional to the squared hafnian
   (:mod:`~gbsmc.glauber`, :mod:`~gbsmc.pm_chain`, :mod:`~gbsmc.double_loop`);
 * applications and verification — subgraph-search solvers, exact
   stationary laws and detailed-balance certificates, and the ``gbsmc``
@@ -26,7 +26,7 @@ from .glauber import ChainConfig, ChainConfigError, sample_states
 from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
                      Matching, enumerate_matchings, from_edge_list_text,
                      gen_graph, hard_instance_core_matching, load_edge_list,
-                     normalize_weights, to_edge_list_text)
+                     to_edge_list_text)
 from .hafnian import density, enumerate_perfect_matchings, hafnian_bits
 from .pm_chain import (PMSampleBudgetError, PMSamplerConfig, PMStateError,
                        default_inner_steps, default_max_attempts,
@@ -50,7 +50,7 @@ __all__ = [
     "exact_stationary", "exit_probability", "exit_time_experiment",
     "from_edge_list_text", "gen_graph", "geometric_fit", "hafnian_bits",
     "hard_instance_core_matching", "load_edge_list", "mixing_curve",
-    "normalize_weights", "pm_stationary", "random_search",
+    "pm_stationary", "random_search",
     "sample_perfect_matching", "sample_states", "simulated_annealing",
     "solver_for", "to_edge_list_text", "transition_kernel", "tv_distance",
     "vertex_set_histogram",

@@ -334,6 +334,7 @@ def _sample_lines(g: Graph, args):
     target = -1
     k = args.post_select_k
     if k is not None:
+        _check_counts(("--post-select-k", k, 0))
         if k % 2:
             raise CliError(f"post-selection size {k} is odd")
         target = k // 2

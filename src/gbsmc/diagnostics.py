@@ -2,9 +2,9 @@
 
 Everything here exists to check the samplers against ground truth.  Exact
 stationary laws and one-step transition kernels are computed in rational
-arithmetic (``fractions.Fraction``) whenever the fugacity and weights are
-exact numbers, so detailed-balance certificates come out as literal zeros
-rather than "small floats".  The double-loop kernel uses the inner draw's
+arithmetic (``fractions.Fraction``; a float fugacity is converted exactly),
+so detailed-balance certificates come out as literal zeros rather than
+"small floats".  The double-loop kernel uses the inner draw's
 exact marginal — the probability that a uniform perfect matching of the
 induced subgraph contains the proposed edge is a ratio of hafnians — which
 is what "inner sampler replaced by exact enumeration" means operationally.
@@ -13,7 +13,6 @@ is what "inner sampler replaced by exact enumeration" means operationally.
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ from .graphs import (Graph, Matching, enumerate_matchings, hard_instance,
                      hard_instance_core_matching)
 from .glauber import ChainConfig, move_probabilities
 from .double_loop import DoubleLoopConfig, _drive_double
-from .hafnian import hafnian_bits, matching_weight
+from .hafnian import hafnian_bits
 from .seeds import child_rng
 from .solvers import drive
 
@@ -39,9 +38,7 @@ def _normalize(weights) -> dict:
     """``{state: mass}`` from a weight map (a law, or a Counter of samples).
 
     Masses are Fractions when every weight is an int or a Fraction, floats
-    otherwise; states carrying zero mass are dropped.  Float weights that
-    already sum to 1 up to rounding are a law and keep their masses:
-    dividing by their float sum again would move masses by an ulp.
+    otherwise; states carrying zero mass are dropped.
     """
     total = sum(weights.values())
     if not total > 0:
@@ -52,8 +49,6 @@ def _normalize(weights) -> dict:
     if exact:
         return {k: Fraction(w) / total for k, w in items}
     ftot = float(total)
-    if abs(ftot - 1) <= len(items) * sys.float_info.epsilon:
-        ftot = 1.0
     return {k: float(w) / ftot for k, w in items}
 
 
@@ -91,13 +86,12 @@ def exact_stationary(g: Graph, lam, law: str) -> dict:
     """Exact stationary law ``{state: mass}`` of one of the four chain laws.
 
     * ``matching_single``:  mu(X)  ~ lambda^|X|           (keys: edge pairs)
-    * ``matching_double``:  pi(X)  ~ lambda^(2|X|) Haf(G_X) w(X)
+    * ``matching_double``:  pi(X)  ~ lambda^(2|X|) Haf(G_X)
     * ``vertexset_single``: Pr[S]  ~ lambda^(|S|/2) Haf(S)  (keys: bitsets)
-    * ``vertexset_double``: Pr[S]  ~ lambda^|S| Haf_w(S)^2
+    * ``vertexset_double``: Pr[S]  ~ lambda^|S| Haf(S)^2
 
     With lambda = c^2 the two vertex-set laws are c^|S| Haf(S) and
-    c^(2|S|) Haf(S)^2.  Single-loop laws ignore edge weights (that chain
-    never looks at them); double-loop laws use the weighted hafnian.
+    c^(2|S|) Haf(S)^2.  Masses are exact Fractions.
     Guarded brute force: 12 vertices for matching laws, 14 for vertex-set.
     """
     if law not in LAW_KINDS:
@@ -113,25 +107,18 @@ def exact_stationary(g: Graph, lam, law: str) -> dict:
             if law == "matching_single":
                 weights[key] = lamF ** len(x.idxs)
             else:
-                haf = hafnian_bits(g, x.covered, memo)
-                haf = Fraction(haf) if not isinstance(haf, float) else haf
-                weights[key] = (lamF ** (2 * len(x.idxs)) * haf
-                                * matching_weight(g, x.idxs))
+                weights[key] = (lamF ** (2 * len(x.idxs))
+                                * hafnian_bits(g, x.covered, memo))
     else:
         if g.n > 14:
             raise OracleGuardError("vertex-set laws are enumerable up to 14 vertices")
         memo = {}
-        unweighted = Graph(g.n, g.edges) if g.weighted else g
-        umemo = {}
         for bits in even_subsets(g.n):
             size = bits.bit_count()
+            haf = hafnian_bits(g, bits, memo)
             if law == "vertexset_single":
-                haf = hafnian_bits(unweighted, bits, umemo)
                 w = lamF ** (size // 2) * haf
             else:
-                haf = hafnian_bits(g, bits, memo)
-                if not isinstance(haf, float):
-                    haf = Fraction(haf)
                 w = lamF ** size * haf * haf
             if w > 0:
                 weights[bits] = w
@@ -152,47 +139,36 @@ def transition_kernel(g: Graph, dynamics: str, lam=None, lazy=False) -> dict:
     sum to 1 exactly.  For matching-space dynamics the state space is every
     matching of ``g``; for the perfect-matching dynamics it is the perfect
     plus near-perfect matchings (``g.n`` must be even and a perfect matching
-    must exist).  On a weighted graph the double loop and the
-    perfect-matching chain tilt by edge weight, as their drivers do, and
-    need every weight >= 1.  ``lazy`` (each move's probability halved)
-    exists for glauber and jerrum only.
+    must exist).  ``lazy`` (each move's probability halved) exists for
+    glauber and jerrum only.
     """
     if dynamics not in KERNEL_KINDS:
         raise ValueError(f"unknown dynamics {dynamics!r}")
-    if dynamics in ("double_loop", "pm") and g.weighted \
-            and min(g.weights) < 1:
-        raise ValueError("weighted chain needs all weights >= 1")
-    w = [Fraction(g.weight(i)) for i in range(g.m)]
     if dynamics == "pm":
         if lazy:
             raise ValueError("no lazy pm kernel; lazy applies to glauber "
                              "and jerrum")
         states, q = _pm_states(g)
         return _local_kernel(g, states, 1,
-                             lambda x, i: 1 / w[i] if len(x.idxs) == q else 0,
-                             lambda i, j: min(1, w[i] / w[j]))
+                             lambda x, i: 1 if len(x.idxs) == q else 0, 1)
     if lam is None:
         raise ValueError(f"{dynamics} kernel needs a fugacity")
     p_add, p_rem, p_slide = move_probabilities(dynamics, Fraction(lam), lazy)
     if dynamics == "double_loop":
         # the inner draw marginalized exactly: a removal passes the gate
-        # p_rem, the 1/w_e^2 coin and the draw, where
-        # Pr[e in E] = w_e Haf(G_{V(X)} - {u,v}) / Haf(G_{V(X)})
+        # p_rem and the draw, where
+        # Pr[e in E] = Haf(G_{V(X)} - {u,v}) / Haf(G_{V(X)})
         memo = {}
 
-        def haf(bits):
-            val = hafnian_bits(g, bits, memo)
-            return Fraction(val) if not isinstance(val, float) else val
-
         def remove(x, i):
-            return (haf(x.covered & ~g.edge_bits[i]) / haf(x.covered)
-                    * p_rem / w[i])
+            return (Fraction(hafnian_bits(g, x.covered & ~g.edge_bits[i],
+                                          memo),
+                             hafnian_bits(g, x.covered, memo)) * p_rem)
     else:
         def remove(x, i):
             return p_rem
 
-    return _local_kernel(g, enumerate_matchings(g), p_add, remove,
-                         lambda i, j: p_slide)
+    return _local_kernel(g, enumerate_matchings(g), p_add, remove, p_slide)
 
 
 def _local_kernel(g: Graph, states, p_add, p_rem, p_slide) -> dict:
@@ -201,7 +177,7 @@ def _local_kernel(g: Graph, states, p_add, p_rem, p_slide) -> dict:
     A step picks edge i uniformly.  If it joins two free vertices it is
     added with probability ``p_add``; if it is in X it is removed with
     probability ``p_rem(x, i)``; if exactly one end is blocked, by edge j,
-    it slides in for j with probability ``p_slide(i, j)``.  Anything else
+    it slides in for j with probability ``p_slide``.  Anything else
     holds.
     """
     per_edge = Fraction(1, g.m or 1)  # with no edge every row holds
@@ -219,7 +195,7 @@ def _local_kernel(g: Graph, states, p_add, p_rem, p_slide) -> dict:
             elif pu == -1 or pv == -1:
                 a, z = (v, pv) if pu == -1 else (u, pu)
                 j = eindex[(a, z) if a < z else (z, a)]
-                p, flip = p_slide(i, j), {i, j}
+                p, flip = p_slide, {i, j}
             else:
                 continue
             if p:
@@ -243,11 +219,9 @@ def _pm_states(g: Graph):
 
 def pm_stationary(g: Graph) -> dict:
     """Stationary law ``{matching: mass}`` of the perfect-matching chain:
-    uniform over perfect plus near-perfect matchings, or on a weighted
-    graph proportional to matching weight."""
+    uniform over perfect plus near-perfect matchings."""
     states, _ = _pm_states(g)
-    return _normalize({_matching_key(g, x.idxs):
-                       Fraction(matching_weight(g, x.idxs)) for x in states})
+    return _normalize({_matching_key(g, x.idxs): 1 for x in states})
 
 
 def check_detailed_balance(kernel: dict, law: dict):

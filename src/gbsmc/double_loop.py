@@ -10,10 +10,7 @@ tilts the stationary law from lambda^|X| to
     pi(X) proportional to lambda^(2|X|) * Haf(G_X),
 
 whose vertex-set marginal is Pr[S] proportional to c^(2|S|) * Haf^2(S) with
-lambda = c^2 — the Gaussian boson sampling distribution.  On a weighted
-graph the chain gates removals by an extra 1/w_e^2 and draws the inner
-matching with probability proportional to its weight, giving
-Pr[S] ~ lambda^|S| * Haf^2(S) for the weighted hafnian.
+lambda = c^2 — the Gaussian boson sampling distribution.
 
 Two inner samplers are available: ``"chain"`` runs the perfect-matching
 chain of :mod:`gbsmc.pm_chain` under a finite budget (the real algorithm),
@@ -55,8 +52,8 @@ class InnerStats:
 
     ``calls`` counts inner chain draws, ``shortcuts`` the |X| = 1 removals
     whose inner draw is forced.  Both count only removal candidates that
-    passed the 1/(1+lambda^2) gate coin (and the 1/w^2 coin when weighted),
-    which the outer chain flips first.
+    passed the 1/(1+lambda^2) gate coin, which the outer chain flips
+    first.
     """
     calls: int = 0
     shortcuts: int = 0
@@ -97,19 +94,15 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
     failures are counted in ``stats`` when given.
 
     The outer walk is the add/remove loop at fugacity lambda^2, so a removal
-    candidate has already passed the 1/(1+lambda^2) gate coin; the 1/w^2
-    coin (weighted graphs) and then the inner draw decide whether it moves.
+    candidate has already passed the 1/(1+lambda^2) gate coin; the inner
+    draw decides whether it moves.
     A lazy ``cfg.chain`` raises ChainConfigError, and the exact inner draw
     raises :class:`InnerGuardError` on a V(X) whose hafnian could memoise
     more than ``hafnian.MEMO_LIMIT`` sub-sets.
     """
     p_add, p_gate, _ = map(float, move_probabilities(
         "double_loop", float(lam), cfg.chain.lazy))
-    if g.weighted and min(g.weights) < 1:
-        raise ChainConfigError("weighted double loop needs all weights >= 1; "
-                               "normalize_weights() first")
     rnd = rng.random
-    wf = [float(w) for w in g.weights] if g.weighted else None
     exact_inner = cfg.inner == "exact"
     pm_cfg = cfg.pm
     abort = cfg.on_inner_failure == "abort"
@@ -122,8 +115,6 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
 
     def in_inner(i, t):
         """Whether the gated removal of edge i goes ahead."""
-        if wf is not None and rnd() * wf[i] * wf[i] >= 1.0:
-            return False  # the 1/w^2 coin failed
         idxs = x.idxs
         covered = x.covered
         if len(idxs) == 1:
@@ -144,10 +135,7 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
                             f"{MEMO_LIMIT}")
             big = hafnian_bits(g, covered, haf_memo)
             small = hafnian_bits(g, rest, haf_memo)
-            ratio = float(small) / float(big)
-            if wf is not None:
-                ratio *= wf[i]
-            return rnd() < ratio
+            return rnd() < float(small) / float(big)
         stats.calls += 1
         nv = 2 * len(idxs)
         got = _run_restricted(g, covered, idxs, pm_cfg.steps_for(nv),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 
@@ -42,15 +41,11 @@ def bits_to_tuple(bits: int) -> tuple:
 
 
 class Graph:
-    """Immutable undirected graph with optional positive edge weights.
+    """Immutable undirected, unweighted graph.
 
     Attributes:
         n: vertex count.
         edges: sorted tuple of canonical ``(u, v)`` pairs, ``u < v``.
-        weights: tuple parallel to ``edges``, or ``None`` for unweighted
-            graphs (all weights implicitly 1).  Weight values keep whatever
-            numeric type they were given (int / Fraction / float), so exact
-            arithmetic survives where the caller provides exact inputs.
         adj: per-vertex neighbor bitsets.
         nbrs: per-vertex sorted tuples of neighbors, the same sets as ``adj``
             (for uniform neighbor draws and degrees).
@@ -59,10 +54,10 @@ class Graph:
         edge_index: dict mapping each canonical pair to its index in ``edges``.
     """
 
-    __slots__ = ("n", "edges", "weights", "adj", "nbrs", "max_degree",
-                 "edge_bits", "edge_index", "m", "full_bits", "_wmap")
+    __slots__ = ("n", "edges", "adj", "nbrs", "max_degree", "edge_bits",
+                 "edge_index", "m", "full_bits")
 
-    def __init__(self, n, edges, weights=None):
+    def __init__(self, n, edges):
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         canon = []
@@ -73,24 +68,12 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {e} has an endpoint outside 0..{n - 1}")
             canon.append((u, v) if u < v else (v, u))
-        if weights is not None:
-            weights = list(weights)
-            if len(weights) != len(canon):
-                raise GraphError("weights must parallel the edge list")
-            for w in weights:
-                if not w > 0:
-                    raise GraphError(f"non-positive edge weight {w!r}")
-            order = sorted(range(len(canon)), key=lambda i: canon[i])
-            canon = [canon[i] for i in order]
-            weights = tuple(weights[i] for i in order)
-        else:
-            canon.sort()
+        canon.sort()
         if any(canon[i] == canon[i + 1] for i in range(len(canon) - 1)):
             raise GraphError("duplicate edge in edge list")
 
         self.n = n
         self.edges = tuple(canon)
-        self.weights = weights
         self.m = len(canon)
         nbrs = [[] for _ in range(n)]
         for u, v in canon:
@@ -102,37 +85,16 @@ class Graph:
         self.edge_bits = tuple((1 << u) | (1 << v) for u, v in canon)
         self.edge_index = dict(zip(canon, range(self.m)))
         self.full_bits = (1 << n) - 1
-        self._wmap = None
-
-    # -- basic queries ----------------------------------------------------
-
-    @property
-    def weighted(self) -> bool:
-        return self.weights is not None
-
-    def weight(self, i: int):
-        """Weight of edge index ``i`` (1 for unweighted graphs)."""
-        return 1 if self.weights is None else self.weights[i]
-
-    def weight_map(self) -> dict:
-        """Dict ``(u, v) -> weight`` over canonical pairs (cached)."""
-        if self._wmap is None:
-            if self.weights is None:
-                self._wmap = {e: 1 for e in self.edges}
-            else:
-                self._wmap = dict(zip(self.edges, self.weights))
-        return self._wmap
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
-                and self.edges == other.edges and self.weights == other.weights)
+                and self.edges == other.edges)
 
     def __hash__(self):
-        return hash((self.n, self.edges, self.weights))
+        return hash((self.n, self.edges))
 
     def __repr__(self):
-        tag = ", weighted" if self.weighted else ""
-        return f"Graph(n={self.n}, m={self.m}{tag})"
+        return f"Graph(n={self.n}, m={self.m})"
 
 
 class Matching:
@@ -409,57 +371,20 @@ def gen_graph(spec: GraphSpec, seed=0) -> Graph:
         raise GraphError(f"bad parameters for {spec.kind!r}: {exc}") from None
 
 
-def normalize_weights(g: Graph):
-    """Rescale weights so the minimum is 1; returns ``(graph, w_min)``.
-
-    The weighted chains require all weights >= 1.  A graph with smaller
-    weights can be normalized by w' = w / w_min, provided the caller also
-    rescales the fugacity (lambda* = lambda * w_min) to keep the target
-    law unchanged.  Unweighted graphs pass through untouched.
-    """
-    if not g.weighted:
-        return g, 1
-    w_min = min(g.weights)
-    if w_min == 1:
-        return g, 1
-    if any(isinstance(w, float) for w in g.weights):
-        scaled = [w / w_min for w in g.weights]
-    else:
-        scaled = [Fraction(w, w_min) for w in g.weights]
-    return Graph(g.n, g.edges, scaled), w_min
-
-
 # ---------------------------------------------------------------------------
 # Edge-list text format
 # ---------------------------------------------------------------------------
 #
-# First data line: "n_vertices n_edges" plus the word "weighted" when weights
-# follow.  Then one edge per line, "u v" or "u v w", in canonical sorted
-# order.  '#' starts a comment.  Saving the same graph twice is byte-stable.
+# First data line: "n_vertices n_edges".  Then one edge per line, "u v", in
+# canonical sorted order.  '#' starts a comment.  Saving the same graph twice
+# is byte-stable.  gbsmc reads unweighted graphs only, so a "weighted" header
+# or a third column on an edge line is refused.
 
-def _format_weight(w) -> str:
-    if isinstance(w, float):
-        return repr(w)
-    return str(w)
-
-
-def _parse_weight(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    if "/" in text:
-        return Fraction(text)
-    return float(text)
+_UNWEIGHTED_ONLY = "gbsmc reads unweighted edge lists"
 
 
 def to_edge_list_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.m} weighted" if g.weighted else f"{g.n} {g.m}"]
-    for i, (u, v) in enumerate(g.edges):
-        if g.weighted:
-            lines.append(f"{u} {v} {_format_weight(g.weights[i])}")
-        else:
-            lines.append(f"{u} {v}")
+    lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -469,21 +394,23 @@ def from_edge_list_text(text: str) -> Graph:
     if not data:
         raise GraphError("empty edge-list file")
     header = data[0].split()
-    weighted = len(header) == 3 and header[2] == "weighted"
-    if len(header) not in (2, 3) or (len(header) == 3 and not weighted):
+    if header[2:] == ["weighted"]:
+        raise GraphError(f"weighted header {data[0]!r}: {_UNWEIGHTED_ONLY}")
+    if len(header) != 2:
         raise GraphError(f"bad header line {data[0]!r}")
     n, m = int(header[0]), int(header[1])
     if len(data) - 1 != m:
         raise GraphError(f"header promises {m} edges, file has {len(data) - 1}")
-    edges, weights = [], [] if weighted else None
+    edges = []
     for ln in data[1:]:
         parts = ln.split()
-        if len(parts) != (3 if weighted else 2):
+        if len(parts) == 3:
+            raise GraphError(f"edge line {ln!r} has a weight: "
+                             f"{_UNWEIGHTED_ONLY}")
+        if len(parts) != 2:
             raise GraphError(f"bad edge line {ln!r}")
         edges.append((int(parts[0]), int(parts[1])))
-        if weighted:
-            weights.append(_parse_weight(parts[2]))
-    return Graph(n, edges, weights)
+    return Graph(n, edges)
 
 
 def load_edge_list(path) -> Graph:

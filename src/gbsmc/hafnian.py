@@ -1,23 +1,21 @@
 """Exact hafnian, perfect-matching enumeration, and subgraph density.
 
 The hafnian of (the adjacency matrix of) an unweighted graph equals its
-number of perfect matchings; with edge weights it is the sum over perfect
-matchings of the product of edge weights.  Everything here is computed by
-recursive branch-and-sum: repeatedly pair the lowest-indexed uncovered
-vertex with each of its uncovered neighbors.  That exploits sparsity, yields
-exact integers (Python ints never overflow) or exact Fractions, and doubles
-as the enumerator; the hafnian memoises every sub-set it sums.
+number of perfect matchings.  Everything here is computed by recursive
+branch-and-count: repeatedly pair the lowest-indexed uncovered vertex with
+each of its uncovered neighbors.  That exploits sparsity, yields exact
+integers (Python ints never overflow), and doubles as the enumerator; the
+hafnian memoises every sub-set it counts.
 
 Which vertex is "lowest" is an elimination order, and host labels are
 arbitrary.  A sub-set the recursion reaches has lost the first i vertices
 of the order and some of their partners, which all lie on the *frontier*:
 the vertices not yet ordered that neighbour an ordered one.  So there are
-at most 2^|frontier| sub-sets per i.  A one-shot unweighted hafnian of
+at most 2^|frontier| sub-sets per i.  A one-shot hafnian of
 ``RELABEL_MIN`` or more vertices therefore first relabels the set 0..k-1
 in a static order that keeps the frontier small (:func:`_frontier_adj`),
 then runs the same recursion on adjacency ints of k bits instead of n.
-Memos kept by a caller, weighted graphs (whose float sums would change in
-the last bits) and the enumerator stay in host order.
+Memos kept by a caller and the enumerator stay in host order.
 
 Fine up to ~32-vertex subgraphs, which covers every hafnian evaluation in
 the benchmark experiments.
@@ -42,7 +40,7 @@ def _as_bits(g: Graph, s) -> int:
 MEMO_LIMIT = 1 << 18
 
 
-def _haf(adj, wmap, bits, memo):
+def _haf(adj, bits, memo):
     # Not a nested closure: one that calls itself is a reference cycle and
     # keeps its memo alive until the cyclic garbage collector runs.
     if not bits:
@@ -55,25 +53,17 @@ def _haf(adj, wmap, bits, memo):
     rest = bits ^ low
     nb = adj[v] & rest
     total = 0
-    if wmap is None:
-        while nb:
-            ub = nb & -nb
-            total += _haf(adj, wmap, rest ^ ub, memo)
-            nb ^= ub
-    else:
-        while nb:
-            ub = nb & -nb
-            u = ub.bit_length() - 1
-            w = wmap[(v, u) if v < u else (u, v)]
-            total += w * _haf(adj, wmap, rest ^ ub, memo)
-            nb ^= ub
+    while nb:
+        ub = nb & -nb
+        total += _haf(adj, rest ^ ub, memo)
+        nb ^= ub
     memo[bits] = total
     return total
 
 
-# One-shot unweighted hafnians of at least this many vertices are
-# relabelled.  Measured on ER(256, 0.4) subsets: relabelling costs more than
-# it saves at 10 vertices and less at 12.
+# One-shot hafnians of at least this many vertices are relabelled.
+# Measured on ER(256, 0.4) subsets: relabelling costs more than it saves
+# at 10 vertices and less at 12.
 RELABEL_MIN = 12
 
 
@@ -104,22 +94,20 @@ def hafnian_bits(g: Graph, uncovered: int, memo=None):
     With a ``memo`` kept by the caller for repeated evaluations on one graph,
     sub-results are memoised in it keyed by host-label bitset, so calls share
     them.  Without one, the call memoises in a dict of its own; a set of
-    ``RELABEL_MIN`` or more vertices of an unweighted graph is first
-    relabelled in a frontier-minimising order (module docstring), which
-    changes the work but not the exact integer result.
+    ``RELABEL_MIN`` or more vertices is first relabelled in a
+    frontier-minimising order (module docstring), which changes the work
+    but not the exact integer result.
     """
     size = uncovered.bit_count()
     if size & 1:
         return 0
     if memo is None:
-        if size >= RELABEL_MIN and not g.weighted:
-            return _haf(_frontier_adj(g.adj, uncovered), None,
-                        (1 << size) - 1, {})
+        if size >= RELABEL_MIN:
+            return _haf(_frontier_adj(g.adj, uncovered), (1 << size) - 1, {})
         memo = {}
     elif len(memo) > MEMO_LIMIT:
         memo.clear()
-    return _haf(g.adj, g.weight_map() if g.weighted else None, uncovered,
-                memo)
+    return _haf(g.adj, uncovered, memo)
 
 
 def memo_bound(g: Graph, uncovered: int) -> int:
@@ -152,9 +140,8 @@ def memo_bound(g: Graph, uncovered: int) -> int:
 def hafnian(g: Graph, s=None):
     """Hafnian of the subgraph induced by vertex set ``s`` (default: all).
 
-    Returns an exact int for unweighted graphs; for weighted graphs the
-    result type follows the weight types (int/Fraction stay exact, floats
-    give floats).  Odd-size sets give 0, the empty set gives 1.
+    Returns an exact int, the number of perfect matchings of that
+    subgraph.  Odd-size sets give 0, the empty set gives 1.
     """
     return hafnian_bits(g, _as_bits(g, s))
 
@@ -194,10 +181,8 @@ def perfect_matchings_bits(g: Graph, uncovered: int, cap: int = 2_000_000):
 
 
 def enumerate_perfect_matchings(g: Graph, cap: int = 2_000_000):
-    """Exact list of the perfect matchings of ``g``.
-
-    On unweighted graphs ``len(result) == hafnian(g)``.
-    """
+    """Exact list of the perfect matchings of ``g``;
+    ``len(result) == hafnian(g)``."""
     return [Matching(g, idxs)
             for idxs in perfect_matchings_bits(g, g.full_bits, cap=cap)]
 
@@ -216,12 +201,3 @@ def density(g: Graph, s) -> float:
         raise ValueError("density of the empty vertex set is undefined")
     return count_induced_edges(g, bits) / size
 
-
-def matching_weight(g: Graph, idxs):
-    """Product of edge weights over a matching (1 for the empty matching)."""
-    if not g.weighted:
-        return 1
-    w = 1
-    for i in idxs:
-        w = w * g.weights[i]
-    return w

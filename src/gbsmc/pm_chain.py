@@ -10,31 +10,26 @@ vertex pair).  Pick an edge ``e = (u, v)`` uniformly at random:
 * anything else: hold.
 
 Every move is matched by its mirror image at the same proposal probability,
-so the stationary law is uniform over the state space.  On a weighted
-graph the chain accepts removals with probability 1/w_e and slides with
-min(1, w_e/w_zu), tilting the stationary law to Pr[M] proportional to the
-product of edge weights.  On dense graphs the perfect states carry at
-least a 1/(2q^2+1) share of the space (q = matching size), which is what
-makes "run, check, retry" a practical uniform sampler for perfect
-matchings.
+so the stationary law is uniform over the state space.  On dense graphs the
+perfect states carry at least a 1/(2q^2+1) share of the space (q =
+matching size), which is what makes "run, check, retry" a practical uniform
+sampler for perfect matchings.
 
 An attempt's edge picks come in bulk from :func:`_picks`: exactly uniform
 indices drawn by rejection from ``rng.randbytes``, not one ``random()``
-call a step.  The weighted chain's acceptance coins still come from
-``rng.random``.
+call a step.  The chain flips no other coin.
 
 The chain runs in one of two walks, which make the same random draws and
 so reach the same states.  The step loop, :func:`_pm_walk`, moves a partner
 array.  A transition table, :class:`_PMTable`, lists the states of the
-unweighted chain on one vertex set and, for each, the state every pick
-leads to, so an attempt is one ``reduce`` over the picks.  The double loop
+chain on one vertex set and, for each, the state every pick leads to, so
+an attempt is one ``reduce`` over the picks.  The double loop
 keeps one table per vertex set for a window, built only once earlier
 draws on that set have walked as many steps as the table of a complete
 graph of its size has transitions (:func:`table_transitions`: 54 at 4
 vertices, 900 at 6, 14,700 at 8, 4.8e6 at 12).  So a table never has more
 transitions than steps already walked on its set, and large vertex sets,
-which rarely repeat, stay on the step loop.  Chains on weighted graphs
-always take the step loop.
+which rarely repeat, stay on the step loop.
 """
 
 from __future__ import annotations
@@ -53,6 +48,10 @@ from .graphs import Graph, Matching, bits_to_tuple
 
 class PMStateError(ValueError):
     """Chain state is neither perfect nor near-perfect."""
+
+
+class PMConfigError(ValueError):
+    """A step or attempt budget below 1."""
 
 
 class PMSampleBudgetError(RuntimeError):
@@ -92,10 +91,17 @@ class PMSamplerConfig:
 
     ``inner_steps`` (per attempt) and ``max_attempts`` default to
     :func:`default_inner_steps` / :func:`default_max_attempts` sized to the
-    graph at hand when left as None.
+    graph at hand when left as None.  A budget below 1 would return the
+    start state unmoved or fail every draw, so it is refused.
     """
     inner_steps: Optional[int] = None
     max_attempts: Optional[int] = None
+
+    def __post_init__(self):
+        for name in ("inner_steps", "max_attempts"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise PMConfigError(f"{name} must be at least 1, got {value}")
 
     def steps_for(self, n_vertices: int) -> int:
         if self.inner_steps is not None:
@@ -153,26 +159,20 @@ def _picks(rng, k: int, n: int):
     return out
 
 
-def _pm_walk(g: Graph, partner, holes: int, moves, steps: int, rng) -> int:
+def _pm_walk(partner, holes: int, moves, steps: int, rng) -> int:
     """Advance the chain ``steps`` moves on the partner array ``partner``
-    (-1 at an uncovered vertex), in place, weight-tilted on a weighted
-    graph.  ``holes`` is the state's uncovered-vertex count, 0 or 2;
-    returns the new one.
+    (-1 at an uncovered vertex), in place.  ``holes`` is the state's
+    uncovered-vertex count, 0 or 2; returns the new one.
 
-    ``moves[r]`` is ``(u, v, i)`` for the r-th proposable edge index
-    ``i``.  The picks come from ``_picks(rng, len(moves), steps)``, and
-    a weighted graph's acceptance coins from ``rng.random``.
+    ``moves[r]`` is ``(u, v)`` for the r-th proposable edge.  The picks
+    come from ``_picks(rng, len(moves), steps)``.
     """
-    eindex = g.edge_index
-    weights = g.weights  # None on an unweighted graph
-    rnd = rng.random
     for r in _picks(rng, len(moves), steps):
-        u, v, i = moves[r]
+        u, v = moves[r]
         pu = partner[u]
         pv = partner[v]
         if holes == 0:
-            if pu == v and (weights is None
-                            or rnd() < 1.0 / float(weights[i])):
+            if pu == v:
                 partner[u] = -1
                 partner[v] = -1
                 holes = 2
@@ -181,13 +181,9 @@ def _pm_walk(g: Graph, partner, holes: int, moves, steps: int, rng) -> int:
             partner[v] = u
             holes = 0
         elif pu == -1 or pv == -1:
-            # slide: add (u, v), drop the edge (w, z) blocking it at w
-            w, z = (v, pv) if pu == -1 else (u, pu)
-            if weights is not None:
-                j = eindex[(w, z) if w < z else (z, w)]
-                ratio = float(weights[i]) / float(weights[j])
-                if ratio < 1.0 and rnd() >= ratio:
-                    continue
+            # slide: add (u, v), drop the edge that blocks it, whose far
+            # end z loses its partner
+            z = pv if pu == -1 else pu
             partner[z] = -1
             partner[u] = v
             partner[v] = u
@@ -211,7 +207,7 @@ def _inner_edges(g: Graph, vbits: int) -> list:
 
 
 class _PMTable:
-    """The unweighted chain on one vertex set as a transition table.
+    """The chain on one vertex set as a transition table.
 
     A state is the frozenset of its edge indices; ``keys[s]`` is state
     ``s``, and ``rows[s]`` its row: ``rows[s][r]`` is the row of the state
@@ -309,12 +305,8 @@ def _run_restricted(g: Graph, vbits: int, start_idxs, steps: int,
     ``tables`` is a caller's memory across draws, by vertex set: the steps
     walked there so far, replaced by the set's :class:`_PMTable` once they
     reach :func:`table_transitions`, so that a table never has more
-    transitions than steps already walked on its set.  Draws on an
-    unweighted graph then walk the table; on a weighted one they always
-    take the step loop.
+    transitions than steps already walked on its set.
     """
-    if g.weighted:
-        tables = None
     if tables is not None:
         table = tables.get(vbits, 0)
         if not isinstance(table, _PMTable) and table >= table_transitions(
@@ -330,11 +322,11 @@ def _run_restricted(g: Graph, vbits: int, start_idxs, steps: int,
         partner[u] = v
         partner[v] = u
     holes = 0  # start state is perfect by contract
-    moves = [g.edges[i] + (i,) for i in _inner_edges(g, vbits)]
+    moves = [g.edges[i] for i in _inner_edges(g, vbits)]
     got = None
     walked = 0
     for _ in range(attempts):
-        holes = _pm_walk(g, partner, holes, moves, steps, rng)
+        holes = _pm_walk(partner, holes, moves, steps, rng)
         walked += steps
         if holes == 0:
             got = {g.edge_index[(u, w)] for u, w in enumerate(partner)
@@ -359,9 +351,6 @@ def sample_perfect_matching(g: Graph, cfg: PMSamplerConfig,
         return Matching(g)
     if initial.covered != g.full_bits:
         raise PMStateError("initial matching must be perfect")
-    if g.weighted and min(g.weights) < 1:
-        raise PMStateError("weighted chain needs all weights >= 1; "
-                           "normalize_weights() first")
     steps = cfg.steps_for(g.n)
     attempts = cfg.attempts_for(g.n)
     got = _run_restricted(g, g.full_bits, initial.idxs, steps, attempts, rng)

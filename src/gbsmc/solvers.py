@@ -80,8 +80,8 @@ class TrialRecord:
 
 
 def objective_value(g: Graph, objective: str, bits: int):
-    """Score a vertex set: perfect-matching (weighted) count, or edge
-    density.  The empty set scores 0 under both objectives."""
+    """Score a vertex set: perfect-matching count, or edge density.  The
+    empty set scores 0 under both objectives."""
     if bits == 0:
         return 0
     if objective == "hafnian":
@@ -99,6 +99,12 @@ def _validate(g: Graph, cfg: SolverConfig):
             f"subset size {cfg.subset_size} outside 1..{g.n}")
     if cfg.iterations < 0:
         raise SolverConfigError("iterations must be non-negative")
+    if cfg.mixing_steps < 1:
+        raise SolverConfigError(
+            f"mixing steps must be at least 1, got {cfg.mixing_steps}")
+    if cfg.retry_bound < 0:
+        raise SolverConfigError(
+            f"retry bound must be non-negative, got {cfg.retry_bound}")
     if cfg.objective == "hafnian":
         if cfg.subset_size % 2:
             raise SolverConfigError(

@@ -29,16 +29,13 @@ def k33():
 
 
 @pytest.fixture
-def weighted_square():
-    """4-cycle with weights 1, 2, 3, 5/2 — the weighted-dynamics workhorse."""
-    from fractions import Fraction
-    return Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
-                 weights=[1, 2, 3, Fraction(5, 2)])
+def square():
+    """The 4-cycle: two perfect matchings and no triangle."""
+    return Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def balance_suite():
     """The eight small graphs every exact kernel check runs over."""
-    from fractions import Fraction
     return [
         ("k4", gen_graph(GraphSpec.of("complete", n=4))),
         ("k6", gen_graph(GraphSpec.of("complete", n=6))),
@@ -46,8 +43,7 @@ def balance_suite():
         ("path5", gen_graph(GraphSpec.of("path", n=5))),
         ("cycle6", gen_graph(GraphSpec.of("cycle", n=6))),
         ("er8", gen_graph(GraphSpec.of("erdos_renyi", n=8, p=0.6), seed=5)),
-        ("wsquare", Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
-                          weights=[1, 2, 3, Fraction(5, 2)])),
+        ("square", Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])),
         ("hard2", gen_graph(GraphSpec.of("hard_instance", n_squares=2))),
     ]
 

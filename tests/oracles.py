@@ -24,16 +24,15 @@ def factorial(n: int) -> int:
     return out
 
 
-def naive_hafnian(n: int, edges, weights=None):
-    """Sum over perfect pairings of {0..n-1}: product of adjacency entries.
+def naive_hafnian(n: int, edges):
+    """Count of the perfect pairings of {0..n-1} that use only edges.
 
-    ``edges`` is an iterable of (u, v) pairs; ``weights`` an optional
-    parallel sequence.  Exponential-time recursion — fine for n <= 12.
+    ``edges`` is an iterable of (u, v) pairs.  Exponential-time
+    recursion — fine for n <= 12.
     """
-    adj = {}
-    for k, (u, v) in enumerate(edges):
-        w = 1 if weights is None else weights[k]
-        adj[(u, v)] = adj[(v, u)] = w
+    adj = set()
+    for u, v in edges:
+        adj |= {(u, v), (v, u)}
     verts = list(range(n))
 
     def rec(remaining):
@@ -43,10 +42,9 @@ def naive_hafnian(n: int, edges, weights=None):
         total = 0
         for j in range(1, len(remaining)):
             mate = remaining[j]
-            w = adj.get((first, mate))
-            if w:
+            if (first, mate) in adj:
                 rest = remaining[1:j] + remaining[j + 1:]
-                total += w * rec(rest)
+                total += rec(rest)
         return total
 
     if n % 2:
@@ -54,17 +52,13 @@ def naive_hafnian(n: int, edges, weights=None):
     return rec(verts)
 
 
-def naive_hafnian_subset(n, edges, subset, weights=None):
+def naive_hafnian_subset(n, edges, subset):
     """Hafnian of the subgraph induced by ``subset`` (vertex labels)."""
     keep = set(subset)
-    sub_edges, sub_w = [], []
-    for k, (u, v) in enumerate(edges):
-        if u in keep and v in keep:
-            sub_edges.append((u, v))
-            sub_w.append(1 if weights is None else weights[k])
     relabel = {v: i for i, v in enumerate(sorted(keep))}
-    sub_edges = [(relabel[u], relabel[v]) for u, v in sub_edges]
-    return naive_hafnian(len(keep), sub_edges, sub_w)
+    return naive_hafnian(len(keep), [(relabel[u], relabel[v])
+                                     for u, v in edges
+                                     if u in keep and v in keep])
 
 
 def all_matchings(edges, max_size=None):

@@ -116,23 +116,26 @@ def test_an_exact_inner_draw_past_the_hafnian_guard_exits_5(tmp_path,
     assert "the hafnian of 28 vertices may memoise 514228 sub-sets" in err
 
 
-WEIGHTED_SQUARE_TEXT = "4 4 weighted\n0 1 1\n0 3 5/2\n1 2 2\n2 3 3\n"
-
-
-def test_sample_double_loop_weighted_graph(tmp_path):
-    graph_file = tmp_path / "w.txt"
-    graph_file.write_text(WEIGHTED_SQUARE_TEXT)
+@pytest.mark.parametrize("flag,value", [("--inner-steps", -3),
+                                        ("--inner-steps", 0),
+                                        ("--max-attempts", 0)])
+def test_sample_refuses_an_inner_budget_below_one(tmp_path, capsys, flag,
+                                                  value):
+    # No inner steps would hand back X itself, so every gated removal goes
+    # ahead; no attempts would refuse every removal.
     out = tmp_path / "states.txt"
-    assert run("sample", "--graph", graph_file, "--chain", "double-loop",
-               "--lambda", "1/2", "--steps", 20, "--samples", 10,
-               "--inner", "exact", "--out", out) == EXIT_OK
-    assert len(out.read_text().splitlines()) == 10
+    assert run("sample", "--gen", "complete", "--n", 6, "--chain",
+               "double-loop", flag, value, "--out", out) == EXIT_CONFIG
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--steps", "--burn-in", "--samples"])
+@pytest.mark.parametrize("flag", ["--steps", "--burn-in", "--samples",
+                                  "--post-select-k"])
 def test_sample_refuses_a_negative_count(tmp_path, capsys, flag):
+    # -2 is even, so --post-select-k is refused for its sign
     out = tmp_path / "states.txt"
-    assert run("sample", "--gen", "complete", "--n", 4, flag, -1,
+    assert run("sample", "--gen", "complete", "--n", 4, flag, -2,
                "--out", out) == EXIT_CONFIG
     assert flag in capsys.readouterr().err
     assert not out.exists()
@@ -244,6 +247,21 @@ def test_a_run_of_no_trials_is_refused(tmp_path, capsys, argv, flag):
     assert not list(tmp_path.glob("out/*.*"))
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("solve", "--gen", "complete", "--n", 6, "--alg", "ers", "--k", 4,
+      "--mixing-steps", -5), "mixing steps must be at least 1"),
+    (("solve", "--gen", "complete", "--n", 6, "--alg", "ers", "--k", 4,
+      "--iters", 3, "--retry-bound", -1), "retry bound must be non-negative"),
+    (("bench", "planted-clique", "--scale", 16, "--mixing-steps", -1),
+     "mixing steps must be at least 1"),
+], ids=["solve-mixing-steps", "solve-retry-bound", "bench-mixing-steps"])
+def test_a_budget_that_starves_every_draw_is_refused(tmp_path, capsys, argv,
+                                                     message):
+    assert run(*argv, "--out-dir", tmp_path / "out") == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.*"))
+
+
 @pytest.mark.parametrize("argv", [
     ("score-advantage", "--scale", 16, "--k-min", 8, "--k-max", 4),
     ("exit-time", "--squares", 1, "--trials", 0)],
@@ -271,25 +289,27 @@ def test_verify_balance_reports_an_exact_zero(capsys):
     assert "PASS" in out
 
 
-def test_verify_balance_certifies_the_weighted_chains_on_a_weighted_graph(
-        tmp_path, capsys):
-    graph_file = tmp_path / "w.txt"
-    graph_file.write_text(WEIGHTED_SQUARE_TEXT)
-    for flags in (("--dynamics", "double-loop", "--lambda", 1),
+def test_verify_balance_certifies_the_chains_on_an_edge_list(tmp_path,
+                                                              capsys):
+    graph_file = tmp_path / "square.txt"
+    graph_file.write_text("4 5\n0 1\n0 2\n0 3\n1 2\n2 3\n")
+    for flags in (("--dynamics", "double-loop", "--lambda", "1/2"),
                   ("--dynamics", "pm")):
         assert run("verify", "balance", "--graph", graph_file,
                    *flags) == EXIT_OK
         assert capsys.readouterr().out.startswith("max_violation 0.0 ")
 
 
-def test_verify_balance_weights_below_one_are_a_config_error(tmp_path,
-                                                           capsys):
-    graph_file = tmp_path / "light.txt"
-    graph_file.write_text("2 1 weighted\n0 1 1/10\n")
+@pytest.mark.parametrize("text", [
+    "4 5 weighted\n0 1 2\n0 2 7/4\n0 3 3/2\n1 2 1\n2 3 5/4\n",
+    "4 5\n0 1 2\n0 2 7/4\n0 3 3/2\n1 2 1\n2 3 5/4\n",
+], ids=["weighted-header", "weight-column"])
+def test_verify_balance_refuses_a_weighted_edge_list(tmp_path, capsys, text):
+    graph_file = tmp_path / "w.txt"
+    graph_file.write_text(text)
     assert run("verify", "balance", "--graph", graph_file,
-               "--dynamics", "double-loop",
-               "--lambda", "1/10") == EXIT_CONFIG
-    assert "weights >= 1" in capsys.readouterr().err
+               "--dynamics", "pm") == EXIT_CONFIG
+    assert "gbsmc reads unweighted edge lists" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dynamics", ["glauber", "jerrum"])
@@ -349,15 +369,9 @@ def test_inner_flags_without_the_double_loop_are_config_errors(
             assert not out.exists()
 
 
-@pytest.mark.parametrize("weighted", [False, True],
-                         ids=["pm", "pm-weighted"])
-def test_verify_balance_pm_refuses_a_fugacity(tmp_path, capsys, weighted):
-    graph = ("--gen", "complete", "--n", 4)
-    if weighted:
-        graph = ("--graph", tmp_path / "w.txt")
-        graph[1].write_text(WEIGHTED_SQUARE_TEXT)
+def test_verify_balance_pm_refuses_a_fugacity(capsys):
     for flag, value in (("--lambda", "3/2"), ("--c", "1/2")):
-        assert run("verify", "balance", *graph,
+        assert run("verify", "balance", "--gen", "complete", "--n", 4,
                    "--dynamics", "pm", flag, value) == EXIT_CONFIG
         assert flag in capsys.readouterr().err
 

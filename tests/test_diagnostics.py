@@ -59,14 +59,6 @@ def test_normalize_is_float_once_any_weight_is():
         "a": 0.5, "b": 0.25, "c": 0.25}
     assert all(isinstance(p, float)
                for p in _normalize({"a": 1, "b": 1.0}).values())
-
-
-def test_normalize_keeps_the_masses_of_a_float_law():
-    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)],
-              weights=[2.0, 1.75, 1.5, 1.1, 1.25])
-    law = exact_stationary(g, 1, "matching_double")
-    assert sum(law.values()) != 1  # one rounding short of a law
-    assert _normalize(law) == law
     assert _normalize({"a": 2.0, "b": 2.0}) == {"a": 0.5, "b": 0.5}
 
 
@@ -105,19 +97,16 @@ def test_matching_single_law_matches_independent_enumeration(lam, k4):
         == matching_law(k4.edges, lam)
 
 
-def test_matching_double_law_on_weighted_graph(weighted_square):
-    g = weighted_square
+@pytest.mark.parametrize("name", ["square", "k6"])
+def test_matching_double_law_matches_naive_hafnian(name, request):
+    g = request.getfixturevalue(name)
     lam = Fraction(2, 3)
     expected = {}
     for x in enumerate_matchings(g):
         key = tuple(sorted(g.edges[i] for i in x.idxs))
         members = tuple(v for v in range(g.n) if x.partner[v] != -1)
-        haf = naive_hafnian_subset(g.n, g.edges, members,
-                                   weights=list(g.weights))
-        w = Fraction(1)
-        for i in x.idxs:
-            w *= Fraction(g.weight(i))
-        expected[key] = lam ** (2 * len(x.idxs)) * Fraction(haf) * w
+        haf = naive_hafnian_subset(g.n, g.edges, members)
+        expected[key] = lam ** (2 * len(x.idxs)) * haf
     assert exact_stationary(g, lam, "matching_double") \
         == _normalize(expected)
 
@@ -136,12 +125,6 @@ def test_vertexset_laws_match_brute_force(law, power, square, k6):
         if w > 0:
             weights[bits] = w
     assert exact_stationary(k6, lam, law) == _normalize(weights)
-
-
-def test_vertexset_single_ignores_edge_weights(weighted_square):
-    plain = Graph(weighted_square.n, weighted_square.edges)
-    assert exact_stationary(weighted_square, 1, "vertexset_single") \
-        == exact_stationary(plain, 1, "vertexset_single")
 
 
 def test_oracle_guards_trip_before_enumerating():
@@ -176,10 +159,10 @@ def test_edgeless_graph_kernel_holds(dynamics):
     assert transition_kernel(Graph(3, []), dynamics, lam=2) == {(): {(): 1}}
 
 
-def test_pm_kernel_rows_sum_to_one(k4, weighted_square):
+def test_pm_kernel_rows_sum_to_one(k4, square):
     assert _rows_sum_to_one(transition_kernel(k4, "pm"))
-    assert _rows_sum_to_one(transition_kernel(weighted_square, "pm"))
-    assert _rows_sum_to_one(transition_kernel(weighted_square, "double_loop",
+    assert _rows_sum_to_one(transition_kernel(square, "pm"))
+    assert _rows_sum_to_one(transition_kernel(square, "double_loop",
                                               lam=Fraction(1, 2)))
 
 
@@ -188,40 +171,13 @@ def test_kernel_validation_errors(k4):
         transition_kernel(k4, "metropolis", lam=1)
     with pytest.raises(ValueError, match="fugacity"):
         transition_kernel(k4, "glauber")
-    light = Graph(2, [(0, 1)], weights=[Fraction(1, 10)])
-    for dynamics in ("double_loop", "pm"):
-        with pytest.raises(ValueError, match="weights >= 1"):
-            transition_kernel(light, dynamics, lam=Fraction(1, 10))
     assert len(KERNEL_KINDS) == 4
 
 
-@pytest.mark.parametrize("dynamics,graph",
-                         [("double_loop", "k4"),
-                          ("double_loop", "weighted_square"),
-                          ("pm", "k4"), ("pm", "weighted_square")],
-                         ids=["double_loop", "double_loop_weighted", "pm",
-                              "pm_weighted"])
-def test_lazy_kernel_is_refused_where_there_is_none(dynamics, graph,
-                                                    request):
-    g = request.getfixturevalue(graph)
+@pytest.mark.parametrize("dynamics", ["double_loop", "pm"])
+def test_lazy_kernel_is_refused_where_there_is_none(dynamics, k4):
     with pytest.raises(ValueError, match="lazy"):
-        transition_kernel(g, dynamics, lam=1, lazy=True)
-
-
-def test_a_weighted_graph_tilts_the_double_loop_and_pm_kernels(
-        weighted_square):
-    """Both kernels read the weighting from the graph: on a weighted
-    graph each differs from its unweighted copy's and balances the
-    weight-tilted law."""
-    g = weighted_square
-    plain = Graph(g.n, g.edges)
-    lam = Fraction(1, 2)
-    for dynamics, law in (
-            ("double_loop", exact_stationary(g, lam, "matching_double")),
-            ("pm", pm_stationary(g))):
-        kernel = transition_kernel(g, dynamics, lam=lam)
-        assert kernel != transition_kernel(plain, dynamics, lam=lam)
-        assert check_detailed_balance(kernel, law) == 0
+        transition_kernel(k4, dynamics, lam=1, lazy=True)
 
 
 def test_lazy_kernel_halves_off_diagonal_mass(k4):
@@ -239,19 +195,17 @@ def test_lazy_kernel_halves_off_diagonal_mass(k4):
                           ("double_loop", "matching_double")])
 @pytest.mark.parametrize("lam", [Fraction(1, 4), 1, 4])
 def test_detailed_balance_is_literally_zero(dynamics, law_kind, lam, k4,
-                                            weighted_square):
-    for g in (k4, weighted_square):
+                                            square):
+    for g in (k4, square):
         gap = check_detailed_balance(transition_kernel(g, dynamics, lam=lam),
                                      exact_stationary(g, lam, law_kind))
         assert gap == 0
 
 
-def test_pm_detailed_balance_exact(k33, weighted_square):
-    assert check_detailed_balance(
-        transition_kernel(k33, "pm"), pm_stationary(k33)) == 0
-    assert check_detailed_balance(
-        transition_kernel(weighted_square, "pm"),
-        pm_stationary(weighted_square)) == 0
+def test_pm_detailed_balance_exact(k33, square):
+    for g in (k33, square):
+        assert check_detailed_balance(
+            transition_kernel(g, "pm"), pm_stationary(g)) == 0
 
 
 def test_detailed_balance_flags_a_wrong_law(k4):
@@ -263,18 +217,14 @@ def test_detailed_balance_flags_a_wrong_law(k4):
                                   wrong) > 0
 
 
-def test_pm_stationary_masses(k4, weighted_square):
+def test_pm_stationary_masses(k4, square):
     uniform = pm_stationary(k4)
     assert len(uniform) == 9  # 3 perfect + 6 single-edge states on K4
     assert set(uniform.values()) == {Fraction(1, 9)}
-    tilted = pm_stationary(weighted_square)
-    g = weighted_square
-    pms = [((0, 1), (2, 3)), ((0, 3), (1, 2))]
-    pm_weights = [Fraction(g.weight(g.edge_index[a]))
-                  * g.weight(g.edge_index[b]) for a, b in pms]
-    total = sum(Fraction(w) for w in g.weights) + sum(pm_weights)
-    assert tilted[pms[0]] == pm_weights[0] / total
-    assert tilted[pms[1]] == pm_weights[1] / total
+    # 2 perfect + 4 single-edge states on the 4-cycle
+    states = [((0, 1),), ((0, 1), (2, 3)), ((0, 3),), ((0, 3), (1, 2)),
+              ((1, 2),), ((2, 3),)]
+    assert pm_stationary(square) == {key: Fraction(1, 6) for key in states}
 
 
 # --- empirical mixing ------------------------------------------------------

@@ -19,7 +19,7 @@ from gbsmc.double_loop import (
     vertex_set_histogram,
 )
 from gbsmc.glauber import ChainConfig, ChainConfigError
-from gbsmc.graphs import Graph, GraphSpec, Matching, gen_graph
+from gbsmc.graphs import GraphSpec, Matching, gen_graph
 from gbsmc.pm_chain import PMSamplerConfig
 
 from conftest import check_kernel_powers, spy_plain_steps, spy_table_builds
@@ -85,7 +85,7 @@ def test_double_loop_step_changes_at_most_one_edge(seed):
         assert len(before.symmetric_difference(x.idxs)) <= 1
 
 
-@pytest.mark.parametrize("name", ["k4", "weighted_square"])
+@pytest.mark.parametrize("name", ["k4", "square"])
 def test_double_loop_driver_follows_the_exact_kernel_powers(name, request):
     """X_T from fixed starts, T = 1, 2, 5, against rows of P^T, with the
     exact inner draw that the kernel marginalizes."""
@@ -210,8 +210,7 @@ def test_lazy_double_loop_is_refused():
 
 def test_a_window_builds_one_table_per_vertex_set(k6, monkeypatch):
     """A K6 window at c = 1/2 builds at most one inner-chain table per
-    V(X), each with at most K6's 60 states; a weighted window builds
-    none."""
+    V(X), each with at most K6's 60 states."""
     built = spy_table_builds(monkeypatch)
     cfg = DoubleLoopConfig(chain=ChainConfig(c=0.5, seed=7))
     _, stats = vertex_set_histogram(k6, cfg, n_samples=2500, thin=k6.m,
@@ -220,21 +219,6 @@ def test_a_window_builds_one_table_per_vertex_set(k6, monkeypatch):
     assert sets and len(set(sets)) == len(sets)
     assert all(len(table.keys) <= 60 for _, table in built)
     assert stats.calls > 10 * len(sets)
-    del built[:]
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
-              weights=[1, 2, 3, Fraction(5, 2), 1])
-    _, stats = vertex_set_histogram(
-        g, DoubleLoopConfig(chain=ChainConfig(fugacity=1.0, seed=2)),
-        n_samples=500, thin=g.m)
-    assert stats.calls and not built
-
-
-def test_weighted_graph_requires_normalized_weights():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
-              weights=[Fraction(1, 4), 1, 1, 1])
-    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=1.0))
-    with pytest.raises(ChainConfigError):
-        _drive_double(g, Matching(g), 1.0, cfg, 10, random.Random(0))
 
 
 def test_post_selection_size_and_miss():
@@ -276,32 +260,6 @@ def test_chain_inner_law_agrees_with_exact_inner():
     pa = {k: v / sum(a.values()) for k, v in a.items()}
     pb = {k: v / sum(b.values()) for k, v in b.items()}
     assert naive_tv(pa, pb) < 0.03
-
-
-def test_weighted_law_uses_weighted_hafnian():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
-              weights=[1, 2, 3, Fraction(5, 2)])
-    lam = 0.6
-    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=lam, seed=9),
-                           inner="exact")
-    counts, _ = vertex_set_histogram(g, cfg, n_samples=100_000, thin=6,
-                                     burn_in=1000)
-    n = sum(counts.values())
-    emp = {k: v / n for k, v in counts.items()}
-    law = {}
-    for bits in range(1 << 4):
-        members = _bits_members(bits)
-        if len(members) % 2:
-            continue
-        # g.edges is canonically sorted; read weights off the graph so the
-        # reference sees the same edge/weight pairing
-        haf = naive_hafnian_subset(4, g.edges, members, list(g.weights))
-        w = Fraction(lam) ** len(members) * Fraction(haf) ** 2
-        if w > 0:
-            law[bits] = w
-    total = sum(law.values())
-    law = {k: float(v / total) for k, v in law.items()}
-    assert naive_tv(emp, law) < 0.02
 
 
 def test_rejection_sampler_matches_double_loop_law():

@@ -1,14 +1,12 @@
 """Graph construction, generators, matchings, and edge-list round-trips."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gbsmc.graphs import (
     EnumerationCapError,
-    Graph,
     GraphError,
     GraphSpec,
     Matching,
@@ -19,7 +17,6 @@ from gbsmc.graphs import (
     gen_graph,
     hard_instance,
     hard_instance_core_matching,
-    normalize_weights,
     to_edge_list_text,
 )
 from gbsmc.hafnian import count_induced_edges
@@ -198,37 +195,15 @@ def test_edge_list_round_trip_unweighted():
     assert to_edge_list_text(h) == text  # byte-stable second pass
 
 
-def test_edge_list_round_trip_weighted():
-    g = Graph(3, [(0, 1), (1, 2)], weights=[Fraction(1, 2), 3])
-    h = from_edge_list_text(to_edge_list_text(g))
-    assert h.weighted
-    assert [float(w) for w in h.weights] == [0.5, 3.0]
+@pytest.mark.parametrize("text", [
+    "4 5 weighted\n0 1 2\n0 2 7/4\n0 3 3/2\n1 2 1\n2 3 5/4\n",
+    "3 2\n0 1\n1 2 3\n",
+], ids=["weighted-header", "weight-column"])
+def test_edge_list_refuses_edge_weights(text):
+    with pytest.raises(GraphError, match="reads unweighted edge lists"):
+        from_edge_list_text(text)
 
 
 def test_edge_list_ignores_comments():
     g = from_edge_list_text("# demo\n3 2\n0 1\n# middle\n1 2\n")
     assert g.n == 3 and g.m == 2
-
-
-def test_normalize_weights_scales_min_to_one():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)],
-              weights=[Fraction(1, 2), 2, 1])
-    h, w_min = normalize_weights(g)
-    assert w_min == Fraction(1, 2)
-    assert min(h.weights) == 1
-    assert all(Fraction(h.weights[i]) == Fraction(g.weights[i]) / w_min
-               for i in range(g.m))
-
-
-def test_normalize_weights_mixed_int_and_float_weights():
-    g = from_edge_list_text("3 2 weighted\n0 1 2\n1 2 3.5\n")
-    assert g.weights == (2, 3.5)
-    h, w_min = normalize_weights(g)
-    assert w_min == 2
-    assert h.weights == (1.0, 1.75)
-
-
-def test_normalize_weights_noop_when_already_fine():
-    g = Graph(3, [(0, 1), (1, 2)], weights=[1, 4])
-    h, w_min = normalize_weights(g)
-    assert w_min == 1 and h.weights == g.weights

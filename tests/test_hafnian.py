@@ -7,7 +7,6 @@ package internals, so agreement here is meaningful.
 import gc
 import random
 import types
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +22,6 @@ from gbsmc.hafnian import (
     enumerate_perfect_matchings,
     hafnian,
     hafnian_bits,
-    matching_weight,
     memo_bound,
     perfect_matchings_bits,
 )
@@ -85,19 +83,15 @@ def test_random_subset_matches_naive_recursion(seed):
     assert hafnian(g, subset) == naive_hafnian_subset(10, g.edges, subset)
 
 
-@pytest.mark.parametrize("weighted", [False, True])
 @given(st.integers(0, 10_000))
-def test_dense_subset_matches_naive_recursion(weighted, seed):
+def test_dense_subset_matches_naive_recursion(seed):
     # 12 of 32 vertices at p = 0.8: most pairings share sub-sets, so the
     # memo is hit on nearly every branch.
     rng = random.Random(seed)
     g = gen_graph(GraphSpec.of("erdos_renyi", n=32, p=0.8), seed=seed)
-    weights = [rng.randrange(1, 6) for _ in range(g.m)] if weighted else None
-    if weighted:
-        g = Graph(32, g.edges, weights=weights)
     subset = rng.sample(range(32), 12)
     assert hafnian_bits(g, bitset(subset)) == naive_hafnian_subset(
-        32, g.edges, subset, weights)
+        32, g.edges, subset)
 
 
 def _crossover_cases():
@@ -159,7 +153,7 @@ def test_complete_bipartite_memo_stays_at_two_to_the_side():
     g = Graph(2 * m, [(2 * i, 2 * j + 1) for i in range(m) for j in range(m)])
     local = hafnian_module._frontier_adj(g.adj, g.full_bits)
     memo, host_memo = {}, {}
-    assert hafnian_module._haf(local, None, g.full_bits, memo) == factorial(m)
+    assert hafnian_module._haf(local, g.full_bits, memo) == factorial(m)
     assert hafnian_bits(g, g.full_bits, host_memo) == factorial(m)
     assert len(memo) == 2 ** m - 1 < len(host_memo)
 
@@ -172,47 +166,13 @@ def test_only_one_shot_unweighted_sets_past_the_crossover_relabel(
                         lambda adj, bits: relabelled.append(bits)
                         or real(adj, bits))
     g = gen_graph(GraphSpec.of("erdos_renyi", n=30, p=0.5), seed=1)
-    weighted = Graph(30, g.edges, weights=[2] * g.m)
     small = bitset(range(hafnian_module.RELABEL_MIN - 2))
     big = bitset(range(hafnian_module.RELABEL_MIN))
     hafnian_bits(g, small)
     hafnian_bits(g, big, {})
-    hafnian_bits(weighted, big)
     assert relabelled == []
     hafnian_bits(g, big)
     assert relabelled == [big]
-
-
-def test_float_weights_keep_the_host_summation_order():
-    # A new order would change the last bits of a float sum; the host order
-    # is the naive recursion's, term for term.
-    rng = random.Random(3)
-    g0 = gen_graph(GraphSpec.of("erdos_renyi", n=30, p=0.6), seed=3)
-    weights = [rng.uniform(0.5, 2.0) for _ in range(g0.m)]
-    g = Graph(30, g0.edges, weights=weights)
-    for size in (8, 12, 14, 16):
-        subset = rng.sample(range(30), size)
-        bits = bitset(subset)
-        expected = naive_hafnian_subset(30, g.edges, subset, weights)
-        assert isinstance(expected, float)
-        assert hafnian_bits(g, bits) == expected
-        assert hafnian_bits(g, bits, {}) == expected
-
-
-def test_weighted_hafnian_sums_products():
-    # triangle-free square: two perfect matchings, weights multiply
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
-              weights=[2, 3, 5, Fraction(1, 2)])
-    assert hafnian(g) == 2 * 5 + 3 * Fraction(1, 2)
-
-
-@given(st.integers(0, 5_000))
-def test_weighted_matches_naive(seed):
-    rng = random.Random(seed)
-    g0 = gen_graph(GraphSpec.of("erdos_renyi", n=8, p=0.6), seed=seed)
-    weights = [rng.randrange(1, 6) for _ in range(g0.m)]
-    g = Graph(8, g0.edges, weights=weights)
-    assert hafnian(g) == naive_hafnian_subset(8, g.edges, range(8), weights)
 
 
 def test_values_are_exact_integers_not_floats():
@@ -309,12 +269,6 @@ def test_perfect_matchings_bits_counts_match_hafnian():
     g = gen_graph(GraphSpec.of("erdos_renyi", n=64, p=0.6), seed=21)
     subset = bitset(random.Random(21).sample(range(64), 16))
     assert len(perfect_matchings_bits(g, subset)) == hafnian_bits(g, subset)
-
-
-def test_matching_weight_products():
-    g = Graph(4, [(0, 1), (2, 3)], weights=[3, Fraction(7, 2)])
-    assert matching_weight(g, [0, 1]) == Fraction(21, 2)
-    assert matching_weight(g, []) == 1
 
 
 def test_count_induced_edges_and_density():

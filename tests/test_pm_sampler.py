@@ -3,15 +3,15 @@
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gbsmc.diagnostics import transition_kernel
-from gbsmc.graphs import Graph, GraphSpec, Matching, gen_graph
+from gbsmc.graphs import GraphSpec, Matching, gen_graph
 from gbsmc.hafnian import enumerate_perfect_matchings
 from gbsmc.pm_chain import (
+    PMConfigError,
     PMSampleBudgetError,
     PMSamplerConfig,
     PMStateError,
@@ -31,10 +31,9 @@ from oracles import naive_tv
 
 def pm_steps(g, m, steps, rng):
     """Advance the Matching ``m`` in place by ``steps`` moves of the
-    perfect-matching chain over all of ``g``'s edges (weight-tilted on a
-    weighted graph), through the samplers' step loop on a partner array."""
-    moves = [g.edges[i] + (i,) for i in range(g.m)]
-    _pm_walk(g, m.partner, g.n - m.covered.bit_count(), moves, steps, rng)
+    perfect-matching chain over all of ``g``'s edges, through the samplers'
+    step loop on a partner array."""
+    _pm_walk(m.partner, g.n - m.covered.bit_count(), g.edges, steps, rng)
     m.idxs = {g.edge_index[(u, w)] for u, w in enumerate(m.partner) if u < w}
     m.covered = sum(g.edge_bits[i] for i in m.idxs)
     return m
@@ -54,6 +53,16 @@ def test_config_overrides_win():
     assert cfg.attempts_for(10) == 7
     auto = PMSamplerConfig()
     assert auto.steps_for(4) == default_inner_steps(4)
+
+
+@pytest.mark.parametrize("name,value", [("inner_steps", 0),
+                                        ("inner_steps", -3),
+                                        ("max_attempts", 0)])
+def test_budgets_below_one_are_refused(name, value):
+    # No steps returns the start state itself, and no attempts fails every
+    # draw: neither is a draw from the chain.
+    with pytest.raises(PMConfigError, match="at least 1"):
+        PMSamplerConfig(**{name: value})
 
 
 @given(st.integers(0, 2**32))
@@ -135,38 +144,11 @@ def test_uniformity_on_k33():
     assert naive_tv(emp, {k: 1 / 6 for k in counts}) < 0.02
 
 
-def test_weighted_chain_tilts_by_matching_weight():
-    # square with weights: PMs are {(0,1),(2,3)} w=1*3 and {(1,2),(0,3)} w=2*2.5
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
-              weights=[1, 2, 3, Fraction(5, 2)])
-    rng = random.Random(17)
-    m = Matching.from_pairs(g, [(0, 1), (2, 3)])
-    counts = Counter()
-    burn = 200
-    total = 60_000
-    for t in range(burn + total):
-        m = pm_steps(g, m, 1, rng)
-        if t >= burn and m.covered == g.full_bits:
-            counts[tuple(sorted(m.pairs()))] += 1
-    n = sum(counts.values())
-    share = counts[((0, 1), (2, 3))] / n
-    assert share == pytest.approx(3 / 8, abs=0.02)
-
-
-def test_weighted_chain_requires_normalized_weights():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
-              weights=[Fraction(1, 2), 1, 1, 1])
-    with pytest.raises(PMStateError):
-        sample_perfect_matching(g, PMSamplerConfig(),
-                                Matching.from_pairs(g, [(0, 1), (2, 3)]),
-                                random.Random(0))
-
-
-@pytest.mark.parametrize("name", ["k4", "k33", "weighted_square"])
+@pytest.mark.parametrize("name", ["k4", "k33", "square"])
 def test_pm_steps_follow_the_exact_kernel_powers(name, request):
     """X_T from a perfect and a near-perfect start, T = 1, 2, 5, against
-    rows of P^T, on the step loop the samplers' restricted runs walk and,
-    unweighted, on the transition table the double loop walks."""
+    rows of P^T, on the step loop the samplers' restricted runs walk and
+    on the transition table the double loop walks."""
     g = request.getfixturevalue(name)
     perfect = enumerate_perfect_matchings(g)[-1].pairs()
     starts = (perfect, perfect[1:])
@@ -174,8 +156,6 @@ def test_pm_steps_follow_the_exact_kernel_powers(name, request):
     check_kernel_powers(
         g, kernel, lambda x, steps, rng: pm_steps(g, x, steps, rng), starts,
         label=f"pm/{name}")
-    if g.weighted:
-        return
     table = _PMTable(g, g.full_bits)
 
     def on_table(x, steps, rng):

@@ -65,6 +65,16 @@ def test_subset_size_must_fit_graph():
         random_search(complete(4), _rs_cfg(subset_size=0))
 
 
+@pytest.mark.parametrize("name,value", [("mixing_steps", 0),
+                                        ("mixing_steps", -5),
+                                        ("retry_bound", -1)])
+@pytest.mark.parametrize("solver", [random_search, simulated_annealing])
+def test_a_budget_that_starves_every_draw_is_rejected(solver, name, value):
+    cfg = _rs_cfg(sampler="glauber", sa=SAParams(), **{name: value})
+    with pytest.raises(SolverConfigError, match=name.replace("_", " ")):
+        solver(complete(6), cfg)
+
+
 def test_enhanced_requires_even_subset_even_for_density():
     cfg = _rs_cfg(objective="density", subset_size=3, sampler="glauber")
     with pytest.raises(SolverConfigError, match="even"):
