@@ -323,10 +323,11 @@ def _window_config(chain: str, chain_cfg: ChainConfig, args):
 def _sample_lines(g: Graph, args):
     """Windowed sampling: the chain advances ``steps`` moves per sample and
     each window yields one "step,vertex_set_hex" line.  With post-selection
-    the emitted state is the window's most recent one of the target size;
-    a window without any such state aborts with the starvation exit code
-    (lines already written stay on disk).  The options are checked before
-    the first line is asked for."""
+    the emitted state is the window's most recent one of the target size,
+    and every window, burn-in included, holds adds at that size; a window
+    without any such state aborts with the starvation exit code (lines
+    already written stay on disk).  The options are checked before the
+    first line is asked for."""
     chain = args.chain.replace("-", "_")
     _check_counts(("--steps", args.steps, 0), ("--burn-in", args.burn_in, 0),
                   ("--samples", args.samples, 0))
@@ -1104,7 +1105,8 @@ def build_parser(parser_class=argparse.ArgumentParser
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--post-select-k", type=int, default=None,
-                   help="emit the latest state covering exactly k vertices")
+                   help="emit the latest state covering exactly k "
+                        "vertices; adds hold at k/2 edges")
     p.add_argument("--lazy", action="store_true")
     _add_inner_args(p)
     p.add_argument("--seed", type=_seed_arg, default=0)

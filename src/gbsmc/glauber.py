@@ -65,10 +65,9 @@ class ChainConfig:
 def move_probabilities(chain, lam, lazy=False):
     """``(p_add, p_rem, p_slide)`` of one pick-an-edge step of ``chain``,
     for the drivers and the exact kernels alike.  The double loop is
-    glauber at lambda^2; its p_rem is the removal gate, before the 1/w^2
-    coin and the inner draw.  ``lazy`` halves every move, for glauber and
-    jerrum only.  Exact for a Fraction lambda; floats or exact constants
-    for a float lambda."""
+    glauber at lambda^2; its p_rem is the removal gate, before the inner
+    draw.  ``lazy`` halves every move, for glauber and jerrum only.  Exact
+    for a Fraction lambda; floats or exact constants for a float lambda."""
     if chain == "glauber":
         moves = lam / (1 + lam), 1 / (1 + lam), 0
     elif chain == "jerrum":
@@ -122,14 +121,22 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     whose probability is 1.  X_t has the step chain's law at every t; a
     refused removal is a hold.
 
+    ``target_edges`` is both the post-selection size and a cap: at
+    |X| = ``target_edges`` an add holds, and R drops its m * p_add term.
+    This is the Metropolis restriction of the chain to |X| <= the cap: its
+    stationary law is the uncapped one restricted there and renormalised,
+    so the law at each size up to the cap does not change, and
+    post-selection never kept a larger state.  A window started above the
+    cap walks freely until it first comes down to it.
+
     Tracks the most recent state of ``target_edges`` edges (post-selection)
     and fills ``collect`` (a Counter) with state keys every ``thin`` steps
     once past ``burn_in``; a state adds one count for each sample point it
     holds through.  In both modes a move at step t first counts X_{t-1} at
-    its sample points and, if it changes the size, post-selects it.
-    Returns ``(post_snapshot, post_step)``: the vertex bitset of that state,
-    or None if the window never reached the size, and its step counted from
-    the window's start.
+    its sample points and, if it leaves the target size (a removal, as adds
+    hold there), post-selects it.  Returns ``(post_snapshot, post_step)``:
+    the vertex bitset of that state, or None if the window never reached
+    the size, and its step counted from the window's start.
     """
     m = g.m
     edges = g.edges
@@ -164,10 +171,11 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     t = 0           # X is the state from step t on
     while t < end:
         size = len(xs)
-        rate = m * p_add + size * per_edge
+        rate = (0 if size == target_edges else m * p_add) + size * per_edge
         if _CROSSOVER * rate >= m > 0:
             # plain steps; a move at step t first counts X_{t-1} at its
-            # sample points and, if it changes the size, post-selects it
+            # sample points and, if it leaves the target size, post-selects
+            # it
             add, remove = idxs.add, idxs.remove
             for i in _picks(rng, m, min(_STEP_BLOCK, end - t)):
                 t += 1
@@ -177,10 +185,10 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                 if pu == pv:  # both free: covered ends have distinct partners
                     if add_coin and rnd() >= p_add:
                         continue
+                    if len(idxs) == target_edges:
+                        continue  # the cap: an add holds
                     if point < t:
                         point = count(covered, t - 1, point)
-                    if len(idxs) == target_edges:
-                        snap, snap_step = covered, t - 1
                     add(i)
                     partner[u] = v
                     partner[v] = u
@@ -228,7 +236,8 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
         # stale, to be rebuilt from xs where it is next read.
         scale = 1.0 / log1p(-rate / m)
         slots = 2 * size * offsets
-        out = slots * p_slide + size * p_rem
+        # at the cap no candidate adds, whatever the rounding of R
+        out = rate if size == target_edges else slots * p_slide + size * p_rem
         stale = False
         while True:
             t += 1 + int(log(1.0 - rnd()) * scale)

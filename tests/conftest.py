@@ -87,6 +87,19 @@ def check_kernel_powers(g, kernel, advance, starts, label, runs=10_000):
             assert tv <= bound, (label, start, steps, tv, bound)
 
 
+def capped_kernel(kernel, cap):
+    """``kernel`` (from ``transition_kernel``) restricted to the matchings
+    of at most ``cap`` edges: each add past the cap goes to the hold, as
+    in a window whose ``target_edges`` is ``cap``."""
+    capped = {}
+    for x, row in kernel.items():
+        if len(x) <= cap:
+            kept = {y: p for y, p in row.items() if len(y) <= cap}
+            kept[x] = kept.get(x, 0) + 1 - sum(kept.values())
+            capped[x] = kept
+    return capped
+
+
 def spy_plain_steps(monkeypatch):
     """Record the size of every batch of plain-step edge picks that the
     chains' window loop draws from now on (the inner perfect-matching

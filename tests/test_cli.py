@@ -96,6 +96,20 @@ def test_sample_starvation_has_its_own_exit_code(capsys):
                "--samples", 3, "--post-select-k", 4) == EXIT_STARVATION
 
 
+def test_law_grade_double_loop_post_selects_at_paper_scale(capsys):
+    """ER(256, 0.4) (m = 13,084) at the double loop's proposal fugacity
+    for k = 8, sqrt(4/m), with the default inner budget and the "stay"
+    policy: adds hold at four edges, so the chain cannot run away above
+    them, and each 20,000-step window post-selects an 8-vertex set."""
+    assert run("sample", "--gen", "er", "--n", 256, "--p", 0.4, "--chain",
+               "double-loop", "--lambda", 0.017485, "--post-select-k", 8,
+               "--steps", 20_000, "--samples", 3, "--seed", 1) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert all(int(line.split(",")[1], 16).bit_count() == 8
+               for line in lines)
+
+
 def test_inner_budget_exhaustion_has_its_own_exit_code(capsys):
     assert run("sample", "--gen", "complete", "--n", 6, "--chain",
                "double-loop", "--lambda", 1, "--inner-steps", 1,
@@ -244,6 +258,18 @@ def test_solve_odd_hafnian_subset_is_config_error(tmp_path, capsys):
 def test_a_run_of_no_trials_is_refused(tmp_path, capsys, argv, flag):
     assert run(*argv, "--out-dir", tmp_path / "out") == EXIT_CONFIG
     assert flag in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--gen", "complete", "--n", 6, "--alg", "rs", "--k", 4),
+    ("solve", "--gen", "complete", "--n", 6, "--alg", "sa", "--k", 4),
+    ("bench", "planted-clique", "--scale", 16, "--seeds", 1),
+], ids=["solve-rs", "solve-sa", "bench"])
+def test_a_run_of_no_iterations_is_refused(tmp_path, capsys, argv):
+    assert run(*argv, "--iters", 0, "--out-dir", tmp_path / "out"
+               ) == EXIT_CONFIG
+    assert "iterations must be at least 1" in capsys.readouterr().err
     assert not list(tmp_path.glob("out/*.*"))
 
 

@@ -28,6 +28,7 @@ from gbsmc.double_loop import DoubleLoopConfig
 from gbsmc.glauber import ChainConfig
 from gbsmc.graphs import Graph, complete, enumerate_matchings
 
+from conftest import balance_suite, capped_kernel
 from oracles import CHI2_CRIT_1PCT, matching_law, naive_hafnian_subset
 
 settings.load_profile("suite")
@@ -206,6 +207,29 @@ def test_pm_detailed_balance_exact(k33, square):
     for g in (k33, square):
         assert check_detailed_balance(
             transition_kernel(g, "pm"), pm_stationary(g)) == 0
+
+
+@pytest.mark.parametrize("dynamics,law_kind",
+                         [("glauber", "matching_single"),
+                          ("jerrum", "matching_single"),
+                          ("double_loop", "matching_double")])
+def test_capped_kernels_balance_the_capped_law_exactly(dynamics, law_kind):
+    """A window that post-selects holds adds at its target size, which
+    restricts the chain to the matchings of at most that many edges; the
+    restricted kernel balances the law restricted there and renormalised,
+    for every cap below the largest matching, on the balance suite."""
+    for name, g in balance_suite():
+        for lam in (Fraction(1, 4), 1, 4):
+            kernel = transition_kernel(g, dynamics, lam=lam)
+            law = exact_stationary(g, lam, law_kind)
+            for cap in range(max(map(len, kernel))):
+                capped = capped_kernel(kernel, cap)
+                assert all(sum(row.values()) == 1 for row in capped.values())
+                restricted = _normalize({x: p for x, p in law.items()
+                                         if len(x) <= cap})
+                assert set(restricted) == set(capped), (name, lam, cap)
+                assert check_detailed_balance(capped, restricted) == 0, (
+                    name, lam, cap)
 
 
 def test_detailed_balance_flags_a_wrong_law(k4):

@@ -20,7 +20,8 @@ from gbsmc.glauber import (
 )
 from gbsmc.graphs import GraphSpec, Matching, gen_graph
 
-from conftest import ScriptedRng, check_kernel_powers, spy_plain_steps
+from conftest import (ScriptedRng, capped_kernel, check_kernel_powers,
+                      spy_plain_steps)
 from oracles import matching_law, naive_tv
 
 
@@ -166,26 +167,34 @@ def test_single_loop_driver_follows_the_exact_kernel_powers(dynamics, lazy):
         label=f"{dynamics}/{lazy}")
 
 
-def _check_event_loop(g, chain, lam, lazy, monkeypatch):
+def _check_event_loop(g, chain, lam, lazy, monkeypatch, cap=None):
     """X_T against rows of P^T, with the crossover at 1 so that windows run
     events wherever the candidate rate R < m, from the empty matching, one
-    edge and two.  Returns the plain picks drawn, by (start, T)."""
+    edge and two.  With a ``cap``, the windows post-select that many edges,
+    the kernel is capped there, and the starts past it are left out.
+    Returns the plain picks drawn, by (start, T)."""
     monkeypatch.setattr(gbsmc.glauber, "_CROSSOVER", 1)
     batches = spy_plain_steps(monkeypatch)
     kernel = transition_kernel(g, chain, lam=lam, lazy=lazy)
+    window, label = {}, f"{chain}/{g}/{lazy}/events"
+    if cap is not None:
+        kernel, window = capped_kernel(kernel, cap), {"target_edges": cap}
+        label += f"/cap{cap}"
     drive = _drivers(lazy)[chain]
     plain = Counter()
 
     def advance(x, steps, rng):
         start, before = x.pairs(), sum(batches)
-        drive(g, x, lam, steps, rng)
+        drive(g, x, lam, steps, rng, **window)
         plain[start, steps] += sum(batches) - before
 
     u, v = g.edges[0]
     apart = next(e for e in g.edges if u not in e and v not in e)
+    starts = ((), ((u, v),), ((u, v), apart))
     check_kernel_powers(g, kernel, advance,
-                        starts=((), ((u, v),), ((u, v), apart)),
-                        label=f"{chain}/{g}/{lazy}/events")
+                        starts=[s for s in starts
+                                if cap is None or len(s) <= cap],
+                        label=label)
     # one-step runs from one edge (slides included) and two-step runs from
     # the empty matching stay on events
     assert plain[((u, v),), 1] == plain[(), 2] == 0
@@ -230,6 +239,45 @@ def test_event_loop_follows_the_exact_kernel_powers(chain, lazy, graph,
     plain = _check_event_loop(_event_graph(*graph), chain, Fraction(1, 4),
                               lazy, monkeypatch)
     assert not any(plain.values())
+
+
+@pytest.mark.parametrize("graph", [("cycle", 6), ("path", 5),
+                                   ("complete_bipartite", 3)],
+                         ids=["cycle6", "path5", "k23"])
+@pytest.mark.parametrize("chain,lam", [("glauber", Fraction(1, 4)),
+                                       ("jerrum", Fraction(1, 8)),
+                                       ("double_loop", Fraction(1, 4))],
+                         ids=["glauber", "jerrum", "double_loop"])
+def test_capped_event_loop_follows_the_capped_kernel_powers(chain, lam, graph,
+                                                            monkeypatch):
+    """A window that post-selects one edge holds adds there: on events,
+    X_T against rows of P^T of the kernel capped at one edge, slides
+    included."""
+    _check_event_loop(_event_graph(*graph), chain, lam, False, monkeypatch,
+                      cap=1)
+
+
+@pytest.mark.parametrize("graph", ["k4", "k6", "k33"])
+@pytest.mark.parametrize("chain,lam", [("glauber", Fraction(3, 2)),
+                                       ("jerrum", Fraction(1)),
+                                       ("double_loop", Fraction(3, 2))],
+                         ids=["glauber", "jerrum", "double_loop"])
+def test_capped_plain_steps_follow_the_capped_kernel_powers(chain, lam, graph,
+                                                            request,
+                                                            monkeypatch):
+    """Windows that post-select one edge, from the empty matching, start
+    on plain steps, whose adds hold at the cap; X_T against rows of P^T of
+    the kernel capped at one edge."""
+    g = request.getfixturevalue(graph)
+    batches = spy_plain_steps(monkeypatch)
+    kernel = capped_kernel(transition_kernel(g, chain, lam=lam), 1)
+    drive = _drivers()[chain]
+    check_kernel_powers(
+        g, kernel,
+        lambda x, steps, rng: drive(g, x, lam, steps, rng, target_edges=1),
+        starts=((), (g.edges[0],)),
+        label=f"{chain}/{graph}/{lam}/capped/plain")
+    assert batches
 
 
 class _CountingRng(random.Random):
@@ -331,18 +379,21 @@ def test_plain_steps_follow_the_exact_kernel_powers(dynamics, lam, lazy,
 
 @pytest.mark.parametrize("chain,lam,target,crossover", [
     pytest.param("glauber", 0.3, 2, None, id="glauber-0.3-2"),
-    pytest.param("jerrum", 0.05, 1, None, id="jerrum-0.05-1"),
-    pytest.param("jerrum", 0.05, 1, 1, id="jerrum-0.05-1-crossover1"),
-    pytest.param("double_loop", 0.45, 1, None, id="double_loop-0.45-1")])
+    pytest.param("jerrum", 0.05, 2, None, id="jerrum-0.05-2"),
+    pytest.param("jerrum", 0.05, 2, 1, id="jerrum-0.05-2-crossover1"),
+    pytest.param("double_loop", 0.5, 2, None, id="double_loop-0.5-2")])
 def test_windows_post_select_and_sample_the_states_they_walk(
         chain, lam, target, crossover, monkeypatch):
     """With the coins and the edge picks on streams of their own, a window
     cut short at step s walks the whole window's first s steps, so the
-    states X_0 .. X_T are known.  The post-selected (snapshot, step) must
-    be the last of them of the target size, and the collected keys those
-    at the sample points, across switches between events and plain steps
-    both ways, and so must those of the window cut at every step.  With
-    the crossover at 1, jerrum's events at one edge take slides."""
+    states X_0 .. X_T are known, and none has more edges than the target,
+    where adds hold.  The post-selected (snapshot, step) must be the last
+    of them of the target size, and the collected keys those at the sample
+    points, across switches between events and plain steps both ways, and
+    so must those of the window cut at every step.  On K6 glauber and the
+    double loop take plain steps at one edge only, as the rate at the cap
+    has no adds; with the crossover at 1, jerrum's events at one edge take
+    slides."""
     g = gen_graph(GraphSpec.of("complete", n=6))
     drive = _drivers()[chain]
     steps, thin, burn_in = 700, 3, 5
@@ -374,6 +425,7 @@ def test_windows_post_select_and_sample_the_states_they_walk(
         x = Matching(g)
         cut = drive(g, x, lam, s, ScriptedRng(chain), target_edges=target)
         x.validate()
+        assert len(x) <= target
         if len(x) == target:
             last = x.covered, s
         assert cut == last  # every cut post-selects the states it walked

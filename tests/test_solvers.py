@@ -219,16 +219,17 @@ def test_run_trials_runs_one_trial_per_seed_in_seed_order():
                     == solver_for(alone)(g, alone).score_trajectory)
 
 
-def test_zero_iteration_annealing_returns_empty_record():
-    for sampler, name in (("uniform", "simulated_annealing"),
-                          ("glauber", "enhanced_simulated_annealing")):
-        record = simulated_annealing(
-            complete(6), _rs_cfg(iterations=0, sa=SAParams(),
-                                 sampler=sampler))
-        assert record.algorithm == name
-        assert record.evaluations == 0
-        assert record.score_trajectory == ()
-        assert record.best_set is None
+def test_a_run_of_no_iterations_is_refused():
+    """A trial of no evaluations has no score to report, as a sweep of no
+    seeds has none."""
+    for solver in (random_search, simulated_annealing):
+        for sampler in ("uniform", "glauber"):
+            for iterations in (0, -1):
+                cfg = _rs_cfg(iterations=iterations, sa=SAParams(),
+                              sampler=sampler)
+                with pytest.raises(SolverConfigError,
+                                   match="iterations must be at least 1"):
+                    solver(complete(6), cfg)
 
 
 def test_best_set_none_when_nothing_scores():
