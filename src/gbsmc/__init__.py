@@ -18,7 +18,7 @@ The package has three layers:
 from .diagnostics import (ExitTimeResult, GeometricFit, OracleGuardError,
                           check_detailed_balance, exact_stationary,
                           exit_probability, exit_time_experiment,
-                          geometric_fit, mixing_curve, pm_stationary,
+                          geometric_fit, mixing_profile, pm_stationary,
                           transition_kernel, tv_distance)
 from .double_loop import (DoubleLoopConfig, InnerGuardError, InnerSamplerError,
                           InnerStats, RejectionCapError, vertex_set_histogram)
@@ -49,7 +49,7 @@ __all__ = [
     "enumerate_matchings", "enumerate_perfect_matchings",
     "exact_stationary", "exit_probability", "exit_time_experiment",
     "from_edge_list_text", "gen_graph", "geometric_fit", "hafnian_bits",
-    "hard_instance_core_matching", "load_edge_list", "mixing_curve",
+    "hard_instance_core_matching", "load_edge_list", "mixing_profile",
     "pm_stationary", "random_search",
     "sample_perfect_matching", "sample_states", "simulated_annealing",
     "solver_for", "to_edge_list_text", "transition_kernel", "tv_distance",

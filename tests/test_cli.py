@@ -24,6 +24,15 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def exit_code(*argv):
+    """``run``'s code, or the code of the SystemExit an argparse error
+    raises."""
+    try:
+        return run(*argv)
+    except SystemExit as stop:
+        return stop.code
+
+
 # --- gen-graph -------------------------------------------------------------
 
 def test_gen_graph_writes_a_loadable_edge_list(tmp_path, capsys):
@@ -46,6 +55,11 @@ def test_gen_graph_missing_parameter_is_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_graph_of_no_vertices_has_density_zero(capsys):
+    assert run("gen-graph", "complete", "--n", 0) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "0 0 0"
+
+
 # --- sample ------------------------------------------------------------------
 
 def test_sample_emits_one_hex_state_per_window(capsys):
@@ -64,6 +78,24 @@ def test_sample_window_labels_count_the_burn_in(capsys):
                "--burn-in", 100, "--steps", 10, "--samples", 3) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert [int(line.split(",")[0]) for line in lines] == [110, 120, 130]
+
+
+def test_sample_refuses_a_zero_denominator_fugacity(capsys):
+    assert exit_code("sample", "--gen", "complete", "--n", 4, "--lambda",
+                     "1/0", "--samples", 1) == EXIT_CONFIG
+    assert "error: argument --lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chain,fugacity", [
+    ("glauber", "1e-308"), ("glauber", "1e-320"), ("jerrum", "1e-320"),
+    ("double-loop", "1e-160")])
+def test_sample_at_a_fugacity_too_small_to_add_holds_at_empty(capsys, chain,
+                                                              fugacity):
+    # the holding time of an add overflows a float, so every window holds
+    assert run("sample", "--gen", "complete", "--n", 4, "--chain", chain,
+               "--lambda", fugacity, "--samples", 20) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[1] for line in lines] == ["0x0"] * 20
 
 
 def test_sample_post_selection_emits_the_requested_size(tmp_path):
@@ -435,8 +467,8 @@ def test_verify_law_oracle_guard_exit_code(capsys):
 # --- bench / replot ----------------------------------------------------------
 
 def _bench_exit_time(out_dir, trials=40, fugacity=("--lambda", 1)):
-    return run("bench", "exit-time", "--squares", 1, "--trials", trials,
-               *fugacity, "--out-dir", out_dir)
+    return exit_code("bench", "exit-time", "--squares", 1, "--trials",
+                     trials, *fugacity, "--out-dir", out_dir)
 
 
 def test_bench_exit_time_runs_at_the_fugacity_c_gives(tmp_path):
@@ -460,8 +492,9 @@ def test_bench_exit_time_runs_on_cheap_hafnians_of_many_vertices(tmp_path):
 
 @pytest.mark.parametrize("trials,fugacity", [
     (40, ("--lambda", 0)), (40, ("--lambda", -1)), (40, ("--c", 0)),
-    (0, ("--lambda", 1))], ids=["lambda-0", "lambda-negative", "c-0",
-                                "no-trials"])
+    (0, ("--lambda", 1)), (40, ("--c", "1/0")), (1, ("--lambda", "inf"))],
+    ids=["lambda-0", "lambda-negative", "c-0", "no-trials",
+         "c-zero-denominator", "lambda-inf"])
 def test_bench_exit_time_refuses_a_bad_fugacity_or_trial_count(
         tmp_path, capsys, trials, fugacity):
     assert _bench_exit_time(tmp_path / "exit", trials,

@@ -1,4 +1,4 @@
-"""Exact reversibility oracles, mixing curves, and the escape-time law."""
+"""Exact reversibility oracles, mixing profiles, and the escape-time law."""
 
 import math
 import random
@@ -19,14 +19,15 @@ from gbsmc.diagnostics import (
     exit_probability,
     exit_time_experiment,
     geometric_fit,
-    mixing_curve,
+    mixing_profile,
     pm_stationary,
     transition_kernel,
     tv_distance,
 )
-from gbsmc.double_loop import DoubleLoopConfig
-from gbsmc.glauber import ChainConfig
-from gbsmc.graphs import Graph, complete, enumerate_matchings
+from gbsmc.graphs import (Graph, complete, complete_bipartite,
+                          enumerate_matchings, hard_instance,
+                          hard_instance_core_matching)
+from gbsmc.pm_chain import default_inner_steps
 
 from conftest import balance_suite, capped_kernel
 from oracles import CHI2_CRIT_1PCT, matching_law, naive_hafnian_subset
@@ -251,42 +252,110 @@ def test_pm_stationary_masses(k4, square):
     assert pm_stationary(square) == {key: Fraction(1, 6) for key in states}
 
 
-# --- empirical mixing ------------------------------------------------------
+# --- exact mixing profiles ------------------------------------------------
 
-def test_mixing_curve_decreases_toward_the_law(k4):
+def _push(kernel, row):
+    pushed = {}
+    for x, p in row.items():
+        for y, pxy in kernel[x].items():
+            pushed[y] = pushed.get(y, 0) + p * pxy
+    return pushed
+
+
+def test_mixing_profile_of_glauber_on_k4_is_exact(k4):
+    # from the empty matching K4's symmetry keeps the mass uniform within
+    # each size, as the law is, so TV in matching space is TV on sizes;
+    # there glauber at lambda = 1 is a 3-state chain
+    sizes = {0: {1: Fraction(1, 2), 0: Fraction(1, 2)},
+             1: {0: Fraction(1, 12), 2: Fraction(1, 12), 1: Fraction(5, 6)},
+             2: {1: Fraction(1, 6), 2: Fraction(5, 6)}}
+    size_law = {0: Fraction(1, 10), 1: Fraction(6, 10), 2: Fraction(3, 10)}
+    row, by_hand = {0: 1}, []
+    for _ in range(3):
+        row = _push(sizes, row)
+        by_hand.append(tv_distance(row, size_law))
+    assert by_hand == [Fraction(2, 5), Fraction(31, 120), Fraction(151, 720)]
+
+    kernel = transition_kernel(k4, "glauber", 1)
     law = exact_stationary(k4, 1, "matching_single")
-    cfg = ChainConfig(fugacity=1.0, seed=17)
-    curve = mixing_curve(k4, cfg, law, checkpoints=(1, 8, 64, 256),
-                         replicas=400)
-    assert set(curve) == {1, 8, 64, 256}
-    assert all(0 <= v <= 1 for v in curve.values())
-    assert curve[256] < curve[1]
-    assert curve[256] < 0.1
+    profile = mixing_profile(kernel, (), law, (3, 1, 2, 0, 2))
+    assert profile == {0: Fraction(9, 10), 1: by_hand[0], 2: by_hand[1],
+                       3: by_hand[2]}
+    assert all(isinstance(d, Fraction) for d in profile.values())
 
 
-def test_mixing_curve_vertexset_keys(k4):
-    law = exact_stationary(k4, Fraction(1, 2), "vertexset_single")
-    cfg = ChainConfig(fugacity=0.5, seed=4)
-    curve = mixing_curve(k4, cfg, law, checkpoints=(128,), replicas=400,
-                         dynamics="jerrum", key_kind="vertexset")
-    assert curve[128] < 0.1
+def test_mixing_profile_takes_a_capped_kernel(k4):
+    # capped at one edge, glauber on K4 at lambda = 1 is the 2-state chain
+    # 0 -> 1 w.p. 1/2, 1 -> 0 w.p. 1/12, with law (1/7, 6/7): its TV from
+    # the empty matching is (6/7)(5/12)^t
+    kernel = capped_kernel(transition_kernel(k4, "glauber", 1), 1)
+    law = {x: p for x, p in exact_stationary(k4, 1, "matching_single").items()
+           if len(x) <= 1}
+    profile = mixing_profile(kernel, (), law, range(6))
+    assert profile == {t: Fraction(6, 7) * Fraction(5, 12) ** t
+                       for t in range(6)}
 
 
-def test_mixing_curve_runs_the_double_loop_its_config_names(k4):
-    law = exact_stationary(k4, 1, "vertexset_double")
-    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=1.0, seed=5),
-                           inner="exact")
-    curve = mixing_curve(k4, cfg, law, checkpoints=(1, 128), replicas=400,
-                         key_kind="vertexset")
-    assert curve[128] < curve[1]
-    assert curve[128] < 0.1
+def _float_kernel(kernel):
+    return {x: {y: float(p) for y, p in row.items()}
+            for x, row in kernel.items()}
 
 
-def test_mixing_curve_rejects_bare_double_loop_name(k4):
-    law = exact_stationary(k4, 1, "matching_double")
-    with pytest.raises(ValueError, match="DoubleLoopConfig"):
-        mixing_curve(k4, ChainConfig(fugacity=1.0), law, (8,), 10,
-                     dynamics="double_loop")
+def _crosses_at(kernel, starts, law, eps, steps):
+    """True if the worst TV over ``starts`` exceeds ``eps`` after
+    ``steps - 1`` steps and is at most ``eps`` after ``steps``: TV to the
+    stationary law never grows, so ``steps`` is t_mix(eps) from the worst
+    of ``starts``."""
+    profiles = [mixing_profile(kernel, x, law, (steps - 1, steps))
+                for x in starts]
+    return (max(p[steps - 1] for p in profiles) > eps
+            >= max(p[steps] for p in profiles))
+
+
+def _core(n_squares):
+    g = hard_instance(n_squares)
+    return g, tuple(sorted(g.edges[i]
+                           for i in hard_instance_core_matching(g).idxs))
+
+
+_CASES = [(f"K{n}", complete(n), (), 1, pair)
+          for n, pair in ((4, (3, 8)), (6, (7, 25)), (8, (14, 50)))]
+_CASES += [(f"hard{s}", *_core(s), 2, pair)
+           for s, pair in ((1, (44, 250)), (2, (100, 625)))]
+
+
+@pytest.mark.parametrize("g,start,lam,dynamics,steps", [
+    pytest.param(g, start, lam, dynamics, t, id=f"{name}-{dynamics}")
+    for name, g, start, lam, pair in _CASES
+    for dynamics, t in zip(("glauber", "double_loop"), pair)
+])
+def test_mixing_times_on_dense_graphs_and_hard_instances(g, start, lam,
+                                                          dynamics, steps):
+    # t_mix(1/4) in floats, from the empty matching on K_n and from the
+    # isolated perfect matching on the hard instance; TV crosses 1/4 with
+    # at least 2e-4 to spare on each side
+    kernel = _float_kernel(transition_kernel(g, dynamics, lam))
+    law = exact_stationary(g, lam, "matching_single" if dynamics == "glauber"
+                           else "matching_double")
+    assert _crosses_at(kernel, [start], law, Fraction(1, 4), steps)
+
+
+@pytest.mark.parametrize("g,steps", [
+    pytest.param(complete(4), 15, id="K4"),
+    pytest.param(complete(6), 32, id="K6"),
+    pytest.param(complete(8), 56, id="K8"),
+    pytest.param(complete_bipartite(3, 3), 24, id="K33"),
+])
+def test_inner_chain_mixes_far_inside_its_default_budget(g, steps):
+    # steps of the pm chain to TV <= 0.01 from its worst perfect matching;
+    # default_inner_steps gives 17-73 times as many.  Every perfect
+    # matching is a start, except on K8, whose automorphisms carry any one
+    # to any other
+    kernel = _float_kernel(transition_kernel(g, "pm"))
+    perfect = [x for x in kernel if len(x) == g.n // 2]
+    starts = perfect[:1] if g.n == 8 else perfect
+    assert _crosses_at(kernel, starts, pm_stationary(g), 0.01, steps)
+    assert default_inner_steps(g.n) >= 17 * steps
 
 
 # --- escape-time law -------------------------------------------------------

@@ -44,6 +44,17 @@ def test_missing_and_nonpositive_fugacity():
         ChainConfig(fugacity=0).resolved_fugacity()
     with pytest.raises(ChainConfigError):
         ChainConfig(fugacity=-1).resolved_fugacity()
+    # a lambda that no positive finite float holds
+    for cfg in (ChainConfig(fugacity=float("inf")),
+                ChainConfig(fugacity=float("nan")),
+                ChainConfig(c=1e200),
+                ChainConfig(fugacity=Fraction(10 ** 400)),
+                ChainConfig(fugacity=Fraction(1, 10 ** 400))):
+        with pytest.raises(ChainConfigError):
+            cfg.resolved_fugacity()
+    # nor the double loop's lambda^2
+    with pytest.raises(ChainConfigError, match="lambda\\^2"):
+        move_probabilities("double_loop", 1e200)
 
 
 @given(st.integers(0, 2**32), st.sampled_from(["glauber", "jerrum"]),
