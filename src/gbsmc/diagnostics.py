@@ -303,6 +303,10 @@ class ExitTimeResult:
                 f"geometric prediction {self.expected_mean:.2f})")
 
 
+# Most steps a trial of the exit-time experiment may be capped at.
+EXIT_STEP_LIMIT = 10 ** 9
+
+
 def exit_time_experiment(n_squares: int, lam, trials: int, seed=0,
                          max_steps=None) -> ExitTimeResult:
     """First-exit times from the isolated perfect matching.
@@ -313,13 +317,23 @@ def exit_time_experiment(n_squares: int, lam, trials: int, seed=0,
     geometric escape law; each step then exits independently with
     probability :func:`exit_probability`, so the observed times should be
     Geometric(phi) with mean 1/phi.  ``trials`` must be at least 1.
+
+    A trial that has not exited by ``max_steps`` (default the larger of
+    10,000 and 200/phi) raises RuntimeError.  A square count or fugacity
+    whose 200/phi passes ``EXIT_STEP_LIMIT`` raises ValueError: its trials
+    could run for days.
     """
     if trials < 1:
         raise ValueError(f"exit-time experiment needs at least one trial, "
                          f"got {trials}")
+    phi = exit_probability(n_squares, lam)
+    if 200 > phi * EXIT_STEP_LIMIT:  # exact: 1/phi may pass every float
+        raise ValueError(
+            f"hard_instance({n_squares}) at lambda={lam}: the step cap "
+            f"200/phi, phi the exit probability a step, passes the limit "
+            f"of {EXIT_STEP_LIMIT:,} steps")
     g = hard_instance(n_squares)
     core = hard_instance_core_matching(g)
-    phi = exit_probability(n_squares, lam)
     expected = 1.0 / float(phi)
     if max_steps is None:
         max_steps = max(10_000, int(expected * 200))

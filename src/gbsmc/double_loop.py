@@ -16,7 +16,9 @@ Two inner samplers are available: ``"chain"`` runs the perfect-matching
 chain of :mod:`gbsmc.pm_chain` under a finite budget (the real algorithm),
 and ``"exact"`` replaces it with an enumeration-backed exact draw — the
 reference used by kernel-level diagnostics and the hard-instance experiment,
-where the analysis assumes exactly-uniform inner samples.
+where the analysis assumes exactly-uniform inner samples.  Search proposals
+run ``"auto"``: the exact gate on sets of fewer than ``EXACT_GATE_BELOW``
+vertices, the chain on larger ones.
 """
 
 from __future__ import annotations
@@ -31,6 +33,23 @@ from .glauber import (ChainConfig, ChainConfigError, _drive_glauber,
 from .hafnian import MEMO_LIMIT, hafnian_bits, memo_bound
 from .pm_chain import PMSamplerConfig, _run_restricted
 from .seeds import derive_seed
+
+
+# Under inner="auto", a gate on fewer vertices than this takes the exact
+# ratio.  One gate on ER(256, 0.4) (vertex sets of random matchings, 60 a
+# size, 2 vCPUs, Python 3.11): the exact gate with a cold hafnian memo
+# against one chain draw of the solvers' 1,024 steps x 2 attempts.
+#
+#   |V(X)|          4    6    8   10   12   14   16
+#   exact gate, us  3    6   13   33   97  300  833
+#   chain draw, us 127  137  143  140  145  154  152
+#
+# The crossover lies between 12 and 14.  Perfbench search-k16-k32 read
+# op_s.double_loop alike with the constant at 12 or 14 (-4.8% and -4.1%
+# against the chain draw on every set; 4 alternating pairs each, seed 1),
+# so 12 keeps 12-vertex sets on the chain.  Below it no hafnian nears
+# MEMO_LIMIT: K10's memo_bound is 88.
+EXACT_GATE_BELOW = 12
 
 
 class InnerSamplerError(RuntimeError):
@@ -71,8 +90,13 @@ class DoubleLoopConfig:
     matching of the subgraph it induces, so the proposed edge counts as hit.
     Frequent fallbacks loosen the removal gate (the stationary law drifts
     from Haf toward plain counting), which is fine for search proposals but
-    not for law-grade sampling.  ``inner`` selects the chain inner sampler
-    or the exact enumeration-backed one.
+    not for law-grade sampling.  ``inner`` selects the chain inner sampler,
+    the exact enumeration-backed one, or ``"auto"``, the search proposals'
+    mix: the exact gate where |V(X)| < ``EXACT_GATE_BELOW``, the chain and
+    its failure policy on larger sets.  A window whose cap keeps V(X)
+    below that size (every proposal window of k < ``EXACT_GATE_BELOW``)
+    therefore follows the capped Haf^2 law exactly; larger ones stay
+    search-grade.
     """
     chain: ChainConfig = field(default_factory=ChainConfig)
     pm: PMSamplerConfig = field(default_factory=PMSamplerConfig)
@@ -83,7 +107,7 @@ class DoubleLoopConfig:
         if self.on_inner_failure not in ("stay", "abort", "fallback"):
             raise ChainConfigError(
                 f"unknown inner-failure policy {self.on_inner_failure!r}")
-        if self.inner not in ("chain", "exact"):
+        if self.inner not in ("chain", "exact", "auto"):
             raise ChainConfigError(f"unknown inner sampler {self.inner!r}")
 
 
@@ -95,7 +119,10 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
 
     The outer walk is the add/remove loop at fugacity lambda^2, so a removal
     candidate has already passed the 1/(1+lambda^2) gate coin; the inner
-    draw decides whether it moves.
+    draw decides whether it moves.  The exact gate moves with probability
+    Haf(V(X) - e) / Haf(V(X)), from ``haf_memo`` (a fresh one per window
+    when not given); ``cfg.inner="auto"`` takes it on sets of fewer than
+    ``EXACT_GATE_BELOW`` vertices and the chain draw on the others.
     A lazy ``cfg.chain`` raises ChainConfigError, and the exact inner draw
     raises :class:`InnerGuardError` on a V(X) whose hafnian could memoise
     more than ``hafnian.MEMO_LIMIT`` sub-sets.
@@ -103,7 +130,10 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
     p_add, p_gate, _ = map(float, move_probabilities(
         "double_loop", float(lam), cfg.chain.lazy))
     rnd = rng.random
-    exact_inner = cfg.inner == "exact"
+    guard = cfg.inner == "exact"
+    # the exact gate takes a matching of fewer edges than this
+    exact_edges = (g.m + 1 if guard else
+                   (EXACT_GATE_BELOW + 1) // 2 if cfg.inner == "auto" else 0)
     pm_cfg = cfg.pm
     abort = cfg.on_inner_failure == "abort"
     fallback = cfg.on_inner_failure == "fallback"
@@ -117,15 +147,17 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
         """Whether the gated removal of edge i goes ahead."""
         idxs = x.idxs
         covered = x.covered
-        if len(idxs) == 1:
+        q = len(idxs)
+        if q == 1:
             stats.shortcuts += 1
             return True  # 2-vertex subgraph: E is forced
-        if exact_inner:
+        if q < exact_edges:
             rest = covered & ~g.edge_bits[i]
             for bits in (covered, rest):
                 # A set in the memo passed this check or was reached from
-                # one that did, so its hafnian costs no more.
-                if bits not in haf_memo:
+                # one that did, so its hafnian costs no more.  "auto" checks
+                # none: no set below EXACT_GATE_BELOW vertices nears it.
+                if guard and bits not in haf_memo:
                     bound = memo_bound(g, bits)
                     if bound > MEMO_LIMIT:
                         raise InnerGuardError(
@@ -137,7 +169,7 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
             small = hafnian_bits(g, rest, haf_memo)
             return rnd() < float(small) / float(big)
         stats.calls += 1
-        nv = 2 * len(idxs)
+        nv = 2 * q
         got = _run_restricted(g, covered, idxs, pm_cfg.steps_for(nv),
                               pm_cfg.attempts_for(nv), rng, tables)
         if got is None:

@@ -8,7 +8,9 @@ recent state covers exactly k vertices, and that vertex set is the
 proposal.  Chains
 concentrate on subsets rich in perfect matchings, which is correlated with
 both objectives, so the enhanced variants spend their evaluation budget in
-a much better region than blind sampling.
+a much better region than blind sampling.  Double-loop proposals gate
+removals exactly on sets of fewer than ``double_loop.EXACT_GATE_BELOW``
+vertices and with a search-grade inner chain on larger ones.
 
 Budget fairness is a hard contract here: every variant performs exactly
 ``iterations`` objective evaluations per trial, so best-score comparisons
@@ -165,7 +167,12 @@ class _ChainProposals:
 
     One instance per trial; the chain state and RNG stream persist across
     draws when ``warm_start`` (the default), or the chain restarts from the
-    empty matching before every draw otherwise.
+    empty matching before every draw otherwise, and the double loop's
+    hafnian memo persists either way.  The double loop runs
+    ``inner="auto"``: windows whose cap keeps V(X) below
+    ``double_loop.EXACT_GATE_BELOW`` vertices (every k < 12 proposal) take
+    the exact gate on every removal and follow the capped Haf^2 law
+    exactly; larger ones stay search-grade.
     """
 
     def __init__(self, g: Graph, cfg: SolverConfig):
@@ -179,22 +186,27 @@ class _ChainProposals:
             raise SolverConfigError(
                 f"{cfg.sampler} sampler takes a ChainConfig")
         self.chain = base  # the sampler's own config
+        self.haf_memo = {}  # the exact gates' hafnians, kept for the trial
         if cfg.sampler == "double_loop":
-            # Search-grade inner budget: proposals only need an ergodic
-            # inner draw, not certified uniformity, and the exactness
-            # default (vertex count to the 4th power) is hopeless inside
-            # a search loop on host-sized subgraphs.  Failed draws fall
-            # back to the state's own matching.  Under "stay" a failed
-            # draw refuses the removal, and draws fail most on sets with
-            # few perfect matchings, so the chain lingers there: on
-            # ER(256, 0.4) at k = 8 (10 seeds of 200 iterations on
-            # 1,000-step windows), random search's mean best read 15.5
-            # under "stay", 19.7 under "fallback" and 18.1 with uniform
-            # proposals.
+            # The exact removal gate on sets of fewer than
+            # EXACT_GATE_BELOW vertices, so every window of a smaller k
+            # follows the capped Haf^2 law.  Larger sets get a search-grade
+            # inner budget: proposals only need an ergodic inner draw, not
+            # certified uniformity, and the exactness default (vertex count
+            # to the 4th power) is hopeless inside a search loop on
+            # host-sized subgraphs.  Failed draws fall back to the state's
+            # own matching.  Under "stay" a failed draw refuses the
+            # removal, and draws fail most on sets with few perfect
+            # matchings, so the chain lingers there: on ER(256, 0.4) at
+            # k = 8 with the chain draw on every set (10 seeds of 200
+            # iterations on 1,000-step windows), random search's mean best
+            # read 15.5 under "stay", 19.7 under "fallback" and 18.1 with
+            # uniform proposals.
             pm = PMSamplerConfig(inner_steps=max(64, 4 * g.n),
                                  max_attempts=2)
             self.chain = DoubleLoopConfig(chain=base, pm=pm,
-                                          on_inner_failure="fallback")
+                                          on_inner_failure="fallback",
+                                          inner="auto")
         # a bad fugacity or a lazy double loop fails before the first draw
         move_probabilities(cfg.sampler, base.resolved_fugacity(), base.lazy)
         self.x = Matching(g)
@@ -209,7 +221,7 @@ class _ChainProposals:
         for _ in range(self.cfg.retry_bound + 1):
             snap, _ = drive(self.cfg.sampler, self.g, self.x, self.chain,
                             self.cfg.mixing_steps, self.rng, stats=self.stats,
-                            target_edges=target)
+                            haf_memo=self.haf_memo, target_edges=target)
             if snap is not None:
                 return snap
         return None

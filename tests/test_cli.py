@@ -492,9 +492,11 @@ def test_bench_exit_time_runs_on_cheap_hafnians_of_many_vertices(tmp_path):
 
 @pytest.mark.parametrize("trials,fugacity", [
     (40, ("--lambda", 0)), (40, ("--lambda", -1)), (40, ("--c", 0)),
-    (0, ("--lambda", 1)), (40, ("--c", "1/0")), (1, ("--lambda", "inf"))],
+    (0, ("--lambda", 1)), (40, ("--c", "1/0")), (1, ("--lambda", "inf")),
+    (1, ("--lambda", "1e200")), (1, ("--lambda", "1e150"))],
     ids=["lambda-0", "lambda-negative", "c-0", "no-trials",
-         "c-zero-denominator", "lambda-inf"])
+         "c-zero-denominator", "lambda-inf", "exit-probability-underflows",
+         "step-cap-past-the-limit"])
 def test_bench_exit_time_refuses_a_bad_fugacity_or_trial_count(
         tmp_path, capsys, trials, fugacity):
     assert _bench_exit_time(tmp_path / "exit", trials,

@@ -386,6 +386,22 @@ def test_exit_times_match_the_geometric_prediction():
     assert "hard_instance(1)" in result.summary()
 
 
+def test_exit_time_experiment_refuses_a_step_cap_past_the_limit(
+        monkeypatch):
+    """hard_instance(1) at lambda = 1 exits with probability 1/18 a step,
+    so its step cap 200/phi is 3,600: run at that limit, refused below."""
+    from gbsmc import diagnostics
+    monkeypatch.setattr(diagnostics, "EXIT_STEP_LIMIT", 3600)
+    assert len(exit_time_experiment(1, 1, trials=2).times) == 2
+    monkeypatch.setattr(diagnostics, "EXIT_STEP_LIMIT", 3599)
+    with pytest.raises(ValueError, match="3,599 steps"):
+        exit_time_experiment(1, 1, trials=2)
+    monkeypatch.undo()
+    for lam in (1e150, 1e200, 10 ** 400):  # 1/phi past every float, too
+        with pytest.raises(ValueError, match="step cap"):
+            exit_time_experiment(4, lam, trials=1)
+
+
 def test_geometric_fit_accepts_true_geometric_samples():
     rng = random.Random(7)
     p = 1 / 18

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from gbsmc.diagnostics import transition_kernel
 from gbsmc.double_loop import (
+    EXACT_GATE_BELOW,
     DoubleLoopConfig,
     InnerSamplerError,
     InnerStats,
@@ -22,7 +23,8 @@ from gbsmc.glauber import ChainConfig, ChainConfigError
 from gbsmc.graphs import GraphSpec, Matching, gen_graph
 from gbsmc.pm_chain import PMSamplerConfig
 
-from conftest import check_kernel_powers, spy_plain_steps, spy_table_builds
+from conftest import (balance_suite, check_kernel_powers, spy_plain_steps,
+                      spy_table_builds)
 from oracles import naive_hafnian_subset, naive_tv
 
 
@@ -219,6 +221,44 @@ def test_a_window_builds_one_table_per_vertex_set(k6, monkeypatch):
     assert sets and len(set(sets)) == len(sets)
     assert all(len(table.keys) <= 60 for _, table in built)
     assert stats.calls > 10 * len(sets)
+
+
+@pytest.mark.parametrize("name", ["k6", "er8", "hard2"])
+def test_auto_gate_runs_the_exact_window_below_the_constant(name,
+                                                           monkeypatch):
+    """Capped below EXACT_GATE_BELOW vertices, inner="auto" makes the
+    draws inner="exact" makes: the same states after every window, the
+    same post-selected snapshots and steps, and the same histogram, with
+    no chain draw.  So the exact gate's certificates cover it."""
+    from gbsmc import double_loop
+    monkeypatch.setattr(double_loop, "_run_restricted", None)
+    g = dict(balance_suite())[name]
+    cap = min(g.n, EXACT_GATE_BELOW - 1) // 2
+    lam = Fraction(3, 2)
+    runs = {}
+    for inner in ("exact", "auto"):
+        cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=lam), inner=inner,
+                               on_inner_failure="fallback")
+        rng = random.Random(f"auto/{name}")
+        x = Matching(g)
+        memo = {}
+        trace = []
+        for w in range(60):
+            got = _drive_double(g, x, lam, cfg, (1, 7, 30)[w % 3], rng,
+                                haf_memo=memo, target_edges=cap - w % 2)
+            trace.append((got, x.pairs()))
+        counts = Counter()
+        stats = InnerStats()
+        _drive_double(g, x, lam, cfg, 5000, rng, stats=stats, haf_memo=memo,
+                      collect=counts, key_kind="vertexset", thin=3,
+                      target_edges=cap)
+        runs[inner] = (trace, counts, stats.calls, stats.failures,
+                       rng.random(), sorted(memo))
+    assert runs["auto"] == runs["exact"]
+    trace, counts, calls, _, _, memo = runs["auto"]
+    assert calls == 0 and sum(counts.values()) == 5000 // 3
+    assert any(snap is not None for (snap, _), _ in trace)
+    assert max(bits.bit_count() for bits in memo) >= 6  # gates past |X|=2
 
 
 def test_post_selection_size_and_miss():

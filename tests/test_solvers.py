@@ -298,8 +298,10 @@ def test_proposal_windows_go_through_the_module_attributes(monkeypatch):
     for sampler, name in (("glauber", "_drive_glauber"),
                           ("jerrum", "_drive_jerrum"),
                           ("double_loop", "_drive_double")):
+        # k = EXACT_GATE_BELOW: smaller windows take only exact gates
         random_search(
             g, _rs_cfg(iterations=5, sampler=sampler, mixing_steps=200,
+                       subset_size=double_loop.EXACT_GATE_BELOW,
                        chain=ChainConfig(fugacity=1.0)))
         assert calls[name]
         assert all(type(args[4]) is int and args[4] == 200
@@ -308,16 +310,59 @@ def test_proposal_windows_go_through_the_module_attributes(monkeypatch):
 
 
 def test_search_grade_double_loop_builds_no_large_table(monkeypatch):
-    """On G(256, 0.4) at k = 8, a table of 10 or more vertices waits for
-    at least 255,150 steps walked on its set in one window, which the
-    search-grade draws of 2 x 1,024 steps do not reach: none is built."""
+    """On G(256, 0.4) at k = 16, the chain draws on 12 or more vertices
+    (smaller sets take the exact gate), and a table of 12 vertices waits
+    for at least 4,802,490 steps walked on its set in one window, which a
+    1,000-step window of search-grade draws (2 x 1,024 steps each) does
+    not reach: none is built."""
     built = spy_table_builds(monkeypatch)
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=256, p=0.4), seed=1)
+    rec = random_search(g, _rs_cfg(
+        subset_size=16, iterations=200, sampler="double_loop",
+        mixing_steps=1000))
+    assert rec.evaluations == 200
+    assert rec.inner_failures > 0  # chain draws ran
+    assert not built
+
+
+def _spy_chain_draws(monkeypatch):
+    """The vertex count of every inner chain draw from now on."""
+    from gbsmc import double_loop
+    real = double_loop._run_restricted
+    sizes = []
+
+    def spy(g, vbits, *args):
+        sizes.append(vbits.bit_count())
+        return real(g, vbits, *args)
+
+    monkeypatch.setattr(double_loop, "_run_restricted", spy)
+    return sizes
+
+
+def test_double_loop_proposals_below_the_constant_are_exact(monkeypatch):
+    """At k = 8 every set a window reaches has fewer than EXACT_GATE_BELOW
+    vertices, so every removal takes the exact gate: no chain draw, and so
+    no inner failure."""
+    sizes = _spy_chain_draws(monkeypatch)
     g = gen_graph(GraphSpec.of("erdos_renyi", n=256, p=0.4), seed=1)
     rec = random_search(g, _rs_cfg(
         subset_size=8, iterations=200, sampler="double_loop",
         mixing_steps=1000))
     assert rec.evaluations == 200
-    assert all(vbits.bit_count() < 10 for vbits, _ in built)
+    assert rec.inner_failures == 0
+    assert sizes == []
+
+
+def test_double_loop_proposals_draw_the_chain_on_large_sets(monkeypatch):
+    """At k = 16 the chain draws only on sets of EXACT_GATE_BELOW or more
+    vertices."""
+    from gbsmc.double_loop import EXACT_GATE_BELOW
+    sizes = _spy_chain_draws(monkeypatch)
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=256, p=0.4), seed=1)
+    random_search(g, _rs_cfg(
+        subset_size=16, iterations=50, sampler="double_loop",
+        mixing_steps=1000))
+    assert sizes and min(sizes) >= EXACT_GATE_BELOW
 
 
 def test_objectives_go_through_the_module_attributes(monkeypatch):
