@@ -47,15 +47,14 @@ from .diagnostics import (LAW_KINDS, OracleGuardError, check_detailed_balance,
                           exact_stationary, exit_time_experiment,
                           geometric_fit, pm_stationary, transition_kernel,
                           tv_distance)
-from .double_loop import (DoubleLoopConfig, InnerGuardError, InnerSamplerError,
-                          RejectionCapError)
+from .double_loop import DoubleLoopConfig, InnerGuardError, InnerSamplerError
 from .glauber import ChainConfig, ChainConfigError, move_probabilities
-from .graphs import (EnumerationCapError, Graph, GraphError, GraphSpec,
+from .graphs import (SEEDED_KINDS, EnumerationCapError, Graph, GraphSpec,
                      Matching, gen_graph, load_edge_list, to_edge_list_text)
-from .pm_chain import PMSampleBudgetError, PMSamplerConfig, PMStateError
+from .pm_chain import PMSamplerConfig
 from .seeds import child_rng, derive_seed
-from .solvers import (SAParams, SolverConfig, SolverConfigError, advantage_at,
-                      drive, proposal_fugacity, run_trials)
+from .solvers import (SAParams, SolverConfig, advantage_at, drive,
+                      proposal_fugacity, run_trials)
 from .svg import Series, histogram_plot, line_plot
 
 EXIT_OK = 0
@@ -237,34 +236,44 @@ def _add_graph_args(p: argparse.ArgumentParser):
     grp.add_argument("--gen", choices=sorted(_GRAPH_KINDS),
                      help="generator kind")
     _add_generator_args(grp)
-    grp.add_argument("--graph-seed", type=_seed_arg, default=0,
-                     help="seed for randomized generators (default 0)")
+    grp.add_argument("--graph-seed", type=_seed_arg, help="seed for er, "
+                     "planted-clique, random- and sparse-bipartite (default 0)")
 
 
-def _spec_from_flags(kind: str, args) -> GraphSpec:
-    gen_kind, mapping = _GRAPH_KINDS[kind]
+_GEN_DESTS = ("n", "m", "p", "clique", "edges", "squares")
+
+
+def _spec_from_flags(args, who: str, seed_dest: str) -> tuple:
+    """(GraphSpec, seed) of generator ``args.gen``, refusing the generator
+    flags it does not read and the seed of a kind that draws none."""
+    gen_kind, mapping = _GRAPH_KINDS[args.gen]
+    reads = {attr for attr, _ in mapping} | (
+        {seed_dest} if gen_kind in SEEDED_KINDS else set())
+    _refuse_unread(args, who, [dest for dest in (*_GEN_DESTS, seed_dest)
+                               if dest not in reads])
     params = {}
     for attr, kwarg in mapping:
-        value = getattr(args, attr, None)
+        value = getattr(args, attr)
         if value is None:
-            raise CliError(f"generator {kind!r} needs --{attr}")
+            raise CliError(f"generator {args.gen!r} needs --{attr}")
         params[kwarg] = value
-    return GraphSpec.of(gen_kind, **params)
+    seed = getattr(args, seed_dest)
+    return GraphSpec.of(gen_kind, **params), 0 if seed is None else seed
 
 
 def _graph_from_args(args):
     """Build the graph plus a description dict for hashing/manifests."""
-    if getattr(args, "graph", None):
+    if args.graph is not None:
+        _refuse_unread(args, "--graph", ("gen", *_GEN_DESTS, "graph_seed"))
         g = load_edge_list(args.graph)
         return g, {"source": "file", "path": args.graph,
                    "n": g.n, "m": g.m}
-    kind = getattr(args, "gen", None)
-    if kind is None:
+    if args.gen is None:
         raise CliError("give --graph FILE or --gen KIND")
-    spec = _spec_from_flags(kind, args)
-    g = gen_graph(spec, seed=args.graph_seed)
+    spec, seed = _spec_from_flags(args, f"--gen {args.gen}", "graph_seed")
+    g = gen_graph(spec, seed=seed)
     desc = {"source": "generator", "kind": spec.kind,
-            **spec.as_dict(), "graph_seed": args.graph_seed,
+            **spec.as_dict(), "graph_seed": seed,
             "n": g.n, "m": g.m}
     return g, desc
 
@@ -274,8 +283,8 @@ def _graph_from_args(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_graph(args) -> int:
-    spec = _spec_from_flags(args.kind, args)
-    g = gen_graph(spec, seed=args.graph_seed)
+    spec, seed = _spec_from_flags(args, f"gen-graph {args.gen}", "seed")
+    g = gen_graph(spec, seed=seed)
     text = to_edge_list_text(g)
     if args.out:
         Path(args.out).write_text(text)
@@ -316,6 +325,8 @@ def _window_config(chain: str, chain_cfg: ChainConfig, args):
     if chain != "double_loop":
         _refuse_unread(args, _dashed(chain), _INNER_DESTS)
         return chain_cfg
+    if args.inner == "exact":
+        _refuse_unread(args, "--inner exact", _INNER_DESTS[1:])
     return DoubleLoopConfig(
         chain=chain_cfg,
         pm=PMSamplerConfig(inner_steps=args.inner_steps,
@@ -341,6 +352,8 @@ def _sample_lines(g: Graph, args):
         _check_counts(("--post-select-k", k, 0))
         if k % 2:
             raise CliError(f"post-selection size {k} is odd")
+        if k > g.n:
+            raise CliError(f"post-selection size {k} exceeds {g.n} vertices")
         target = k // 2
     cfg = _window_config(chain, cc, args)
 
@@ -991,8 +1004,9 @@ class ExperimentSpec:
                 if set(params) - set(dest_of):
                     raise CliError(f"graph kind {gen!r} takes the params "
                                    f"{sorted(dest_of)}")
+                seed = self.seed if gen in SEEDED_KINDS else None
                 return {"gen": kind,
-                        "graph_seed": self.graph.get("seed", self.seed),
+                        "graph_seed": self.graph.get("seed", seed),
                         **{dest_of[name]: v for name, v in params.items()}}
         raise CliError(f"task {self.task!r} needs a graph block of a known "
                        f"kind, got {self.graph!r}")
@@ -1092,10 +1106,10 @@ def build_parser(parser_class=argparse.ArgumentParser
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-graph", help="write a benchmark graph")
-    p.add_argument("kind", choices=sorted(_GRAPH_KINDS))
+    p.add_argument("gen", metavar="kind", choices=sorted(_GRAPH_KINDS))
     p.add_argument("--out", help="edge-list path (default stdout)")
     _add_generator_args(p)
-    p.add_argument("--seed", dest="graph_seed", type=_seed_arg, default=0)
+    p.add_argument("--seed", type=_seed_arg)  # default 0 where read
     p.set_defaults(func=_cmd_gen_graph)
 
     p = sub.add_parser("sample", help="sample chain states")
@@ -1200,14 +1214,13 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except (InnerSamplerError, PMSampleBudgetError, RejectionCapError) as err:
+    except InnerSamplerError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INNER_BUDGET
     except (OracleGuardError, EnumerationCapError, InnerGuardError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ORACLE_GUARD
-    except (GraphError, ChainConfigError, SolverConfigError, PMStateError,
-            ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:

@@ -307,8 +307,8 @@ class ExitTimeResult:
 EXIT_STEP_LIMIT = 10 ** 9
 
 
-def exit_time_experiment(n_squares: int, lam, trials: int, seed=0,
-                         max_steps=None) -> ExitTimeResult:
+def exit_time_experiment(n_squares: int, lam, trials: int,
+                         seed=0) -> ExitTimeResult:
     """First-exit times from the isolated perfect matching.
 
     Each trial starts the double-loop chain exactly at the inter-square
@@ -318,10 +318,9 @@ def exit_time_experiment(n_squares: int, lam, trials: int, seed=0,
     probability :func:`exit_probability`, so the observed times should be
     Geometric(phi) with mean 1/phi.  ``trials`` must be at least 1.
 
-    A trial that has not exited by ``max_steps`` (default the larger of
-    10,000 and 200/phi) raises RuntimeError.  A square count or fugacity
-    whose 200/phi passes ``EXIT_STEP_LIMIT`` raises ValueError: its trials
-    could run for days.
+    A trial that has not exited by the larger of 10,000 and 200/phi steps
+    raises RuntimeError.  A square count or fugacity whose 200/phi passes
+    ``EXIT_STEP_LIMIT`` raises ValueError: its trials could run for days.
     """
     if trials < 1:
         raise ValueError(f"exit-time experiment needs at least one trial, "
@@ -335,8 +334,7 @@ def exit_time_experiment(n_squares: int, lam, trials: int, seed=0,
     g = hard_instance(n_squares)
     core = hard_instance_core_matching(g)
     expected = 1.0 / float(phi)
-    if max_steps is None:
-        max_steps = max(10_000, int(expected * 200))
+    max_steps = max(10_000, int(expected * 200))
     cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=lam), inner="exact")
     haf_memo = {}
     times = []
@@ -382,15 +380,16 @@ class GeometricFit:
     bins: tuple
 
 
-def geometric_fit(samples, p, max_bins: int = 10) -> GeometricFit:
+def geometric_fit(samples, p) -> GeometricFit:
     """Pearson chi-square test of ``samples`` against Geometric(p) on
     support 1, 2, ...; bins chosen at geometric quantiles so each expects
-    at least ~5 observations.  ``passed`` is judged at the 1% level."""
+    at least ~5 observations, and at most 10 bins.  ``passed`` is judged at
+    the 1% level."""
     n = len(samples)
     if n < 20:
         raise ValueError("need at least 20 samples for a stable fit")
     p = float(p)
-    n_bins = max(2, min(max_bins, n // 20))
+    n_bins = max(2, min(10, n // 20))
     # bin boundaries at equal-probability quantiles of the geometric law
     edges = []
     for k in range(1, n_bins):

@@ -353,7 +353,8 @@ _GENERATORS = {
     "hard_instance": hard_instance,
 }
 
-_SEEDED = {"erdos_renyi", "planted_clique", "random_bipartite", "sparse_bipartite"}
+SEEDED_KINDS = frozenset({"erdos_renyi", "planted_clique", "random_bipartite",
+                          "sparse_bipartite"})
 
 
 def gen_graph(spec: GraphSpec, seed=0) -> Graph:
@@ -363,7 +364,7 @@ def gen_graph(spec: GraphSpec, seed=0) -> Graph:
     except KeyError:
         raise GraphError(f"unknown generator kind {spec.kind!r}") from None
     kwargs = spec.as_dict()
-    if spec.kind in _SEEDED:
+    if spec.kind in SEEDED_KINDS:
         kwargs["seed"] = seed
     try:
         return fn(**kwargs)

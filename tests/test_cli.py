@@ -60,6 +60,80 @@ def test_gen_graph_of_no_vertices_has_density_zero(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "0 0 0"
 
 
+# --- graph sources read only their own options ------------------------------
+
+_GRAPH_COMMANDS = ("gen-graph", "sample", "solve", "verify-balance",
+                   "verify-law")
+
+
+def _graph_command(command, tmp_path):
+    """``command``'s argv up to its graph source; an output it writes goes
+    under tmp_path/out."""
+    out = tmp_path / "out"
+    return {"gen-graph": ("gen-graph", "--out", out),
+            "sample": ("sample", "--samples", 1, "--steps", 1,
+                       "--out", out / "s.txt"),
+            "solve": ("solve", "--k", 2, "--iters", 1, "--out-dir", out),
+            "verify-balance": ("verify", "balance"),
+            "verify-law": ("verify", "law", "--samples", 1)}[command]
+
+
+def _gen_source(command, kind, *flags):
+    return ((kind,) if command == "gen-graph" else ("--gen", kind)) + flags
+
+
+# the kinds that draw no seed, each with the flags it reads
+_DETERMINISTIC = {"complete": ("--n", 4), "complete-bipartite": ("--m", 2,
+                                                                   "--n", 2),
+                  "path": ("--n", 4), "cycle": ("--n", 4),
+                  "decreasing-degree": ("--n", 4),
+                  "hard-instance": ("--squares", 1)}
+
+
+@pytest.mark.parametrize("kind,flags,unread", [
+    ("complete", ("--n", 4), ("--p", 0.5)),
+    ("er", ("--n", 4, "--p", 0.5), ("--squares", 2)),
+    ("hard-instance", ("--squares", 1), ("--clique", 3)),
+], ids=["complete-p", "er-squares", "hard-instance-clique"])
+@pytest.mark.parametrize("command", _GRAPH_COMMANDS)
+def test_a_generator_flag_of_another_kind_is_refused(tmp_path, capsys,
+                                                     command, kind, flags,
+                                                     unread):
+    assert run(*_graph_command(command, tmp_path),
+               *_gen_source(command, kind, *flags, *unread)) == EXIT_CONFIG
+    who = "gen-graph" if command == "gen-graph" else "--gen"
+    assert f"{who} {kind} does not use {unread[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra", [("--gen", "complete"), ("--n", 4),
+                                   ("--graph-seed", 7)],
+                         ids=["gen", "generator-flag", "graph-seed"])
+@pytest.mark.parametrize("command", _GRAPH_COMMANDS[1:])
+def test_an_edge_list_file_reads_no_generator_option(tmp_path, capsys,
+                                                     command, extra):
+    graph = tmp_path / "g.txt"
+    graph.write_text("4 5\n0 1\n0 2\n0 3\n1 2\n2 3\n")
+    assert run(*_graph_command(command, tmp_path), "--graph", graph,
+               *extra) == EXIT_CONFIG
+    assert f"--graph does not use {extra[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(_DETERMINISTIC))
+@pytest.mark.parametrize("command", _GRAPH_COMMANDS)
+def test_a_seed_for_a_kind_that_draws_none_is_refused(tmp_path, capsys,
+                                                      command, kind):
+    # a seed given at its default value is still a seed given
+    flag = "--seed" if command == "gen-graph" else "--graph-seed"
+    assert run(*_graph_command(command, tmp_path),
+               *_gen_source(command, kind, *_DETERMINISTIC[kind]),
+               flag, 0) == EXIT_CONFIG
+    who = "gen-graph" if command == "gen-graph" else "--gen"
+    assert f"{who} {kind} does not use {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # --- sample ------------------------------------------------------------------
 
 def test_sample_emits_one_hex_state_per_window(capsys):
@@ -114,6 +188,20 @@ def test_sample_odd_post_selection_is_rejected(capsys):
     assert "odd" in capsys.readouterr().err
 
 
+def test_sample_post_selection_above_the_vertex_count_is_rejected(
+        tmp_path, capsys):
+    out = tmp_path / "states.txt"
+    assert run("sample", "--gen", "er", "--n", 6, "--p", 0.5,
+               "--post-select-k", 100, "--samples", 1, "--steps", 10,
+               "--out", out) == EXIT_CONFIG
+    assert "size 100 exceeds 6 vertices" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("sample", "--gen", "complete", "--n", 4, "--lambda", 1,
+               "--post-select-k", 4, "--samples", 2, "--steps", 200,
+               "--out", out) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 2
+
+
 def test_rejected_sample_leaves_no_output_file(tmp_path, capsys):
     out = tmp_path / "odd.txt"
     assert run("sample", "--gen", "complete", "--n", 6,
@@ -123,9 +211,11 @@ def test_rejected_sample_leaves_no_output_file(tmp_path, capsys):
 
 
 def test_sample_starvation_has_its_own_exit_code(capsys):
-    # A single edge can never reach two matched edges.
-    assert run("sample", "--gen", "path", "--n", 2, "--steps", 50,
-               "--samples", 3, "--post-select-k", 4) == EXIT_STARVATION
+    # A star's edges share their centre, so it never reaches two matched
+    # edges, though it has four vertices.
+    assert run("sample", "--gen", "complete-bipartite", "--m", 1, "--n", 3,
+               "--steps", 50, "--samples", 3,
+               "--post-select-k", 4) == EXIT_STARVATION
 
 
 def test_law_grade_double_loop_post_selects_at_paper_scale(capsys):
@@ -427,6 +517,22 @@ def test_inner_flags_without_the_double_loop_are_config_errors(
             assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--inner-steps", 3),
+                                        ("--max-attempts", 1),
+                                        ("--on-inner-failure", "abort")])
+@pytest.mark.parametrize("command", [("sample", "--chain"),
+                                     ("verify", "law", "--dynamics")],
+                         ids=["sample", "verify-law"])
+def test_the_exact_inner_draw_refuses_an_inner_budget(tmp_path, capsys,
+                                                      command, flag, value):
+    out = tmp_path / "states.txt"
+    flags = ("--out", out) if command[0] == "sample" else ()
+    assert run(*command, "double-loop", "--inner", "exact", "--gen",
+               "complete", "--n", 4, flag, value, *flags) == EXIT_CONFIG
+    assert f"--inner exact does not use {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_balance_pm_refuses_a_fugacity(capsys):
     for flag, value in (("--lambda", "3/2"), ("--c", "1/2")):
         assert run("verify", "balance", "--gen", "complete", "--n", 4,
@@ -714,6 +820,31 @@ def test_spec_replicates_outside_sample_and_bench_are_refused(tmp_path,
     assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
     assert "replicates" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_spec_seed_for_a_kind_that_draws_none_is_refused(tmp_path,
+                                                          capsys):
+    spec = {"task": "solve", "out_dir": str(tmp_path / "out"),
+            "graph": {"kind": "complete", "seed": 3, "params": {"n": 6}},
+            "config": {"k": 4, "iterations": 5}}
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
+    assert ("--gen complete does not use --graph-seed"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_spec_on_a_kind_that_draws_no_seed_hashes_as_its_command_line(
+        tmp_path):
+    # the spec's seed seeds the trials, not the graph, as --seed does
+    spec = {"task": "solve", "seed": 5, "out_dir": str(tmp_path / "spec"),
+            "graph": {"kind": "complete", "params": {"n": 6}},
+            "config": {"k": 4, "iterations": 20}}
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
+    assert run("solve", "--gen", "complete", "--n", 6, "--k", 4, "--iters",
+               20, "--seed", 5, "--out-dir", tmp_path / "cli") == EXIT_OK
+    for name in ("records.txt", "trajectory.csv"):
+        assert ((tmp_path / "spec" / name).read_bytes()
+                == (tmp_path / "cli" / name).read_bytes())
 
 
 def test_spec_writes_what_its_command_line_writes(tmp_path):
