@@ -976,8 +976,10 @@ class ExperimentSpec:
         if not isinstance(data.get("config", {}), dict):
             raise CliError("config must be an object")
         replicates = data.get("replicates", 1)
-        if not isinstance(replicates, int) or replicates < 1:
+        if type(replicates) is not int or replicates < 1:
             raise CliError("replicates must be a positive integer")
+        if type(data.get("seed", 0)) not in (int, str):
+            raise CliError("seed must be an integer or a string")
         if data["task"] == "bench" and data.get("name") not in _PRESETS:
             raise CliError(
                 f"bench spec needs a preset name from {sorted(_PRESETS)}")
@@ -1005,6 +1007,9 @@ class ExperimentSpec:
                     raise CliError(f"graph kind {gen!r} takes the params "
                                    f"{sorted(dest_of)}")
                 seed = self.seed if gen in SEEDED_KINDS else None
+                if seed is None and self.graph.get("seed") is not None:
+                    raise CliError(f"graph kind {gen!r} draws no seed; drop "
+                                   "the graph block's seed")
                 return {"gen": kind,
                         "graph_seed": self.graph.get("seed", seed),
                         **{dest_of[name]: v for name, v in params.items()}}
@@ -1086,7 +1091,7 @@ def _add_inner_args(p):
                    help="inner chain steps per attempt")
     p.add_argument("--max-attempts", type=int,
                    help="inner chain attempts before giving up")
-    p.add_argument("--on-inner-failure", choices=("stay", "abort", "fallback"),
+    p.add_argument("--on-inner-failure", choices=("stay", "abort"),
                    help="policy when the inner budget runs out (default stay)")
 
 

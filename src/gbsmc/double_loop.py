@@ -17,8 +17,8 @@ chain of :mod:`gbsmc.pm_chain` under a finite budget (the real algorithm),
 and ``"exact"`` replaces it with an enumeration-backed exact draw — the
 reference used by kernel-level diagnostics and the hard-instance experiment,
 where the analysis assumes exactly-uniform inner samples.  Search proposals
-run ``"auto"``: the exact gate on sets of fewer than ``EXACT_GATE_BELOW``
-vertices, the chain on larger ones.
+run ``"search"``: the exact gate on sets of fewer than ``EXACT_GATE_BELOW``
+vertices, a search-grade chain draw on larger ones.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .pm_chain import PMSamplerConfig, _run_restricted
 from .seeds import derive_seed
 
 
-# Under inner="auto", a gate on fewer vertices than this takes the exact
+# Under inner="search", a gate on fewer vertices than this takes the exact
 # ratio.  One gate on ER(256, 0.4) (vertex sets of random matchings, 60 a
 # size, 2 vCPUs, Python 3.11): the exact gate with a cold hafnian memo
 # against one chain draw of the solvers' 1,024 steps x 2 attempts.
@@ -81,22 +81,18 @@ class InnerStats:
 
 @dataclass
 class DoubleLoopConfig:
-    """Outer chain config plus inner-sampler budgets and failure policy.
+    """Outer chain config plus the inner sampler, its budget and failure
+    policy; only ``inner="chain"`` reads the last two, and the other inner
+    samplers refuse a budget or ``"abort"``.
 
     ``on_inner_failure="stay"`` treats an exhausted inner budget as a
     rejected removal (the default: keeps the chain running and is counted in
-    :class:`InnerStats`); ``"abort"`` raises; ``"fallback"`` substitutes the
-    outer state's own matching for the missing draw — X is always a perfect
-    matching of the subgraph it induces, so the proposed edge counts as hit.
-    Frequent fallbacks loosen the removal gate (the stationary law drifts
-    from Haf toward plain counting), which is fine for search proposals but
-    not for law-grade sampling.  ``inner`` selects the chain inner sampler,
-    the exact enumeration-backed one, or ``"auto"``, the search proposals'
-    mix: the exact gate where |V(X)| < ``EXACT_GATE_BELOW``, the chain and
-    its failure policy on larger sets.  A window whose cap keeps V(X)
-    below that size (every proposal window of k < ``EXACT_GATE_BELOW``)
-    therefore follows the capped Haf^2 law exactly; larger ones stay
-    search-grade.
+    :class:`InnerStats`); ``"abort"`` raises.  ``inner`` selects the chain
+    inner sampler, the exact enumeration-backed one, or ``"search"``, the
+    search proposals' rule (see :func:`_drive_double`): the exact gate where
+    |V(X)| < ``EXACT_GATE_BELOW``, so every window of a smaller k follows
+    the capped Haf^2 law exactly, and on larger sets a search-grade chain
+    draw whose failures let removals go ahead.
     """
     chain: ChainConfig = field(default_factory=ChainConfig)
     pm: PMSamplerConfig = field(default_factory=PMSamplerConfig)
@@ -104,11 +100,15 @@ class DoubleLoopConfig:
     inner: str = "chain"
 
     def __post_init__(self):
-        if self.on_inner_failure not in ("stay", "abort", "fallback"):
+        if self.on_inner_failure not in ("stay", "abort"):
             raise ChainConfigError(
                 f"unknown inner-failure policy {self.on_inner_failure!r}")
-        if self.inner not in ("chain", "exact", "auto"):
+        if self.inner not in ("chain", "exact", "search"):
             raise ChainConfigError(f"unknown inner sampler {self.inner!r}")
+        if self.inner != "chain" and (self.pm != PMSamplerConfig()
+                                      or self.on_inner_failure == "abort"):
+            raise ChainConfigError(f"inner={self.inner!r} takes no budget "
+                                   "or failure policy")
 
 
 def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
@@ -121,8 +121,8 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
     candidate has already passed the 1/(1+lambda^2) gate coin; the inner
     draw decides whether it moves.  The exact gate moves with probability
     Haf(V(X) - e) / Haf(V(X)), from ``haf_memo`` (a fresh one per window
-    when not given); ``cfg.inner="auto"`` takes it on sets of fewer than
-    ``EXACT_GATE_BELOW`` vertices and the chain draw on the others.
+    when not given); ``cfg.inner="search"`` takes it on sets of fewer than
+    ``EXACT_GATE_BELOW`` vertices and its own chain draw on the others.
     A lazy ``cfg.chain`` raises ChainConfigError, and the exact inner draw
     raises :class:`InnerGuardError` on a V(X) whose hafnian could memoise
     more than ``hafnian.MEMO_LIMIT`` sub-sets.
@@ -131,12 +131,12 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
         "double_loop", float(lam), cfg.chain.lazy))
     rnd = rng.random
     guard = cfg.inner == "exact"
+    search = cfg.inner == "search"
     # the exact gate takes a matching of fewer edges than this
     exact_edges = (g.m + 1 if guard else
-                   (EXACT_GATE_BELOW + 1) // 2 if cfg.inner == "auto" else 0)
+                   (EXACT_GATE_BELOW + 1) // 2 if search else 0)
     pm_cfg = cfg.pm
     abort = cfg.on_inner_failure == "abort"
-    fallback = cfg.on_inner_failure == "fallback"
     if stats is None:
         stats = InnerStats()
     if haf_memo is None:
@@ -155,7 +155,7 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
             rest = covered & ~g.edge_bits[i]
             for bits in (covered, rest):
                 # A set in the memo passed this check or was reached from
-                # one that did, so its hafnian costs no more.  "auto" checks
+                # one that did, so its hafnian costs no more.  "search" checks
                 # none: no set below EXACT_GATE_BELOW vertices nears it.
                 if guard and bits not in haf_memo:
                     bound = memo_bound(g, bits)
@@ -169,17 +169,28 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
             small = hafnian_bits(g, rest, haf_memo)
             return rnd() < float(small) / float(big)
         stats.calls += 1
-        nv = 2 * q
-        got = _run_restricted(g, covered, idxs, pm_cfg.steps_for(nv),
-                              pm_cfg.attempts_for(nv), rng, tables)
+        if search:
+            # Proposals need an ergodic inner draw, not certified
+            # uniformity, and the exactness default (vertex count to the
+            # 4th power) is hopeless inside a search loop.  A failed draw
+            # stands in X itself, a perfect matching of V(X) that holds
+            # edge i: refusing the removal makes the chain linger on sets
+            # with few perfect matchings, where draws fail most.  On
+            # ER(256, 0.4) at k = 8 with this draw on every set (10 seeds
+            # of 200 iterations on 1,000-step windows), random search's
+            # mean best read 15.5 when failures refused the removal, 19.7
+            # when they let it go ahead and 18.1 with uniform proposals.
+            walk, attempts = max(64, 4 * g.n), 2
+        else:
+            nv = 2 * q
+            walk, attempts = pm_cfg.steps_for(nv), pm_cfg.attempts_for(nv)
+        got = _run_restricted(g, covered, idxs, walk, attempts, rng, tables)
         if got is None:
             stats.failures += 1
             if abort:
                 raise InnerSamplerError(
                     f"inner budget exhausted at step {t} of the window")
-            # "stay" refuses the removal; "fallback" stands in X itself (a
-            # perfect matching of V(X) that contains the proposed edge).
-            return fallback
+            return search  # "stay" refuses the removal
         return i in got
 
     return _run_add_remove(g, x, p_add, p_gate, steps, rng, in_inner, **kw)

@@ -28,7 +28,6 @@ from .graphs import Graph, Matching, bitset, bits_to_tuple
 from .glauber import (ChainConfig, ChainConfigError, _drive_glauber,
                       _drive_jerrum, move_probabilities)
 from .double_loop import DoubleLoopConfig, InnerStats, _drive_double
-from .pm_chain import PMSamplerConfig
 from .hafnian import count_induced_edges, hafnian_bits
 from .seeds import child_rng, derive_seed
 
@@ -169,10 +168,11 @@ class _ChainProposals:
     draws when ``warm_start`` (the default), or the chain restarts from the
     empty matching before every draw otherwise, and the double loop's
     hafnian memo persists either way.  The double loop runs
-    ``inner="auto"``: windows whose cap keeps V(X) below
+    ``inner="search"``: windows whose cap keeps V(X) below
     ``double_loop.EXACT_GATE_BELOW`` vertices (every k < 12 proposal) take
     the exact gate on every removal and follow the capped Haf^2 law
-    exactly; larger ones stay search-grade.
+    exactly; larger ones take the search-grade chain draw, whose failures
+    let removals go ahead.
     """
 
     def __init__(self, g: Graph, cfg: SolverConfig):
@@ -188,25 +188,7 @@ class _ChainProposals:
         self.chain = base  # the sampler's own config
         self.haf_memo = {}  # the exact gates' hafnians, kept for the trial
         if cfg.sampler == "double_loop":
-            # The exact removal gate on sets of fewer than
-            # EXACT_GATE_BELOW vertices, so every window of a smaller k
-            # follows the capped Haf^2 law.  Larger sets get a search-grade
-            # inner budget: proposals only need an ergodic inner draw, not
-            # certified uniformity, and the exactness default (vertex count
-            # to the 4th power) is hopeless inside a search loop on
-            # host-sized subgraphs.  Failed draws fall back to the state's
-            # own matching.  Under "stay" a failed draw refuses the
-            # removal, and draws fail most on sets with few perfect
-            # matchings, so the chain lingers there: on ER(256, 0.4) at
-            # k = 8 with the chain draw on every set (10 seeds of 200
-            # iterations on 1,000-step windows), random search's mean best
-            # read 15.5 under "stay", 19.7 under "fallback" and 18.1 with
-            # uniform proposals.
-            pm = PMSamplerConfig(inner_steps=max(64, 4 * g.n),
-                                 max_attempts=2)
-            self.chain = DoubleLoopConfig(chain=base, pm=pm,
-                                          on_inner_failure="fallback",
-                                          inner="auto")
+            self.chain = DoubleLoopConfig(chain=base, inner="search")
         # a bad fugacity or a lazy double loop fails before the first draw
         move_probabilities(cfg.sampler, base.resolved_fugacity(), base.lazy)
         self.x = Matching(g)

@@ -533,6 +533,18 @@ def test_the_exact_inner_draw_refuses_an_inner_budget(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [("sample", "--chain"),
+                                     ("verify", "law", "--dynamics")],
+                         ids=["sample", "verify-law"])
+def test_the_fallback_policy_is_refused(tmp_path, capsys, command):
+    out = tmp_path / "states.txt"
+    flags = ("--out", out) if command[0] == "sample" else ()
+    assert exit_code(*command, "double-loop", "--gen", "complete", "--n", 6,
+                     "--on-inner-failure", "fallback", *flags) == EXIT_CONFIG
+    assert "invalid choice: 'fallback'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_balance_pm_refuses_a_fugacity(capsys):
     for flag, value in (("--lambda", "3/2"), ("--c", "1/2")):
         assert run("verify", "balance", "--gen", "complete", "--n", 4,
@@ -828,8 +840,20 @@ def test_a_spec_seed_for_a_kind_that_draws_none_is_refused(tmp_path,
             "graph": {"kind": "complete", "seed": 3, "params": {"n": 6}},
             "config": {"k": 4, "iterations": 5}}
     assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
-    assert ("--gen complete does not use --graph-seed"
-            in capsys.readouterr().err)
+    assert ("graph kind 'complete' draws no seed; drop the graph block's "
+            "seed" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", [("replicates", True), ("seed", True),
+                                       ("seed", None), ("seed", 1.5)])
+def test_spec_top_level_values_of_the_wrong_type_are_refused(
+        tmp_path, capsys, key, value):
+    spec = {"task": "sample", "out_dir": str(tmp_path / "out"),
+            "graph": {"kind": "complete", "params": {"n": 6}},
+            "config": {"samples": 2, "steps": 10}, key: value}
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
+    assert f"{key} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

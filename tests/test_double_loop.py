@@ -1,6 +1,7 @@
 """Double-loop dynamics: inner gating, failure policies, empirical laws,
 and the rejection sampler that targets the same squared-hafnian law."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -55,22 +56,43 @@ def exact_vertexset_law(g, lam):
 
 
 def test_failure_policy_validation():
-    with pytest.raises(ChainConfigError):
-        DoubleLoopConfig(on_inner_failure="retry")
-    with pytest.raises(ChainConfigError):
-        DoubleLoopConfig(inner="sat-solver")
+    for policy in ("retry", "fallback"):
+        with pytest.raises(ChainConfigError):
+            DoubleLoopConfig(on_inner_failure=policy)
+    for inner in ("sat-solver", "auto"):
+        with pytest.raises(ChainConfigError):
+            DoubleLoopConfig(inner=inner)
+
+
+def test_only_the_chain_inner_draw_takes_a_budget_or_a_policy():
+    """Of the 3 x 3 x 2 x 2 (inner, policy, steps given, attempts given)
+    combinations, the chain takes its 8 and the exact and search draws one
+    each: no budget, and the default policy."""
+    accepted = []
+    for inner, policy, steps, attempts in itertools.product(
+            ("chain", "exact", "search"), ("stay", "abort", "fallback"),
+            (None, 64), (None, 2)):
+        try:
+            DoubleLoopConfig(pm=PMSamplerConfig(steps, attempts),
+                             on_inner_failure=policy, inner=inner)
+        except ChainConfigError:
+            continue
+        accepted.append((inner, policy, steps, attempts))
+    assert len(accepted) == 10
+    assert [a for a in accepted if a[0] != "chain"] == [
+        ("exact", "stay", None, None), ("search", "stay", None, None)]
 
 
 @given(st.integers(0, 2**31))
 def test_steps_preserve_matching_validity(seed):
-    g = gen_graph(GraphSpec.of("erdos_renyi", n=8, p=0.6), seed=seed % 37)
-    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=0.8),
-                           pm=PMSamplerConfig(inner_steps=64, max_attempts=4),
-                           on_inner_failure="fallback")
+    """On a 14-vertex host V(X) reaches the search draw's sets, whose short
+    chain draws fail often and then let the removal go ahead."""
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=14, p=0.6), seed=seed % 37)
+    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=1.5), inner="search")
     rng = random.Random(seed)
     x = Matching(g)
-    for _ in range(30):
-        _drive_double(g, x, 0.8, cfg, 1, rng)
+    for _ in range(300):
+        _drive_double(g, x, 1.5, cfg, 1, rng)
         x.validate()
 
 
@@ -224,9 +246,9 @@ def test_a_window_builds_one_table_per_vertex_set(k6, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["k6", "er8", "hard2"])
-def test_auto_gate_runs_the_exact_window_below_the_constant(name,
-                                                           monkeypatch):
-    """Capped below EXACT_GATE_BELOW vertices, inner="auto" makes the
+def test_search_gate_runs_the_exact_window_below_the_constant(name,
+                                                             monkeypatch):
+    """Capped below EXACT_GATE_BELOW vertices, inner="search" makes the
     draws inner="exact" makes: the same states after every window, the
     same post-selected snapshots and steps, and the same histogram, with
     no chain draw.  So the exact gate's certificates cover it."""
@@ -236,9 +258,8 @@ def test_auto_gate_runs_the_exact_window_below_the_constant(name,
     cap = min(g.n, EXACT_GATE_BELOW - 1) // 2
     lam = Fraction(3, 2)
     runs = {}
-    for inner in ("exact", "auto"):
-        cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=lam), inner=inner,
-                               on_inner_failure="fallback")
+    for inner in ("exact", "search"):
+        cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=lam), inner=inner)
         rng = random.Random(f"auto/{name}")
         x = Matching(g)
         memo = {}
@@ -254,11 +275,37 @@ def test_auto_gate_runs_the_exact_window_below_the_constant(name,
                       target_edges=cap)
         runs[inner] = (trace, counts, stats.calls, stats.failures,
                        rng.random(), sorted(memo))
-    assert runs["auto"] == runs["exact"]
-    trace, counts, calls, _, _, memo = runs["auto"]
+    assert runs["search"] == runs["exact"]
+    trace, counts, calls, _, _, memo = runs["search"]
     assert calls == 0 and sum(counts.values()) == 5000 // 3
     assert any(snap is not None for (snap, _), _ in trace)
     assert max(bits.bit_count() for bits in memo) >= 6  # gates past |X|=2
+
+
+@pytest.mark.parametrize("n", [14, 20])  # 4n below and above 64
+def test_search_draw_budget_and_failure_let_the_removal_go_ahead(
+        n, monkeypatch):
+    """On sets of EXACT_GATE_BELOW or more vertices, inner="search" draws
+    max(64, 4n) steps x 2 attempts on an n-vertex host, and a draw that
+    fails lets the removal go ahead."""
+    from gbsmc import double_loop
+    seen = []
+
+    def spy(g, vbits, idxs, steps, attempts, rng, tables):
+        seen.append((vbits.bit_count(), steps, attempts))
+        return None  # the draw failed
+
+    monkeypatch.setattr(double_loop, "_run_restricted", spy)
+    g = gen_graph(GraphSpec.of("complete", n=n))
+    q = EXACT_GATE_BELOW // 2
+    x = Matching.from_pairs(g, [(2 * j, 2 * j + 1) for j in range(q)])
+    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=0.1), inner="search")
+    rng = random.Random(n)
+    while not seen:
+        before = len(x.idxs)
+        _drive_double(g, x, 0.1, cfg, 1, rng)
+    assert seen == [(2 * before, max(64, 4 * n), 2)]
+    assert before >= q and len(x.idxs) == before - 1
 
 
 def test_post_selection_size_and_miss():
