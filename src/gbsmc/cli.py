@@ -975,6 +975,9 @@ class ExperimentSpec:
             raise CliError('graph block must be {"kind", "params"[, "seed"]}')
         if not isinstance(data.get("config", {}), dict):
             raise CliError("config must be an object")
+        if "seed" in data.get("config", {}):
+            raise CliError('a spec\'s one seed is its top-level "seed"; drop '
+                           "config's seed")
         replicates = data.get("replicates", 1)
         if type(replicates) is not int or replicates < 1:
             raise CliError("replicates must be a positive integer")

@@ -31,7 +31,7 @@ from .graphs import Graph, Matching
 from .glauber import (ChainConfig, ChainConfigError, _drive_glauber,
                       _run_add_remove, move_probabilities)
 from .hafnian import MEMO_LIMIT, hafnian_bits, memo_bound
-from .pm_chain import PMSamplerConfig, _run_restricted
+from .pm_chain import PMSamplerConfig, _PMTable, _run_restricted
 from .seeds import derive_seed
 
 
@@ -123,6 +123,7 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
     Haf(V(X) - e) / Haf(V(X)), from ``haf_memo`` (a fresh one per window
     when not given); ``cfg.inner="search"`` takes it on sets of fewer than
     ``EXACT_GATE_BELOW`` vertices and its own chain draw on the others.
+    The window's inner-chain tables are freed when it returns.
     A lazy ``cfg.chain`` raises ChainConfigError, and the exact inner draw
     raises :class:`InnerGuardError` on a V(X) whose hafnian could memoise
     more than ``hafnian.MEMO_LIMIT`` sub-sets.
@@ -193,7 +194,13 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
             return search  # "stay" refuses the removal
         return i in got
 
-    return _run_add_remove(g, x, p_add, p_gate, steps, rng, in_inner, **kw)
+    try:
+        return _run_add_remove(g, x, p_add, p_gate, steps, rng, in_inner,
+                               **kw)
+    finally:
+        for table in tables.values():
+            if isinstance(table, _PMTable):
+                table.free()
 
 
 def vertex_set_histogram(g: Graph, cfg: DoubleLoopConfig, n_samples: int,

@@ -17,19 +17,26 @@ sampler for perfect matchings.
 
 An attempt's edge picks come in bulk from :func:`_picks`: exactly uniform
 indices drawn by rejection from ``rng.randbytes``, not one ``random()``
-call a step.  The chain flips no other coin.
+call a step.  The chain flips no other coin.  On k edges one byte pick
+carries j steps, j the largest with k^j <= 256 (at most 8; 2 on K6's 15
+edges, 3 on K4's 6, 1 past 16 edges): :func:`_walk_picks` draws an
+n-step attempt as n // j compound picks from ``range(k ** j)``, whose
+base-k digits are the picks of j steps, then n % j single picks.
 
-The chain runs in one of two walks, which make the same random draws and
-so reach the same states.  The step loop, :func:`_pm_walk`, moves a partner
-array.  A transition table, :class:`_PMTable`, lists the states of the
-chain on one vertex set and, for each, the state every pick leads to, so
-an attempt is one ``reduce`` over the picks.  The double loop
-keeps one table per vertex set for a window, built only once earlier
-draws on that set have walked as many steps as the table of a complete
-graph of its size has transitions (:func:`table_transitions`: 54 at 4
-vertices, 900 at 6, 14,700 at 8, 4.8e6 at 12).  So a table never has more
-transitions than steps already walked on its set, and large vertex sets,
-which rarely repeat, stay on the step loop.
+The chain runs in one of two walks, which read the same picks and so
+reach the same states.  The step loop, :func:`_pm_walk`, spells each
+compound pick out as its digits and moves a partner array.  A transition
+table, :class:`_PMTable`, lists the states of the chain on one vertex set
+and, for each, the state every pick leads to, so an attempt is one
+``reduce`` over the picks; once the steps walked on the table reach
+states times k^j, it composes rows that take a compound pick in one
+lookup.  The double loop keeps one table per vertex set for a window,
+built only once earlier draws on that set have walked as many steps as
+the table of a complete graph of its size has transitions
+(:func:`table_transitions`: 54 at 4 vertices, 900 at 6, 14,700 at 8,
+4.8e6 at 12), and frees them when the window ends.  So a table never has
+more transitions, nor compound entries, than steps already walked on its
+set, and large vertex sets, which rarely repeat, stay on the step loop.
 """
 
 from __future__ import annotations
@@ -39,8 +46,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import chain
-from operator import getitem
+from itertools import chain, repeat
+from operator import getitem, iadd
 from typing import Optional
 
 from .graphs import Graph, Matching, bits_to_tuple
@@ -164,15 +171,66 @@ def _picks(rng, k: int, n: int):
     return out
 
 
+def _compound(k: int):
+    """``(j, digits)`` for walks on ``k`` edges.  j is the number of steps
+    one compound pick carries: the largest j <= 8 with k^j <= 256, so 1
+    past k = 16.  ``digits[d]`` is the ``bytes.translate`` table that
+    takes compound pick c to its d-th base-k digit, most significant
+    first; there are none where j = 1."""
+    return _compound_digits(k) if k <= 16 else (1, ())
+
+
+@cache
+def _compound_digits(k: int):
+    j = 1
+    while j < 8 and k ** (j + 1) <= 256:
+        j += 1
+    return j, tuple(bytes(c // k ** (j - 1 - d) % k if c < k ** j else 0
+                          for c in range(256)) for d in range(j))
+
+
+def _walk_picks(rng, k: int, n: int):
+    """The picks of an ``n``-step walk on ``k`` edges, as a pair: n // j
+    compound picks from ``range(k ** j)``, each the next j steps' picks as
+    its base-k digits (:func:`_compound`), then n % j single picks from
+    ``range(k)``.  The single picks are drawn after the compound ones,
+    which past ``_CHUNK`` of them :func:`_picks` draws as they are used."""
+    j = _compound(k)[0]
+    whole = _picks(rng, k ** j, n // j)
+    if n // j > _CHUNK:
+        return whole, chain.from_iterable(map(_picks, (rng,), (k,),
+                                              (n % j,)))
+    return whole, _picks(rng, k, n % j) if n % j else b""
+
+
+def _step_picks(rng, k: int, n: int):
+    """The picks of :func:`_walk_picks`, one a step: each compound pick
+    spelt out as its j digits."""
+    j, digits = _compound(k)
+    if j == 1:
+        return _picks(rng, k, n)
+    leg = _CHUNK * j
+    if n > leg:
+        # legs of _CHUNK compound picks draw what the whole walk draws
+        return chain.from_iterable(map(
+            _step_picks, repeat(rng), repeat(k),
+            [leg] * (n // leg) + [n % leg]))
+    whole, rest = _walk_picks(rng, k, n)
+    out = bytearray(len(whole) * j)
+    for d, table in enumerate(digits):
+        out[d::j] = whole.translate(table)
+    return out + rest
+
+
 def _pm_walk(partner, holes: int, moves, steps: int, rng) -> int:
     """Advance the chain ``steps`` moves on the partner array ``partner``
     (-1 at an uncovered vertex), in place.  ``holes`` is the state's
     uncovered-vertex count, 0 or 2; returns the new one.
 
     ``moves[r]`` is ``(u, v)`` for the r-th proposable edge.  The picks
-    come from ``_picks(rng, len(moves), steps)``.
+    come from ``_step_picks(rng, len(moves), steps)``.
     """
-    for r in _picks(rng, len(moves), steps):
+    for r in _step_picks(rng, len(moves), steps):
         u, v = moves[r]
         pu = partner[u]
         pv = partner[v]
@@ -225,6 +283,14 @@ class _PMTable:
     augmenting path joins a near-perfect one to a perfect one), so the
     first start fills the table; later starts are looked up, never assumed
     present.
+
+    ``crows`` are the compound rows, the same for compound picks
+    (:func:`_walk_picks`): ``crows[s][c]`` is the compound row of the state
+    that the j steps of compound pick ``c`` lead to, and ``crows[s][-1]``
+    is ``s``.  They are composed from the rows once the steps walked on the
+    table reach their entry count, states times k^j, and are empty before
+    that (and where j = 1).  Rows point at rows, so :meth:`free` breaks
+    those cycles when the table is done with.
     """
 
     def __init__(self, g: Graph, vbits: int):
@@ -234,6 +300,8 @@ class _PMTable:
         self.ids = {}
         self.keys = []
         self.rows = []
+        self.crows = []
+        self.walked = 0
 
     def _add(self, key) -> int:
         """Number the new state ``key``, giving it a row still to fill."""
@@ -253,6 +321,7 @@ class _PMTable:
         ids = self.ids
         keys = self.keys
         rows = self.rows
+        self.crows = []  # composed again for the larger table
         s = self._add(key)
         # a breadth-first search that fills each row as it reaches it
         j = s
@@ -282,18 +351,50 @@ class _PMTable:
                 row[r] = rows[self._add(nxt) if t is None else t]
         return s
 
+    def compose(self):
+        """Fill ``crows`` from ``rows``: level by level, the compound rows
+        that 0, 1, ..., j picks reach from each state, in compound-pick
+        order."""
+        k = len(self.moves)
+        step = [[nxt[k] for nxt in row[:k]] for row in self.rows]
+        crows = self.crows = [[] for _ in self.rows]
+        ends = [[crow] for crow in crows]
+        for _ in range(_compound(k)[0] - 1):
+            ends = [reduce(iadd, map(ends.__getitem__, targets), [])
+                    for targets in step]
+        for s, (crow, targets) in enumerate(zip(crows, step)):
+            reduce(iadd, map(ends.__getitem__, targets), crow)
+            crow.append(s)
+
+    def free(self):
+        """Empty every row, breaking the cycles among them."""
+        for row in chain(self.rows, self.crows):
+            row.clear()
+
     def walk(self, s: int, steps: int, attempts: int, rng) -> int:
         """From state ``s``, up to ``attempts`` rounds of ``steps`` moves,
         stopping after the first round that ends perfect; returns the last
         state.  The picks are ``_pm_walk``'s."""
         keys = self.keys
         half = self.half
+        rows = self.rows
         k = len(self.moves)
-        row = self.rows[s]
-        for _ in range(attempts):
-            row = reduce(getitem, _picks(rng, k, steps), row)
+        j = _compound(k)[0]
+        if (j > 1 and not self.crows
+                and self.walked >= len(rows) * k ** j):
+            self.compose()
+        crows = self.crows
+        row = rows[s]
+        for done in range(1, attempts + 1):
+            if crows:
+                whole, rest = _walk_picks(rng, k, steps)
+                row = rows[reduce(getitem, whole, crows[row[k]])[-1]]
+                row = reduce(getitem, rest, row)
+            else:
+                row = reduce(getitem, _step_picks(rng, k, steps), row)
             if len(keys[row[k]]) == half:
                 break
+        self.walked += done * steps
         return row[k]
 
 

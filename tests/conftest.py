@@ -48,9 +48,10 @@ def balance_suite():
     ]
 
 
-def check_kernel_powers(g, kernel, advance, starts, label, runs=10_000):
-    """The law of X_T from each start, for T in 1, 2, 5, against row
-    ``start`` of P^T.
+def check_kernel_powers(g, kernel, advance, starts, label, runs=10_000,
+                        times=(1, 2, 5)):
+    """The law of X_T from each start, for each T in ``times`` (ascending),
+    against row ``start`` of P^T.
 
     ``advance(x, steps, rng)`` runs the shipped driver for ``steps`` steps
     on the Matching ``x``; each of the ``runs`` runs gets its own seeded
@@ -69,7 +70,7 @@ def check_kernel_powers(g, kernel, advance, starts, label, runs=10_000):
     for start in starts:
         row = {tuple(sorted(start)): 1}
         done = 0
-        for steps in (1, 2, 5):
+        for steps in times:
             for _ in range(steps - done):
                 nxt = Counter()
                 for x, p in row.items():
@@ -134,9 +135,12 @@ class ScriptedRng:
         return bytes(self._bytes.getrandbits(8) for _ in range(n))
 
 
-def spy_table_builds(monkeypatch):
+def spy_table_builds(monkeypatch, weak=False):
     """Record every inner-chain transition table built from now on, as a
-    list of (vertex set, table) pairs."""
+    list of (vertex set, table) pairs; with ``weak``, a weak reference to
+    the table in its place."""
+    import weakref
+
     from gbsmc import pm_chain
 
     built = []
@@ -144,7 +148,7 @@ def spy_table_builds(monkeypatch):
     class Spy(pm_chain._PMTable):
         def __init__(self, g, vbits):
             super().__init__(g, vbits)
-            built.append((vbits, self))
+            built.append((vbits, weakref.ref(self) if weak else self))
 
     monkeypatch.setattr(pm_chain, "_PMTable", Spy)
     return built

@@ -857,6 +857,22 @@ def test_spec_top_level_values_of_the_wrong_type_are_refused(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("spec", [
+    {"task": "solve", "graph": {"kind": "complete", "params": {"n": 6}},
+     "config": {"k": 4, "iterations": 5, "seed": True}},
+    {"task": "sample", "graph": {"kind": "complete", "params": {"n": 6}},
+     "config": {"samples": 2, "steps": 10, "seed": 99}},
+], ids=["solve", "sample"])
+def test_a_config_seed_in_a_spec_is_refused(tmp_path, capsys, spec):
+    # solve would have run with the trial seed "True/trial0" and sample
+    # would have dropped the seed for its replicate seeds
+    spec["out_dir"] = str(tmp_path / "out")
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
+    assert ('a spec\'s one seed is its top-level "seed"; drop config\'s '
+            "seed" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_spec_on_a_kind_that_draws_no_seed_hashes_as_its_command_line(
         tmp_path):
     # the spec's seed seeds the trials, not the graph, as --seed does

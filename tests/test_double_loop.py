@@ -1,6 +1,7 @@
 """Double-loop dynamics: inner gating, failure policies, empirical laws,
 and the rejection sampler that targets the same squared-hafnian law."""
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -243,6 +244,33 @@ def test_a_window_builds_one_table_per_vertex_set(k6, monkeypatch):
     assert sets and len(set(sets)) == len(sets)
     assert all(len(table.keys) <= 60 for _, table in built)
     assert stats.calls > 10 * len(sets)
+
+
+def test_a_windows_tables_die_with_the_window(k6, monkeypatch):
+    """With the cyclic GC off, a K6 window's inner-chain tables, their
+    rows and their compound rows (which point at one another) are all
+    freed by the time the window returns."""
+    from gbsmc import pm_chain
+    built = spy_table_builds(monkeypatch, weak=True)
+    composed = []
+    real_compose = pm_chain._PMTable.compose
+
+    def compose(table):
+        composed.append(len(table.rows))
+        real_compose(table)
+
+    monkeypatch.setattr(pm_chain._PMTable, "compose", compose)
+    cfg = DoubleLoopConfig(chain=ChainConfig(c=0.5))
+    gc.collect()
+    gc.disable()
+    try:
+        _drive_double(k6, Matching(k6), cfg.chain.resolved_fugacity(), cfg,
+                      20_000, random.Random("tables"))
+        assert built and all(table() is None for _, table in built)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert 60 in composed
 
 
 @pytest.mark.parametrize("name", ["k6", "er8", "hard2"])

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gbsmc.diagnostics import transition_kernel
-from gbsmc.graphs import GraphSpec, Matching, gen_graph
+from gbsmc import pm_chain
+from gbsmc.graphs import Graph, GraphSpec, Matching, gen_graph
 from gbsmc.hafnian import enumerate_perfect_matchings
 from gbsmc.pm_chain import (
     PMConfigError,
@@ -17,6 +18,7 @@ from gbsmc.pm_chain import (
     PMStateError,
     default_inner_steps,
     _PMTable,
+    _compound,
     _picks,
     _pm_walk,
     _run_restricted,
@@ -146,24 +148,32 @@ def test_uniformity_on_k33():
 
 @pytest.mark.parametrize("name", ["k4", "k33", "square"])
 def test_pm_steps_follow_the_exact_kernel_powers(name, request):
-    """X_T from a perfect and a near-perfect start, T = 1, 2, 5, against
-    rows of P^T, on the step loop the samplers' restricted runs walk and
-    on the transition table the double loop walks."""
+    """X_T from a perfect and a near-perfect start, T = 1, 2, 3, 5, 6,
+    against rows of P^T, on the step loop the samplers' restricted runs
+    walk and on the transition table the double loop walks, there with its
+    compound rows.  With j steps a compound pick (3 on K4, 2 on K3,3, 4 on
+    the square), the table's attempts run on compound picks alone, on
+    single picks alone, and on both."""
     g = request.getfixturevalue(name)
     perfect = enumerate_perfect_matchings(g)[-1].pairs()
     starts = (perfect, perfect[1:])
     kernel = transition_kernel(g, "pm")
+    times = (1, 2, 3, 5, 6)
     check_kernel_powers(
         g, kernel, lambda x, steps, rng: pm_steps(g, x, steps, rng), starts,
-        label=f"pm/{name}")
+        label=f"pm/{name}", times=times)
     table = _PMTable(g, g.full_bits)
+    table.state(enumerate_perfect_matchings(g)[0].idxs)
+    table.compose()
 
     def on_table(x, steps, rng):
         end = Matching(g, table.keys[table.walk(table.state(x.idxs), steps,
                                                 1, rng)])
         x.idxs, x.covered, x.partner = end.idxs, end.covered, end.partner
 
-    check_kernel_powers(g, kernel, on_table, starts, label=f"pm/{name}/table")
+    check_kernel_powers(g, kernel, on_table, starts, label=f"pm/{name}/table",
+                        times=times)
+    assert len(table.crows) == len(table.rows)
 
 
 def _er12_set():
@@ -177,7 +187,43 @@ def _er12_set():
     return g, x.covered, x.idxs
 
 
-@pytest.mark.parametrize("name", ["k4", "k6", "k33", "er12"])
+@pytest.fixture
+def edge():
+    """One edge: k = 1, the walks' one set that only
+    :func:`sample_perfect_matching` meets, since the double loop forces
+    its inner draw on 2 vertices."""
+    return Graph(2, [(0, 1)])
+
+
+@pytest.fixture
+def two_edges():
+    return Graph(4, [(0, 1), (2, 3)])
+
+
+@pytest.fixture
+def path4():
+    return gen_graph(GraphSpec.of("path", n=4))
+
+
+@pytest.fixture
+def k44():
+    return gen_graph(GraphSpec.of("complete_bipartite", m=4, n=4))
+
+
+@pytest.fixture
+def k44_chord(k44):
+    """K4,4 and one edge inside a side: 17 edges, one past compound
+    picks."""
+    return Graph(8, list(k44.edges) + [(0, 1)])
+
+
+# graphs by edge count k, so by steps a compound pick: j = 8 (k = 1, 2),
+# 5 (3), 4 (4), 3 (6), 2 (9 to 16) and 1 (17)
+BY_EDGES = ["edge", "two_edges", "path4", "square", "k4", "k33", "k6", "k44",
+            "k44_chord"]
+
+
+@pytest.mark.parametrize("name", BY_EDGES + ["er12"])
 def test_table_walk_draws_what_the_step_loop_draws(name, request):
     """A run of draws, each from the last one's matching, with and without
     a table: the same results, successes and budget run-outs alike, and the
@@ -202,6 +248,83 @@ def test_table_walk_draws_what_the_step_loop_draws(name, request):
             start = want
     assert isinstance(tables[vbits], _PMTable)
     assert outcomes[True] and outcomes[False]
+
+
+def _composed_table(g, start):
+    """The table of all of ``g``, filled from ``start`` and with its
+    compound rows already composed."""
+    table = _PMTable(g, g.full_bits)
+    table.state(start)
+    table.compose()
+    return table
+
+
+@pytest.mark.parametrize("name", BY_EDGES)
+def test_compound_rows_walk_what_the_step_loop_walks(name, request):
+    """Draws on a table that walks compound rows from its first draw: the
+    same results and random draws as the step loop's, at step counts that
+    j divides and ones it does not."""
+    g = request.getfixturevalue(name)
+    vbits, start = g.full_bits, enumerate_perfect_matchings(g)[0].idxs
+    tables = {vbits: _composed_table(g, start)}
+    loop_rng, table_rng = random.Random(name), random.Random(name)
+    for t in range(200):
+        steps, attempts = (1, 2, 3, 8, 40, 41)[t % 6], 1 + t % 3
+        want = _run_restricted(g, vbits, start, steps, attempts, loop_rng)
+        got = _run_restricted(g, vbits, start, steps, attempts, table_rng,
+                              tables)
+        assert got == want
+        assert loop_rng.getstate() == table_rng.getstate()
+        if want is not None:
+            start = want
+
+
+@pytest.mark.parametrize("name", ["k4", "k6", "k44_chord"])
+def test_walks_past_a_chunk_of_compound_picks_draw_alike(name, request,
+                                                         monkeypatch):
+    """With chunks of 5 picks, walks of many chunks: the step loop draws
+    leg by leg and the compound rows read the picks chunk by chunk, and
+    both consume the same draws."""
+    monkeypatch.setattr(pm_chain, "_CHUNK", 5)
+    g = request.getfixturevalue(name)
+    vbits, start = g.full_bits, enumerate_perfect_matchings(g)[0].idxs
+    j = _compound(g.m)[0]
+    tables = {vbits: _composed_table(g, start)}
+    loop_rng, table_rng = random.Random(name), random.Random(name)
+    for steps in (5 * j, 5 * j + 1, 15 * j - 1, 15 * j, 15 * j + 1, 64):
+        want = _run_restricted(g, vbits, start, steps, 3, loop_rng)
+        got = _run_restricted(g, vbits, start, steps, 3, table_rng, tables)
+        assert got == want
+        assert loop_rng.getstate() == table_rng.getstate()
+
+
+def test_a_one_edge_graph_takes_eight_steps_a_byte(edge):
+    """k = 1 carries j = 8 steps a pick: a 20-step attempt of
+    sample_perfect_matching draws 2 compound bytes, then 4 single ones,
+    and ends on the one perfect matching (20 is even)."""
+    rng, ref = random.Random(1), random.Random(1)
+    out = sample_perfect_matching(
+        edge, PMSamplerConfig(inner_steps=20, max_attempts=1),
+        Matching(edge, {0}), rng)
+    ref.randbytes(2)
+    ref.randbytes(4)
+    assert out.idxs == {0}
+    assert rng.getstate() == ref.getstate()
+
+
+def test_compound_rows_are_composed_once_the_table_walked_their_size(k6):
+    """K6's table (60 states, j = 2 on 15 edges) composes its 60 * 225
+    compound entries at the first walk after 13,500 table steps."""
+    table = _PMTable(k6, k6.full_bits)
+    s = table.state(enumerate_perfect_matchings(k6)[0].idxs)
+    rng = random.Random(0)
+    table.walk(s, 13_499, 1, rng)
+    table.walk(s, 1, 1, rng)
+    assert not table.crows
+    table.walk(s, 1, 1, rng)
+    assert len(table.crows) == 60
+    assert all(len(crow) == 226 and crow[-1] == s
+               for s, crow in enumerate(table.crows))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
