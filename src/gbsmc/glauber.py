@@ -131,6 +131,14 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     whose probability is 1.  X_t has the step chain's law at every t; a
     refused removal is a hold.
 
+    A move writes the partner table and the loop's vertex bitset.  The
+    edge set ``x.idxs`` is kept at every move only where it is read
+    between moves, by ``remove_ok`` or a matching key; elsewhere plain
+    steps leave it stale, and it is rebuilt from the partner table where
+    events or the window's end next read it.  Event slides write only
+    X's edge list, and the bitset and the edge set follow it where next
+    read.
+
     ``target_edges`` is both the post-selection size and a cap: at
     |X| = ``target_edges`` an add holds, and R drops its m * p_add term.
     This is the Metropolis restriction of the chain to |X| <= the cap: its
@@ -165,28 +173,32 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     # the next sample point; they are burn_in + thin * j, j >= 1
     point = burn_in + thin if collect is not None else end + 1
     vertex_keys = key_kind == "vertexset"
+    # plain steps keep the edge set only where it is read between moves
+    live = remove_ok is not None or (collect is not None and not vertex_keys)
 
-    def count(covered, last, point):
-        """Count the state ``covered`` at the sample points from ``point``
-        to ``last``; returns the next point."""
+    def count(covered, last, point, of=idxs):
+        """Count the state ``covered``, whose edge indices are ``of``, at
+        the sample points from ``point`` to ``last``; returns the next
+        point."""
         k = (last - point) // thin + 1
         collect[covered if vertex_keys else
-                tuple(sorted(edges[i] for i in idxs))] += k
+                tuple(sorted(edges[i] for i in of))] += k
         return point + k * thin
 
     add_coin, rem_coin, slide_coin = p_add < 1, p_rem < 1, p_slide < 1
     snap, snap_step = None, None
     covered = x.covered
     xs = sorted(idxs)  # the edges of X, as a list for uniform picks
+    size = len(xs)
     t = 0           # X is the state from step t on
     while t < end:
-        size = len(xs)
         rate = (0 if size == target_edges else m * p_add) + size * per_edge
         if _CROSSOVER * rate >= m > 0:
             # plain steps; a move at step t first counts X_{t-1} at its
             # sample points and, if it leaves the target size, post-selects
-            # it
-            add, remove = idxs.add, idxs.remove
+            # it.  A move writes partner, covered and size, and the edge
+            # set only if live; xs is rebuilt where events next read it.
+            xs = None
             for i in _picks(rng, m, min(_STEP_BLOCK, end - t)):
                 t += 1
                 u, v = edges[i]
@@ -195,11 +207,13 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                 if pu == pv:  # both free: covered ends have distinct partners
                     if add_coin and rnd() >= p_add:
                         continue
-                    if len(idxs) == target_edges:
+                    if size == target_edges:
                         continue  # the cap: an add holds
                     if point < t:
                         point = count(covered, t - 1, point)
-                    add(i)
+                    if live:
+                        idxs.add(i)
+                    size += 1
                     partner[u] = v
                     partner[v] = u
                     covered |= ebits[i]
@@ -212,9 +226,11 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                             continue
                     if point < t:
                         point = count(covered, t - 1, point)
-                    if len(idxs) == target_edges:
+                    if size == target_edges:
                         snap, snap_step = covered, t - 1
-                    remove(i)
+                    if live:
+                        idxs.remove(i)
+                    size -= 1
                     partner[u] = -1
                     partner[v] = -1
                     covered ^= ebits[i]
@@ -223,27 +239,31 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                         continue
                     if point < t:
                         point = count(covered, t - 1, point)
-                    # edge i slides in for edge j = (v, z) or (u, z)
+                    # edge i slides in for the edge that covers one of its
+                    # ends: its free end w is covered, that edge's far end
+                    # z is freed
                     if pu == -1:
-                        z = pv
-                        j = eindex[(v, z) if v < z else (z, v)]
+                        w, z = u, pv
                     else:
-                        z = pu
-                        j = eindex[(u, z) if u < z else (z, u)]
-                    remove(j)
-                    add(i)
+                        w, z = v, pu
+                    if live:
+                        c = partner[z]
+                        idxs.remove(eindex[(c, z) if c < z else (z, c)])
+                        idxs.add(i)
                     partner[z] = -1
                     partner[u] = v
                     partner[v] = u
-                    covered ^= ebits[i] ^ ebits[j]
-            xs = sorted(idxs)
+                    covered ^= 1 << w | 1 << z
             continue
         if not rate:
             break  # no edges: the state holds to the window's end
+        if xs is None:
+            xs = sorted(idxs) if live else _relist(idxs, partner, eindex)
         # events at this size: a candidate r in [0, R) slides if
         # q = r / p_slide names one of the slots (covered vertex, offset),
-        # removes below ``out`` and adds above.  Slides leave covered
-        # stale, to be rebuilt from xs where it is next read.
+        # removes below ``out`` and adds above.  Slides write only xs and
+        # partner, leaving covered and the edge set stale, to be rebuilt
+        # from xs where they are next read.
         # R/m below 1e-300 holds to the window end: no float holds the wait
         scale = 1.0 / min(-1e-300, log1p(-rate / m))
         slots = 2 * size * offsets
@@ -259,8 +279,7 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
             if q < slots:
                 k = q // offsets
                 o = q - k * offsets
-                j = xs[k >> 1]
-                a, z = edges[j]
+                a, z = edges[xs[k >> 1]]
                 if k & 1:
                     a, z = z, a
                 nb = nbrs[a]
@@ -273,18 +292,15 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                     continue  # both ends covered: the step holds
                 if point < t:
                     point = count(sum(map(ebits.__getitem__, xs)), t - 1,
-                                  point)
-                i = eindex[(a, w) if a < w else (w, a)]
-                xs[k >> 1] = i
-                idxs.remove(j)
-                idxs.add(i)
+                                  point, xs)
+                xs[k >> 1] = eindex[(a, w) if a < w else (w, a)]
                 partner[z] = -1
                 partner[a] = w
                 partner[w] = a
                 stale = True
                 continue
             if stale:
-                covered = sum(map(ebits.__getitem__, xs))
+                covered = _resync(idxs, xs, ebits)
                 stale = False
             if r < out:
                 k = int(rnd() * size)
@@ -306,25 +322,46 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
             if k < 0:
                 xs.append(i)
                 idxs.add(i)
+                size += 1
                 partner[u] = v
                 partner[v] = u
             else:
                 xs[k] = xs[-1]
                 xs.pop()
                 idxs.remove(i)
+                size -= 1
                 partner[u] = -1
                 partner[v] = -1
             covered ^= ebits[i]
             break
         if stale:
-            covered = sum(map(ebits.__getitem__, xs))
+            covered = _resync(idxs, xs, ebits)
+    if xs is None and not live:
+        _relist(idxs, partner, eindex)
     # the window's last state holds to its end
     x.covered = covered
-    if len(idxs) == target_edges:
+    if size == target_edges:
         snap, snap_step = covered, end
     if point <= end:
         count(covered, end, point)
     return snap, snap_step
+
+
+def _relist(idxs, partner, eindex):
+    """X's edge indices in ascending order, read from the partner table;
+    the edge set ``idxs`` is set to them."""
+    xs = [eindex[u, w] for u, w in enumerate(partner) if u < w]
+    idxs.clear()
+    idxs.update(xs)
+    return xs
+
+
+def _resync(idxs, xs, ebits):
+    """Bring the edge set ``idxs`` to X's edges ``xs`` after slides;
+    returns X's vertex bitset."""
+    idxs.clear()
+    idxs.update(xs)
+    return sum(map(ebits.__getitem__, xs))
 
 
 def _drive_glauber(g, x, lam, lazy, steps, rng, **kw):

@@ -104,7 +104,8 @@ class Matching:
     *indices* into ``g.edges`` plus two derived views that the chains keep
     incrementally up to date: ``covered`` (bitset of matched vertices) and
     ``partner`` (list mapping each matched vertex to its partner, -1 when
-    unmatched).  Mutating methods keep all three in sync.
+    unmatched).  Mutating methods keep all three in sync; a chain window
+    may let ``idxs`` lag inside it, and brings it up to date by its end.
     """
 
     __slots__ = ("g", "idxs", "covered", "partner")
@@ -160,6 +161,9 @@ class Matching:
             if covered & b:
                 raise GraphError("matching edges are not vertex-disjoint")
             covered |= b
+            u, v = self.g.edges[i]
+            if self.partner[u] != v:
+                raise GraphError("partner array out of sync")
         if covered != self.covered:
             raise GraphError("covered bitset out of sync")
         if covered.bit_count() != 2 * len(self.idxs):

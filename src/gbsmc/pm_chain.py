@@ -261,11 +261,10 @@ def table_transitions(q: int) -> int:
 
 
 def _inner_edges(g: Graph, vbits: int) -> list:
-    """Indices of the edges inside the vertex set ``vbits``, in index
+    """The edges ``(a, z)`` inside the vertex set ``vbits``, in index
     order (the edge list is sorted)."""
-    eindex = g.edge_index
     adj = g.adj
-    return [eindex[(a, z)] for a in bits_to_tuple(vbits)
+    return [(a, z) for a in bits_to_tuple(vbits)
             for z in bits_to_tuple(adj[a] & vbits) if z > a]
 
 
@@ -296,7 +295,8 @@ class _PMTable:
     def __init__(self, g: Graph, vbits: int):
         self.g = g
         self.half = vbits.bit_count() // 2
-        self.moves = [g.edges[i] + (i,) for i in _inner_edges(g, vbits)]
+        self.moves = [(a, z, g.edge_index[a, z])
+                      for a, z in _inner_edges(g, vbits)]
         self.ids = {}
         self.keys = []
         self.rows = []
@@ -428,7 +428,7 @@ def _run_restricted(g: Graph, vbits: int, start_idxs, steps: int,
         partner[u] = v
         partner[v] = u
     holes = 0  # start state is perfect by contract
-    moves = [g.edges[i] for i in _inner_edges(g, vbits)]
+    moves = _inner_edges(g, vbits)
     got = None
     walked = 0
     for _ in range(attempts):

@@ -15,6 +15,7 @@ from gbsmc.glauber import (
     ChainConfigError,
     _drive_glauber,
     _drive_jerrum,
+    _run_add_remove,
     move_probabilities,
     sample_states,
 )
@@ -468,6 +469,84 @@ def test_post_selected_window_reports_a_step_inside_it(start_step):
             assert step == start_step + 30
             assert snap == x.covered
     assert seen > 50
+
+
+def _window_graph(name):
+    if name == "k6":
+        return gen_graph(GraphSpec.of("complete", n=6))
+    return gen_graph(GraphSpec.of("erdos_renyi", n=64, p=0.3), seed=7)
+
+
+# (chain, graph, lambda, modes): K6 at lambda = 1 runs plain steps only.
+# ER(64, 0.3) runs events at small lambda, jerrum's mostly slides; jerrum
+# hands over to plain steps at three edges, and glauber near lambda = 0.3
+MODE_CASES = [("glauber", "k6", 1.0, "plain"),
+              ("jerrum", "k6", 1.0, "plain"),
+              ("glauber", "er64", 0.002, "events"),
+              ("jerrum", "er64", 0.001, "events"),
+              ("jerrum", "er64", 0.05, "both"),
+              ("glauber", "er64", 0.3, "both")]
+
+
+def _check_modes(batches, steps, modes):
+    """The windows ran the modes that their case names."""
+    plain = sum(batches)
+    if modes == "plain":
+        assert plain == steps
+    elif modes == "events":
+        assert plain == 0
+    else:
+        assert 0 < plain < steps
+
+
+@pytest.mark.parametrize("chain,graph,lam,modes", MODE_CASES)
+def test_windows_leave_x_whole_in_its_own_edge_set(chain, graph, lam, modes,
+                                                   monkeypatch):
+    """Plain steps leave X's edge set stale and event slides leave it
+    behind X's edge list; after every window, whichever mode it ends in,
+    ``x.idxs`` is the same set object and agrees with the partner table
+    and the vertex bitset."""
+    batches = spy_plain_steps(monkeypatch)
+    g = _window_graph(graph)
+    drive = _drive_glauber if chain == "glauber" else _drive_jerrum
+    x = Matching(g)
+    idxs = x.idxs
+    rng = random.Random(f"{chain}/{graph}/{lam}")
+    slid = steps = 0
+    for w in range(1, 80):
+        before = x.pairs()
+        drive(g, x, lam, False, 7 * w, rng)
+        steps += 7 * w
+        assert x.idxs is idxs
+        x.validate()
+        slid += len(x.pairs()) == len(before) and x.pairs() != before
+    _check_modes(batches, steps, modes)
+    if chain == "jerrum" and modes == "events":
+        assert slid  # windows that end in events after slides
+
+
+@pytest.mark.parametrize("chain,graph,lam,modes", MODE_CASES)
+def test_remove_ok_sees_x_current(chain, graph, lam, modes, monkeypatch):
+    """A removal check reads ``x.idxs`` and ``x.covered``: at every call
+    they hold X_{t-1}, the edge to remove included, in both modes and
+    after slides."""
+    batches = spy_plain_steps(monkeypatch)
+    g = _window_graph(graph)
+    x = Matching(g)
+    calls = []
+
+    def remove_ok(i, t):
+        x.validate()
+        assert i in x.idxs
+        calls.append(t)
+        return t % 3 > 0
+
+    p_add, p_rem, p_slide = move_probabilities(chain, lam)
+    _run_add_remove(g, x, p_add, p_rem, 20_000, random.Random(lam),
+                    remove_ok, p_slide=p_slide)
+    x.validate()
+    assert len(calls) > 10
+    _check_modes(batches, 20_000, modes)
 
 
 @pytest.mark.parametrize("dynamics", ["glauber", "jerrum"])
