@@ -1041,14 +1041,14 @@ class ExperimentSpec:
         # sample writes one file per replicate, each from its own stream;
         # the first line that runs makes the directory
         out_dir = _resolve_out(self.out_dir)
-        name = str(config.pop("out", "samples.csv"))
-        stem, dot, ext = name.partition(".")
+        out = Path(str(config.pop("out", "samples.csv")))
+        stem, dot, ext = out.name.partition(".")
         lines = []
         for r in range(self.replicates):
             if self.replicates > 1:
-                name = f"{stem}_{r}{dot}{ext}"
+                out = out.parent / f"{stem}_{r}{dot}{ext}"
             lines.append(_spec_argv(words, options, {
-                **given, **config, "out": out_dir / name,
+                **given, **config, "out": out_dir / out,
                 "seed": derive_seed(self.seed, f"replicate{r}")}))
         return lines
 

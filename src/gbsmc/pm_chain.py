@@ -17,26 +17,29 @@ sampler for perfect matchings.
 
 An attempt's edge picks come in bulk from :func:`_picks`: exactly uniform
 indices drawn by rejection from ``rng.randbytes``, not one ``random()``
-call a step.  The chain flips no other coin.  On k edges one byte pick
-carries j steps, j the largest with k^j <= 256 (at most 8; 2 on K6's 15
-edges, 3 on K4's 6, 1 past 16 edges): :func:`_walk_picks` draws an
-n-step attempt as n // j compound picks from ``range(k ** j)``, whose
-base-k digits are the picks of j steps, then n % j single picks.
+call a step.  The chain flips no other coin.
 
-The chain runs in one of two walks, which read the same picks and so
-reach the same states.  The step loop, :func:`_pm_walk`, spells each
-compound pick out as its digits and moves a partner array.  A transition
-table, :class:`_PMTable`, lists the states of the chain on one vertex set
-and, for each, the state every pick leads to, so an attempt is one
-``reduce`` over the picks; once the steps walked on the table reach
-states times k^j, it composes rows that take a compound pick in one
-lookup.  The double loop keeps one table per vertex set for a window,
-built only once earlier draws on that set have walked as many steps as
-the table of a complete graph of its size has transitions
-(:func:`table_transitions`: 54 at 4 vertices, 900 at 6, 14,700 at 8,
-4.8e6 at 12), and frees them when the window ends.  So a table never has
-more transitions, nor compound entries, than steps already walked on its
-set, and large vertex sets, which rarely repeat, stay on the step loop.
+The chain runs in one of two walks.  The step loop, :func:`_pm_walk`,
+reads one pick a step and moves a partner array.  A transition table,
+:class:`_PMTable`, lists the states of the chain on one vertex set and,
+for each, the state every pick leads to, so an attempt is one ``reduce``
+over the picks.  On k <= 16 edges a table walks compound picks: one
+byte pick carries j steps, j the largest with k^j <= 256 (at most 8; 2 on
+K6's 15 edges, 3 on K4's 6), and :func:`_walk_picks` draws an n-step
+attempt as n // j compound picks from ``range(k ** j)``, whose base-k
+digits are the picks of j steps, then n % j single picks.  Compound picks
+go with tables and single picks with the step loop; past 16 edges j = 1,
+so there both walks read the same picks.
+
+The double loop keeps one table per vertex set for a window and frees
+them when the window ends.  A set of at most 16 edges gets its table at
+its first draw, and the table composes its compound rows at its first
+walk.  A larger set gets its table only once earlier draws on it have
+walked as many steps as the table of a complete graph of its size has
+transitions (:func:`table_transitions`: 14,700 at 8 vertices, 4.8e6 at
+12), so such a table never has more transitions than steps already walked
+on its set, and large vertex sets, which rarely repeat, stay on the step
+loop.  When its table is built changes no draw of such a set.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import chain, repeat
+from itertools import chain
 from operator import getitem, iadd
 from typing import Optional
 
@@ -171,55 +174,29 @@ def _picks(rng, k: int, n: int):
     return out
 
 
-def _compound(k: int):
-    """``(j, digits)`` for walks on ``k`` edges.  j is the number of steps
-    one compound pick carries: the largest j <= 8 with k^j <= 256, so 1
-    past k = 16.  ``digits[d]`` is the ``bytes.translate`` table that
-    takes compound pick c to its d-th base-k digit, most significant
-    first; there are none where j = 1."""
-    return _compound_digits(k) if k <= 16 else (1, ())
-
-
 @cache
-def _compound_digits(k: int):
+def _compound(k: int) -> int:
+    """The steps one compound pick carries on ``k`` edges: the largest
+    j <= 8 with k^j <= 256, so 1 past k = 16."""
     j = 1
     while j < 8 and k ** (j + 1) <= 256:
         j += 1
-    return j, tuple(bytes(c // k ** (j - 1 - d) % k if c < k ** j else 0
-                          for c in range(256)) for d in range(j))
+    return j
 
 
 def _walk_picks(rng, k: int, n: int):
-    """The picks of an ``n``-step walk on ``k`` edges, as a pair: n // j
-    compound picks from ``range(k ** j)``, each the next j steps' picks as
-    its base-k digits (:func:`_compound`), then n % j single picks from
-    ``range(k)``.  The single picks are drawn after the compound ones,
-    which past ``_CHUNK`` of them :func:`_picks` draws as they are used."""
-    j = _compound(k)[0]
+    """The picks of an ``n``-step table walk on ``k`` edges, as a pair:
+    n // j compound picks from ``range(k ** j)``, each the next j steps'
+    picks as its base-k digits, most significant first
+    (:func:`_compound`), then n % j single picks from ``range(k)``.  The
+    single picks are drawn after the compound ones, which past ``_CHUNK``
+    of them :func:`_picks` draws as they are used."""
+    j = _compound(k)
     whole = _picks(rng, k ** j, n // j)
     if n // j > _CHUNK:
         return whole, chain.from_iterable(map(_picks, (rng,), (k,),
                                               (n % j,)))
     return whole, _picks(rng, k, n % j) if n % j else b""
-
-
-def _step_picks(rng, k: int, n: int):
-    """The picks of :func:`_walk_picks`, one a step: each compound pick
-    spelt out as its j digits."""
-    j, digits = _compound(k)
-    if j == 1:
-        return _picks(rng, k, n)
-    leg = _CHUNK * j
-    if n > leg:
-        # legs of _CHUNK compound picks draw what the whole walk draws
-        return chain.from_iterable(map(
-            _step_picks, repeat(rng), repeat(k),
-            [leg] * (n // leg) + [n % leg]))
-    whole, rest = _walk_picks(rng, k, n)
-    out = bytearray(len(whole) * j)
-    for d, table in enumerate(digits):
-        out[d::j] = whole.translate(table)
-    return out + rest
 
 
 def _pm_walk(partner, holes: int, moves, steps: int, rng) -> int:
@@ -228,9 +205,9 @@ def _pm_walk(partner, holes: int, moves, steps: int, rng) -> int:
     uncovered-vertex count, 0 or 2; returns the new one.
 
     ``moves[r]`` is ``(u, v)`` for the r-th proposable edge.  The picks
-    come from ``_step_picks(rng, len(moves), steps)``.
+    are single: ``_picks(rng, len(moves), steps)``.
     """
-    for r in _step_picks(rng, len(moves), steps):
+    for r in _picks(rng, len(moves), steps):
         u, v = moves[r]
         pu = partner[u]
         pv = partner[v]
@@ -286,10 +263,10 @@ class _PMTable:
     ``crows`` are the compound rows, the same for compound picks
     (:func:`_walk_picks`): ``crows[s][c]`` is the compound row of the state
     that the j steps of compound pick ``c`` lead to, and ``crows[s][-1]``
-    is ``s``.  They are composed from the rows once the steps walked on the
-    table reach their entry count, states times k^j, and are empty before
-    that (and where j = 1).  Rows point at rows, so :meth:`free` breaks
-    those cycles when the table is done with.
+    is ``s``.  A table of at most 16 edges composes them at its first walk,
+    and again after a start it lacked grew it; a larger one (j = 1) has
+    none and walks single picks.  Rows point at rows, so :meth:`free`
+    breaks those cycles when the table is done with.
     """
 
     def __init__(self, g: Graph, vbits: int):
@@ -301,7 +278,6 @@ class _PMTable:
         self.keys = []
         self.rows = []
         self.crows = []
-        self.walked = 0
 
     def _add(self, key) -> int:
         """Number the new state ``key``, giving it a row still to fill."""
@@ -359,7 +335,7 @@ class _PMTable:
         step = [[nxt[k] for nxt in row[:k]] for row in self.rows]
         crows = self.crows = [[] for _ in self.rows]
         ends = [[crow] for crow in crows]
-        for _ in range(_compound(k)[0] - 1):
+        for _ in range(_compound(k) - 1):
             ends = [reduce(iadd, map(ends.__getitem__, targets), [])
                     for targets in step]
         for s, (crow, targets) in enumerate(zip(crows, step)):
@@ -374,27 +350,25 @@ class _PMTable:
     def walk(self, s: int, steps: int, attempts: int, rng) -> int:
         """From state ``s``, up to ``attempts`` rounds of ``steps`` moves,
         stopping after the first round that ends perfect; returns the last
-        state.  The picks are ``_pm_walk``'s."""
+        state.  Each round reads :func:`_walk_picks`' picks, compound rows
+        first."""
         keys = self.keys
         half = self.half
         rows = self.rows
         k = len(self.moves)
-        j = _compound(k)[0]
-        if (j > 1 and not self.crows
-                and self.walked >= len(rows) * k ** j):
+        if _compound(k) > 1 and not self.crows:
             self.compose()
         crows = self.crows
         row = rows[s]
-        for done in range(1, attempts + 1):
+        for _ in range(attempts):
             if crows:
                 whole, rest = _walk_picks(rng, k, steps)
                 row = rows[reduce(getitem, whole, crows[row[k]])[-1]]
-                row = reduce(getitem, rest, row)
             else:
-                row = reduce(getitem, _step_picks(rng, k, steps), row)
+                rest = _picks(rng, k, steps)
+            row = reduce(getitem, rest, row)
             if len(keys[row[k]]) == half:
                 break
-        self.walked += done * steps
         return row[k]
 
 
@@ -408,38 +382,42 @@ def _run_restricted(g: Graph, vbits: int, start_idxs, steps: int,
     cover ``vbits`` exactly (the outer chain's own state, in the double-loop
     context).
 
-    ``tables`` is a caller's memory across draws, by vertex set: the steps
-    walked there so far, replaced by the set's :class:`_PMTable` once they
-    reach :func:`table_transitions`, so that a table never has more
-    transitions than steps already walked on its set.
+    ``tables`` is a caller's memory across draws, by vertex set.  A set of
+    at most 16 edges gets its :class:`_PMTable` there at its first draw and
+    walks compound picks on it.  A larger set keeps the steps walked on it
+    so far, read on the step loop, until they reach
+    :func:`table_transitions`; then its table replaces them, so that it
+    never has more transitions than steps already walked on its set.
+    Without ``tables`` every draw takes the step loop, on single picks.
     """
-    if tables is not None:
-        table = tables.get(vbits, 0)
-        if not isinstance(table, _PMTable) and table >= table_transitions(
-                len(start_idxs)):
+    table = None if tables is None else tables.get(vbits, 0)
+    if not isinstance(table, _PMTable):
+        moves = _inner_edges(g, vbits)
+        if table is not None and (
+                _compound(len(moves)) > 1
+                or table >= table_transitions(len(start_idxs))):
             table = tables[vbits] = _PMTable(g, vbits)
-        if isinstance(table, _PMTable):
-            got = table.keys[table.walk(table.state(start_idxs), steps,
-                                        attempts, rng)]
-            return got if len(got) == table.half else None
+    if isinstance(table, _PMTable):
+        got = table.keys[table.walk(table.state(start_idxs), steps,
+                                    attempts, rng)]
+        return got if len(got) == table.half else None
     partner = [-1] * g.n
     for i in start_idxs:
         u, v = g.edges[i]
         partner[u] = v
         partner[v] = u
     holes = 0  # start state is perfect by contract
-    moves = _inner_edges(g, vbits)
     got = None
     walked = 0
     for _ in range(attempts):
         holes = _pm_walk(partner, holes, moves, steps, rng)
         walked += steps
         if holes == 0:
-            got = {g.edge_index[(u, w)] for u, w in enumerate(partner)
-                   if u < w}
+            got = {g.edge_index[u, partner[u]]
+                   for u in bits_to_tuple(vbits) if u < partner[u]}
             break
     if tables is not None:
-        tables[vbits] = tables.get(vbits, 0) + walked
+        tables[vbits] = table + walked
     return got
 
 

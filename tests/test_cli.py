@@ -925,3 +925,35 @@ def test_spec_writes_what_its_command_line_writes(tmp_path):
                "--out", tmp_path / "s-cli" / "samples.csv") == EXIT_OK
     assert ((tmp_path / "s-spec" / "samples.csv").read_bytes()
             == (tmp_path / "s-cli" / "samples.csv").read_bytes())
+
+
+def test_sample_replicates_number_the_file_name_under_a_dotted_directory(
+        tmp_path):
+    """Each replicate writes what its command line writes, to a file whose
+    name, not directory, takes the replicate's number."""
+    spec = {"task": "sample", "seed": 3, "out_dir": str(tmp_path / "spec"),
+            "replicates": 2,
+            "graph": {"kind": "complete", "params": {"n": 6}},
+            "config": {"steps": 20, "samples": 5, "fugacity": 1,
+                       "out": "v1.2/samples.csv"}}
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
+    written = sorted(p.relative_to(tmp_path / "spec").as_posix()
+                     for p in (tmp_path / "spec").rglob("*") if p.is_file())
+    assert written == ["v1.2/samples_0.csv", "v1.2/samples_1.csv"]
+    for r in range(2):
+        cli = tmp_path / "cli" / f"samples_{r}.csv"
+        assert run("sample", "--gen", "complete", "--n", 6, "--steps", 20,
+                   "--samples", 5, "--lambda", 1, "--seed",
+                   f"3/replicate{r}", "--out", cli) == EXIT_OK
+        assert ((tmp_path / "spec" / "v1.2" / f"samples_{r}.csv").read_bytes()
+                == cli.read_bytes())
+
+
+def test_bench_spec_replicates_become_seeds(tmp_path):
+    spec = {"task": "bench", "name": "planted-clique", "replicates": 2,
+            "out_dir": str(tmp_path / "spec"),
+            "config": {"scale": 16, "iterations": 20, "mixing_steps": 200}}
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
+    assert run("bench", "planted-clique", *_SEARCH_FLAGS,
+               "--out-dir", tmp_path / "cli") == EXIT_OK
+    assert _run_files(tmp_path / "spec") == _run_files(tmp_path / "cli")

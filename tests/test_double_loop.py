@@ -273,6 +273,35 @@ def test_a_windows_tables_die_with_the_window(k6, monkeypatch):
     assert 60 in composed
 
 
+def test_a_windows_first_draw_on_a_set_walks_compound_rows(k6, monkeypatch):
+    """Every V(X) of K6 holds at most 15 edges, so a K6 window's chain
+    inner draws never take the step loop: each set's table is built at its
+    first draw, and that draw already walks compound rows."""
+    from gbsmc import pm_chain
+
+    def no_step_loop(*args):
+        raise AssertionError("the step loop ran")
+
+    monkeypatch.setattr(pm_chain, "_pm_walk", no_step_loop)
+    built = spy_table_builds(monkeypatch)
+    real_walk = pm_chain._PMTable.walk
+    walks = Counter()
+
+    def walk(table, *args):
+        end = real_walk(table, *args)
+        assert table.crows
+        walks[id(table)] += 1
+        return end
+
+    monkeypatch.setattr(pm_chain._PMTable, "walk", walk)
+    cfg = DoubleLoopConfig(chain=ChainConfig(c=0.5))
+    stats = InnerStats()
+    _drive_double(k6, Matching(k6), cfg.chain.resolved_fugacity(), cfg,
+                  5_000, random.Random("first draws"), stats=stats)
+    assert built and set(walks) == {id(table) for _, table in built}
+    assert sum(walks.values()) == stats.calls
+
+
 @pytest.mark.parametrize("name", ["k6", "er8", "hard2"])
 def test_search_gate_runs_the_exact_window_below_the_constant(name,
                                                              monkeypatch):

@@ -3,6 +3,8 @@
 import math
 import random
 from collections import Counter
+from functools import reduce
+from operator import getitem
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +24,7 @@ from gbsmc.pm_chain import (
     _picks,
     _pm_walk,
     _run_restricted,
+    _walk_picks,
     default_max_attempts,
     sample_perfect_matching,
     table_transitions,
@@ -177,9 +180,9 @@ def test_pm_steps_follow_the_exact_kernel_powers(name, request):
 
 
 def _er12_set():
-    """An ER(12, 1/2) graph, the vertex set of a 4-edge matching of it, and
-    that matching."""
-    g = gen_graph(GraphSpec.of("erdos_renyi", n=12, p=0.5), seed=4)
+    """An ER(12, 0.8) graph, the vertex set of a 4-edge matching of it, and
+    that matching.  The set holds 18 edges, past compound picks."""
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=12, p=0.8), seed=4)
     x = Matching(g)
     for i, bits in enumerate(g.edge_bits):
         if not x.covered & bits and len(x.idxs) < 4:
@@ -189,9 +192,8 @@ def _er12_set():
 
 @pytest.fixture
 def edge():
-    """One edge: k = 1, the walks' one set that only
-    :func:`sample_perfect_matching` meets, since the double loop forces
-    its inner draw on 2 vertices."""
+    """One edge: k = 1, a set the double loop never draws on, since it
+    forces its inner draw on 2 vertices."""
     return Graph(2, [(0, 1)])
 
 
@@ -217,28 +219,61 @@ def k44_chord(k44):
     return Graph(8, list(k44.edges) + [(0, 1)])
 
 
+@pytest.fixture
+def k8():
+    return gen_graph(GraphSpec.of("complete", n=8))
+
+
 # graphs by edge count k, so by steps a compound pick: j = 8 (k = 1, 2),
 # 5 (3), 4 (4), 3 (6), 2 (9 to 16) and 1 (17)
 BY_EDGES = ["edge", "two_edges", "path4", "square", "k4", "k33", "k6", "k44",
             "k44_chord"]
 
 
-@pytest.mark.parametrize("name", BY_EDGES + ["er12"])
+def _spelled(rng, k, steps):
+    """The picks of one ``steps``-step table attempt on ``k`` edges, one a
+    step: each compound pick of :func:`_walk_picks` written out as its j
+    base-k digits, most significant first, then the single picks."""
+    j = _compound(k)
+    whole, rest = _walk_picks(rng, k, steps)
+    return [c // k ** (j - 1 - d) % k for c in whole
+            for d in range(j)] + list(rest)
+
+
+class SpelledBytes:
+    """An RNG stub for the step loop on ``k`` edges: each ``randbytes``
+    call, one an attempt of at most ``_CHUNK`` steps, returns the digits
+    of a table attempt's picks drawn from ``rng``."""
+
+    def __init__(self, rng, k):
+        self.rng = rng
+        self.k = k
+
+    def randbytes(self, n):
+        return bytes(_spelled(self.rng, self.k, n))
+
+
+@pytest.mark.parametrize("name", BY_EDGES + ["er12", "k8"])
 def test_table_walk_draws_what_the_step_loop_draws(name, request):
     """A run of draws, each from the last one's matching, with and without
-    a table: the same results, successes and budget run-outs alike, and the
-    same random draws consumed."""
+    a window's tables: the same results, successes and budget run-outs
+    alike, and the same random draws consumed.  Past 16 edges both walks
+    read the same picks.  On at most 16 edges the table, built at the
+    first draw, reads compound picks, and the step loop is fed their
+    digits."""
     if name == "er12":
         g, vbits, start = _er12_set()
     else:
         g = request.getfixturevalue(name)
         vbits, start = g.full_bits, enumerate_perfect_matchings(g)[0].idxs
     loop_rng, table_rng = random.Random(name), random.Random(name)
-    tables = {vbits: table_transitions(len(start))}
+    k = len(pm_chain._inner_edges(g, vbits))
+    loop = loop_rng if k > 16 else SpelledBytes(loop_rng, k)
+    tables = {vbits: table_transitions(len(start))} if k > 16 else {}
     outcomes = Counter()
     for t in range(300):
         steps, attempts = (1, 2, 3, 8, 40)[t % 5], 1 + t % 3
-        want = _run_restricted(g, vbits, start, steps, attempts, loop_rng)
+        want = _run_restricted(g, vbits, start, steps, attempts, loop)
         got = _run_restricted(g, vbits, start, steps, attempts, table_rng,
                               tables)
         assert got == want
@@ -250,80 +285,94 @@ def test_table_walk_draws_what_the_step_loop_draws(name, request):
     assert outcomes[True] and outcomes[False]
 
 
-def _composed_table(g, start):
-    """The table of all of ``g``, filled from ``start`` and with its
-    compound rows already composed."""
-    table = _PMTable(g, g.full_bits)
-    table.state(start)
-    table.compose()
-    return table
+def _check_table_against_spelled_picks(g, schedule, seed):
+    """Draws on a table that walks compound rows from its first draw, each
+    from the last one's matching, pick for pick against the same table's
+    single rows and the step loop, fed the digits of the same draws: the
+    same results, and the same random draws consumed.  ``schedule`` holds
+    (steps, attempts) pairs."""
+    vbits, start = g.full_bits, enumerate_perfect_matchings(g)[0].idxs
+    tables = {vbits: _PMTable(g, vbits)}
+    table_rng, ref_rng = random.Random(seed), random.Random(seed)
+    table, k = tables[vbits], g.m
+    for steps, attempts in schedule:
+        got = _run_restricted(g, vbits, start, steps, attempts, table_rng,
+                              tables)
+        row = table.rows[table.state(start)]
+        picks = []
+        for _ in range(attempts):
+            attempt = _spelled(ref_rng, k, steps)
+            picks += attempt
+            row = reduce(getitem, attempt, row)
+            if len(table.keys[row[k]]) == table.half:
+                break
+        end = table.keys[row[k]]
+        want = end if len(end) == table.half else None
+        assert got == want
+        assert table_rng.getstate() == ref_rng.getstate()
+        assert _run_restricted(g, vbits, start, steps, attempts,
+                               ScriptedBytes(bytes(picks))) == want
+        if want is not None:
+            start = want
+    assert bool(table.crows) == (k <= 16)
 
 
 @pytest.mark.parametrize("name", BY_EDGES)
 def test_compound_rows_walk_what_the_step_loop_walks(name, request):
-    """Draws on a table that walks compound rows from its first draw: the
-    same results and random draws as the step loop's, at step counts that
-    j divides and ones it does not."""
-    g = request.getfixturevalue(name)
-    vbits, start = g.full_bits, enumerate_perfect_matchings(g)[0].idxs
-    tables = {vbits: _composed_table(g, start)}
-    loop_rng, table_rng = random.Random(name), random.Random(name)
-    for t in range(200):
-        steps, attempts = (1, 2, 3, 8, 40, 41)[t % 6], 1 + t % 3
-        want = _run_restricted(g, vbits, start, steps, attempts, loop_rng)
-        got = _run_restricted(g, vbits, start, steps, attempts, table_rng,
-                              tables)
-        assert got == want
-        assert loop_rng.getstate() == table_rng.getstate()
-        if want is not None:
-            start = want
+    """Compound rows, at step counts that j divides and ones it does not,
+    reach what single rows and the step loop reach on the digits of the
+    same compound picks (on k44_chord, j = 1: the same single picks)."""
+    _check_table_against_spelled_picks(
+        request.getfixturevalue(name),
+        [((1, 2, 3, 8, 40, 41)[t % 6], 1 + t % 3) for t in range(200)], name)
 
 
 @pytest.mark.parametrize("name", ["k4", "k6", "k44_chord"])
 def test_walks_past_a_chunk_of_compound_picks_draw_alike(name, request,
                                                          monkeypatch):
-    """With chunks of 5 picks, walks of many chunks: the step loop draws
-    leg by leg and the compound rows read the picks chunk by chunk, and
-    both consume the same draws."""
+    """With chunks of 5 picks, walks of many chunks: the compound rows
+    read the picks chunk by chunk, and reach what the digits of those
+    picks reach."""
     monkeypatch.setattr(pm_chain, "_CHUNK", 5)
     g = request.getfixturevalue(name)
-    vbits, start = g.full_bits, enumerate_perfect_matchings(g)[0].idxs
-    j = _compound(g.m)[0]
-    tables = {vbits: _composed_table(g, start)}
-    loop_rng, table_rng = random.Random(name), random.Random(name)
-    for steps in (5 * j, 5 * j + 1, 15 * j - 1, 15 * j, 15 * j + 1, 64):
-        want = _run_restricted(g, vbits, start, steps, 3, loop_rng)
-        got = _run_restricted(g, vbits, start, steps, 3, table_rng, tables)
-        assert got == want
-        assert loop_rng.getstate() == table_rng.getstate()
+    j = _compound(g.m)
+    _check_table_against_spelled_picks(
+        g, [(steps, 3) for steps in (5 * j, 5 * j + 1, 15 * j - 1, 15 * j,
+                                     15 * j + 1, 64)], name)
 
 
 def test_a_one_edge_graph_takes_eight_steps_a_byte(edge):
-    """k = 1 carries j = 8 steps a pick: a 20-step attempt of
-    sample_perfect_matching draws 2 compound bytes, then 4 single ones,
-    and ends on the one perfect matching (20 is even)."""
+    """k = 1 carries j = 8 steps a pick: a 20-step attempt on a table
+    draws 2 compound bytes, then 4 single ones, and ends on the one
+    perfect matching (20 is even)."""
     rng, ref = random.Random(1), random.Random(1)
-    out = sample_perfect_matching(
-        edge, PMSamplerConfig(inner_steps=20, max_attempts=1),
-        Matching(edge, {0}), rng)
+    tables = {}
+    got = _run_restricted(edge, edge.full_bits, {0}, 20, 1, rng, tables)
     ref.randbytes(2)
     ref.randbytes(4)
-    assert out.idxs == {0}
+    assert got == {0}
+    assert isinstance(tables[edge.full_bits], _PMTable)
     assert rng.getstate() == ref.getstate()
 
 
-def test_compound_rows_are_composed_once_the_table_walked_their_size(k6):
-    """K6's table (60 states, j = 2 on 15 edges) composes its 60 * 225
-    compound entries at the first walk after 13,500 table steps."""
-    table = _PMTable(k6, k6.full_bits)
-    s = table.state(enumerate_perfect_matchings(k6)[0].idxs)
-    rng = random.Random(0)
-    table.walk(s, 13_499, 1, rng)
-    table.walk(s, 1, 1, rng)
+@pytest.mark.parametrize("name", ["k6", "k44", "k44_chord"])
+def test_compound_rows_are_composed_at_a_tables_first_walk(name, request):
+    """At most 16 edges (K6's 15, K4,4's 16), a table composes its
+    compound rows, states times k^j entries, at its first walk; past 16
+    (K4,4 and a chord) it never does."""
+    g = request.getfixturevalue(name)
+    table = _PMTable(g, g.full_bits)
+    s = table.state(enumerate_perfect_matchings(g)[0].idxs)
     assert not table.crows
+    rng = random.Random(0)
     table.walk(s, 1, 1, rng)
-    assert len(table.crows) == 60
-    assert all(len(crow) == 226 and crow[-1] == s
+    if g.m > 16:
+        table.walk(s, 100, 3, rng)
+        assert not table.crows
+        return
+    entries = g.m ** _compound(g.m)
+    assert len(table.crows) == len(table.rows)
+    assert all(len(crow) == entries + 1 and crow[-1] == s
                for s, crow in enumerate(table.crows))
 
 
