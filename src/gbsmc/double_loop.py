@@ -146,9 +146,8 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
 
     def in_inner(i, t):
         """Whether the gated removal of edge i goes ahead."""
-        idxs = x.idxs
         covered = x.covered
-        q = len(idxs)
+        q = covered.bit_count() >> 1
         if q == 1:
             stats.shortcuts += 1
             return True  # 2-vertex subgraph: E is forced
@@ -185,14 +184,17 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
         else:
             nv = 2 * q
             walk, attempts = pm_cfg.steps_for(nv), pm_cfg.attempts_for(nv)
-        got = _run_restricted(g, covered, idxs, walk, attempts, rng, tables)
+        got = _run_restricted(g, covered, x.partner, walk, attempts, rng,
+                              tables)
         if got is None:
             stats.failures += 1
             if abort:
                 raise InnerSamplerError(
                     f"inner budget exhausted at step {t} of the window")
             return search  # "stay" refuses the removal
-        return i in got
+        # e = (u, v) is in the draw if u's entry, at u's rank in V(X), is v
+        u, v = g.edges[i]
+        return got[(covered & ((1 << u) - 1)).bit_count()] == v
 
     try:
         return _run_add_remove(g, x, p_add, p_gate, steps, rng, in_inner,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, log, log1p
 
-from .graphs import Graph, Matching
+from .graphs import Graph, Matching, bits_to_tuple
 from .pm_chain import _picks
 
 
@@ -131,13 +131,13 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     whose probability is 1.  X_t has the step chain's law at every t; a
     refused removal is a hold.
 
-    A move writes the partner table and the loop's vertex bitset.  The
-    edge set ``x.idxs`` is kept at every move only where it is read
-    between moves, by ``remove_ok`` or a matching key; elsewhere plain
-    steps leave it stale, and it is rebuilt from the partner table where
-    events or the window's end next read it.  Event slides write only
-    X's edge list, and the bitset and the edge set follow it where next
-    read.
+    Inside the window X is its partner table ``x.partner``: a move writes
+    it, the loop's vertex bitset and size, and in events X's edge list.
+    ``remove_ok`` reads ``x.partner`` and ``x.covered``, both current at
+    every call, and a matching key is read from the partner table.  Event
+    slides leave the bitset to be summed from the edge list where next
+    read.  The edge set ``x.idxs`` is written once, when the window
+    returns.
 
     ``target_edges`` is both the post-selection size and a cap: at
     |X| = ``target_edges`` an add holds, and R drops its m * p_add term.
@@ -161,7 +161,6 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     ebits = g.edge_bits
     eindex = g.edge_index
     nbrs = g.nbrs
-    idxs = x.idxs
     partner = x.partner
     rnd = rng.random
     # slide offsets per covered vertex, below the envelope D - 1
@@ -173,22 +172,21 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     # the next sample point; they are burn_in + thin * j, j >= 1
     point = burn_in + thin if collect is not None else end + 1
     vertex_keys = key_kind == "vertexset"
-    # plain steps keep the edge set only where it is read between moves
-    live = remove_ok is not None or (collect is not None and not vertex_keys)
 
-    def count(covered, last, point, of=idxs):
-        """Count the state ``covered``, whose edge indices are ``of``, at
-        the sample points from ``point`` to ``last``; returns the next
-        point."""
+    def count(covered, last, point, partner=partner):
+        """Count the state ``covered`` at the sample points from ``point``
+        to ``last``; returns the next point.  A matching key lists X's
+        edges from the partner table over ``covered``, in index order."""
         k = (last - point) // thin + 1
         collect[covered if vertex_keys else
-                tuple(sorted(edges[i] for i in of))] += k
+                tuple((u, partner[u]) for u in bits_to_tuple(covered)
+                      if u < partner[u])] += k
         return point + k * thin
 
     add_coin, rem_coin, slide_coin = p_add < 1, p_rem < 1, p_slide < 1
     snap, snap_step = None, None
     covered = x.covered
-    xs = sorted(idxs)  # the edges of X, as a list for uniform picks
+    xs = sorted(x.idxs)  # the edges of X, as a list for uniform picks
     size = len(xs)
     t = 0           # X is the state from step t on
     while t < end:
@@ -196,8 +194,8 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
         if _CROSSOVER * rate >= m > 0:
             # plain steps; a move at step t first counts X_{t-1} at its
             # sample points and, if it leaves the target size, post-selects
-            # it.  A move writes partner, covered and size, and the edge
-            # set only if live; xs is rebuilt where events next read it.
+            # it.  A move writes partner, covered and size; xs is rebuilt
+            # where events next read it.
             xs = None
             for i in _picks(rng, m, min(_STEP_BLOCK, end - t)):
                 t += 1
@@ -211,8 +209,6 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                         continue  # the cap: an add holds
                     if point < t:
                         point = count(covered, t - 1, point)
-                    if live:
-                        idxs.add(i)
                     size += 1
                     partner[u] = v
                     partner[v] = u
@@ -228,8 +224,6 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                         point = count(covered, t - 1, point)
                     if size == target_edges:
                         snap, snap_step = covered, t - 1
-                    if live:
-                        idxs.remove(i)
                     size -= 1
                     partner[u] = -1
                     partner[v] = -1
@@ -246,10 +240,6 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                         w, z = u, pv
                     else:
                         w, z = v, pu
-                    if live:
-                        c = partner[z]
-                        idxs.remove(eindex[(c, z) if c < z else (z, c)])
-                        idxs.add(i)
                     partner[z] = -1
                     partner[u] = v
                     partner[v] = u
@@ -258,12 +248,12 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
         if not rate:
             break  # no edges: the state holds to the window's end
         if xs is None:
-            xs = sorted(idxs) if live else _relist(idxs, partner, eindex)
+            xs = _relist(partner, eindex)
         # events at this size: a candidate r in [0, R) slides if
         # q = r / p_slide names one of the slots (covered vertex, offset),
         # removes below ``out`` and adds above.  Slides write only xs and
-        # partner, leaving covered and the edge set stale, to be rebuilt
-        # from xs where they are next read.
+        # partner, leaving covered stale, to be summed from xs where it is
+        # next read.
         # R/m below 1e-300 holds to the window end: no float holds the wait
         scale = 1.0 / min(-1e-300, log1p(-rate / m))
         slots = 2 * size * offsets
@@ -292,7 +282,7 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                     continue  # both ends covered: the step holds
                 if point < t:
                     point = count(sum(map(ebits.__getitem__, xs)), t - 1,
-                                  point, xs)
+                                  point)
                 xs[k >> 1] = eindex[(a, w) if a < w else (w, a)]
                 partner[z] = -1
                 partner[a] = w
@@ -300,7 +290,7 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                 stale = True
                 continue
             if stale:
-                covered = _resync(idxs, xs, ebits)
+                covered = sum(map(ebits.__getitem__, xs))
                 stale = False
             if r < out:
                 k = int(rnd() * size)
@@ -321,25 +311,24 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
             u, v = edges[i]
             if k < 0:
                 xs.append(i)
-                idxs.add(i)
                 size += 1
                 partner[u] = v
                 partner[v] = u
             else:
                 xs[k] = xs[-1]
                 xs.pop()
-                idxs.remove(i)
                 size -= 1
                 partner[u] = -1
                 partner[v] = -1
             covered ^= ebits[i]
             break
         if stale:
-            covered = _resync(idxs, xs, ebits)
-    if xs is None and not live:
-        _relist(idxs, partner, eindex)
-    # the window's last state holds to its end
+            covered = sum(map(ebits.__getitem__, xs))
+    # the window writes X's edge set once, here
+    x.idxs.clear()
+    x.idxs.update(_relist(partner, eindex) if xs is None else xs)
     x.covered = covered
+    # the window's last state holds to its end
     if size == target_edges:
         snap, snap_step = covered, end
     if point <= end:
@@ -347,21 +336,9 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
     return snap, snap_step
 
 
-def _relist(idxs, partner, eindex):
-    """X's edge indices in ascending order, read from the partner table;
-    the edge set ``idxs`` is set to them."""
-    xs = [eindex[u, w] for u, w in enumerate(partner) if u < w]
-    idxs.clear()
-    idxs.update(xs)
-    return xs
-
-
-def _resync(idxs, xs, ebits):
-    """Bring the edge set ``idxs`` to X's edges ``xs`` after slides;
-    returns X's vertex bitset."""
-    idxs.clear()
-    idxs.update(xs)
-    return sum(map(ebits.__getitem__, xs))
+def _relist(partner, eindex):
+    """X's edge indices in ascending order, read from the partner table."""
+    return [eindex[u, w] for u, w in enumerate(partner) if u < w]
 
 
 def _drive_glauber(g, x, lam, lazy, steps, rng, **kw):

@@ -104,8 +104,9 @@ class Matching:
     *indices* into ``g.edges`` plus two derived views that the chains keep
     incrementally up to date: ``covered`` (bitset of matched vertices) and
     ``partner`` (list mapping each matched vertex to its partner, -1 when
-    unmatched).  Mutating methods keep all three in sync; a chain window
-    may let ``idxs`` lag inside it, and brings it up to date by its end.
+    unmatched).  Mutating methods keep all three in sync.  Inside a chain
+    window X is its partner table; the window writes ``idxs`` when it
+    returns.
     """
 
     __slots__ = ("g", "idxs", "covered", "partner")

@@ -31,10 +31,12 @@ digits are the picks of j steps, then n % j single picks.  Compound picks
 go with tables and single picks with the step loop; past 16 edges j = 1,
 so there both walks read the same picks.
 
-The double loop keeps one table per vertex set for a window and frees
-them when the window ends.  A set of at most 16 edges gets its table at
-its first draw, and the table composes its compound rows at its first
-walk.  A larger set gets its table only once earlier draws on it have
+A draw starts from a partner table, indexed by host vertex, and returns
+the drawn matching's partner entries over its vertex set; a table keys
+its states by those entries.  The double loop keeps one table per vertex
+set for a window and frees them when the window ends.  A set of at most
+16 edges gets its table, whole, at its first draw, compound rows
+included.  A larger set gets its table only once earlier draws on it have
 walked as many steps as the table of a complete graph of its size has
 transitions (:func:`table_transitions`: 14,700 at 8 vertices, 4.8e6 at
 12), so such a table never has more transitions than steps already walked
@@ -246,92 +248,81 @@ def _inner_edges(g: Graph, vbits: int) -> list:
 
 
 class _PMTable:
-    """The chain on one vertex set as a transition table.
+    """The chain on one vertex set as a transition table, built whole from
+    a perfect matching of the set.
 
-    A state is the frozenset of its edge indices; ``keys[s]`` is state
-    ``s``, and ``rows[s]`` its row: ``rows[s][r]`` is the row of the state
-    that pick ``r`` leads to from ``s``, r indexing :func:`_inner_edges`,
-    and ``rows[s][k]`` is ``s`` itself, k the number of picks.  A walk
-    is then ``reduce(getitem, picks, row)``.  A state the table lacks is
-    added, with every state it reaches, when a walk asks for it.  From a
-    perfect matching the chain reaches every perfect and near-perfect
-    matching of the set (alternating cycles join perfect matchings, and an
-    augmenting path joins a near-perfect one to a perfect one), so the
-    first start fills the table; later starts are looked up, never assumed
-    present.
+    A state is the tuple of its partner entries over the set's vertices
+    ``verts``, in ascending order (-1 at an uncovered vertex); ``keys[s]``
+    is state ``s``, ``perfect[s]`` whether it covers the set, and
+    ``rows[s]`` its row: ``rows[s][r]`` is the row of the state that pick
+    ``r`` leads to from ``s``, r indexing :func:`_inner_edges`, and
+    ``rows[s][k]`` is ``s`` itself, k the number of picks.  A walk is then
+    ``reduce(getitem, picks, row)``.  From a perfect matching the chain
+    reaches every perfect and near-perfect matching of the set: alternating
+    cycles join perfect matchings, and by Berge's lemma the two holes of a
+    near-perfect one are joined by an augmenting path.  So a breadth-first
+    search from the first start fills the table, and later starts are
+    looked up.
 
     ``crows`` are the compound rows, the same for compound picks
     (:func:`_walk_picks`): ``crows[s][c]`` is the compound row of the state
     that the j steps of compound pick ``c`` lead to, and ``crows[s][-1]``
-    is ``s``.  A table of at most 16 edges composes them at its first walk,
-    and again after a start it lacked grew it; a larger one (j = 1) has
-    none and walks single picks.  Rows point at rows, so :meth:`free`
-    breaks those cycles when the table is done with.
+    is ``s``.  A table of at most 16 edges composes them when it is made;
+    a larger one (j = 1) has none and walks single picks.  Rows point at
+    rows, so :meth:`free` breaks those cycles when the table is done with.
     """
 
-    def __init__(self, g: Graph, vbits: int):
-        self.g = g
-        self.half = vbits.bit_count() // 2
-        self.moves = [(a, z, g.edge_index[a, z])
-                      for a, z in _inner_edges(g, vbits)]
-        self.ids = {}
-        self.keys = []
-        self.rows = []
-        self.crows = []
-
-    def _add(self, key) -> int:
-        """Number the new state ``key``, giving it a row still to fill."""
-        s = self.ids[key] = len(self.keys)
-        self.keys.append(key)
-        self.rows.append([None] * len(self.moves) + [s])
-        return s
-
-    def state(self, idxs) -> int:
-        """The id of the matching with edge indices ``idxs``."""
-        key = frozenset(idxs)
-        s = self.ids.get(key)
-        if s is not None:
-            return s
-        g = self.g
-        eindex = g.edge_index
-        ids = self.ids
-        keys = self.keys
-        rows = self.rows
-        self.crows = []  # composed again for the larger table
-        s = self._add(key)
+    def __init__(self, g: Graph, vbits: int, start):
+        verts = self.verts = bits_to_tuple(vbits)
+        at = {v: j for j, v in enumerate(verts)}
+        moves = [(at[u], at[v], u, v) for u, v in _inner_edges(g, vbits)]
+        k = self.k = len(moves)
+        key = tuple(map(start.__getitem__, verts))
+        ids = self.ids = {key: 0}
+        keys = self.keys = [key]
+        rows = self.rows = [[None] * k + [0]]
+        perfect = self.perfect = []
         # a breadth-first search that fills each row as it reaches it
-        j = s
-        while j < len(keys):
-            key = keys[j]
-            row = rows[j]
-            j += 1
-            partner = {}
-            for i in key:
-                u, v = g.edges[i]
-                partner[u] = v
-                partner[v] = u
-            perfect = len(key) == self.half
-            for r, (u, v, i) in enumerate(self.moves):
-                pu = partner.get(u)
-                pv = partner.get(v)
-                nxt = key
-                if perfect:
-                    if pu == v:
-                        nxt = key - {i}
-                elif pu is None and pv is None:
-                    nxt = key | {i}
-                elif pu is None or pv is None:
-                    w, z = (v, pv) if pu is None else (u, pu)
-                    nxt = (key - {eindex[(w, z) if w < z else (z, w)]}) | {i}
+        for row, key in zip(rows, keys):
+            full = -1 not in key
+            perfect.append(full)
+            for r, (a, b, u, v) in enumerate(moves):
+                pu = key[a]
+                pv = key[b]
+                if full and pu == v:
+                    nxt = list(key)
+                    nxt[a] = nxt[b] = -1
+                elif not full and (pu == -1 or pv == -1):
+                    nxt = list(key)
+                    if pu != pv:
+                        # a slide: the far end of the edge it drops, the
+                        # covered end's partner, loses its own
+                        nxt[at[max(pu, pv)]] = -1
+                    nxt[a] = v
+                    nxt[b] = u
+                else:
+                    row[r] = row
+                    continue
+                nxt = tuple(nxt)
                 t = ids.get(nxt)
-                row[r] = rows[self._add(nxt) if t is None else t]
-        return s
+                if t is None:
+                    t = ids[nxt] = len(keys)
+                    keys.append(nxt)
+                    rows.append([None] * k + [t])
+                row[r] = rows[t]
+        self.crows = []
+        if _compound(k) > 1:
+            self.compose()
+
+    def state(self, start) -> int:
+        """The id of the matching whose partner table is ``start``."""
+        return self.ids[tuple(map(start.__getitem__, self.verts))]
 
     def compose(self):
         """Fill ``crows`` from ``rows``: level by level, the compound rows
         that 0, 1, ..., j picks reach from each state, in compound-pick
         order."""
-        k = len(self.moves)
+        k = self.k
         step = [[nxt[k] for nxt in row[:k]] for row in self.rows]
         crows = self.crows = [[] for _ in self.rows]
         ends = [[crow] for crow in crows]
@@ -352,13 +343,10 @@ class _PMTable:
         stopping after the first round that ends perfect; returns the last
         state.  Each round reads :func:`_walk_picks`' picks, compound rows
         first."""
-        keys = self.keys
-        half = self.half
+        perfect = self.perfect
         rows = self.rows
-        k = len(self.moves)
-        if _compound(k) > 1 and not self.crows:
-            self.compose()
         crows = self.crows
+        k = self.k
         row = rows[s]
         for _ in range(attempts):
             if crows:
@@ -367,20 +355,21 @@ class _PMTable:
             else:
                 rest = _picks(rng, k, steps)
             row = reduce(getitem, rest, row)
-            if len(keys[row[k]]) == half:
+            if perfect[row[k]]:
                 break
         return row[k]
 
 
-def _run_restricted(g: Graph, vbits: int, start_idxs, steps: int,
+def _run_restricted(g: Graph, vbits: int, start, steps: int,
                     attempts: int, rng, tables=None):
     """Drive the chain on the subgraph induced by ``vbits``, checking for
     perfection every ``steps`` moves.
 
-    Returns the matching's edge-index set on success, None when the budget
-    runs out.  Operates on host-graph labels throughout; ``start_idxs`` must
-    cover ``vbits`` exactly (the outer chain's own state, in the double-loop
-    context).
+    ``start`` is a partner table, indexed by host vertex, that matches
+    ``vbits`` perfectly: the outer chain's own ``x.partner``, in the double
+    loop.  It is read, never written.  Returns the drawn perfect matching's
+    partner entries over the vertices of ``vbits`` in ascending order, or
+    None when the budget runs out.
 
     ``tables`` is a caller's memory across draws, by vertex set.  A set of
     at most 16 edges gets its :class:`_PMTable` there at its first draw and
@@ -395,17 +384,12 @@ def _run_restricted(g: Graph, vbits: int, start_idxs, steps: int,
         moves = _inner_edges(g, vbits)
         if table is not None and (
                 _compound(len(moves)) > 1
-                or table >= table_transitions(len(start_idxs))):
-            table = tables[vbits] = _PMTable(g, vbits)
+                or table >= table_transitions(vbits.bit_count() // 2)):
+            table = tables[vbits] = _PMTable(g, vbits, start)
     if isinstance(table, _PMTable):
-        got = table.keys[table.walk(table.state(start_idxs), steps,
-                                    attempts, rng)]
-        return got if len(got) == table.half else None
-    partner = [-1] * g.n
-    for i in start_idxs:
-        u, v = g.edges[i]
-        partner[u] = v
-        partner[v] = u
+        s = table.walk(table.state(start), steps, attempts, rng)
+        return table.keys[s] if table.perfect[s] else None
+    partner = list(start)  # the step loop moves only entries of vbits
     holes = 0  # start state is perfect by contract
     got = None
     walked = 0
@@ -413,8 +397,7 @@ def _run_restricted(g: Graph, vbits: int, start_idxs, steps: int,
         holes = _pm_walk(partner, holes, moves, steps, rng)
         walked += steps
         if holes == 0:
-            got = {g.edge_index[u, partner[u]]
-                   for u in bits_to_tuple(vbits) if u < partner[u]}
+            got = tuple(map(partner.__getitem__, bits_to_tuple(vbits)))
             break
     if tables is not None:
         tables[vbits] = table + walked
@@ -437,7 +420,10 @@ def sample_perfect_matching(g: Graph, cfg: PMSamplerConfig,
         raise PMStateError("initial matching must be perfect")
     steps = cfg.steps_for(g.n)
     attempts = cfg.attempts_for(g.n)
-    got = _run_restricted(g, g.full_bits, initial.idxs, steps, attempts, rng)
+    got = _run_restricted(g, g.full_bits, initial.partner, steps, attempts,
+                          rng)
     if got is None:
         raise PMSampleBudgetError(attempts)
-    return Matching(g, got)
+    # over all of g the entries are the partner table itself
+    return Matching.from_pairs(g, ((u, w) for u, w in enumerate(got)
+                                   if u < w))

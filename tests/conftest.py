@@ -146,8 +146,8 @@ def spy_table_builds(monkeypatch, weak=False):
     built = []
 
     class Spy(pm_chain._PMTable):
-        def __init__(self, g, vbits):
-            super().__init__(g, vbits)
+        def __init__(self, g, vbits, start):
+            super().__init__(g, vbits, start)
             built.append((vbits, weakref.ref(self) if weak else self))
 
     monkeypatch.setattr(pm_chain, "_PMTable", Spy)

@@ -348,7 +348,7 @@ def test_search_draw_budget_and_failure_let_the_removal_go_ahead(
     from gbsmc import double_loop
     seen = []
 
-    def spy(g, vbits, idxs, steps, attempts, rng, tables):
+    def spy(g, vbits, start, steps, attempts, rng, tables):
         seen.append((vbits.bit_count(), steps, attempts))
         return None  # the draw failed
 

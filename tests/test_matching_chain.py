@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import gbsmc.glauber
 from gbsmc.diagnostics import transition_kernel
+from gbsmc.double_loop import DoubleLoopConfig, _drive_double
 from gbsmc.glauber import (
     ChainConfig,
     ChainConfigError,
@@ -324,7 +325,6 @@ def test_an_add_candidate_costs_one_pick(monkeypatch):
 def _drivers(lazy=False):
     """Each chain's window driver as ``drive(g, x, lam, steps, rng, **kw)``;
     the double loop draws its inner matchings exactly, on one memo."""
-    from gbsmc.double_loop import DoubleLoopConfig, _drive_double
     exact, memo = DoubleLoopConfig(inner="exact"), {}
     return {
         "glauber": lambda g, x, lam, *a, **kw: _drive_glauber(
@@ -474,6 +474,8 @@ def test_post_selected_window_reports_a_step_inside_it(start_step):
 def _window_graph(name):
     if name == "k6":
         return gen_graph(GraphSpec.of("complete", n=6))
+    if name == "cycle16":
+        return gen_graph(GraphSpec.of("cycle", n=16))
     return gen_graph(GraphSpec.of("erdos_renyi", n=64, p=0.3), seed=7)
 
 
@@ -486,6 +488,25 @@ MODE_CASES = [("glauber", "k6", 1.0, "plain"),
               ("jerrum", "er64", 0.001, "events"),
               ("jerrum", "er64", 0.05, "both"),
               ("glauber", "er64", 0.3, "both")]
+# the double loop with its exact gate and its chain inner draw, at lambda^2:
+# plain steps on K6, events on ER(64, 0.3), and hand-overs on C16
+DOUBLE_CASES = [(f"double_loop/{inner}", graph, lam, modes)
+                for inner in ("exact", "chain")
+                for graph, lam, modes in (("k6", 1.0, "plain"),
+                                          ("er64", 0.03, "events"),
+                                          ("cycle16", 0.3, "both"))]
+
+
+def _window_driver(chain):
+    """The driver of ``chain``, with the (g, x, lam, lazy, steps, rng)
+    arguments of :func:`_drive_glauber`."""
+    if chain == "glauber":
+        return _drive_glauber
+    if chain == "jerrum":
+        return _drive_jerrum
+    cfg = DoubleLoopConfig(inner=chain.split("/")[1])
+    return lambda g, x, lam, lazy, steps, rng, **kw: _drive_double(
+        g, x, lam, cfg, steps, rng, **kw)
 
 
 def _check_modes(batches, steps, modes):
@@ -499,35 +520,41 @@ def _check_modes(batches, steps, modes):
         assert 0 < plain < steps
 
 
-@pytest.mark.parametrize("chain,graph,lam,modes", MODE_CASES)
+@pytest.mark.parametrize("chain,graph,lam,modes", MODE_CASES + DOUBLE_CASES)
 def test_windows_leave_x_whole_in_its_own_edge_set(chain, graph, lam, modes,
                                                    monkeypatch):
-    """Plain steps leave X's edge set stale and event slides leave it
-    behind X's edge list; after every window, whichever mode it ends in,
-    ``x.idxs`` is the same set object and agrees with the partner table
-    and the vertex bitset."""
+    """A window writes X's edge set only when it returns; after every
+    window, whichever mode it ends in, with or without a removal check or
+    matching keys, ``x.idxs`` is the same set object and agrees with the
+    partner table and the vertex bitset.  Every other window collects
+    matching keys, each the sorted edges of a matching."""
     batches = spy_plain_steps(monkeypatch)
     g = _window_graph(graph)
-    drive = _drive_glauber if chain == "glauber" else _drive_jerrum
+    drive = _window_driver(chain)
     x = Matching(g)
     idxs = x.idxs
     rng = random.Random(f"{chain}/{graph}/{lam}")
     slid = steps = 0
+    keys = Counter()
     for w in range(1, 80):
         before = x.pairs()
-        drive(g, x, lam, False, 7 * w, rng)
+        kw = dict(collect=keys, key_kind="matching", thin=3) if w % 2 else {}
+        drive(g, x, lam, False, 7 * w, rng, **kw)
         steps += 7 * w
         assert x.idxs is idxs
         x.validate()
         slid += len(x.pairs()) == len(before) and x.pairs() != before
     _check_modes(batches, steps, modes)
+    assert sum(keys.values()) == sum(7 * w // 3 for w in range(1, 80, 2))
+    assert all(list(key) == sorted(key)
+               and Matching.from_pairs(g, key).pairs() == key for key in keys)
     if chain == "jerrum" and modes == "events":
         assert slid  # windows that end in events after slides
 
 
 @pytest.mark.parametrize("chain,graph,lam,modes", MODE_CASES)
 def test_remove_ok_sees_x_current(chain, graph, lam, modes, monkeypatch):
-    """A removal check reads ``x.idxs`` and ``x.covered``: at every call
+    """A removal check reads ``x.partner`` and ``x.covered``: at every call
     they hold X_{t-1}, the edge to remove included, in both modes and
     after slides."""
     batches = spy_plain_steps(monkeypatch)
@@ -536,8 +563,12 @@ def test_remove_ok_sees_x_current(chain, graph, lam, modes, monkeypatch):
     calls = []
 
     def remove_ok(i, t):
-        x.validate()
-        assert i in x.idxs
+        u, v = g.edges[i]
+        assert x.partner[u] == v and x.partner[v] == u
+        assert all(p == -1 or x.partner[p] == w
+                   for w, p in enumerate(x.partner))
+        assert x.covered == sum(1 << w for w, p in enumerate(x.partner)
+                                if p >= 0)
         calls.append(t)
         return t % 3 > 0
 

@@ -105,10 +105,12 @@ def restricted_draw():
     perfect matching, through the step loop."""
     g = gen_graph(GraphSpec.of("complete", n=8))
     rng = random.Random("pin/k8-inner")
-    start = [0, 13, 22, 27]  # (0, 1), (2, 3), (4, 5), (6, 7)
+    start = [1, 0, 3, 2, 5, 4, 7, 6]  # (0, 1), (2, 3), (4, 5), (6, 7)
     draws = [_run_restricted(g, g.full_bits, start, steps, 3, rng)
              for steps in (1, 2, 5, 40, 333)]
-    return [got and sorted(got) for got in draws]
+    # each draw as its sorted edge indices, read from its partner entries
+    return [got and sorted(g.edge_index[u, w] for u, w in enumerate(got)
+                           if u < w) for got in draws]
 
 
 def double_loop_chain_window(key_kind):

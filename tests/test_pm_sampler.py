@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from gbsmc.diagnostics import transition_kernel
 from gbsmc import pm_chain
-from gbsmc.graphs import Graph, GraphSpec, Matching, gen_graph
+from gbsmc.graphs import Graph, GraphSpec, Matching, bits_to_tuple, gen_graph
 from gbsmc.hafnian import enumerate_perfect_matchings
 from gbsmc.pm_chain import (
     PMConfigError,
@@ -34,14 +34,29 @@ from conftest import check_kernel_powers
 from oracles import naive_tv
 
 
+def from_partner(g, m):
+    """Bring the Matching ``m``'s edge set and vertex bitset to its partner
+    table."""
+    m.idxs = {g.edge_index[(u, w)] for u, w in enumerate(m.partner) if u < w}
+    m.covered = sum(g.edge_bits[i] for i in m.idxs)
+    return m
+
+
 def pm_steps(g, m, steps, rng):
     """Advance the Matching ``m`` in place by ``steps`` moves of the
     perfect-matching chain over all of ``g``'s edges, through the samplers'
     step loop on a partner array."""
     _pm_walk(m.partner, g.n - m.covered.bit_count(), g.edges, steps, rng)
-    m.idxs = {g.edge_index[(u, w)] for u, w in enumerate(m.partner) if u < w}
-    m.covered = sum(g.edge_bits[i] for i in m.idxs)
-    return m
+    return from_partner(g, m)
+
+
+def partner_table(g, vbits, entries):
+    """The partner table of ``g`` whose entries over the vertices of
+    ``vbits`` are a draw's ``entries``, and -1 elsewhere."""
+    partner = [-1] * g.n
+    for u, p in zip(bits_to_tuple(vbits), entries):
+        partner[u] = p
+    return partner
 
 
 def test_default_budget_formulas():
@@ -165,14 +180,13 @@ def test_pm_steps_follow_the_exact_kernel_powers(name, request):
     check_kernel_powers(
         g, kernel, lambda x, steps, rng: pm_steps(g, x, steps, rng), starts,
         label=f"pm/{name}", times=times)
-    table = _PMTable(g, g.full_bits)
-    table.state(enumerate_perfect_matchings(g)[0].idxs)
-    table.compose()
+    table = _PMTable(g, g.full_bits,
+                     enumerate_perfect_matchings(g)[0].partner)
 
     def on_table(x, steps, rng):
-        end = Matching(g, table.keys[table.walk(table.state(x.idxs), steps,
-                                                1, rng)])
-        x.idxs, x.covered, x.partner = end.idxs, end.covered, end.partner
+        x.partner[:] = table.keys[table.walk(table.state(x.partner), steps,
+                                             1, rng)]
+        from_partner(g, x)
 
     check_kernel_powers(g, kernel, on_table, starts, label=f"pm/{name}/table",
                         times=times)
@@ -187,7 +201,7 @@ def _er12_set():
     for i, bits in enumerate(g.edge_bits):
         if not x.covered & bits and len(x.idxs) < 4:
             x.add(i)
-    return g, x.covered, x.idxs
+    return g, x.covered, x.partner
 
 
 @pytest.fixture
@@ -256,20 +270,21 @@ class SpelledBytes:
 @pytest.mark.parametrize("name", BY_EDGES + ["er12", "k8"])
 def test_table_walk_draws_what_the_step_loop_draws(name, request):
     """A run of draws, each from the last one's matching, with and without
-    a window's tables: the same results, successes and budget run-outs
-    alike, and the same random draws consumed.  Past 16 edges both walks
-    read the same picks.  On at most 16 edges the table, built at the
-    first draw, reads compound picks, and the step loop is fed their
-    digits."""
+    a window's tables: the same partner entries, successes and budget
+    run-outs alike, and the same random draws consumed.  Past 16 edges
+    both walks read the same picks.  On at most 16 edges the table, built
+    at the first draw, reads compound picks, and the step loop is fed
+    their digits."""
     if name == "er12":
         g, vbits, start = _er12_set()
     else:
         g = request.getfixturevalue(name)
-        vbits, start = g.full_bits, enumerate_perfect_matchings(g)[0].idxs
+        vbits, start = g.full_bits, enumerate_perfect_matchings(g)[0].partner
     loop_rng, table_rng = random.Random(name), random.Random(name)
     k = len(pm_chain._inner_edges(g, vbits))
     loop = loop_rng if k > 16 else SpelledBytes(loop_rng, k)
-    tables = {vbits: table_transitions(len(start))} if k > 16 else {}
+    tables = {vbits: table_transitions(vbits.bit_count() // 2)
+              } if k > 16 else {}
     outcomes = Counter()
     for t in range(300):
         steps, attempts = (1, 2, 3, 8, 40)[t % 5], 1 + t % 3
@@ -280,7 +295,7 @@ def test_table_walk_draws_what_the_step_loop_draws(name, request):
         assert loop_rng.getstate() == table_rng.getstate()
         outcomes[want is None] += 1
         if want is not None:
-            start = want
+            start = partner_table(g, vbits, want)
     assert isinstance(tables[vbits], _PMTable)
     assert outcomes[True] and outcomes[False]
 
@@ -291,8 +306,8 @@ def _check_table_against_spelled_picks(g, schedule, seed):
     single rows and the step loop, fed the digits of the same draws: the
     same results, and the same random draws consumed.  ``schedule`` holds
     (steps, attempts) pairs."""
-    vbits, start = g.full_bits, enumerate_perfect_matchings(g)[0].idxs
-    tables = {vbits: _PMTable(g, vbits)}
+    vbits, start = g.full_bits, enumerate_perfect_matchings(g)[0].partner
+    tables = {vbits: _PMTable(g, vbits, start)}
     table_rng, ref_rng = random.Random(seed), random.Random(seed)
     table, k = tables[vbits], g.m
     for steps, attempts in schedule:
@@ -304,10 +319,9 @@ def _check_table_against_spelled_picks(g, schedule, seed):
             attempt = _spelled(ref_rng, k, steps)
             picks += attempt
             row = reduce(getitem, attempt, row)
-            if len(table.keys[row[k]]) == table.half:
+            if table.perfect[row[k]]:
                 break
-        end = table.keys[row[k]]
-        want = end if len(end) == table.half else None
+        want = table.keys[row[k]] if table.perfect[row[k]] else None
         assert got == want
         assert table_rng.getstate() == ref_rng.getstate()
         assert _run_restricted(g, vbits, start, steps, attempts,
@@ -347,27 +361,24 @@ def test_a_one_edge_graph_takes_eight_steps_a_byte(edge):
     perfect matching (20 is even)."""
     rng, ref = random.Random(1), random.Random(1)
     tables = {}
-    got = _run_restricted(edge, edge.full_bits, {0}, 20, 1, rng, tables)
+    got = _run_restricted(edge, edge.full_bits, [1, 0], 20, 1, rng, tables)
     ref.randbytes(2)
     ref.randbytes(4)
-    assert got == {0}
+    assert got == (1, 0)
     assert isinstance(tables[edge.full_bits], _PMTable)
     assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("name", ["k6", "k44", "k44_chord"])
-def test_compound_rows_are_composed_at_a_tables_first_walk(name, request):
+def test_compound_rows_are_composed_when_a_table_is_made(name, request):
     """At most 16 edges (K6's 15, K4,4's 16), a table composes its
-    compound rows, states times k^j entries, at its first walk; past 16
+    compound rows, states times k^j entries, when it is made; past 16
     (K4,4 and a chord) it never does."""
     g = request.getfixturevalue(name)
-    table = _PMTable(g, g.full_bits)
-    s = table.state(enumerate_perfect_matchings(g)[0].idxs)
-    assert not table.crows
-    rng = random.Random(0)
-    table.walk(s, 1, 1, rng)
+    table = _PMTable(g, g.full_bits,
+                     enumerate_perfect_matchings(g)[0].partner)
     if g.m > 16:
-        table.walk(s, 100, 3, rng)
+        table.walk(0, 100, 3, random.Random(0))
         assert not table.crows
         return
     entries = g.m ** _compound(g.m)
@@ -379,16 +390,15 @@ def test_compound_rows_are_composed_at_a_tables_first_walk(name, request):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_the_table_of_k2q_holds_every_perfect_and_near_perfect_matching(q):
     """Built from one perfect matching, K_2q's table lists all of them and
-    every near-perfect one, and has table_transitions(q) transitions; a
-    start it holds adds nothing."""
+    every near-perfect one, and has table_transitions(q) transitions;
+    every perfect matching is looked up by its partner entries."""
     g = gen_graph(GraphSpec.of("complete", n=2 * q))
-    table = _PMTable(g, g.full_bits)
-    assert not table.keys
     pms = enumerate_perfect_matchings(g)
-    first = table.state(pms[0].idxs)  # a start the table lacks
-    assert table.keys[first] == frozenset(pms[0].idxs)
-    perfect = sum(len(key) == q for key in table.keys)
+    table = _PMTable(g, g.full_bits, pms[0].partner)
+    assert table.keys[0] == tuple(pms[0].partner)
+    perfect = sum(table.perfect)
     assert perfect == len(pms)
+    assert table.perfect == [-1 not in key for key in table.keys]
     assert len(table.keys) - perfect == g.m * len(
         enumerate_perfect_matchings(gen_graph(
             GraphSpec.of("complete", n=2 * q - 2))))
@@ -397,7 +407,7 @@ def test_the_table_of_k2q_holds_every_perfect_and_near_perfect_matching(q):
                and all(table.rows[nxt[g.m]] is nxt for nxt in row[:g.m])
                for s, row in enumerate(table.rows))
     for pm in pms:
-        assert table.keys[table.state(pm.idxs)] == frozenset(pm.idxs)
+        assert table.keys[table.state(pm.partner)] == tuple(pm.partner)
     assert len(table.rows) == len(table.keys)
     assert table_transitions(q) == {2: 54, 3: 900, 4: 14_700}[q]
 
