@@ -940,13 +940,15 @@ class ExperimentSpec:
     the preset for bench, ``graph`` is {"kind", "params"[, "seed"]}, and
     ``config`` holds options of the task's subcommand.  The spec stands for
     the command lines :meth:`command_lines` returns, so the parser checks
-    every value before any computation.
+    every value before any computation.  A top-level key that those
+    command lines do not read is refused; ``seed`` defaults to 0 and
+    ``out_dir`` to ``runs/spec`` where they are read.
     """
     task: str
     name: Optional[str] = None
     graph: Optional[dict] = None
-    seed: object = 0
-    out_dir: str = "runs/spec"
+    seed: object = None
+    out_dir: Optional[str] = None
     replicates: int = 1
     config: dict = field(default_factory=dict)
 
@@ -999,9 +1001,9 @@ class ExperimentSpec:
         return self.task == "sample" or (
             self.task == "bench" and "seeds" in _PRESETS[self.name].reads)
 
-    def _graph_flags(self) -> dict:
+    def _graph_flags(self, seed) -> dict:
         """The graph block as dests: ``gen``, the generator's flags and
-        ``graph_seed``."""
+        ``graph_seed``, by default ``seed`` on a seeded kind."""
         for kind, (gen, mapping) in _GRAPH_KINDS.items():
             if self.graph and self.graph.get("kind") == gen:
                 dest_of = {kwarg: attr for attr, kwarg in mapping}
@@ -1009,7 +1011,7 @@ class ExperimentSpec:
                 if set(params) - set(dest_of):
                     raise CliError(f"graph kind {gen!r} takes the params "
                                    f"{sorted(dest_of)}")
-                seed = self.seed if gen in SEEDED_KINDS else None
+                seed = seed if gen in SEEDED_KINDS else None
                 if seed is None and self.graph.get("seed") is not None:
                     raise CliError(f"graph kind {gen!r} draws no seed; drop "
                                    "the graph block's seed")
@@ -1031,16 +1033,29 @@ class ExperimentSpec:
         if bad:
             raise CliError(
                 f"unknown config keys for {self.task}: {sorted(bad)}")
-        given = {"seed": self.seed, "out_dir": self.out_dir}
+        seed = 0 if self.seed is None else self.seed
+        graph = self._graph_flags(seed) if "gen" in options else {}
+        # the top-level keys these command lines read; the rest are refused.
+        # The seed also seeds a graph of a seeded kind whose block has none.
+        reads = {"name": self.task == "bench", "graph": "gen" in options,
+                 "seed": "seed" in options or (
+                     graph.get("graph_seed") is not None
+                     and "seed" not in self.graph),
+                 "out_dir": "out_dir" in options or self.task == "sample"}
+        unread = [key for key, read in reads.items()
+                  if not read and getattr(self, key) is not None]
+        if unread:
+            raise CliError(f"{' '.join(words)} does not read the spec's "
+                           f"{', '.join(unread)}")
+        given = {"seed": seed, "out_dir": "runs/spec" if self.out_dir is None
+                 else self.out_dir, **graph}
         if self.task == "bench" and self._reads_replicates():
             given["seeds"] = self.replicates
-        if "gen" in options:
-            given.update(self._graph_flags())
         if self.task != "sample":
             return [_spec_argv(words, options, {**given, **config})]
         # sample writes one file per replicate, each from its own stream;
         # the first line that runs makes the directory
-        out_dir = _resolve_out(self.out_dir)
+        out_dir = _resolve_out(given["out_dir"])
         out = Path(str(config.pop("out", "samples.csv")))
         stem, dot, ext = out.name.partition(".")
         lines = []
@@ -1049,7 +1064,7 @@ class ExperimentSpec:
                 out = out.parent / f"{stem}_{r}{dot}{ext}"
             lines.append(_spec_argv(words, options, {
                 **given, **config, "out": out_dir / out,
-                "seed": derive_seed(self.seed, f"replicate{r}")}))
+                "seed": derive_seed(seed, f"replicate{r}")}))
         return lines
 
 

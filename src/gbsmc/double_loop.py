@@ -119,7 +119,11 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
 
     The outer walk is the add/remove loop at fugacity lambda^2, so a removal
     candidate has already passed the 1/(1+lambda^2) gate coin; the inner
-    draw decides whether it moves.  The exact gate moves with probability
+    draw decides whether it moves.  The gate reads X as the window hands it
+    over: the loop's vertex bitset, passed at each call, and the partner
+    table ``x.partner``, the chain draw's start.  It never reads
+    ``x.covered`` or ``x.idxs``, which hold the window's start state until
+    it returns.  The exact gate moves with probability
     Haf(V(X) - e) / Haf(V(X)), from ``haf_memo`` (a fresh one per window
     when not given); ``cfg.inner="search"`` takes it on sets of fewer than
     ``EXACT_GATE_BELOW`` vertices and its own chain draw on the others.
@@ -144,9 +148,9 @@ def _drive_double(g, x, lam, cfg, steps, rng, *, stats=None, haf_memo=None,
         haf_memo = {}
     tables = {}  # the window's inner-chain tables; see _run_restricted
 
-    def in_inner(i, t):
-        """Whether the gated removal of edge i goes ahead."""
-        covered = x.covered
+    def in_inner(i, t, covered):
+        """Whether the gated removal of edge i from X, whose vertex bitset
+        is ``covered``, goes ahead."""
         q = covered.bit_count() >> 1
         if q == 1:
             stats.shortcuts += 1

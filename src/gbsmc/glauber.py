@@ -108,7 +108,8 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
 
     A step picks an edge uniformly; an addable edge is added with
     probability ``p_add``, an edge of X is removed with probability
-    ``p_rem`` (and then only if ``remove_ok(i, step)`` agrees, when given),
+    ``p_rem`` (and then only if ``remove_ok(i, step, covered)`` agrees,
+    when given; ``covered`` is X's vertex bitset),
     an edge with exactly one end covered slides in for the edge covering
     that end with probability ``p_slide``, and anything else holds.
 
@@ -133,11 +134,12 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
 
     Inside the window X is its partner table ``x.partner``: a move writes
     it, the loop's vertex bitset and size, and in events X's edge list.
-    ``remove_ok`` reads ``x.partner`` and ``x.covered``, both current at
-    every call, and a matching key is read from the partner table.  Event
-    slides leave the bitset to be summed from the edge list where next
-    read.  The edge set ``x.idxs`` is written once, when the window
-    returns.
+    Code that runs mid-window reads X only through the partner table or
+    the bitset it is handed: ``remove_ok`` gets the loop's bitset, current
+    at every call, and a matching key is read from the partner table.
+    Event slides leave the bitset to be summed from the edge list where
+    next read.  ``x.covered`` and ``x.idxs`` hold the window's start state
+    until it returns, and are written once, then.
 
     ``target_edges`` is both the post-selection size and a cap: at
     |X| = ``target_edges`` an add holds, and R drops its m * p_add term.
@@ -216,10 +218,8 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
                 elif pu == v:
                     if rem_coin and rnd() >= p_rem:
                         continue
-                    if remove_ok is not None:
-                        x.covered = covered
-                        if not remove_ok(i, t):
-                            continue
+                    if remove_ok and not remove_ok(i, t, covered):
+                        continue
                     if point < t:
                         point = count(covered, t - 1, point)
                     if size == target_edges:
@@ -295,10 +295,8 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
             if r < out:
                 k = int(rnd() * size)
                 i = xs[k]
-                if remove_ok is not None:
-                    x.covered = covered
-                    if not remove_ok(i, t):
-                        continue
+                if remove_ok and not remove_ok(i, t, covered):
+                    continue
             else:
                 i = int(rnd() * m)
                 if covered & ebits[i]:
@@ -324,7 +322,7 @@ def _run_add_remove(g, x, p_add, p_rem, steps, rng, remove_ok=None,
             break
         if stale:
             covered = sum(map(ebits.__getitem__, xs))
-    # the window writes X's edge set once, here
+    # the window writes X's bitset and edge set once, here
     x.idxs.clear()
     x.idxs.update(_relist(partner, eindex) if xs is None else xs)
     x.covered = covered

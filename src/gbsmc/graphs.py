@@ -105,8 +105,10 @@ class Matching:
     incrementally up to date: ``covered`` (bitset of matched vertices) and
     ``partner`` (list mapping each matched vertex to its partner, -1 when
     unmatched).  Mutating methods keep all three in sync.  Inside a chain
-    window X is its partner table; the window writes ``idxs`` when it
-    returns.
+    window X is its partner table, and code running mid-window reads X
+    only through it or the vertex bitset the window hands it;
+    ``covered`` and ``idxs`` hold the window's start state until the
+    window writes them when it returns.
     """
 
     __slots__ = ("g", "idxs", "covered", "partner")

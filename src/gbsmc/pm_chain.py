@@ -23,13 +23,14 @@ The chain runs in one of two walks.  The step loop, :func:`_pm_walk`,
 reads one pick a step and moves a partner array.  A transition table,
 :class:`_PMTable`, lists the states of the chain on one vertex set and,
 for each, the state every pick leads to, so an attempt is one ``reduce``
-over the picks.  On k <= 16 edges a table walks compound picks: one
-byte pick carries j steps, j the largest with k^j <= 256 (at most 8; 2 on
-K6's 15 edges, 3 on K4's 6), and :func:`_walk_picks` draws an n-step
-attempt as n // j compound picks from ``range(k ** j)``, whose base-k
-digits are the picks of j steps, then n % j single picks.  Compound picks
-go with tables and single picks with the step loop; past 16 edges j = 1,
-so there both walks read the same picks.
+over the picks.  Every table walks compound picks: one pick carries j
+steps, j the largest with k^j <= 256 on k edges (at most 8; 2 on K6's 15
+edges, 3 on K4's 6, and 1 past 16), and :func:`_walk_picks` draws an
+n-step attempt as n // j compound picks from ``range(k ** j)``, whose
+base-k digits are the picks of j steps, then n % j single picks.
+Compound picks go with tables and single picks with the step loop; at
+j = 1 a compound pick is a single one, so past 16 edges both walks read
+the same picks.
 
 A draw starts from a partner table, indexed by host vertex, and returns
 the drawn matching's partner entries over its vertex set; a table keys
@@ -192,7 +193,9 @@ def _walk_picks(rng, k: int, n: int):
     picks as its base-k digits, most significant first
     (:func:`_compound`), then n % j single picks from ``range(k)``.  The
     single picks are drawn after the compound ones, which past ``_CHUNK``
-    of them :func:`_picks` draws as they are used."""
+    of them :func:`_picks` draws as they are used.  At j = 1 (past 16
+    edges) there are none, and the compound picks are exactly the picks
+    ``_picks(rng, k, n)`` draws."""
     j = _compound(k)
     whole = _picks(rng, k ** j, n // j)
     if n // j > _CHUNK:
@@ -267,9 +270,10 @@ class _PMTable:
     ``crows`` are the compound rows, the same for compound picks
     (:func:`_walk_picks`): ``crows[s][c]`` is the compound row of the state
     that the j steps of compound pick ``c`` lead to, and ``crows[s][-1]``
-    is ``s``.  A table of at most 16 edges composes them when it is made;
-    a larger one (j = 1) has none and walks single picks.  Rows point at
-    rows, so :meth:`free` breaks those cycles when the table is done with.
+    is ``s``.  A table composes them when it is made.  Past 16 edges
+    j = 1, where a compound row has a single row's form, so ``crows`` is
+    ``rows`` itself.  Rows point at rows, so :meth:`free` breaks those
+    cycles when the table is done with.
     """
 
     def __init__(self, g: Graph, vbits: int, start):
@@ -310,28 +314,24 @@ class _PMTable:
                     keys.append(nxt)
                     rows.append([None] * k + [t])
                 row[r] = rows[t]
-        self.crows = []
-        if _compound(k) > 1:
-            self.compose()
+        j = _compound(k)
+        self.crows = rows  # at j = 1 a single row is a compound row
+        if j > 1:
+            # level by level, the compound rows that 0, 1, ..., j picks
+            # reach from each state, in compound-pick order
+            step = [[nxt[k] for nxt in row[:k]] for row in rows]
+            crows = self.crows = [[] for _ in rows]
+            ends = [[crow] for crow in crows]
+            for _ in range(j - 1):
+                ends = [reduce(iadd, map(ends.__getitem__, targets), [])
+                        for targets in step]
+            for s, (crow, targets) in enumerate(zip(crows, step)):
+                reduce(iadd, map(ends.__getitem__, targets), crow)
+                crow.append(s)
 
     def state(self, start) -> int:
         """The id of the matching whose partner table is ``start``."""
         return self.ids[tuple(map(start.__getitem__, self.verts))]
-
-    def compose(self):
-        """Fill ``crows`` from ``rows``: level by level, the compound rows
-        that 0, 1, ..., j picks reach from each state, in compound-pick
-        order."""
-        k = self.k
-        step = [[nxt[k] for nxt in row[:k]] for row in self.rows]
-        crows = self.crows = [[] for _ in self.rows]
-        ends = [[crow] for crow in crows]
-        for _ in range(_compound(k) - 1):
-            ends = [reduce(iadd, map(ends.__getitem__, targets), [])
-                    for targets in step]
-        for s, (crow, targets) in enumerate(zip(crows, step)):
-            reduce(iadd, map(ends.__getitem__, targets), crow)
-            crow.append(s)
 
     def free(self):
         """Empty every row, breaking the cycles among them."""
@@ -341,20 +341,17 @@ class _PMTable:
     def walk(self, s: int, steps: int, attempts: int, rng) -> int:
         """From state ``s``, up to ``attempts`` rounds of ``steps`` moves,
         stopping after the first round that ends perfect; returns the last
-        state.  Each round reads :func:`_walk_picks`' picks, compound rows
-        first."""
+        state.  Each round reads :func:`_walk_picks`' picks: compound rows
+        first, then the remainder on single rows."""
         perfect = self.perfect
         rows = self.rows
         crows = self.crows
         k = self.k
         row = rows[s]
         for _ in range(attempts):
-            if crows:
-                whole, rest = _walk_picks(rng, k, steps)
-                row = rows[reduce(getitem, whole, crows[row[k]])[-1]]
-            else:
-                rest = _picks(rng, k, steps)
-            row = reduce(getitem, rest, row)
+            whole, rest = _walk_picks(rng, k, steps)
+            row = reduce(getitem, rest,
+                         rows[reduce(getitem, whole, crows[row[k]])[-1]])
             if perfect[row[k]]:
                 break
         return row[k]
@@ -372,12 +369,13 @@ def _run_restricted(g: Graph, vbits: int, start, steps: int,
     None when the budget runs out.
 
     ``tables`` is a caller's memory across draws, by vertex set.  A set of
-    at most 16 edges gets its :class:`_PMTable` there at its first draw and
-    walks compound picks on it.  A larger set keeps the steps walked on it
-    so far, read on the step loop, until they reach
-    :func:`table_transitions`; then its table replaces them, so that it
-    never has more transitions than steps already walked on its set.
-    Without ``tables`` every draw takes the step loop, on single picks.
+    at most 16 edges gets its :class:`_PMTable` there at its first draw.  A
+    larger set keeps the steps walked on it so far, read on the step loop,
+    until they reach :func:`table_transitions`; then its table replaces
+    them, so that it never has more transitions than steps already walked
+    on its set.  Every table walks compound picks, which past 16 edges are
+    the step loop's single picks.  Without ``tables`` every draw takes the
+    step loop, on single picks.
     """
     table = None if tables is None else tables.get(vbits, 0)
     if not isinstance(table, _PMTable):

@@ -873,6 +873,55 @@ def test_a_config_seed_in_a_spec_is_refused(tmp_path, capsys, spec):
     assert not (tmp_path / "out").exists()
 
 
+_K4 = {"kind": "complete", "params": {"n": 4}}
+
+
+@pytest.mark.parametrize("key,spec", [
+    ("seed", {"task": "verify", "graph": _K4, "seed": 3,
+              "config": {"mode": "balance"}}),
+    ("out_dir", {"task": "verify", "graph": _K4,
+                 "config": {"mode": "balance"}}),
+    ("out_dir", {"task": "verify", "graph": _K4,
+                 "config": {"mode": "law", "samples": 10}}),
+    ("graph", {"task": "bench", "name": "exit-time", "graph": _K4,
+               "config": {"squares": 1, "trials": 20}}),
+    ("graph", {"task": "exit-time", "graph": _K4,
+               "config": {"squares": 1, "trials": 20}}),
+    ("name", {"task": "solve", "name": "exit-time", "graph": _K4,
+              "config": {"k": 2, "iterations": 5}}),
+    ("name", {"task": "exit-time", "name": "exit-time",
+              "config": {"squares": 1, "trials": 20}}),
+], ids=["verify-balance-seed", "verify-balance-out-dir", "verify-law-out-dir",
+        "bench-graph", "exit-time-graph", "solve-name", "exit-time-name"])
+def test_a_top_level_spec_key_its_command_line_does_not_read_is_refused(
+        tmp_path, capsys, key, spec):
+    spec.setdefault("out_dir", str(tmp_path / "out"))
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"does not read the spec's {key}" in captured.err
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+def test_a_spec_seed_seeds_a_graph_that_has_none(tmp_path, monkeypatch):
+    """verify balance reads no seed, but on a seeded graph kind whose
+    block has no seed of its own the spec's seed is the graph's."""
+    import gbsmc.cli
+    seeds = []
+    real = gbsmc.cli.gen_graph
+
+    def gen_graph(spec, seed):
+        seeds.append(seed)
+        return real(spec, seed=seed)
+
+    monkeypatch.setattr(gbsmc.cli, "gen_graph", gen_graph)
+    spec = {"task": "verify", "seed": 5, "config": {"mode": "balance"},
+            "graph": {"kind": "erdos_renyi", "params": {"n": 5, "p": 0.5}}}
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
+    assert run("verify", "balance", "--gen", "er", "--n", 5, "--p", 0.5,
+               "--graph-seed", 5) == EXIT_OK
+    assert seeds == [5, 5]
+
+
 def test_a_spec_on_a_kind_that_draws_no_seed_hashes_as_its_command_line(
         tmp_path):
     # the spec's seed seeds the trials, not the graph, as --seed does

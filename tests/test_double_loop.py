@@ -253,13 +253,14 @@ def test_a_windows_tables_die_with_the_window(k6, monkeypatch):
     from gbsmc import pm_chain
     built = spy_table_builds(monkeypatch, weak=True)
     composed = []
-    real_compose = pm_chain._PMTable.compose
+    real_walk = pm_chain._PMTable.walk
 
-    def compose(table):
-        composed.append(len(table.rows))
-        real_compose(table)
+    def walk(table, *args):
+        if table.crows is not table.rows:
+            composed.append(len(table.crows))
+        return real_walk(table, *args)
 
-    monkeypatch.setattr(pm_chain._PMTable, "compose", compose)
+    monkeypatch.setattr(pm_chain._PMTable, "walk", walk)
     cfg = DoubleLoopConfig(chain=ChainConfig(c=0.5))
     gc.collect()
     gc.disable()

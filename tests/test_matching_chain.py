@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gbsmc.glauber
+from gbsmc import double_loop
 from gbsmc.diagnostics import transition_kernel
 from gbsmc.double_loop import DoubleLoopConfig, _drive_double
 from gbsmc.glauber import (
@@ -552,32 +553,94 @@ def test_windows_leave_x_whole_in_its_own_edge_set(chain, graph, lam, modes,
         assert slid  # windows that end in events after slides
 
 
+def _two_edges(g):
+    """X of two disjoint edges of ``g``: its first edge and the first one
+    that misses both of its ends."""
+    first = g.edges[0]
+    return Matching.from_pairs(g, [first, next(
+        e for e in g.edges if not set(e) & set(first))])
+
+
+def _check_x_mid_window(x, start, covered):
+    """Mid-window, ``covered`` is the partner table's cover of a valid
+    matching, while ``x.covered`` and ``x.idxs`` still hold ``start``, the
+    window's start state (its bitset and edge set)."""
+    partner = x.partner
+    assert all(p == -1 or partner[p] == w for w, p in enumerate(partner))
+    assert covered == sum(1 << w for w, p in enumerate(partner) if p >= 0)
+    assert (x.covered, x.idxs) == start
+
+
 @pytest.mark.parametrize("chain,graph,lam,modes", MODE_CASES)
 def test_remove_ok_sees_x_current(chain, graph, lam, modes, monkeypatch):
-    """A removal check reads ``x.partner`` and ``x.covered``: at every call
-    they hold X_{t-1}, the edge to remove included, in both modes and
-    after slides."""
+    """A removal check is handed X's bitset, and reads ``x.partner``: at
+    every call they hold X_{t-1}, the edge to remove included, in both
+    modes and after slides.  ``x.covered`` and ``x.idxs`` hold the
+    window's start state until it returns."""
     batches = spy_plain_steps(monkeypatch)
     g = _window_graph(graph)
-    x = Matching(g)
+    x = _two_edges(g)
+    start = x.covered, set(x.idxs)
     calls = []
 
-    def remove_ok(i, t):
+    def remove_ok(i, t, covered):
         u, v = g.edges[i]
         assert x.partner[u] == v and x.partner[v] == u
-        assert all(p == -1 or x.partner[p] == w
-                   for w, p in enumerate(x.partner))
-        assert x.covered == sum(1 << w for w, p in enumerate(x.partner)
-                                if p >= 0)
-        calls.append(t)
+        _check_x_mid_window(x, start, covered)
+        calls.append(covered != start[0])
         return t % 3 > 0
 
     p_add, p_rem, p_slide = move_probabilities(chain, lam)
     _run_add_remove(g, x, p_add, p_rem, 20_000, random.Random(lam),
                     remove_ok, p_slide=p_slide)
     x.validate()
-    assert len(calls) > 10
+    assert len(calls) > 10 and any(calls)
     _check_modes(batches, 20_000, modes)
+
+
+@pytest.mark.parametrize("chain,graph,lam,modes",
+                         [case for case in DOUBLE_CASES
+                          if case[1] != "cycle16"])
+def test_the_double_loops_gate_sees_x_current(chain, graph, lam, modes,
+                                              monkeypatch):
+    """At every gate of the double loop, with its exact and its chain
+    inner draw, in plain steps and in events, the bitset the gate reads is
+    the partner table's cover: the exact gate's hafnians are of that set
+    and of it less the edge to remove, and the chain draw runs on that set
+    from the partner table.  ``x.covered`` and ``x.idxs`` hold the
+    window's start state until it returns."""
+    batches = spy_plain_steps(monkeypatch)
+    g = _window_graph(graph)
+    x = _two_edges(g)
+    start = x.covered, set(x.idxs)
+    gates = Counter()
+    real_draw = double_loop._run_restricted
+    real_haf = double_loop.hafnian_bits
+
+    def draw(g, vbits, partner, *args):
+        assert partner is x.partner
+        _check_x_mid_window(x, start, vbits)
+        gates["chain", vbits != start[0]] += 1
+        return real_draw(g, vbits, partner, *args)
+
+    def haf(g, bits, memo):
+        cover = sum(1 << w for w, p in enumerate(x.partner) if p >= 0)
+        rest = cover ^ bits
+        u, v = (rest & -rest).bit_length() - 1, rest.bit_length() - 1
+        assert rest == 0 or (rest == 1 << u | 1 << v and x.partner[u] == v)
+        _check_x_mid_window(x, start, cover)
+        gates["exact", cover != start[0]] += rest == 0
+        return real_haf(g, bits, memo)
+
+    monkeypatch.setattr(double_loop, "_run_restricted", draw)
+    monkeypatch.setattr(double_loop, "hafnian_bits", haf)
+    steps = 20_000 if modes == "plain" else 200_000
+    _window_driver(chain)(g, x, lam, False, steps, random.Random(lam))
+    x.validate()
+    inner = chain.split("/")[1]
+    assert gates[inner, True] > 10 and gates[inner, False] > 0
+    assert {kind for kind, _ in gates} == {inner}
+    _check_modes(batches, steps, modes)
 
 
 @pytest.mark.parametrize("dynamics", ["glauber", "jerrum"])

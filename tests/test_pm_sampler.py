@@ -195,7 +195,8 @@ def test_pm_steps_follow_the_exact_kernel_powers(name, request):
 
 def _er12_set():
     """An ER(12, 0.8) graph, the vertex set of a 4-edge matching of it, and
-    that matching.  The set holds 18 edges, past compound picks."""
+    that matching.  The set holds 18 edges, past 16: one step a compound
+    pick."""
     g = gen_graph(GraphSpec.of("erdos_renyi", n=12, p=0.8), seed=4)
     x = Matching(g)
     for i, bits in enumerate(g.edge_bits):
@@ -228,8 +229,8 @@ def k44():
 
 @pytest.fixture
 def k44_chord(k44):
-    """K4,4 and one edge inside a side: 17 edges, one past compound
-    picks."""
+    """K4,4 and one edge inside a side: 17 edges, one past 16, so one
+    step a compound pick."""
     return Graph(8, list(k44.edges) + [(0, 1)])
 
 
@@ -328,14 +329,15 @@ def _check_table_against_spelled_picks(g, schedule, seed):
                                ScriptedBytes(bytes(picks))) == want
         if want is not None:
             start = want
-    assert bool(table.crows) == (k <= 16)
+    assert (table.crows is table.rows) == (k > 16)
 
 
 @pytest.mark.parametrize("name", BY_EDGES)
 def test_compound_rows_walk_what_the_step_loop_walks(name, request):
     """Compound rows, at step counts that j divides and ones it does not,
     reach what single rows and the step loop reach on the digits of the
-    same compound picks (on k44_chord, j = 1: the same single picks)."""
+    same compound picks (on k44_chord, j = 1: the compound rows are the
+    single rows, and the picks are the step loop's single picks)."""
     _check_table_against_spelled_picks(
         request.getfixturevalue(name),
         [((1, 2, 3, 8, 40, 41)[t % 6], 1 + t % 3) for t in range(200)], name)
@@ -346,7 +348,8 @@ def test_walks_past_a_chunk_of_compound_picks_draw_alike(name, request,
                                                          monkeypatch):
     """With chunks of 5 picks, walks of many chunks: the compound rows
     read the picks chunk by chunk, and reach what the digits of those
-    picks reach."""
+    picks reach (on k44_chord, j = 1: the single rows, on single
+    picks)."""
     monkeypatch.setattr(pm_chain, "_CHUNK", 5)
     g = request.getfixturevalue(name)
     j = _compound(g.m)
@@ -371,16 +374,14 @@ def test_a_one_edge_graph_takes_eight_steps_a_byte(edge):
 
 @pytest.mark.parametrize("name", ["k6", "k44", "k44_chord"])
 def test_compound_rows_are_composed_when_a_table_is_made(name, request):
-    """At most 16 edges (K6's 15, K4,4's 16), a table composes its
-    compound rows, states times k^j entries, when it is made; past 16
-    (K4,4 and a chord) it never does."""
+    """A table composes its compound rows, states times k^j entries,
+    when it is made.  At most 16 edges (K6's 15, K4,4's 16) they are new
+    lists; past 16 (K4,4 and a chord) j = 1, and they are the single rows
+    themselves, the same lists."""
     g = request.getfixturevalue(name)
     table = _PMTable(g, g.full_bits,
                      enumerate_perfect_matchings(g)[0].partner)
-    if g.m > 16:
-        table.walk(0, 100, 3, random.Random(0))
-        assert not table.crows
-        return
+    assert (table.crows is table.rows) == (g.m > 16)
     entries = g.m ** _compound(g.m)
     assert len(table.crows) == len(table.rows)
     assert all(len(crow) == entries + 1 and crow[-1] == s
