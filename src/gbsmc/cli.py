@@ -985,6 +985,9 @@ class ExperimentSpec:
             raise CliError("replicates must be a positive integer")
         if type(data.get("seed", 0)) not in (int, str):
             raise CliError("seed must be an integer or a string")
+        if data.get("out_dir") is not None and not isinstance(
+                data["out_dir"], str):
+            raise CliError("out_dir must be a string")
         if data["task"] == "bench" and data.get("name") not in _PRESETS:
             raise CliError(
                 f"bench spec needs a preset name from {sorted(_PRESETS)}")

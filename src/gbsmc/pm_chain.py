@@ -22,21 +22,31 @@ call a step.  The chain flips no other coin.
 The chain runs in one of two walks.  The step loop, :func:`_pm_walk`,
 reads one pick a step and moves a partner array.  A transition table,
 :class:`_PMTable`, lists the states of the chain on one vertex set and,
-for each, the state every pick leads to, so an attempt is one ``reduce``
-over the picks.  Every table walks compound picks: one pick carries j
-steps, j the largest with k^j <= 256 on k edges (at most 8; 2 on K6's 15
-edges, 3 on K4's 6, and 1 past 16), and :func:`_walk_picks` draws an
-n-step attempt as n // j compound picks from ``range(k ** j)``, whose
-base-k digits are the picks of j steps, then n % j single picks.
-Compound picks go with tables and single picks with the step loop; at
-j = 1 a compound pick is a single one, so past 16 edges both walks read
-the same picks.
+for each, the state every pick leads to.  Every table walks compound
+picks: one pick carries j steps, j the largest with k^j <= 256 on k
+edges (at most 8; 2 on K6's 15 edges, 3 on K4's 6, and 1 past 16), and
+:func:`_walk_picks` draws an n-step attempt as n // j compound picks from
+``range(k ** j)``, whose base-k digits are the picks of j steps, then
+n % j single picks.  Compound picks go with tables and single picks with
+the step loop; at j = 1 a compound pick is a single one, so past 16 edges
+both walks read the same picks.
+
+An attempt's end is a fixed function of its start and its picks.  A
+table of at most 256 states, which every table of at most 16 edges seen
+so far is, holds each pick's map of its states as a ``bytes.translate``
+table and composes an attempt's maps from its last pick back.  Under this
+grand coupling (Propp and Wilson, 1996) the composed map sends every
+state to one within the last few dozen picks of an attempt of 85 to
+5,000, and the attempt ends there whatever it started from, so the picks
+before are drawn but not read.  A larger table walks its picks forward,
+one ``reduce`` over rows.  Either way the end state is the step loop's
+on the same picks.
 
 A draw starts from a partner table, indexed by host vertex, and returns
 the drawn matching's partner entries over its vertex set; a table keys
 its states by those entries.  The double loop keeps one table per vertex
 set for a window and frees them when the window ends.  A set of at most
-16 edges gets its table, whole, at its first draw, compound rows
+16 edges gets its table, whole, at its first draw, compound maps or rows
 included.  A larger set gets its table only once earlier draws on it have
 walked as many steps as the table of a complete graph of its size has
 transitions (:func:`table_transitions`: 14,700 at 8 vertices, 4.8e6 at
@@ -52,7 +62,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import chain
+from itertools import chain, islice
 from operator import getitem, iadd
 from typing import Optional
 
@@ -247,7 +257,11 @@ def _inner_edges(g: Graph, vbits: int) -> list:
     order (the edge list is sorted)."""
     adj = g.adj
     return [(a, z) for a in bits_to_tuple(vbits)
-            for z in bits_to_tuple(adj[a] & vbits) if z > a]
+            for z in bits_to_tuple(adj[a] & vbits >> a + 1 << a + 1)]
+
+
+_MAP_STATES = 256  # the states a bytes.translate table can index
+_FIRST_READ = 8  # compound picks read back first; each further read doubles
 
 
 class _PMTable:
@@ -256,24 +270,38 @@ class _PMTable:
 
     A state is the tuple of its partner entries over the set's vertices
     ``verts``, in ascending order (-1 at an uncovered vertex); ``keys[s]``
-    is state ``s``, ``perfect[s]`` whether it covers the set, and
-    ``rows[s]`` its row: ``rows[s][r]`` is the row of the state that pick
-    ``r`` leads to from ``s``, r indexing :func:`_inner_edges`, and
-    ``rows[s][k]`` is ``s`` itself, k the number of picks.  A walk is then
-    ``reduce(getitem, picks, row)``.  From a perfect matching the chain
-    reaches every perfect and near-perfect matching of the set: alternating
-    cycles join perfect matchings, and by Berge's lemma the two holes of a
-    near-perfect one are joined by an augmenting path.  So a breadth-first
-    search from the first start fills the table, and later starts are
-    looked up.
+    is state ``s``, ``ids`` looks states up, and ``perfect[s]`` says
+    whether ``s`` covers the set.  Picks index :func:`_inner_edges`, k of
+    them.  From a perfect matching the chain reaches every perfect and
+    near-perfect matching of the set: alternating cycles join perfect
+    matchings, and by Berge's lemma the two holes of a near-perfect one
+    are joined by an augmenting path.  So a breadth-first search from the
+    first start fills the table, and later starts are looked up.
 
-    ``crows`` are the compound rows, the same for compound picks
-    (:func:`_walk_picks`): ``crows[s][c]`` is the compound row of the state
-    that the j steps of compound pick ``c`` lead to, and ``crows[s][-1]``
-    is ``s``.  A table composes them when it is made.  Past 16 edges
-    j = 1, where a compound row has a single row's form, so ``crows`` is
-    ``rows`` itself.  Rows point at rows, so :meth:`free` breaks those
-    cycles when the table is done with.
+    A table of at most 256 states holds its transitions as maps: ``maps[r]``
+    is a ``bytes.translate`` table whose byte s is the state pick r leads
+    to from s, and ``cmaps[c]`` the same for compound pick c
+    (:func:`_walk_picks`), composed from the maps of its j digits when the
+    table is made (at j = 1 it is ``maps``).  Such a table has fewer than
+    256 edges: from a perfect matching M, each edge of M is dropped in a
+    state of its own, and each other edge (u, v) is added, in place of M's
+    edges at u and v, in another, so its picks are bytes.  An attempt's end
+    is a fixed function of its start and its picks, and :meth:`walk` reads
+    it from the attempt's last pick back (:meth:`read_back`), stopping once
+    the composed map is constant (the grand coupling of Propp and Wilson,
+    1996): then the attempt ends in that state whatever it started from.
+    On the tables the double loop reaches, that takes a few dozen of an
+    attempt's 85 to 5,000 compound picks.
+
+    A larger table keeps rows, walked forward: ``rows[s][r]`` is the row
+    of the state that pick r leads to from s, and ``rows[s][k]`` is s, so
+    a walk is ``reduce(getitem, picks, row)``; ``crows`` are the same for
+    compound picks, ``crows[s][-1]`` being s, and past 16 edges (j = 1)
+    are ``rows`` itself.  No set of at most 16 edges has been seen to pass
+    256 states (K4,4 has 120, the Petersen graph 96, four disjoint squares
+    144), but none is proven not to, so compound rows stay for that case.
+    Rows point at rows, so :meth:`free` breaks those cycles when the table
+    is done with; maps hold none.
     """
 
     def __init__(self, g: Graph, vbits: int, start):
@@ -284,13 +312,16 @@ class _PMTable:
         key = tuple(map(start.__getitem__, verts))
         ids = self.ids = {key: 0}
         keys = self.keys = [key]
-        rows = self.rows = [[None] * k + [0]]
         perfect = self.perfect = []
-        # a breadth-first search that fills each row as it reaches it
-        for row, key in zip(rows, keys):
+        step = []  # step[s][r]: the state pick r leads to from s
+        # a breadth-first search that fills each state's step as it
+        # reaches it
+        for s, key in enumerate(keys):
             full = -1 not in key
             perfect.append(full)
-            for r, (a, b, u, v) in enumerate(moves):
+            targets = []
+            step.append(targets)
+            for a, b, u, v in moves:
                 pu = key[a]
                 pv = key[b]
                 if full and pu == v:
@@ -305,21 +336,34 @@ class _PMTable:
                     nxt[a] = v
                     nxt[b] = u
                 else:
-                    row[r] = row
+                    targets.append(s)
                     continue
                 nxt = tuple(nxt)
                 t = ids.get(nxt)
                 if t is None:
                     t = ids[nxt] = len(keys)
                     keys.append(nxt)
-                    rows.append([None] * k + [t])
-                row[r] = rows[t]
+                targets.append(t)
         j = _compound(k)
+        if len(keys) <= _MAP_STATES:
+            pad = bytes(256 - len(keys))
+            maps = self.maps = [bytes(col) + pad for col in zip(*step)]
+            cmaps = maps
+            for _ in range(j - 1):
+                # pick c, then pick d: compound pick c * k + d
+                cmaps = [m.translate(f) for m in cmaps for f in maps]
+            self.cmaps = cmaps
+            self.every = bytes(range(len(keys)))  # the identity map
+            self.rows = self.crows = ()
+            return
+        self.maps = self.cmaps = None
+        rows = self.rows = [[None] * k + [s] for s in range(len(keys))]
+        for row, targets in zip(rows, step):
+            row[:k] = map(rows.__getitem__, targets)
         self.crows = rows  # at j = 1 a single row is a compound row
         if j > 1:
             # level by level, the compound rows that 0, 1, ..., j picks
             # reach from each state, in compound-pick order
-            step = [[nxt[k] for nxt in row[:k]] for row in rows]
             crows = self.crows = [[] for _ in rows]
             ends = [[crow] for crow in crows]
             for _ in range(j - 1):
@@ -338,23 +382,59 @@ class _PMTable:
         for row in chain(self.rows, self.crows):
             row.clear()
 
+    def read_back(self, picks: bytes) -> bytes:
+        """The map of the compound ``picks``, read from the last pick back.
+        A map holds the state each state goes to, one byte a state.  Reads
+        of 8, 16, 32, ... picks go back until the composed map sends every
+        state to one, which the map of the picks before them cannot
+        change, or until the picks run out.  Either way the result is the
+        forward composition."""
+        cmaps = self.cmaps
+        every = after = self.every
+        states = len(every)
+        hi = len(picks)
+        size = _FIRST_READ
+        while hi:
+            lo = hi - size if hi > size else 0
+            # a read's picks compose forward in C, pick lo first, from
+            # every state
+            after = reduce(bytes.translate,
+                           map(cmaps.__getitem__, picks[lo:hi]),
+                           every).translate(after.ljust(256))
+            if after.count(after[0]) == states:
+                break
+            hi = lo
+            size += size
+        return after
+
     def walk(self, s: int, steps: int, attempts: int, rng) -> int:
         """From state ``s``, up to ``attempts`` rounds of ``steps`` moves,
         stopping after the first round that ends perfect; returns the last
-        state.  Each round reads :func:`_walk_picks`' picks: compound rows
-        first, then the remainder on single rows."""
+        state.  Each round reads :func:`_walk_picks`' picks: compound ones,
+        then single ones.  On maps the compound picks are read back
+        (:meth:`read_back`), past ``_CHUNK`` of them a chunk at a time, as
+        they are drawn, and the maps are applied in turn.  On rows a round
+        walks forward."""
         perfect = self.perfect
+        k = self.k
+        maps = self.maps
+        read_back = self.read_back
         rows = self.rows
         crows = self.crows
-        k = self.k
-        row = rows[s]
         for _ in range(attempts):
             whole, rest = _walk_picks(rng, k, steps)
-            row = reduce(getitem, rest,
-                         rows[reduce(getitem, whole, crows[row[k]])[-1]])
-            if perfect[row[k]]:
+            if maps is None:
+                s = reduce(getitem, rest,
+                           rows[reduce(getitem, whole, crows[s])[-1]])[k]
+            else:
+                for chunk in ((whole,) if isinstance(whole, bytes) else iter(
+                        lambda: bytes(islice(whole, _CHUNK)), b"")):
+                    s = read_back(chunk)[s]
+                for r in rest:
+                    s = maps[r][s]
+            if perfect[s]:
                 break
-        return row[k]
+        return s
 
 
 def _run_restricted(g: Graph, vbits: int, start, steps: int,

@@ -34,6 +34,15 @@ def square():
     return Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
+def petersen_graph():
+    """The Petersen graph: an outer 5-cycle, an inner pentagram and the
+    spokes between them.  Its 15 edges make a 96-state inner-chain
+    table."""
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)])
+
+
 def balance_suite():
     """The eight small graphs every exact kernel check runs over."""
     return [

@@ -857,6 +857,26 @@ def test_spec_top_level_values_of_the_wrong_type_are_refused(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("task,config", [
+    ("sample", {"samples": 2, "steps": 10}),
+    ("solve", {"k": 4, "iterations": 5})], ids=["sample", "solve"])
+@pytest.mark.parametrize("out_dir", [5, [1], True, {"dir": "x"}],
+                         ids=["int", "list", "bool", "object"])
+def test_a_spec_out_dir_that_is_not_a_string_is_refused(
+        tmp_path, monkeypatch, capsys, task, config, out_dir):
+    # sample would have failed on it with a traceback, and solve would
+    # have run with --out-dir=5
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GBSMC_OUT_ROOT", raising=False)
+    spec = {"task": task, "out_dir": out_dir, "config": config,
+            "graph": {"kind": "complete", "params": {"n": 6}}}
+    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "out_dir must be a string" in captured.err
+    assert captured.out == "" and sorted(tmp_path.iterdir()) == [
+        tmp_path / "spec.json"]
+
+
 @pytest.mark.parametrize("spec", [
     {"task": "solve", "graph": {"kind": "complete", "params": {"n": 6}},
      "config": {"k": 4, "iterations": 5, "seed": True}},

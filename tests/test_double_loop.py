@@ -247,37 +247,43 @@ def test_a_window_builds_one_table_per_vertex_set(k6, monkeypatch):
 
 
 def test_a_windows_tables_die_with_the_window(k6, monkeypatch):
-    """With the cyclic GC off, a K6 window's inner-chain tables, their
-    rows and their compound rows (which point at one another) are all
-    freed by the time the window returns."""
+    """With the cyclic GC off, a K6 window's inner-chain tables are all
+    freed by the time the window returns: as made, tables of maps, and
+    with the map limit at 0, tables of rows and compound rows, which
+    point at one another."""
     from gbsmc import pm_chain
-    built = spy_table_builds(monkeypatch, weak=True)
-    composed = []
     real_walk = pm_chain._PMTable.walk
+    for map_states in (256, 0):
+        monkeypatch.setattr(pm_chain, "_MAP_STATES", map_states)
+        built = spy_table_builds(monkeypatch, weak=True)
+        walked = []
 
-    def walk(table, *args):
-        if table.crows is not table.rows:
-            composed.append(len(table.crows))
-        return real_walk(table, *args)
+        def walk(table, *args):
+            if table.maps is None:
+                assert table.crows is not table.rows
+            else:
+                assert table.cmaps is not table.maps and table.rows == ()
+            walked.append((table.maps is None, len(table.keys)))
+            return real_walk(table, *args)
 
-    monkeypatch.setattr(pm_chain._PMTable, "walk", walk)
-    cfg = DoubleLoopConfig(chain=ChainConfig(c=0.5))
-    gc.collect()
-    gc.disable()
-    try:
-        _drive_double(k6, Matching(k6), cfg.chain.resolved_fugacity(), cfg,
-                      20_000, random.Random("tables"))
-        assert built and all(table() is None for _, table in built)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-    assert 60 in composed
+        monkeypatch.setattr(pm_chain._PMTable, "walk", walk)
+        cfg = DoubleLoopConfig(chain=ChainConfig(c=0.5))
+        gc.collect()
+        gc.disable()
+        try:
+            _drive_double(k6, Matching(k6), cfg.chain.resolved_fugacity(),
+                          cfg, 20_000, random.Random("tables"))
+            assert built and all(table() is None for _, table in built)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert (map_states == 0, 60) in walked
 
 
 def test_a_windows_first_draw_on_a_set_walks_compound_rows(k6, monkeypatch):
     """Every V(X) of K6 holds at most 15 edges, so a K6 window's chain
     inner draws never take the step loop: each set's table is built at its
-    first draw, and that draw already walks compound rows."""
+    first draw, and that draw already reads compound picks, on maps."""
     from gbsmc import pm_chain
 
     def no_step_loop(*args):
@@ -290,7 +296,7 @@ def test_a_windows_first_draw_on_a_set_walks_compound_rows(k6, monkeypatch):
 
     def walk(table, *args):
         end = real_walk(table, *args)
-        assert table.crows
+        assert table.cmaps is not table.maps
         walks[id(table)] += 1
         return end
 

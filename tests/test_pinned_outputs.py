@@ -20,7 +20,10 @@ from gbsmc.glauber import (ChainConfig, _drive_glauber, _drive_jerrum,
                            sample_states)
 from gbsmc.graphs import GraphSpec, Matching, gen_graph
 from gbsmc.pm_chain import _run_restricted
+from gbsmc.seeds import child_rng
 from gbsmc.solvers import SolverConfig, random_search
+
+from conftest import petersen_graph
 
 _DRIVE = {"glauber": _drive_glauber, "jerrum": _drive_jerrum}
 
@@ -113,6 +116,50 @@ def restricted_draw():
                            if u < w) for got in draws]
 
 
+def table_draws(graph, schedule):
+    """Chain inner draws on all of ``graph`` through a window's tables,
+    each from the last one's matching; ``schedule`` holds their (steps,
+    attempts) pairs."""
+    g = {"k44": lambda: gen_graph(GraphSpec.of("complete_bipartite", m=4,
+                                               n=4)),
+         "petersen": petersen_graph,
+         "k4": lambda: gen_graph(GraphSpec.of("complete", n=4))}[graph]()
+    x = Matching(g)
+    for i, bits in enumerate(g.edge_bits):
+        if not x.covered & bits:
+            x.add(i)
+    rng = random.Random(f"pin/tables/{graph}")
+    tables = {}
+    start = x.partner
+    draws = []
+    for steps, attempts in schedule:
+        got = _run_restricted(g, g.full_bits, start, steps, attempts, rng,
+                              tables)
+        draws.append(got)
+        start = start if got is None else list(got)
+    return draws
+
+
+def er256_double_loop_windows():
+    """The paper-scale double-loop command of CI's sample step: ER(256,
+    0.4) at graph seed 0, post-selected at k = 8, lambda = 0.017485,
+    20,000 steps of burn-in and ten 200,000-step windows, with chain inner
+    draws at the default budget.  Its 8-vertex sets walk tables of 2,048
+    compound picks an attempt."""
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=256, p=0.4), seed=0)
+    cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=0.017485))
+    rng = child_rng(1, "sample")
+    x = Matching(g)
+    stats = InnerStats()
+    memo = {}
+    _drive_double(g, x, 0.017485, cfg, 20_000, rng, stats=stats,
+                  haf_memo=memo, target_edges=4)
+    snaps = [_drive_double(g, x, 0.017485, cfg, 200_000, rng, stats=stats,
+                           haf_memo=memo, target_edges=4)
+             for _ in range(10)]
+    return (snaps, _state(x), stats.calls, stats.shortcuts, stats.failures)
+
+
 def double_loop_chain_window(key_kind):
     """Double-loop windows with chain inner draws on ER(24, 0.8), whose
     vertex sets of 8 or more hold more than 16 inner edges."""
@@ -165,11 +212,22 @@ CASES = {
        for kk in ("vertexset", "matching")},
     **{f"double-loop-k6-{kk}": (k6_double_loop, (kk,))
        for kk in ("vertexset", "matching")},
+    "double-loop-er256-k8": (er256_double_loop_windows, ()),
+    # short attempts, then the default budgets: 4,096 steps (2,048
+    # compound picks) and 350 attempts on K4,4, 10,000 steps (5,000) and
+    # 541 attempts on the Petersen graph
+    "k44-table-draws": (table_draws, (
+        "k44", [(1, 3), (7, 3), (64, 3)] + [(4_096, 350)] * 20)),
+    "petersen-table-draws": (table_draws, (
+        "petersen", [(1, 3), (9, 3), (150, 3)] + [(10_000, 541)] * 20)),
+    # 66,666 compound picks an attempt, past _CHUNK
+    "k4-table-draws-past-a-chunk": (table_draws, ("k4", [(200_000, 3)])),
 }
 
 PINNED = {
     'double-loop-er24-matching': '0e503330890c4461',
     'double-loop-er24-vertexset': '2a73be9101d3f7ce',
+    'double-loop-er256-k8': 'dfd8ddb3528054ad',
     'double-loop-k6-matching': '8cfed2e7b92c2954',
     'double-loop-k6-vertexset': '1904086440af3036',
     'er128-dense-glauber': '70adbac90363538b',
@@ -216,7 +274,10 @@ PINNED = {
     'k6-jerrum-3.0-matching-thin15': '79786067a87ba76b',
     'k6-jerrum-3.0-vertexset-thin1': '724d05cc28596663',
     'k6-jerrum-3.0-vertexset-thin15': 'fc452d86745f21f2',
+    'k4-table-draws-past-a-chunk': '5bc879ffcb29cc26',
+    'k44-table-draws': 'dab4a8175762351e',
     'k8-inner-draws': 'd9f24a4207b50e37',
+    'petersen-table-draws': '8bc729d0d277a3f6',
     'search-double-loop-k32': 'f76f16547a1e1587',
     'search-jerrum-k32': '627851c11e9043ad',
     'search-jerrum-k8': 'bc92281432603aa7',

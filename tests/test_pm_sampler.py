@@ -3,11 +3,12 @@
 import math
 import random
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 from operator import getitem
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gbsmc.diagnostics import transition_kernel
 from gbsmc import pm_chain
@@ -30,7 +31,7 @@ from gbsmc.pm_chain import (
     table_transitions,
 )
 
-from conftest import check_kernel_powers
+from conftest import check_kernel_powers, petersen_graph
 from oracles import naive_tv
 
 
@@ -57,6 +58,26 @@ def partner_table(g, vbits, entries):
     for u, p in zip(bits_to_tuple(vbits), entries):
         partner[u] = p
     return partner
+
+
+def both_forms(g, vbits, start):
+    """The table of ``vbits`` in its two forms: maps, as a table of at
+    most 256 states is made, and rows with compound rows, as a larger one
+    is made."""
+    with mock.patch.object(pm_chain, "_MAP_STATES", 0):
+        rows = _PMTable(g, vbits, start)
+    return _PMTable(g, vbits, start), rows
+
+
+def single_steps(table, s, picks):
+    """The state ``picks``, single ones, lead to from state ``s``, one
+    pick at a time, forward, on the table's maps or its rows."""
+    if table.maps is None:
+        return reduce(getitem, picks, table.rows[s])[table.k]
+    maps = table.maps
+    for r in picks:
+        s = maps[r][s]
+    return s
 
 
 def test_default_budget_formulas():
@@ -168,9 +189,10 @@ def test_uniformity_on_k33():
 def test_pm_steps_follow_the_exact_kernel_powers(name, request):
     """X_T from a perfect and a near-perfect start, T = 1, 2, 3, 5, 6,
     against rows of P^T, on the step loop the samplers' restricted runs
-    walk and on the transition table the double loop walks, there with its
-    compound rows.  With j steps a compound pick (3 on K4, 2 on K3,3, 4 on
-    the square), the table's attempts run on compound picks alone, on
+    walk and on the transition table the double loop walks, there in both
+    of its forms: maps read back from an attempt's end, and compound rows
+    walked forward.  With j steps a compound pick (3 on K4, 2 on K3,3, 4
+    on the square), the table's attempts run on compound picks alone, on
     single picks alone, and on both."""
     g = request.getfixturevalue(name)
     perfect = enumerate_perfect_matchings(g)[-1].pairs()
@@ -180,17 +202,16 @@ def test_pm_steps_follow_the_exact_kernel_powers(name, request):
     check_kernel_powers(
         g, kernel, lambda x, steps, rng: pm_steps(g, x, steps, rng), starts,
         label=f"pm/{name}", times=times)
-    table = _PMTable(g, g.full_bits,
-                     enumerate_perfect_matchings(g)[0].partner)
+    for table in both_forms(g, g.full_bits,
+                            enumerate_perfect_matchings(g)[0].partner):
 
-    def on_table(x, steps, rng):
-        x.partner[:] = table.keys[table.walk(table.state(x.partner), steps,
-                                             1, rng)]
-        from_partner(g, x)
+        def on_table(x, steps, rng):
+            x.partner[:] = table.keys[table.walk(table.state(x.partner),
+                                                 steps, 1, rng)]
+            from_partner(g, x)
 
-    check_kernel_powers(g, kernel, on_table, starts, label=f"pm/{name}/table",
-                        times=times)
-    assert len(table.crows) == len(table.rows)
+        check_kernel_powers(g, kernel, on_table, starts,
+                            label=f"pm/{name}/table", times=times)
 
 
 def _er12_set():
@@ -302,42 +323,48 @@ def test_table_walk_draws_what_the_step_loop_draws(name, request):
 
 
 def _check_table_against_spelled_picks(g, schedule, seed):
-    """Draws on a table that walks compound rows from its first draw, each
-    from the last one's matching, pick for pick against the same table's
-    single rows and the step loop, fed the digits of the same draws: the
-    same results, and the same random draws consumed.  ``schedule`` holds
-    (steps, attempts) pairs."""
-    vbits, start = g.full_bits, enumerate_perfect_matchings(g)[0].partner
-    tables = {vbits: _PMTable(g, vbits, start)}
-    table_rng, ref_rng = random.Random(seed), random.Random(seed)
-    table, k = tables[vbits], g.m
-    for steps, attempts in schedule:
-        got = _run_restricted(g, vbits, start, steps, attempts, table_rng,
-                              tables)
-        row = table.rows[table.state(start)]
-        picks = []
-        for _ in range(attempts):
-            attempt = _spelled(ref_rng, k, steps)
-            picks += attempt
-            row = reduce(getitem, attempt, row)
-            if table.perfect[row[k]]:
-                break
-        want = table.keys[row[k]] if table.perfect[row[k]] else None
-        assert got == want
-        assert table_rng.getstate() == ref_rng.getstate()
-        assert _run_restricted(g, vbits, start, steps, attempts,
-                               ScriptedBytes(bytes(picks))) == want
-        if want is not None:
-            start = want
-    assert (table.crows is table.rows) == (k > 16)
+    """Draws on a table that walks compound picks from its first draw, in
+    each of its forms, each draw from the last one's matching, pick for
+    pick against the same table's single maps or rows and the step loop,
+    fed the digits of the same draws: the same results, and the same
+    random draws consumed.  ``schedule`` holds (steps, attempts) pairs."""
+    vbits, first = g.full_bits, enumerate_perfect_matchings(g)[0].partner
+    for table in both_forms(g, vbits, first):
+        start = first
+        tables = {vbits: table}
+        table_rng, ref_rng = random.Random(seed), random.Random(seed)
+        k = g.m
+        for steps, attempts in schedule:
+            got = _run_restricted(g, vbits, start, steps, attempts,
+                                  table_rng, tables)
+            s = table.state(start)
+            picks = []
+            for _ in range(attempts):
+                attempt = _spelled(ref_rng, k, steps)
+                picks += attempt
+                s = single_steps(table, s, attempt)
+                if table.perfect[s]:
+                    break
+            want = table.keys[s] if table.perfect[s] else None
+            assert got == want
+            assert table_rng.getstate() == ref_rng.getstate()
+            assert _run_restricted(g, vbits, start, steps, attempts,
+                                   ScriptedBytes(bytes(picks))) == want
+            if want is not None:
+                start = want
+        if table.maps is None:
+            assert (table.crows is table.rows) == (k > 16)
+        else:
+            assert (table.cmaps is table.maps) == (k > 16)
 
 
 @pytest.mark.parametrize("name", BY_EDGES)
 def test_compound_rows_walk_what_the_step_loop_walks(name, request):
-    """Compound rows, at step counts that j divides and ones it does not,
-    reach what single rows and the step loop reach on the digits of the
-    same compound picks (on k44_chord, j = 1: the compound rows are the
-    single rows, and the picks are the step loop's single picks)."""
+    """Compound maps read back and compound rows walked forward, at step
+    counts that j divides and ones it does not, reach what single maps or
+    rows and the step loop reach on the digits of the same compound picks
+    (on k44_chord, j = 1: the compound maps and rows are the single ones,
+    and the picks are the step loop's single picks)."""
     _check_table_against_spelled_picks(
         request.getfixturevalue(name),
         [((1, 2, 3, 8, 40, 41)[t % 6], 1 + t % 3) for t in range(200)], name)
@@ -346,9 +373,9 @@ def test_compound_rows_walk_what_the_step_loop_walks(name, request):
 @pytest.mark.parametrize("name", ["k4", "k6", "k44_chord"])
 def test_walks_past_a_chunk_of_compound_picks_draw_alike(name, request,
                                                          monkeypatch):
-    """With chunks of 5 picks, walks of many chunks: the compound rows
-    read the picks chunk by chunk, and reach what the digits of those
-    picks reach (on k44_chord, j = 1: the single rows, on single
+    """With chunks of 5 picks, walks of many chunks: the compound maps and
+    rows read the picks chunk by chunk, and reach what the digits of those
+    picks reach (on k44_chord, j = 1: the single maps and rows, on single
     picks)."""
     monkeypatch.setattr(pm_chain, "_CHUNK", 5)
     g = request.getfixturevalue(name)
@@ -356,6 +383,67 @@ def test_walks_past_a_chunk_of_compound_picks_draw_alike(name, request,
     _check_table_against_spelled_picks(
         g, [(steps, 3) for steps in (5 * j, 5 * j + 1, 15 * j - 1, 15 * j,
                                      15 * j + 1, 64)], name)
+
+
+@cache
+def _coupling_sets():
+    """Vertex sets the double loop's law-grade draws walk tables on, by
+    name, as (graph, vertex set, start): K4, K6, K3,3, K4,4, the Petersen
+    graph, and four 8-vertex sets of ER(256, 0.4), each the vertex set of
+    a random 4-edge matching, with at most 16 inner edges."""
+    sets = {name: gen_graph(spec) for name, spec in [
+        ("k4", GraphSpec.of("complete", n=4)),
+        ("k6", GraphSpec.of("complete", n=6)),
+        ("k33", GraphSpec.of("complete_bipartite", m=3, n=3)),
+        ("k44", GraphSpec.of("complete_bipartite", m=4, n=4))]}
+    sets["petersen"] = petersen_graph()
+    sets = {name: (g, g.full_bits, enumerate_perfect_matchings(g)[0].partner)
+            for name, g in sets.items()}
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=256, p=0.4))
+    rng = random.Random("coupling sets")
+    while len(sets) < 9:
+        x = Matching(g)
+        while len(x.idxs) < 4:
+            i = rng.randrange(g.m)
+            if not x.covered & g.edge_bits[i]:
+                x.add(i)
+        if len(pm_chain._inner_edges(g, x.covered)) <= 16:
+            sets[f"er{len(sets) - 5}"] = (g, x.covered, x.partner)
+    return sets
+
+
+@cache
+def _coupling_tables(name):
+    return both_forms(*_coupling_sets()[name])
+
+
+# a read that stops early shows only where the unread picks lead to a
+# state the map has not yet sent with the rest: a walk that stopped once
+# all states but one agreed passed 60 examples and failed 300 in each of
+# 4 runs
+@settings(max_examples=300)
+@given(st.data())
+def test_an_attempt_read_back_ends_where_single_steps_forward_end(data):
+    """An attempt of n steps on a table of maps, its compound and single
+    picks scripted, from every state: its end, read from the last pick
+    back, is the state the table's single rows reach forward on the
+    picks' digits.  From n = 1 on, many attempts end before the map is
+    constant."""
+    name = data.draw(st.sampled_from(sorted(_coupling_sets())))
+    table, rows = _coupling_tables(name)
+    assert table.maps is not None
+    k = table.k
+    j = _compound(k)
+    n = data.draw(st.integers(1, 300 * j))
+    whole = data.draw(st.lists(st.integers(0, k ** j - 1), min_size=n // j,
+                               max_size=n // j))
+    rest = data.draw(st.lists(st.integers(0, k - 1), min_size=n % j,
+                              max_size=n % j))
+    digits = [c // k ** (j - 1 - d) % k for c in whole
+              for d in range(j)] + rest
+    for s in range(len(table.keys)):
+        assert table.walk(s, n, 1, ScriptedBytes(bytes(whole + rest))) == \
+            single_steps(rows, s, digits)
 
 
 def test_a_one_edge_graph_takes_eight_steps_a_byte(edge):
@@ -374,25 +462,38 @@ def test_a_one_edge_graph_takes_eight_steps_a_byte(edge):
 
 @pytest.mark.parametrize("name", ["k6", "k44", "k44_chord"])
 def test_compound_rows_are_composed_when_a_table_is_made(name, request):
-    """A table composes its compound rows, states times k^j entries,
-    when it is made.  At most 16 edges (K6's 15, K4,4's 16) they are new
-    lists; past 16 (K4,4 and a chord) j = 1, and they are the single rows
-    themselves, the same lists."""
+    """A table composes its compound transitions, k^j of them, when it is
+    made: as maps, each the composition of its digits' single maps, and in
+    a table of rows as rows, states times k^j entries each.  At most 16
+    edges (K6's 15, K4,4's 16) they are new lists; past 16 (K4,4 and a
+    chord) j = 1, and they are the single maps or rows themselves, the
+    same lists."""
     g = request.getfixturevalue(name)
-    table = _PMTable(g, g.full_bits,
-                     enumerate_perfect_matchings(g)[0].partner)
-    assert (table.crows is table.rows) == (g.m > 16)
-    entries = g.m ** _compound(g.m)
-    assert len(table.crows) == len(table.rows)
+    j = _compound(g.m)
+    entries = g.m ** j
+    maps, rows = both_forms(g, g.full_bits,
+                            enumerate_perfect_matchings(g)[0].partner)
+    assert (maps.cmaps is maps.maps) == (g.m > 16)
+    assert len(maps.cmaps) == entries and len(maps.maps) == g.m
+    states = len(maps.keys)
+    for c, cmap in enumerate(maps.cmaps):
+        digits = [c // g.m ** (j - 1 - d) % g.m for d in range(j)]
+        assert len(cmap) == 256
+        assert list(cmap[:states]) == [single_steps(maps, s, digits)
+                                       for s in range(states)]
+    assert rows.maps is None
+    assert (rows.crows is rows.rows) == (g.m > 16)
+    assert len(rows.crows) == len(rows.rows) == states
     assert all(len(crow) == entries + 1 and crow[-1] == s
-               for s, crow in enumerate(table.crows))
+               for s, crow in enumerate(rows.crows))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_the_table_of_k2q_holds_every_perfect_and_near_perfect_matching(q):
     """Built from one perfect matching, K_2q's table lists all of them and
     every near-perfect one, and has table_transitions(q) transitions;
-    every perfect matching is looked up by its partner entries."""
+    every perfect matching is looked up by its partner entries.  K4's and
+    K6's tables hold maps, K8's 525 states rows."""
     g = gen_graph(GraphSpec.of("complete", n=2 * q))
     pms = enumerate_perfect_matchings(g)
     table = _PMTable(g, g.full_bits, pms[0].partner)
@@ -400,16 +501,22 @@ def test_the_table_of_k2q_holds_every_perfect_and_near_perfect_matching(q):
     perfect = sum(table.perfect)
     assert perfect == len(pms)
     assert table.perfect == [-1 not in key for key in table.keys]
-    assert len(table.keys) - perfect == g.m * len(
+    states = len(table.keys)
+    assert states - perfect == g.m * len(
         enumerate_perfect_matchings(gen_graph(
             GraphSpec.of("complete", n=2 * q - 2))))
-    assert len(table.rows) * g.m == table_transitions(q)
-    assert all(len(row) == g.m + 1 and row[g.m] == s
-               and all(table.rows[nxt[g.m]] is nxt for nxt in row[:g.m])
-               for s, row in enumerate(table.rows))
+    assert states * g.m == table_transitions(q)
+    if q < 4:
+        assert table.rows == () and len(table.maps) == g.m
+        assert all(len(m) == 256 and max(m[:states]) < states
+                   for m in table.maps)
+    else:
+        assert table.maps is None and len(table.rows) == states
+        assert all(len(row) == g.m + 1 and row[g.m] == s
+                   and all(table.rows[nxt[g.m]] is nxt for nxt in row[:g.m])
+                   for s, row in enumerate(table.rows))
     for pm in pms:
         assert table.keys[table.state(pm.partner)] == tuple(pm.partner)
-    assert len(table.rows) == len(table.keys)
     assert table_transitions(q) == {2: 54, 3: 900, 4: 14_700}[q]
 
 
