@@ -6,7 +6,7 @@ gen-graph   write a benchmark graph as a canonical edge list
 sample      run a matching chain, one output line per sample
 solve       run solver trials; persists records plus a trajectory CSV
 verify      exactness checks: detailed-balance and stationary-law distance
-bench       named experiment presets (or an ExperimentSpec JSON file)
+bench       named experiment presets (or a spec file of command lines)
 replot      regenerate SVG figures from a run directory's CSVs
 
 Benchmark runs persist CSV tables, SVG figures drawn from those tables, and
@@ -14,12 +14,12 @@ a human-readable manifest.  CSVs are byte-deterministic for a given command
 line (timing lives only in the manifest), and every row carries the run's
 config hash and seed so any row can be reproduced in isolation.
 
-An ExperimentSpec JSON file (``gbsmc bench --spec FILE``) stands for a
-command line: its ``graph`` block becomes ``--gen`` and the generator flags,
-and each ``config`` key is an option of the task's subcommand in ``dest``
-form (``mixing_steps``, ``fugacity`` for ``--lambda``).  The parser below
-checks spec values as it checks flags; a numeric option must also be given
-a JSON number, and a switch ``true`` or ``false``.
+A spec file (``gbsmc bench --spec FILE``) is the command lines it stands
+for: ``{"runs": [["solve", "--gen", "complete", ...], ...]}``, strings only.
+The parser below checks every line before the first runs, so a value it
+refuses on any line writes nothing; the checks a command makes itself run
+when its line runs.  The lines run in order, and the first that exits
+non-zero stops the spec with its code.
 
 Exit codes: 0 success, 1 failed check, 2 configuration error,
 3 post-selection starvation, 4 inner-sampler budget exhaustion, 5 exactness
@@ -38,7 +38,7 @@ import statistics
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -290,7 +290,7 @@ def _cmd_gen_graph(args) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    print(f"{g.n} {g.m} {g.m / g.n if g.n else 0:.6g}")
+    print(f"{g.n} {g.m} {g.m / g.n if g.n else 0:.6g}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -847,7 +847,7 @@ def _cmd_bench(args) -> int:
         if args.preset:
             raise CliError("give a preset name or --spec, not both")
         _refuse_unread(args, "bench --spec", dests + ["out_dir"])
-        return _run_spec(ExperimentSpec.from_file(args.spec))
+        return _run_spec(args.spec)
     if not args.preset:
         raise CliError(f"choose a preset {sorted(_PRESETS)} or --spec FILE")
     preset = _PRESETS[args.preset]
@@ -884,200 +884,46 @@ def _cmd_bench(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ExperimentSpec files
+# Spec files: lists of command lines
 # ---------------------------------------------------------------------------
 
-_SPEC_TASKS = ("sample", "solve", "verify", "bench", "exit-time")
-
-
 class _SpecParser(argparse.ArgumentParser):
-    """Reports a spec that does not parse as a configuration error."""
+    """Reports a spec line that does not parse, --help included, as a
+    configuration error."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, add_help=False, **kwargs)
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
 
 
-def _options_of(parser, words) -> dict:
-    """dest -> action for the options of the subcommand ``words`` name."""
-    for word in words:
-        subs = [a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)]
-        if not subs:
-            break
-        if word not in subs[0].choices:
-            raise CliError(f"no subcommand {' '.join(words)!r}")
-        parser = subs[0].choices[word]
-    return {a.dest: a for a in parser._actions
-            if a.option_strings and a.dest not in ("help", "spec")}
-
-
-def _spec_argv(words, options, values) -> list:
-    """``words`` followed by one flag per value whose dest the subcommand
-    has; a None value is left to the parser's default."""
-    argv = list(words)
-    for key, value in values.items():
-        action = options.get(key)
-        if action is None or value is None:
-            continue
-        flag = action.option_strings[0]
-        if action.nargs == 0:
-            if not isinstance(value, bool):
-                raise CliError(f"config {key} must be true or false")
-            argv += [flag] if value else []
-        elif (isinstance(value, (dict, list))
-              or isinstance(value, str) and action.type in (int, float)):
-            raise CliError(f"config {key} has the wrong type: {value!r}")
-        else:
-            argv.append(f"{flag}={value}")
-    return argv
-
-
-@dataclass
-class ExperimentSpec:
-    """An experiment description loaded from JSON.
-
-    Top-level keys are the fields below; ``task`` is required, ``name`` is
-    the preset for bench, ``graph`` is {"kind", "params"[, "seed"]}, and
-    ``config`` holds options of the task's subcommand.  The spec stands for
-    the command lines :meth:`command_lines` returns, so the parser checks
-    every value before any computation.  A top-level key that those
-    command lines do not read is refused; ``seed`` defaults to 0 and
-    ``out_dir`` to ``runs/spec`` where they are read.
-    """
-    task: str
-    name: Optional[str] = None
-    graph: Optional[dict] = None
-    seed: object = None
-    out_dir: Optional[str] = None
-    replicates: int = 1
-    config: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentSpec":
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as err:
-            raise CliError(f"cannot read spec {path}: {err}")
-        return cls.from_dict(data)
-
-    @classmethod
-    def from_dict(cls, data) -> "ExperimentSpec":
-        if not isinstance(data, dict):
-            raise CliError("spec must be a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise CliError(f"unknown spec keys: {sorted(unknown)}")
-        if data.get("task") not in _SPEC_TASKS:
-            raise CliError(
-                f"task must be one of {_SPEC_TASKS}, got {data.get('task')!r}")
-        graph = data.get("graph") or {}
-        if (not isinstance(graph, dict)
-                or set(graph) - {"kind", "params", "seed"}
-                or not isinstance(graph.get("params", {}), dict)):
-            raise CliError('graph block must be {"kind", "params"[, "seed"]}')
-        if not isinstance(data.get("config", {}), dict):
-            raise CliError("config must be an object")
-        if "seed" in data.get("config", {}):
-            raise CliError('a spec\'s one seed is its top-level "seed"; drop '
-                           "config's seed")
-        replicates = data.get("replicates", 1)
-        if type(replicates) is not int or replicates < 1:
-            raise CliError("replicates must be a positive integer")
-        if type(data.get("seed", 0)) not in (int, str):
-            raise CliError("seed must be an integer or a string")
-        if data.get("out_dir") is not None and not isinstance(
-                data["out_dir"], str):
-            raise CliError("out_dir must be a string")
-        if data["task"] == "bench" and data.get("name") not in _PRESETS:
-            raise CliError(
-                f"bench spec needs a preset name from {sorted(_PRESETS)}")
-        spec = cls(**data)
-        if replicates > 1 and not spec._reads_replicates():
-            who = (f"bench {spec.name}" if spec.task == "bench"
-                   else f"task {spec.task!r}")
-            raise CliError(f"{who} does not read replicates")
-        return spec
-
-    def _reads_replicates(self) -> bool:
-        """sample writes one file per replicate; a bench preset that reads
-        --seeds runs that many."""
-        return self.task == "sample" or (
-            self.task == "bench" and "seeds" in _PRESETS[self.name].reads)
-
-    def _graph_flags(self, seed) -> dict:
-        """The graph block as dests: ``gen``, the generator's flags and
-        ``graph_seed``, by default ``seed`` on a seeded kind."""
-        for kind, (gen, mapping) in _GRAPH_KINDS.items():
-            if self.graph and self.graph.get("kind") == gen:
-                dest_of = {kwarg: attr for attr, kwarg in mapping}
-                params = self.graph.get("params", {})
-                if set(params) - set(dest_of):
-                    raise CliError(f"graph kind {gen!r} takes the params "
-                                   f"{sorted(dest_of)}")
-                seed = seed if gen in SEEDED_KINDS else None
-                if seed is None and self.graph.get("seed") is not None:
-                    raise CliError(f"graph kind {gen!r} draws no seed; drop "
-                                   "the graph block's seed")
-                return {"gen": kind,
-                        "graph_seed": self.graph.get("seed", seed),
-                        **{dest_of[name]: v for name, v in params.items()}}
-        raise CliError(f"task {self.task!r} needs a graph block of a known "
-                       f"kind, got {self.graph!r}")
-
-    def command_lines(self, parser) -> list:
-        """The argv lists the spec stands for: one per replicate for
-        ``sample``, else one."""
-        config = dict(self.config)
-        words = {"verify": ["verify", config.pop("mode", "balance")],
-                 "exit-time": ["bench", "exit-time"],
-                 "bench": ["bench", self.name]}.get(self.task, [self.task])
-        options = _options_of(parser, words)
-        bad = set(config) - set(options)
-        if bad:
-            raise CliError(
-                f"unknown config keys for {self.task}: {sorted(bad)}")
-        seed = 0 if self.seed is None else self.seed
-        graph = self._graph_flags(seed) if "gen" in options else {}
-        # the top-level keys these command lines read; the rest are refused.
-        # The seed also seeds a graph of a seeded kind whose block has none.
-        reads = {"name": self.task == "bench", "graph": "gen" in options,
-                 "seed": "seed" in options or (
-                     graph.get("graph_seed") is not None
-                     and "seed" not in self.graph),
-                 "out_dir": "out_dir" in options or self.task == "sample"}
-        unread = [key for key, read in reads.items()
-                  if not read and getattr(self, key) is not None]
-        if unread:
-            raise CliError(f"{' '.join(words)} does not read the spec's "
-                           f"{', '.join(unread)}")
-        given = {"seed": seed, "out_dir": "runs/spec" if self.out_dir is None
-                 else self.out_dir, **graph}
-        if self.task == "bench" and self._reads_replicates():
-            given["seeds"] = self.replicates
-        if self.task != "sample":
-            return [_spec_argv(words, options, {**given, **config})]
-        # sample writes one file per replicate, each from its own stream;
-        # the first line that runs makes the directory
-        out_dir = _resolve_out(given["out_dir"])
-        out = Path(str(config.pop("out", "samples.csv")))
-        stem, dot, ext = out.name.partition(".")
-        lines = []
-        for r in range(self.replicates):
-            if self.replicates > 1:
-                out = out.parent / f"{stem}_{r}{dot}{ext}"
-            lines.append(_spec_argv(words, options, {
-                **given, **config, "out": out_dir / out,
-                "seed": derive_seed(seed, f"replicate{r}")}))
-        return lines
-
-
-def _run_spec(spec: ExperimentSpec) -> int:
+def _run_spec(path) -> int:
+    """Run the command lines of the spec file ``path``, a JSON object
+    {"runs": [[word, ...], ...]} of strings only.  Every line is parsed
+    before the first runs; the run stops at the first line that exits
+    non-zero and returns its code."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:  # ValueError: JSON or UTF-8
+        raise CliError(f"cannot read spec {path}: {err}")
+    runs = data.get("runs") if isinstance(data, dict) and len(data) == 1 \
+        else None
+    if not (isinstance(runs, list) and runs and all(
+            isinstance(line, list) and line
+            and all(isinstance(word, str) for word in line)
+            for line in runs)):
+        raise CliError('a spec is {"runs": [[word, ...], ...]}: one key, a '
+                       "non-empty list of non-empty lists of strings")
     parser = build_parser(_SpecParser)
-    code = EXIT_OK
-    for argv in spec.command_lines(parser):
-        args = parser.parse_args(argv)
+    parsed = [parser.parse_args(line) for line in runs]
+    if any(getattr(args, "spec", None) is not None for args in parsed):
+        raise CliError("a spec line cannot run bench --spec")
+    for args in parsed:
         code = args.func(args)
-    return code
+        if code != EXIT_OK:
+            return code
+    return EXIT_OK
 
 
 def _cmd_replot(args) -> int:
@@ -1208,7 +1054,7 @@ def build_parser(parser_class=argparse.ArgumentParser
     # a preset reads only some of these; its _PRESETS row holds the defaults
     p = sub.add_parser("bench", help="run a named experiment preset")
     p.add_argument("preset", nargs="?", choices=sorted(_PRESETS))
-    p.add_argument("--spec", help="ExperimentSpec JSON file")
+    p.add_argument("--spec", metavar="FILE", help="JSON file of command lines")
     p.add_argument("--out-dir", help="run directory (default runs/PRESET)")
     p.add_argument("--scale", type=int,
                    help="total vertex count (structures shrink with it)")

@@ -38,15 +38,14 @@ def exit_code(*argv):
 def test_gen_graph_writes_a_loadable_edge_list(tmp_path, capsys):
     out = tmp_path / "k6.txt"
     assert run("gen-graph", "complete", "--n", 6, "--out", out) == EXIT_OK
-    assert capsys.readouterr().out.strip() == "6 15 2.5"
+    assert capsys.readouterr().err == "6 15 2.5\n"
     g = from_edge_list_text(out.read_text())
     assert (g.n, g.m) == (6, 15)
 
 
 def test_gen_graph_stdout_roundtrip(capsys):
     assert run("gen-graph", "cycle", "--n", 5) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    g = from_edge_list_text("\n".join(lines[:-1]))  # last line is the summary
+    g = from_edge_list_text(capsys.readouterr().out)
     assert (g.n, g.m) == (5, 5)
 
 
@@ -57,7 +56,7 @@ def test_gen_graph_missing_parameter_is_config_error(capsys):
 
 def test_gen_graph_of_no_vertices_has_density_zero(capsys):
     assert run("gen-graph", "complete", "--n", 0) == EXIT_OK
-    assert capsys.readouterr().out.splitlines()[-1] == "0 0 0"
+    assert capsys.readouterr().err == "0 0 0\n"
 
 
 # --- graph sources read only their own options ------------------------------
@@ -673,17 +672,6 @@ def test_replot_on_an_empty_directory_fails(tmp_path, capsys):
     assert run("replot", "--dir", tmp_path) == EXIT_FAILURE
 
 
-def test_bench_spec_file_drives_a_run(tmp_path):
-    out_dir = tmp_path / "from-spec"
-    spec = {"task": "bench", "name": "exit-time",
-            "out_dir": str(out_dir),
-            "config": {"squares": 1, "trials": 30, "fugacity": 1}}
-    spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps(spec))
-    assert run("bench", "--spec", spec_file) == EXIT_OK
-    assert (out_dir / "manifest.txt").exists()
-
-
 def test_bench_spec_rejects_unknown_keys(tmp_path, capsys):
     spec_file = tmp_path / "bad.json"
     spec_file.write_text(json.dumps({"task": "bench", "name": "exit-time",
@@ -787,23 +775,76 @@ def _write_spec(tmp_path, spec):
     return spec_file
 
 
+def _spec(tmp_path, *lines):
+    """A spec file of the command lines ``lines``, every word a string."""
+    return _write_spec(tmp_path, {"runs": [[str(word) for word in line]
+                                           for line in lines]})
+
+
+def _refused(tmp_path, monkeypatch, capsys, spec) -> str:
+    """The one error line of ``bench --spec`` on ``spec`` (bytes as they
+    are, None for a missing file) run from ``tmp_path``, which exits 2,
+    prints nothing else and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GBSMC_OUT_ROOT", raising=False)
+    if isinstance(spec, bytes):
+        (tmp_path / "spec.json").write_bytes(spec)
+    elif spec is not None:
+        _write_spec(tmp_path, spec)
+    before = sorted(tmp_path.iterdir())
+    assert run("bench", "--spec", tmp_path / "spec.json") == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+    return err
+
+
+# a line that runs in milliseconds and writes out/ in the working directory
+_SOLVE = ["solve", "--gen", "complete", "--n", "6", "--k", "4", "--iters",
+          "5", "--out-dir", "out"]
+
+
 @pytest.mark.parametrize("spec", [
-    {"task": "solve", "graph": {"kind": "complete", "params": {"n": 6}},
-     "config": {"k": "4"}},
-    {"task": "exit-time", "config": {"squares": "two"}},
-    {"task": "sample", "graph": {"kind": "complete", "params": {"n": 6}},
-     "config": {"chain": "metropolis"}},
-    {"task": "sample", "graph": {"kind": "complete", "params": {"n": 6}},
-     "config": {"steps": -1}},
+    None,
+    b'{"runs": [["solve"',
+    b'{"runs": [["solve\xff"]]}',
+    [_SOLVE],
+    {"runs": [_SOLVE], "seed": 3},
+    {"run": [_SOLVE]},
+    {"runs": " ".join(_SOLVE)},
+    {"runs": []},
+    {"runs": [" ".join(_SOLVE)]},
+    {"runs": [_SOLVE, []]},
+    *({"runs": [_SOLVE[:4] + [word] + _SOLVE[5:]]}
+      for word in (5, True, None, {"n": 6})),
+    {"runs": [["bench", "--spec", "spec.json"]]},
+    {"runs": [_SOLVE + ["--help"]]},
+    {"runs": [["resolve", "--k", "4"]]},
+    {"runs": [_SOLVE, _SOLVE[:6] + ["four"]]},
+], ids=["missing-file", "invalid-json", "not-utf-8", "array", "extra-key",
+        "no-runs", "runs-not-a-list", "runs-empty", "line-not-a-list",
+        "line-empty", "word-5", "word-true", "word-null", "word-object",
+        "nested-spec", "help", "unknown-subcommand", "second-line-refused"])
+def test_a_malformed_spec_exits_2_and_runs_nothing(tmp_path, monkeypatch,
+                                                   capsys, spec):
+    """Every line is parsed before the first runs, so a line the parser
+    refuses stops even the valid lines before it."""
+    _refused(tmp_path, monkeypatch, capsys, spec)
+
+
+@pytest.mark.parametrize("line", [
+    _SOLVE[:6] + ["four"],
+    ["bench", "exit-time", "--squares", "two", "--out-dir", "out"],
+    ["sample", "--gen", "complete", "--n", "6", "--chain", "metropolis",
+     "--out", "out/s.txt"],
+    ["sample", "--gen", "complete", "--n", "6", "--steps", "-1",
+     "--out", "out/s.txt"],
 ], ids=["solve-k-string", "exit-time-squares-word", "sample-unknown-chain",
         "sample-negative-steps"])
-def test_malformed_spec_values_are_config_errors(tmp_path, capsys, spec):
-    out_dir = tmp_path / "out"
-    spec["out_dir"] = str(out_dir)
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert not out_dir.exists()
+def test_malformed_spec_values_are_config_errors(tmp_path, monkeypatch,
+                                                 capsys, line):
+    _refused(tmp_path, monkeypatch, capsys, {"runs": [line]})
 
 
 def test_a_bench_spec_refuses_every_other_bench_option(tmp_path, capsys):
@@ -817,6 +858,79 @@ def test_a_bench_spec_refuses_every_other_bench_option(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line", [
+    ["sample", "--gen", "complete", "--n", "6", "--samples", "2", "--steps",
+     "10", "--out"],
+    _SOLVE[:-1]], ids=["sample", "solve"])
+@pytest.mark.parametrize("out_dir", [5, [1], True, {"dir": "x"}],
+                         ids=["int", "list", "bool", "object"])
+def test_a_spec_out_dir_that_is_not_a_string_is_refused(
+        tmp_path, monkeypatch, capsys, line, out_dir):
+    _refused(tmp_path, monkeypatch, capsys, {"runs": [line + [out_dir]]})
+
+
+def test_a_spec_seed_for_a_kind_that_draws_none_is_refused(tmp_path,
+                                                          capsys):
+    """A check a command makes itself runs when its line runs, after the
+    lines before it have written their files."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    spec = _spec(tmp_path, _SOLVE[:-1] + [first],
+                 _SOLVE[:5] + ["--graph-seed", 3] + _SOLVE[5:-1] + [second])
+    assert run("bench", "--spec", spec) == EXIT_CONFIG
+    assert ("--gen complete does not use --graph-seed"
+            in capsys.readouterr().err)
+    assert (first / "records.txt").exists() and not second.exists()
+
+
+def test_a_spec_stops_at_its_first_line_that_exits_non_zero(tmp_path,
+                                                            capsys):
+    out_dir = tmp_path / "out"
+    spec = _spec(tmp_path, ["verify", "law", "--gen", "complete", "--n", 4,
+                            "--samples", 10, "--tol", 0],
+                 _SOLVE[:-1] + [out_dir])
+    assert run("bench", "--spec", spec) == EXIT_FAILURE
+    assert capsys.readouterr().out.startswith("tv 0.6 ")
+    assert not out_dir.exists()
+
+
+def test_bench_spec_file_drives_a_run(tmp_path):
+    out_dir = tmp_path / "from-spec"
+    spec = _spec(tmp_path, ["bench", "exit-time", "--squares", 1, "--trials",
+                            30, "--lambda", 1, "--out-dir", out_dir])
+    assert run("bench", "--spec", spec) == EXIT_OK
+    assert (out_dir / "manifest.txt").exists()
+
+
+def test_spec_writes_what_its_command_line_writes(tmp_path):
+    def lines(root):
+        return [
+            ["solve", "--gen", "planted-clique", "--n", 14, "--clique", 4,
+             "--p", 0.3, "--graph-seed", 2, "--seed", 5, "--alg", "esa",
+             "--sampler", "double-loop", "--lambda", "1/5", "--k", 4,
+             "--iters", 20, "--mixing-steps", 50, "--seeds", 2,
+             "--cold-restart", "--out-dir", root / "solve"],
+            ["bench", "exit-time", "--squares", 1, "--trials", 40,
+             "--lambda", 1, "--out-dir", root / "exit"],
+            # replicates are lines of their own, each with its seed and file
+            *(["sample", "--gen", "complete", "--n", 6, "--steps", 20,
+               "--samples", 5, "--lambda", 1, "--seed", f"3/replicate{r}",
+               "--out", root / f"samples_{r}.csv"] for r in range(2))]
+
+    spec, cli = tmp_path / "spec", tmp_path / "cli"
+    assert run("bench", "--spec", _spec(tmp_path, *lines(spec))) == EXIT_OK
+    for line in lines(cli):
+        assert run(*line) == EXIT_OK
+    assert _run_files(spec / "exit") == _run_files(cli / "exit")
+    for name in ("solve/records.txt", "solve/trajectory.csv",
+                 "samples_0.csv", "samples_1.csv"):
+        assert (spec / name).read_bytes() == (cli / name).read_bytes()
+
+
+# --- the old spec format, options as JSON keys, is refused whole -------------
+
+_OLD_FORMAT = 'a spec is {"runs": [[word, ...], ...]}'
+
+
 @pytest.mark.parametrize("spec", [
     {"task": "solve", "graph": {"kind": "complete", "params": {"n": 6}},
      "config": {"k": 4, "iterations": 5}},
@@ -826,55 +940,20 @@ def test_a_bench_spec_refuses_every_other_bench_option(tmp_path, capsys):
     {"task": "bench", "name": "exit-time",
      "config": {"squares": 1, "trials": 20}},
 ], ids=["solve", "verify", "exit-time", "bench-exit-time"])
-def test_spec_replicates_outside_sample_and_bench_are_refused(tmp_path,
-                                                               capsys, spec):
-    spec.update(replicates=3, out_dir=str(tmp_path / "out"))
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
-    assert "replicates" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_a_spec_seed_for_a_kind_that_draws_none_is_refused(tmp_path,
-                                                          capsys):
-    spec = {"task": "solve", "out_dir": str(tmp_path / "out"),
-            "graph": {"kind": "complete", "seed": 3, "params": {"n": 6}},
-            "config": {"k": 4, "iterations": 5}}
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
-    assert ("graph kind 'complete' draws no seed; drop the graph block's "
-            "seed" in capsys.readouterr().err)
-    assert not (tmp_path / "out").exists()
+def test_spec_replicates_outside_sample_and_bench_are_refused(
+        tmp_path, monkeypatch, capsys, spec):
+    spec.update(replicates=3, out_dir="out")
+    assert _OLD_FORMAT in _refused(tmp_path, monkeypatch, capsys, spec)
 
 
 @pytest.mark.parametrize("key,value", [("replicates", True), ("seed", True),
                                        ("seed", None), ("seed", 1.5)])
 def test_spec_top_level_values_of_the_wrong_type_are_refused(
-        tmp_path, capsys, key, value):
-    spec = {"task": "sample", "out_dir": str(tmp_path / "out"),
+        tmp_path, monkeypatch, capsys, key, value):
+    spec = {"task": "sample", "out_dir": "out",
             "graph": {"kind": "complete", "params": {"n": 6}},
             "config": {"samples": 2, "steps": 10}, key: value}
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
-    assert f"{key} must be" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("task,config", [
-    ("sample", {"samples": 2, "steps": 10}),
-    ("solve", {"k": 4, "iterations": 5})], ids=["sample", "solve"])
-@pytest.mark.parametrize("out_dir", [5, [1], True, {"dir": "x"}],
-                         ids=["int", "list", "bool", "object"])
-def test_a_spec_out_dir_that_is_not_a_string_is_refused(
-        tmp_path, monkeypatch, capsys, task, config, out_dir):
-    # sample would have failed on it with a traceback, and solve would
-    # have run with --out-dir=5
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("GBSMC_OUT_ROOT", raising=False)
-    spec = {"task": task, "out_dir": out_dir, "config": config,
-            "graph": {"kind": "complete", "params": {"n": 6}}}
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert "out_dir must be a string" in captured.err
-    assert captured.out == "" and sorted(tmp_path.iterdir()) == [
-        tmp_path / "spec.json"]
+    assert _OLD_FORMAT in _refused(tmp_path, monkeypatch, capsys, spec)
 
 
 @pytest.mark.parametrize("spec", [
@@ -883,146 +962,32 @@ def test_a_spec_out_dir_that_is_not_a_string_is_refused(
     {"task": "sample", "graph": {"kind": "complete", "params": {"n": 6}},
      "config": {"samples": 2, "steps": 10, "seed": 99}},
 ], ids=["solve", "sample"])
-def test_a_config_seed_in_a_spec_is_refused(tmp_path, capsys, spec):
-    # solve would have run with the trial seed "True/trial0" and sample
-    # would have dropped the seed for its replicate seeds
-    spec["out_dir"] = str(tmp_path / "out")
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
-    assert ('a spec\'s one seed is its top-level "seed"; drop config\'s '
-            "seed" in capsys.readouterr().err)
-    assert not (tmp_path / "out").exists()
+def test_a_config_seed_in_a_spec_is_refused(tmp_path, monkeypatch, capsys,
+                                            spec):
+    spec["out_dir"] = "out"
+    assert _OLD_FORMAT in _refused(tmp_path, monkeypatch, capsys, spec)
 
 
 _K4 = {"kind": "complete", "params": {"n": 4}}
 
 
-@pytest.mark.parametrize("key,spec", [
-    ("seed", {"task": "verify", "graph": _K4, "seed": 3,
-              "config": {"mode": "balance"}}),
-    ("out_dir", {"task": "verify", "graph": _K4,
-                 "config": {"mode": "balance"}}),
-    ("out_dir", {"task": "verify", "graph": _K4,
-                 "config": {"mode": "law", "samples": 10}}),
-    ("graph", {"task": "bench", "name": "exit-time", "graph": _K4,
-               "config": {"squares": 1, "trials": 20}}),
-    ("graph", {"task": "exit-time", "graph": _K4,
-               "config": {"squares": 1, "trials": 20}}),
-    ("name", {"task": "solve", "name": "exit-time", "graph": _K4,
-              "config": {"k": 2, "iterations": 5}}),
-    ("name", {"task": "exit-time", "name": "exit-time",
-              "config": {"squares": 1, "trials": 20}}),
+@pytest.mark.parametrize("spec", [
+    {"task": "verify", "graph": _K4, "seed": 3,
+     "config": {"mode": "balance"}},
+    {"task": "verify", "graph": _K4, "config": {"mode": "balance"}},
+    {"task": "verify", "graph": _K4,
+     "config": {"mode": "law", "samples": 10}},
+    {"task": "bench", "name": "exit-time", "graph": _K4,
+     "config": {"squares": 1, "trials": 20}},
+    {"task": "exit-time", "graph": _K4,
+     "config": {"squares": 1, "trials": 20}},
+    {"task": "solve", "name": "exit-time", "graph": _K4,
+     "config": {"k": 2, "iterations": 5}},
+    {"task": "exit-time", "name": "exit-time",
+     "config": {"squares": 1, "trials": 20}},
 ], ids=["verify-balance-seed", "verify-balance-out-dir", "verify-law-out-dir",
         "bench-graph", "exit-time-graph", "solve-name", "exit-time-name"])
 def test_a_top_level_spec_key_its_command_line_does_not_read_is_refused(
-        tmp_path, capsys, key, spec):
-    spec.setdefault("out_dir", str(tmp_path / "out"))
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert f"does not read the spec's {key}" in captured.err
-    assert captured.out == "" and not (tmp_path / "out").exists()
-
-
-def test_a_spec_seed_seeds_a_graph_that_has_none(tmp_path, monkeypatch):
-    """verify balance reads no seed, but on a seeded graph kind whose
-    block has no seed of its own the spec's seed is the graph's."""
-    import gbsmc.cli
-    seeds = []
-    real = gbsmc.cli.gen_graph
-
-    def gen_graph(spec, seed):
-        seeds.append(seed)
-        return real(spec, seed=seed)
-
-    monkeypatch.setattr(gbsmc.cli, "gen_graph", gen_graph)
-    spec = {"task": "verify", "seed": 5, "config": {"mode": "balance"},
-            "graph": {"kind": "erdos_renyi", "params": {"n": 5, "p": 0.5}}}
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
-    assert run("verify", "balance", "--gen", "er", "--n", 5, "--p", 0.5,
-               "--graph-seed", 5) == EXIT_OK
-    assert seeds == [5, 5]
-
-
-def test_a_spec_on_a_kind_that_draws_no_seed_hashes_as_its_command_line(
-        tmp_path):
-    # the spec's seed seeds the trials, not the graph, as --seed does
-    spec = {"task": "solve", "seed": 5, "out_dir": str(tmp_path / "spec"),
-            "graph": {"kind": "complete", "params": {"n": 6}},
-            "config": {"k": 4, "iterations": 20}}
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
-    assert run("solve", "--gen", "complete", "--n", 6, "--k", 4, "--iters",
-               20, "--seed", 5, "--out-dir", tmp_path / "cli") == EXIT_OK
-    for name in ("records.txt", "trajectory.csv"):
-        assert ((tmp_path / "spec" / name).read_bytes()
-                == (tmp_path / "cli" / name).read_bytes())
-
-
-def test_spec_writes_what_its_command_line_writes(tmp_path):
-    spec = {"task": "solve", "seed": 5, "out_dir": str(tmp_path / "spec"),
-            "graph": {"kind": "planted_clique", "seed": 2,
-                      "params": {"n": 14, "clique_size": 4, "p": 0.3}},
-            "config": {"alg": "esa", "sampler": "double_loop",
-                       "fugacity": "1/5", "k": 4, "iterations": 20,
-                       "mixing_steps": 50, "seeds": 2, "cold_restart": True}}
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
-    assert run("solve", "--gen", "planted-clique", "--n", 14, "--clique", 4,
-               "--p", 0.3, "--graph-seed", 2, "--seed", 5, "--alg", "esa",
-               "--sampler", "double-loop", "--lambda", "1/5", "--k", 4,
-               "--iters", 20, "--mixing-steps", 50, "--seeds", 2,
-               "--cold-restart", "--out-dir", tmp_path / "cli") == EXIT_OK
-    names = {"records.txt", "trajectory.csv"}
-    for name in names:
-        assert ((tmp_path / "spec" / name).read_bytes()
-                == (tmp_path / "cli" / name).read_bytes())
-
-    spec = {"task": "bench", "name": "exit-time",
-            "out_dir": str(tmp_path / "exit-spec"),
-            "config": {"squares": 1, "trials": 40, "fugacity": 1}}
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
-    assert run("bench", "exit-time", "--squares", 1, "--trials", 40,
-               "--lambda", 1, "--out-dir", tmp_path / "exit-cli") == EXIT_OK
-    assert (_run_files(tmp_path / "exit-spec")
-            == _run_files(tmp_path / "exit-cli"))
-
-    # a sample task runs one command line per replicate, seeded
-    # "<seed>/replicate<r>"; each run makes the directory of its --out file
-    spec = {"task": "sample", "seed": 3, "out_dir": str(tmp_path / "s-spec"),
-            "graph": {"kind": "complete", "params": {"n": 6}},
-            "config": {"steps": 20, "samples": 5, "fugacity": 1}}
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
-    assert run("sample", "--gen", "complete", "--n", 6, "--steps", 20,
-               "--samples", 5, "--lambda", 1, "--seed", "3/replicate0",
-               "--out", tmp_path / "s-cli" / "samples.csv") == EXIT_OK
-    assert ((tmp_path / "s-spec" / "samples.csv").read_bytes()
-            == (tmp_path / "s-cli" / "samples.csv").read_bytes())
-
-
-def test_sample_replicates_number_the_file_name_under_a_dotted_directory(
-        tmp_path):
-    """Each replicate writes what its command line writes, to a file whose
-    name, not directory, takes the replicate's number."""
-    spec = {"task": "sample", "seed": 3, "out_dir": str(tmp_path / "spec"),
-            "replicates": 2,
-            "graph": {"kind": "complete", "params": {"n": 6}},
-            "config": {"steps": 20, "samples": 5, "fugacity": 1,
-                       "out": "v1.2/samples.csv"}}
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
-    written = sorted(p.relative_to(tmp_path / "spec").as_posix()
-                     for p in (tmp_path / "spec").rglob("*") if p.is_file())
-    assert written == ["v1.2/samples_0.csv", "v1.2/samples_1.csv"]
-    for r in range(2):
-        cli = tmp_path / "cli" / f"samples_{r}.csv"
-        assert run("sample", "--gen", "complete", "--n", 6, "--steps", 20,
-                   "--samples", 5, "--lambda", 1, "--seed",
-                   f"3/replicate{r}", "--out", cli) == EXIT_OK
-        assert ((tmp_path / "spec" / "v1.2" / f"samples_{r}.csv").read_bytes()
-                == cli.read_bytes())
-
-
-def test_bench_spec_replicates_become_seeds(tmp_path):
-    spec = {"task": "bench", "name": "planted-clique", "replicates": 2,
-            "out_dir": str(tmp_path / "spec"),
-            "config": {"scale": 16, "iterations": 20, "mixing_steps": 200}}
-    assert run("bench", "--spec", _write_spec(tmp_path, spec)) == EXIT_OK
-    assert run("bench", "planted-clique", *_SEARCH_FLAGS,
-               "--out-dir", tmp_path / "cli") == EXIT_OK
-    assert _run_files(tmp_path / "spec") == _run_files(tmp_path / "cli")
+        tmp_path, monkeypatch, capsys, spec):
+    spec.setdefault("out_dir", "out")
+    assert _OLD_FORMAT in _refused(tmp_path, monkeypatch, capsys, spec)
