@@ -118,8 +118,17 @@ def _out_root() -> Path:
 
 
 def _resolve_out(path_text: str) -> Path:
+    """An output path: a relative one lies under ``GBSMC_OUT_ROOT``."""
     p = Path(path_text)
     return p if p.is_absolute() else _out_root() / p
+
+
+def _out_file(path_text: str) -> Path:
+    """``--out``'s file, resolved by :func:`_resolve_out`, its directory
+    made."""
+    path = _resolve_out(path_text)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _write_csv(path: Path, header, rows):
@@ -287,7 +296,7 @@ def _cmd_gen_graph(args) -> int:
     g = gen_graph(spec, seed=seed)
     text = to_edge_list_text(g)
     if args.out:
-        Path(args.out).write_text(text)
+        _out_file(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     print(f"{g.n} {g.m} {g.m / g.n if g.n else 0:.6g}", file=sys.stderr)
@@ -387,8 +396,7 @@ def _cmd_sample(args) -> int:
     if not args.out:
         sys.stdout.writelines(lines)
         return EXIT_OK
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    with open(args.out, "w") as fh:
+    with open(_out_file(args.out), "w") as fh:
         fh.writelines(lines)
     return EXIT_OK
 

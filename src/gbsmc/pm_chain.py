@@ -15,44 +15,38 @@ perfect states carry at least a 1/(2q^2+1) share of the space (q =
 matching size), which is what makes "run, check, retry" a practical uniform
 sampler for perfect matchings.
 
-An attempt's edge picks come in bulk from :func:`_picks`: exactly uniform
-indices drawn by rejection from ``rng.randbytes``, not one ``random()``
-call a step.  The chain flips no other coin.
+An attempt's edge picks are exactly uniform indices drawn by rejection
+from ``rng.randbytes`` in bulk, not one ``random()`` call a step: all at
+once by :func:`_picks`, or, on a table of maps, a read at a time from the
+attempt's end.  The chain flips no other coin.
 
 The chain runs in one of two walks.  The step loop, :func:`_pm_walk`,
 reads one pick a step and moves a partner array.  A transition table,
 :class:`_PMTable`, lists the states of the chain on one vertex set and,
-for each, the state every pick leads to.  Every table walks compound
-picks: one pick carries j steps, j the largest with k^j <= 256 on k
-edges (at most 8; 2 on K6's 15 edges, 3 on K4's 6, and 1 past 16), and
-:func:`_walk_picks` draws an n-step attempt as n // j compound picks from
-``range(k ** j)``, whose base-k digits are the picks of j steps, then
-n % j single picks.  Compound picks go with tables and single picks with
-the step loop; at j = 1 a compound pick is a single one, so past 16 edges
-both walks read the same picks.
+for each, the state every pick leads to.  Both read single picks.
 
 An attempt's end is a fixed function of its start and its picks.  A
 table of at most 256 states, which every table of at most 16 edges seen
 so far is, holds each pick's map of its states as a ``bytes.translate``
-table and composes an attempt's maps from its last pick back.  Under this
-grand coupling (Propp and Wilson, 1996) the composed map sends every
-state to one within the last few dozen picks of an attempt of 85 to
-5,000, and the attempt ends there whatever it started from, so the picks
-before are drawn but not read.  A larger table walks its picks forward,
-one ``reduce`` over rows.  Either way the end state is the step loop's
-on the same picks.
+table and draws an attempt's picks from its last one back, composing
+their maps as they come (:meth:`_PMTable.read_back`).  The picks are
+independent, so the order they are drawn in does not change their law.
+Under this grand coupling (Propp and Wilson, 1996) the composed map sends
+every state to one within the last few dozen picks of an attempt of 256
+to 10,000, and the attempt ends there whatever its earlier picks, which
+are never drawn.  A larger table walks the step loop's picks forward, one
+``reduce`` over rows.
 
 A draw starts from a partner table, indexed by host vertex, and returns
 the drawn matching's partner entries over its vertex set; a table keys
 its states by those entries.  The double loop keeps one table per vertex
 set for a window and frees them when the window ends.  A set of at most
-16 edges gets its table, whole, at its first draw, compound maps or rows
-included.  A larger set gets its table only once earlier draws on it have
-walked as many steps as the table of a complete graph of its size has
-transitions (:func:`table_transitions`: 14,700 at 8 vertices, 4.8e6 at
-12), so such a table never has more transitions than steps already walked
-on its set, and large vertex sets, which rarely repeat, stay on the step
-loop.  When its table is built changes no draw of such a set.
+16 edges gets its table, whole, at its first draw.  A larger set gets its
+table only once earlier draws on it have walked as many steps as the
+table of a complete graph of its size has transitions
+(:func:`table_transitions`: 14,700 at 8 vertices, 4.8e6 at 12), so such a
+table never has more transitions than steps already walked on its set,
+and large vertex sets, which rarely repeat, stay on the step loop.
 """
 
 from __future__ import annotations
@@ -62,8 +56,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import chain, islice
-from operator import getitem, iadd
+from itertools import chain
+from operator import getitem
 from typing import Optional
 
 from .graphs import Graph, Matching, bits_to_tuple
@@ -187,33 +181,6 @@ def _picks(rng, k: int, n: int):
     return out
 
 
-@cache
-def _compound(k: int) -> int:
-    """The steps one compound pick carries on ``k`` edges: the largest
-    j <= 8 with k^j <= 256, so 1 past k = 16."""
-    j = 1
-    while j < 8 and k ** (j + 1) <= 256:
-        j += 1
-    return j
-
-
-def _walk_picks(rng, k: int, n: int):
-    """The picks of an ``n``-step table walk on ``k`` edges, as a pair:
-    n // j compound picks from ``range(k ** j)``, each the next j steps'
-    picks as its base-k digits, most significant first
-    (:func:`_compound`), then n % j single picks from ``range(k)``.  The
-    single picks are drawn after the compound ones, which past ``_CHUNK``
-    of them :func:`_picks` draws as they are used.  At j = 1 (past 16
-    edges) there are none, and the compound picks are exactly the picks
-    ``_picks(rng, k, n)`` draws."""
-    j = _compound(k)
-    whole = _picks(rng, k ** j, n // j)
-    if n // j > _CHUNK:
-        return whole, chain.from_iterable(map(_picks, (rng,), (k,),
-                                              (n % j,)))
-    return whole, _picks(rng, k, n % j) if n % j else b""
-
-
 def _pm_walk(partner, holes: int, moves, steps: int, rng) -> int:
     """Advance the chain ``steps`` moves on the partner array ``partner``
     (-1 at an uncovered vertex), in place.  ``holes`` is the state's
@@ -261,7 +228,8 @@ def _inner_edges(g: Graph, vbits: int) -> list:
 
 
 _MAP_STATES = 256  # the states a bytes.translate table can index
-_FIRST_READ = 8  # compound picks read back first; each further read doubles
+_FIRST_READ = 16  # picks drawn back first; each further read doubles
+_EAGER_EDGES = 16  # a set of at most this many edges: a table at once
 
 
 class _PMTable:
@@ -280,26 +248,21 @@ class _PMTable:
 
     A table of at most 256 states holds its transitions as maps: ``maps[r]``
     is a ``bytes.translate`` table whose byte s is the state pick r leads
-    to from s, and ``cmaps[c]`` the same for compound pick c
-    (:func:`_walk_picks`), composed from the maps of its j digits when the
-    table is made (at j = 1 it is ``maps``).  Such a table has fewer than
-    256 edges: from a perfect matching M, each edge of M is dropped in a
-    state of its own, and each other edge (u, v) is added, in place of M's
-    edges at u and v, in another, so its picks are bytes.  An attempt's end
-    is a fixed function of its start and its picks, and :meth:`walk` reads
-    it from the attempt's last pick back (:meth:`read_back`), stopping once
-    the composed map is constant (the grand coupling of Propp and Wilson,
-    1996): then the attempt ends in that state whatever it started from.
-    On the tables the double loop reaches, that takes a few dozen of an
-    attempt's 85 to 5,000 compound picks.
+    to from s.  Such a table has fewer than 256 edges: from a perfect
+    matching M, each edge of M is dropped in a state of its own, and each
+    other edge (u, v) is added, in place of M's edges at u and v, in
+    another, so its picks are bytes.  An attempt's end is a fixed function
+    of its start and its picks, and :meth:`walk` draws the picks from the
+    attempt's last one back (:meth:`read_back`), stopping once the
+    composed map is constant (the grand coupling of Propp and Wilson,
+    1996): then the attempt ends in that state whatever it started from
+    and whatever its earlier picks, which are never drawn.  On the tables
+    the double loop reaches, that takes a few dozen of an attempt's 256 to
+    10,000 picks.
 
-    A larger table keeps rows, walked forward: ``rows[s][r]`` is the row
-    of the state that pick r leads to from s, and ``rows[s][k]`` is s, so
-    a walk is ``reduce(getitem, picks, row)``; ``crows`` are the same for
-    compound picks, ``crows[s][-1]`` being s, and past 16 edges (j = 1)
-    are ``rows`` itself.  No set of at most 16 edges has been seen to pass
-    256 states (K4,4 has 120, the Petersen graph 96, four disjoint squares
-    144), but none is proven not to, so compound rows stay for that case.
+    A larger table keeps rows, walked forward on the step loop's picks:
+    ``rows[s][r]`` is the row of the state that pick r leads to from s,
+    and ``rows[s][k]`` is s, so a walk is ``reduce(getitem, picks, row)``.
     Rows point at rows, so :meth:`free` breaks those cycles when the table
     is done with; maps hold none.
     """
@@ -344,34 +307,16 @@ class _PMTable:
                     t = ids[nxt] = len(keys)
                     keys.append(nxt)
                 targets.append(t)
-        j = _compound(k)
         if len(keys) <= _MAP_STATES:
             pad = bytes(256 - len(keys))
-            maps = self.maps = [bytes(col) + pad for col in zip(*step)]
-            cmaps = maps
-            for _ in range(j - 1):
-                # pick c, then pick d: compound pick c * k + d
-                cmaps = [m.translate(f) for m in cmaps for f in maps]
-            self.cmaps = cmaps
+            self.maps = [bytes(col) + pad for col in zip(*step)]
             self.every = bytes(range(len(keys)))  # the identity map
-            self.rows = self.crows = ()
+            self.rows = ()
             return
-        self.maps = self.cmaps = None
+        self.maps = None
         rows = self.rows = [[None] * k + [s] for s in range(len(keys))]
         for row, targets in zip(rows, step):
             row[:k] = map(rows.__getitem__, targets)
-        self.crows = rows  # at j = 1 a single row is a compound row
-        if j > 1:
-            # level by level, the compound rows that 0, 1, ..., j picks
-            # reach from each state, in compound-pick order
-            crows = self.crows = [[] for _ in rows]
-            ends = [[crow] for crow in crows]
-            for _ in range(j - 1):
-                ends = [reduce(iadd, map(ends.__getitem__, targets), [])
-                        for targets in step]
-            for s, (crow, targets) in enumerate(zip(crows, step)):
-                reduce(iadd, map(ends.__getitem__, targets), crow)
-                crow.append(s)
 
     def state(self, start) -> int:
         """The id of the matching whose partner table is ``start``."""
@@ -379,59 +324,52 @@ class _PMTable:
 
     def free(self):
         """Empty every row, breaking the cycles among them."""
-        for row in chain(self.rows, self.crows):
+        for row in self.rows:
             row.clear()
 
-    def read_back(self, picks: bytes) -> bytes:
-        """The map of the compound ``picks``, read from the last pick back.
-        A map holds the state each state goes to, one byte a state.  Reads
-        of 8, 16, 32, ... picks go back until the composed map sends every
-        state to one, which the map of the picks before them cannot
-        change, or until the picks run out.  Either way the result is the
-        forward composition."""
-        cmaps = self.cmaps
+    def read_back(self, steps: int, rng) -> bytes:
+        """The map of a ``steps``-pick attempt, its picks drawn from the
+        last one back.  A map holds the state each state goes to, one byte
+        a state.  Each read is one ``rng.randbytes`` call of 16, 32, 64,
+        ... bytes, at most the picks still undrawn, less the bytes that
+        fail :func:`_byte_table`; the reads go back until the composed
+        map sends every state to one, which the picks before them cannot
+        change, or until the attempt's picks are all drawn.  The picks are
+        independent and exactly uniform, so either way the map has the law
+        of the forward composition of ``steps`` picks."""
+        maps = self.maps
+        table = _byte_table(self.k)
         every = after = self.every
         states = len(every)
-        hi = len(picks)
         size = _FIRST_READ
-        while hi:
-            lo = hi - size if hi > size else 0
-            # a read's picks compose forward in C, pick lo first, from
-            # every state
-            after = reduce(bytes.translate,
-                           map(cmaps.__getitem__, picks[lo:hi]),
+        while steps:
+            picks = rng.randbytes(min(size, steps)).translate(table).replace(
+                b"\xff", b"")
+            # a read's picks come before the later reads' ones and compose
+            # forward in C, its first pick first, from every state
+            after = reduce(bytes.translate, map(maps.__getitem__, picks),
                            every).translate(after.ljust(256))
             if after.count(after[0]) == states:
                 break
-            hi = lo
+            steps -= len(picks)
             size += size
         return after
 
     def walk(self, s: int, steps: int, attempts: int, rng) -> int:
         """From state ``s``, up to ``attempts`` rounds of ``steps`` moves,
         stopping after the first round that ends perfect; returns the last
-        state.  Each round reads :func:`_walk_picks`' picks: compound ones,
-        then single ones.  On maps the compound picks are read back
-        (:meth:`read_back`), past ``_CHUNK`` of them a chunk at a time, as
-        they are drawn, and the maps are applied in turn.  On rows a round
-        walks forward."""
+        state.  On maps a round's end is read from its map, drawn back
+        (:meth:`read_back`); on rows it walks ``_picks(rng, k, steps)``
+        forward."""
         perfect = self.perfect
         k = self.k
         maps = self.maps
-        read_back = self.read_back
         rows = self.rows
-        crows = self.crows
         for _ in range(attempts):
-            whole, rest = _walk_picks(rng, k, steps)
             if maps is None:
-                s = reduce(getitem, rest,
-                           rows[reduce(getitem, whole, crows[s])[-1]])[k]
+                s = reduce(getitem, _picks(rng, k, steps), rows[s])[k]
             else:
-                for chunk in ((whole,) if isinstance(whole, bytes) else iter(
-                        lambda: bytes(islice(whole, _CHUNK)), b"")):
-                    s = read_back(chunk)[s]
-                for r in rest:
-                    s = maps[r][s]
+                s = self.read_back(steps, rng)[s]
             if perfect[s]:
                 break
         return s
@@ -449,19 +387,19 @@ def _run_restricted(g: Graph, vbits: int, start, steps: int,
     None when the budget runs out.
 
     ``tables`` is a caller's memory across draws, by vertex set.  A set of
-    at most 16 edges gets its :class:`_PMTable` there at its first draw.  A
+    at most ``_EAGER_EDGES`` = 16 edges gets its :class:`_PMTable` there at
+    its first draw: every such set seen has at most 256 states, so its
+    table is maps, which draw only an attempt's last few dozen picks.  A
     larger set keeps the steps walked on it so far, read on the step loop,
     until they reach :func:`table_transitions`; then its table replaces
     them, so that it never has more transitions than steps already walked
-    on its set.  Every table walks compound picks, which past 16 edges are
-    the step loop's single picks.  Without ``tables`` every draw takes the
-    step loop, on single picks.
+    on its set.  Without ``tables`` every draw takes the step loop.
     """
     table = None if tables is None else tables.get(vbits, 0)
     if not isinstance(table, _PMTable):
         moves = _inner_edges(g, vbits)
         if table is not None and (
-                _compound(len(moves)) > 1
+                len(moves) <= _EAGER_EDGES
                 or table >= table_transitions(vbits.bit_count() // 2)):
             table = tables[vbits] = _PMTable(g, vbits, start)
     if isinstance(table, _PMTable):

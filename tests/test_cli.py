@@ -926,6 +926,25 @@ def test_spec_writes_what_its_command_line_writes(tmp_path):
         assert (spec / name).read_bytes() == (cli / name).read_bytes()
 
 
+def test_the_out_root_holds_every_relative_output(tmp_path, monkeypatch):
+    """With ``GBSMC_OUT_ROOT`` set, a spec's relative ``--out-dir`` and
+    relative ``--out`` both land under it, and nothing lands in the
+    working directory."""
+    work, root = tmp_path / "work", tmp_path / "root"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("GBSMC_OUT_ROOT", str(root))
+    spec = _spec(tmp_path, _SOLVE[:-1] + ["rel/solve"],
+                 ["sample", "--gen", "complete", "--n", 4, "--steps", 10,
+                  "--samples", 3, "--lambda", 1, "--out", "rel/s.csv"],
+                 ["gen-graph", "complete", "--n", 4, "--out", "rel/g.txt"])
+    assert run("bench", "--spec", spec) == EXIT_OK
+    assert (root / "rel/solve/records.txt").is_file()
+    assert len((root / "rel/s.csv").read_text().splitlines()) == 3
+    assert (root / "rel/g.txt").read_text().startswith("4 6")
+    assert list(work.iterdir()) == []
+
+
 # --- the old spec format, options as JSON keys, is refused whole -------------
 
 _OLD_FORMAT = 'a spec is {"runs": [[word, ...], ...]}'

@@ -249,8 +249,8 @@ def test_a_window_builds_one_table_per_vertex_set(k6, monkeypatch):
 def test_a_windows_tables_die_with_the_window(k6, monkeypatch):
     """With the cyclic GC off, a K6 window's inner-chain tables are all
     freed by the time the window returns: as made, tables of maps, and
-    with the map limit at 0, tables of rows and compound rows, which
-    point at one another."""
+    with the map limit at 0, tables of rows, which point at one
+    another."""
     from gbsmc import pm_chain
     real_walk = pm_chain._PMTable.walk
     for map_states in (256, 0):
@@ -259,10 +259,7 @@ def test_a_windows_tables_die_with_the_window(k6, monkeypatch):
         walked = []
 
         def walk(table, *args):
-            if table.maps is None:
-                assert table.crows is not table.rows
-            else:
-                assert table.cmaps is not table.maps and table.rows == ()
+            assert (table.maps is None) == (table.rows != ())
             walked.append((table.maps is None, len(table.keys)))
             return real_walk(table, *args)
 
@@ -280,10 +277,10 @@ def test_a_windows_tables_die_with_the_window(k6, monkeypatch):
         assert (map_states == 0, 60) in walked
 
 
-def test_a_windows_first_draw_on_a_set_walks_compound_rows(k6, monkeypatch):
+def test_a_windows_first_draw_on_a_set_walks_its_table(k6, monkeypatch):
     """Every V(X) of K6 holds at most 15 edges, so a K6 window's chain
     inner draws never take the step loop: each set's table is built at its
-    first draw, and that draw already reads compound picks, on maps."""
+    first draw, and that draw already walks it, on maps."""
     from gbsmc import pm_chain
 
     def no_step_loop(*args):
@@ -295,10 +292,9 @@ def test_a_windows_first_draw_on_a_set_walks_compound_rows(k6, monkeypatch):
     walks = Counter()
 
     def walk(table, *args):
-        end = real_walk(table, *args)
-        assert table.cmaps is not table.maps
+        assert table.maps is not None
         walks[id(table)] += 1
-        return end
+        return real_walk(table, *args)
 
     monkeypatch.setattr(pm_chain._PMTable, "walk", walk)
     cfg = DoubleLoopConfig(chain=ChainConfig(c=0.5))

@@ -144,8 +144,8 @@ def er256_double_loop_windows():
     """The paper-scale double-loop command of CI's sample step: ER(256,
     0.4) at graph seed 0, post-selected at k = 8, lambda = 0.017485,
     20,000 steps of burn-in and ten 200,000-step windows, with chain inner
-    draws at the default budget.  Its 8-vertex sets walk tables of 2,048
-    compound picks an attempt."""
+    draws at the default budget.  Its 8-vertex sets walk tables of 4,096
+    picks an attempt, drawn from the last one back."""
     g = gen_graph(GraphSpec.of("erdos_renyi", n=256, p=0.4), seed=0)
     cfg = DoubleLoopConfig(chain=ChainConfig(fugacity=0.017485))
     rng = child_rng(1, "sample")
@@ -213,23 +213,24 @@ CASES = {
     **{f"double-loop-k6-{kk}": (k6_double_loop, (kk,))
        for kk in ("vertexset", "matching")},
     "double-loop-er256-k8": (er256_double_loop_windows, ()),
-    # short attempts, then the default budgets: 4,096 steps (2,048
-    # compound picks) and 350 attempts on K4,4, 10,000 steps (5,000) and
-    # 541 attempts on the Petersen graph
+    # short attempts, then the default budgets: 4,096 steps and 350
+    # attempts on K4,4, 10,000 steps and 541 attempts on the Petersen
+    # graph
     "k44-table-draws": (table_draws, (
         "k44", [(1, 3), (7, 3), (64, 3)] + [(4_096, 350)] * 20)),
     "petersen-table-draws": (table_draws, (
         "petersen", [(1, 3), (9, 3), (150, 3)] + [(10_000, 541)] * 20)),
-    # 66,666 compound picks an attempt, past _CHUNK
+    # 200,000 steps an attempt, of which the walk draws a few dozen; its
+    # one draw is one of K4's three perfect matchings
     "k4-table-draws-past-a-chunk": (table_draws, ("k4", [(200_000, 3)])),
 }
 
 PINNED = {
     'double-loop-er24-matching': '0e503330890c4461',
     'double-loop-er24-vertexset': '2a73be9101d3f7ce',
-    'double-loop-er256-k8': 'dfd8ddb3528054ad',
-    'double-loop-k6-matching': '8cfed2e7b92c2954',
-    'double-loop-k6-vertexset': '1904086440af3036',
+    'double-loop-er256-k8': 'f48752de3463b2fe',
+    'double-loop-k6-matching': '6539b3339345a523',
+    'double-loop-k6-vertexset': '6810c464f0d7fe1e',
     'er128-dense-glauber': '70adbac90363538b',
     'er128-dense-jerrum': '7a7088055c0a94ea',
     'er64-glauber-0.002-None': 'aafec23e55c45c20',
@@ -275,9 +276,9 @@ PINNED = {
     'k6-jerrum-3.0-vertexset-thin1': '724d05cc28596663',
     'k6-jerrum-3.0-vertexset-thin15': 'fc452d86745f21f2',
     'k4-table-draws-past-a-chunk': '5bc879ffcb29cc26',
-    'k44-table-draws': 'dab4a8175762351e',
+    'k44-table-draws': 'da8688cd3526e84e',
     'k8-inner-draws': 'd9f24a4207b50e37',
-    'petersen-table-draws': '8bc729d0d277a3f6',
+    'petersen-table-draws': 'bca6882941502c2c',
     'search-double-loop-k32': 'f76f16547a1e1587',
     'search-jerrum-k32': '627851c11e9043ad',
     'search-jerrum-k8': 'bc92281432603aa7',

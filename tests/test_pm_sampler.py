@@ -21,11 +21,10 @@ from gbsmc.pm_chain import (
     PMStateError,
     default_inner_steps,
     _PMTable,
-    _compound,
+    _byte_table,
     _picks,
     _pm_walk,
     _run_restricted,
-    _walk_picks,
     default_max_attempts,
     sample_perfect_matching,
     table_transitions,
@@ -62,8 +61,7 @@ def partner_table(g, vbits, entries):
 
 def both_forms(g, vbits, start):
     """The table of ``vbits`` in its two forms: maps, as a table of at
-    most 256 states is made, and rows with compound rows, as a larger one
-    is made."""
+    most 256 states is made, and rows, as a larger one is made."""
     with mock.patch.object(pm_chain, "_MAP_STATES", 0):
         rows = _PMTable(g, vbits, start)
     return _PMTable(g, vbits, start), rows
@@ -187,18 +185,18 @@ def test_uniformity_on_k33():
 
 @pytest.mark.parametrize("name", ["k4", "k33", "square"])
 def test_pm_steps_follow_the_exact_kernel_powers(name, request):
-    """X_T from a perfect and a near-perfect start, T = 1, 2, 3, 5, 6,
-    against rows of P^T, on the step loop the samplers' restricted runs
-    walk and on the transition table the double loop walks, there in both
-    of its forms: maps read back from an attempt's end, and compound rows
-    walked forward.  With j steps a compound pick (3 on K4, 2 on K3,3, 4
-    on the square), the table's attempts run on compound picks alone, on
-    single picks alone, and on both."""
+    """X_T from a perfect and a near-perfect start, T = 1, 2, 3, 5, 6 and
+    40, against rows of P^T, on the step loop the samplers' restricted
+    runs walk and on the transition table the double loop walks, there in
+    both of its forms: maps, an attempt's picks drawn from its last one
+    back, and rows walked forward.  At T = 40 an attempt on maps whose map
+    is not constant within its first read of 16 picks draws the rest in
+    a second."""
     g = request.getfixturevalue(name)
     perfect = enumerate_perfect_matchings(g)[-1].pairs()
     starts = (perfect, perfect[1:])
     kernel = transition_kernel(g, "pm")
-    times = (1, 2, 3, 5, 6)
+    times = (1, 2, 3, 5, 6, 40)
     check_kernel_powers(
         g, kernel, lambda x, steps, rng: pm_steps(g, x, steps, rng), starts,
         label=f"pm/{name}", times=times)
@@ -216,8 +214,8 @@ def test_pm_steps_follow_the_exact_kernel_powers(name, request):
 
 def _er12_set():
     """An ER(12, 0.8) graph, the vertex set of a 4-edge matching of it, and
-    that matching.  The set holds 18 edges, past 16: one step a compound
-    pick."""
+    that matching.  The set holds 18 edges, past 16: its draws take the
+    step loop until they have walked ``table_transitions(4)`` steps."""
     g = gen_graph(GraphSpec.of("erdos_renyi", n=12, p=0.8), seed=4)
     x = Matching(g)
     for i, bits in enumerate(g.edge_bits):
@@ -250,8 +248,9 @@ def k44():
 
 @pytest.fixture
 def k44_chord(k44):
-    """K4,4 and one edge inside a side: 17 edges, one past 16, so one
-    step a compound pick."""
+    """K4,4 and one edge inside a side: 17 edges, one past 16, so its
+    draws take the step loop until they have walked
+    ``table_transitions(4)`` steps."""
     return Graph(8, list(k44.edges) + [(0, 1)])
 
 
@@ -260,43 +259,23 @@ def k8():
     return gen_graph(GraphSpec.of("complete", n=8))
 
 
-# graphs by edge count k, so by steps a compound pick: j = 8 (k = 1, 2),
-# 5 (3), 4 (4), 3 (6), 2 (9 to 16) and 1 (17)
+# graphs by edge count k: 1, 2, 3, 4, 6, 9, 15, 16 and 17; the last is
+# past 16, so its table comes only after draws on the step loop
 BY_EDGES = ["edge", "two_edges", "path4", "square", "k4", "k33", "k6", "k44",
             "k44_chord"]
 
 
-def _spelled(rng, k, steps):
-    """The picks of one ``steps``-step table attempt on ``k`` edges, one a
-    step: each compound pick of :func:`_walk_picks` written out as its j
-    base-k digits, most significant first, then the single picks."""
-    j = _compound(k)
-    whole, rest = _walk_picks(rng, k, steps)
-    return [c // k ** (j - 1 - d) % k for c in whole
-            for d in range(j)] + list(rest)
-
-
-class SpelledBytes:
-    """An RNG stub for the step loop on ``k`` edges: each ``randbytes``
-    call, one an attempt of at most ``_CHUNK`` steps, returns the digits
-    of a table attempt's picks drawn from ``rng``."""
-
-    def __init__(self, rng, k):
-        self.rng = rng
-        self.k = k
-
-    def randbytes(self, n):
-        return bytes(_spelled(self.rng, self.k, n))
-
-
 @pytest.mark.parametrize("name", BY_EDGES + ["er12", "k8"])
-def test_table_walk_draws_what_the_step_loop_draws(name, request):
+def test_table_walk_draws_what_the_step_loop_draws(name, request,
+                                                   monkeypatch):
     """A run of draws, each from the last one's matching, with and without
-    a window's tables: the same partner entries, successes and budget
-    run-outs alike, and the same random draws consumed.  Past 16 edges
-    both walks read the same picks.  On at most 16 edges the table, built
-    at the first draw, reads compound picks, and the step loop is fed
-    their digits."""
+    a window's tables, on tables of rows (forced with the map limit at
+    0): the same partner entries, successes and budget run-outs alike,
+    and the same random draws consumed, since rows walk the step loop's
+    picks forward.  On at most 16 edges the table is built at the first
+    draw, and past 16 once the draws on its set have walked
+    ``table_transitions`` steps."""
+    monkeypatch.setattr(pm_chain, "_MAP_STATES", 0)
     if name == "er12":
         g, vbits, start = _er12_set()
     else:
@@ -304,85 +283,77 @@ def test_table_walk_draws_what_the_step_loop_draws(name, request):
         vbits, start = g.full_bits, enumerate_perfect_matchings(g)[0].partner
     loop_rng, table_rng = random.Random(name), random.Random(name)
     k = len(pm_chain._inner_edges(g, vbits))
-    loop = loop_rng if k > 16 else SpelledBytes(loop_rng, k)
-    tables = {vbits: table_transitions(vbits.bit_count() // 2)
-              } if k > 16 else {}
+    tables = {}
     outcomes = Counter()
     for t in range(300):
+        if t == 150 and k > 16:
+            # the draws so far walked fewer steps than the table has
+            # transitions: fill the count up
+            assert tables[vbits] < table_transitions(vbits.bit_count() // 2)
+            tables[vbits] = table_transitions(vbits.bit_count() // 2)
         steps, attempts = (1, 2, 3, 8, 40)[t % 5], 1 + t % 3
-        want = _run_restricted(g, vbits, start, steps, attempts, loop)
+        want = _run_restricted(g, vbits, start, steps, attempts, loop_rng)
         got = _run_restricted(g, vbits, start, steps, attempts, table_rng,
                               tables)
         assert got == want
         assert loop_rng.getstate() == table_rng.getstate()
+        assert isinstance(tables[vbits], _PMTable) == (k <= 16 or t >= 150)
         outcomes[want is None] += 1
         if want is not None:
             start = partner_table(g, vbits, want)
-    assert isinstance(tables[vbits], _PMTable)
+    assert tables[vbits].maps is None
     assert outcomes[True] and outcomes[False]
 
 
-def _check_table_against_spelled_picks(g, schedule, seed):
-    """Draws on a table that walks compound picks from its first draw, in
-    each of its forms, each draw from the last one's matching, pick for
-    pick against the same table's single maps or rows and the step loop,
-    fed the digits of the same draws: the same results, and the same
-    random draws consumed.  ``schedule`` holds (steps, attempts) pairs."""
-    vbits, first = g.full_bits, enumerate_perfect_matchings(g)[0].partner
-    for table in both_forms(g, vbits, first):
-        start = first
-        tables = {vbits: table}
-        table_rng, ref_rng = random.Random(seed), random.Random(seed)
-        k = g.m
-        for steps, attempts in schedule:
-            got = _run_restricted(g, vbits, start, steps, attempts,
-                                  table_rng, tables)
-            s = table.state(start)
-            picks = []
-            for _ in range(attempts):
-                attempt = _spelled(ref_rng, k, steps)
-                picks += attempt
-                s = single_steps(table, s, attempt)
-                if table.perfect[s]:
-                    break
-            want = table.keys[s] if table.perfect[s] else None
-            assert got == want
-            assert table_rng.getstate() == ref_rng.getstate()
-            assert _run_restricted(g, vbits, start, steps, attempts,
-                                   ScriptedBytes(bytes(picks))) == want
-            if want is not None:
-                start = want
-        if table.maps is None:
-            assert (table.crows is table.rows) == (k > 16)
-        else:
-            assert (table.cmaps is table.maps) == (k > 16)
+class Recorder:
+    """An RNG wrapper that keeps the bytes of each ``randbytes`` call."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.reads = []
+
+    def randbytes(self, n):
+        got = self.rng.randbytes(n)
+        self.reads.append(got)
+        return got
 
 
-@pytest.mark.parametrize("name", BY_EDGES)
-def test_compound_rows_walk_what_the_step_loop_walks(name, request):
-    """Compound maps read back and compound rows walked forward, at step
-    counts that j divides and ones it does not, reach what single maps or
-    rows and the step loop reach on the digits of the same compound picks
-    (on k44_chord, j = 1: the compound maps and rows are the single ones,
-    and the picks are the step loop's single picks)."""
-    _check_table_against_spelled_picks(
-        request.getfixturevalue(name),
-        [((1, 2, 3, 8, 40, 41)[t % 6], 1 + t % 3) for t in range(200)], name)
+def drawn_in_time_order(reads, k):
+    """The picks of a table attempt's reads on ``k`` edges, in time order:
+    the reads go from the attempt's last pick back, and each read's own
+    picks run forward.  Bytes that fail the pick rule are dropped."""
+    table = _byte_table(k)
+    return [r for read in reversed(reads) for r in read.translate(table)
+            if r != 255]
 
 
-@pytest.mark.parametrize("name", ["k4", "k6", "k44_chord"])
-def test_walks_past_a_chunk_of_compound_picks_draw_alike(name, request,
-                                                         monkeypatch):
-    """With chunks of 5 picks, walks of many chunks: the compound maps and
-    rows read the picks chunk by chunk, and reach what the digits of those
-    picks reach (on k44_chord, j = 1: the single maps and rows, on single
-    picks)."""
-    monkeypatch.setattr(pm_chain, "_CHUNK", 5)
-    g = request.getfixturevalue(name)
-    j = _compound(g.m)
-    _check_table_against_spelled_picks(
-        g, [(steps, 3) for steps in (5 * j, 5 * j + 1, 15 * j - 1, 15 * j,
-                                     15 * j + 1, 64)], name)
+def check_read_back(table, rows, steps, rng, earlier):
+    """One ``steps``-pick attempt on the maps of ``table``, drawn back
+    from ``rng`` and recorded.  From every state, its end is where the
+    single rows of ``rows`` go forward on the picks in time order: first
+    ``earlier(n)``'s picks for the n that the attempt left undrawn, then
+    the drawn ones.  It leaves picks undrawn only once its map is
+    constant, and :meth:`_PMTable.walk` on a replay of the same bytes ends
+    alike.  Returns the number of reads and of picks drawn."""
+    rec = Recorder(rng)
+    end = table.read_back(steps, rec)
+    drawn = drawn_in_time_order(rec.reads, table.k)
+    assert len(drawn) <= steps
+    states = len(table.keys)
+    if len(drawn) < steps:
+        assert len(set(end[:states])) == 1
+    picks = earlier(steps - len(drawn)) + drawn
+    stream = b"".join(rec.reads)
+    for s in range(states):
+        want = single_steps(rows, s, picks)
+        assert end[s] == want
+        assert table.walk(s, steps, 1, ScriptedBytes(stream)) == want
+    return len(rec.reads), len(drawn)
+
+
+# see _coupling_sets
+COUPLING_SETS = ["k4", "k6", "k33", "k44", "petersen", "er0", "er1", "er2",
+                 "er3"]
 
 
 @cache
@@ -417,75 +388,97 @@ def _coupling_tables(name):
     return both_forms(*_coupling_sets()[name])
 
 
-# a read that stops early shows only where the unread picks lead to a
-# state the map has not yet sent with the rest: a walk that stopped once
-# all states but one agreed passed 60 examples and failed 300 in each of
-# 4 runs
-@settings(max_examples=300)
+# an attempt that stops early shows a wrong end only where its undrawn
+# picks lead to a state the map has not yet sent with the rest: a walk
+# that stopped once all states but one agreed failed this test in each
+# of 4 runs, and did so on the end states alone too
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_an_attempt_read_back_ends_where_single_steps_forward_end(data):
-    """An attempt of n steps on a table of maps, its compound and single
-    picks scripted, from every state: its end, read from the last pick
-    back, is the state the table's single rows reach forward on the
-    picks' digits.  From n = 1 on, many attempts end before the map is
-    constant."""
-    name = data.draw(st.sampled_from(sorted(_coupling_sets())))
+    """An attempt of n steps on a table of maps, its picks drawn from the
+    last one back: from every state its end is where single rows go
+    forward on the same picks in time order, undrawn ones included.
+    Attempts of up to 16 picks draw them in one read, and many run out of
+    picks before the map is constant; longer ones stop within a read or
+    after reads have doubled."""
+    name = data.draw(st.sampled_from(COUPLING_SETS))
     table, rows = _coupling_tables(name)
-    assert table.maps is not None
-    k = table.k
-    j = _compound(k)
-    n = data.draw(st.integers(1, 300 * j))
-    whole = data.draw(st.lists(st.integers(0, k ** j - 1), min_size=n // j,
-                               max_size=n // j))
-    rest = data.draw(st.lists(st.integers(0, k - 1), min_size=n % j,
-                              max_size=n % j))
-    digits = [c // k ** (j - 1 - d) % k for c in whole
-              for d in range(j)] + rest
-    for s in range(len(table.keys)):
-        assert table.walk(s, n, 1, ScriptedBytes(bytes(whole + rest))) == \
-            single_steps(rows, s, digits)
+    assert table.maps is not None and rows.maps is None
+    steps = data.draw(st.integers(1, 600))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    earlier = random.Random(f"earlier/{seed}")
+    check_read_back(table, rows, steps, random.Random(seed),
+                    lambda n: [earlier.randrange(table.k) for _ in range(n)])
 
 
-def test_a_one_edge_graph_takes_eight_steps_a_byte(edge):
-    """k = 1 carries j = 8 steps a pick: a 20-step attempt on a table
-    draws 2 compound bytes, then 4 single ones, and ends on the one
-    perfect matching (20 is even)."""
-    rng, ref = random.Random(1), random.Random(1)
-    tables = {}
-    got = _run_restricted(edge, edge.full_bits, [1, 0], 20, 1, rng, tables)
-    ref.randbytes(2)
-    ref.randbytes(4)
-    assert got == (1, 0)
-    assert isinstance(tables[edge.full_bits], _PMTable)
-    assert rng.getstate() == ref.getstate()
+@pytest.mark.parametrize("name", COUPLING_SETS)
+def test_table_attempts_stop_in_the_first_read_in_a_doubled_one_or_never(
+        name):
+    """Attempts of 1 to |V(X)|^4 steps on each set's table of maps, checked
+    as in the test above: on every set some stop after reads have doubled
+    and some run out of picks first.  On K4, whose map is most often
+    constant within its last 16 picks, some stop within the first read."""
+    table, rows = _coupling_tables(name)
+    rng = random.Random(name)
+    earlier = random.Random(f"earlier/{name}")
+    seen = Counter()
+    for steps in (1, 2, 7, 16, 17, 40, 100, 300, len(table.verts) ** 4):
+        for _ in range(20):
+            reads, drawn = check_read_back(
+                table, rows, steps, rng,
+                lambda n: [earlier.randrange(table.k) for _ in range(n)])
+            seen["ran out" if drawn == steps else
+                 "first read" if reads == 1 else "doubled"] += 1
+    assert seen["ran out"] and seen["doubled"], seen
+    if name == "k4":
+        assert seen["first read"], seen
 
 
-@pytest.mark.parametrize("name", ["k6", "k44", "k44_chord"])
-def test_compound_rows_are_composed_when_a_table_is_made(name, request):
-    """A table composes its compound transitions, k^j of them, when it is
-    made: as maps, each the composition of its digits' single maps, and in
-    a table of rows as rows, states times k^j entries each.  At most 16
-    edges (K6's 15, K4,4's 16) they are new lists; past 16 (K4,4 and a
-    chord) j = 1, and they are the single maps or rows themselves, the
-    same lists."""
-    g = request.getfixturevalue(name)
-    j = _compound(g.m)
-    entries = g.m ** j
-    maps, rows = both_forms(g, g.full_bits,
-                            enumerate_perfect_matchings(g)[0].partner)
-    assert (maps.cmaps is maps.maps) == (g.m > 16)
-    assert len(maps.cmaps) == entries and len(maps.maps) == g.m
-    states = len(maps.keys)
-    for c, cmap in enumerate(maps.cmaps):
-        digits = [c // g.m ** (j - 1 - d) % g.m for d in range(j)]
-        assert len(cmap) == 256
-        assert list(cmap[:states]) == [single_steps(maps, s, digits)
-                                       for s in range(states)]
-    assert rows.maps is None
-    assert (rows.crows is rows.rows) == (g.m > 16)
-    assert len(rows.crows) == len(rows.rows) == states
-    assert all(len(crow) == entries + 1 and crow[-1] == s
-               for s, crow in enumerate(rows.crows))
+def test_a_table_whose_maps_never_meet_draws_every_pick(two_edges):
+    """On two disjoint edges each pick's map permutes the three states, so
+    no composed map is constant: a 1,000-step attempt draws every pick,
+    in reads of 16, 32, ..., 256 and the 504 left, and ends where the
+    picks lead forward."""
+    table, rows = both_forms(two_edges, two_edges.full_bits, [1, 0, 3, 2])
+    assert len(table.keys) == 3
+    assert check_read_back(table, rows, 1000, random.Random(2),
+                           lambda n: []) == (6, 1000)
+
+
+# counts of 100 draws, each from the last one's matching, at the default
+# attempt count: K4's at 200,000 steps an attempt made 315 attempts, 389
+# randbytes calls and drew 7,408 bytes (1.23 calls and 23.5 bytes an
+# attempt); K6's at its default 1,296 steps made 374 attempts, 904 calls
+# and drew 28,256 bytes (2.42 calls and 75.6 bytes an attempt)
+@pytest.mark.parametrize("n, steps, calls, drawn", [
+    (4, 200_000, 1.25, 24), (6, 6 ** 4, 2.5, 76)])
+def test_table_draws_draw_only_the_picks_they_read(n, steps, calls, drawn,
+                                                   monkeypatch):
+    """Draws on K_n's table, their ``randbytes`` calls recorded: an attempt
+    makes ``calls`` calls and draws ``drawn`` bytes or fewer, on the mean,
+    far fewer than its picks, and no byte is drawn that is not read but
+    the rejected ones (k = 6 rejects 4 of 256 byte values, k = 15 one).
+    The bounds sit just above the counts, which repeat exactly."""
+    attempts = Counter()
+    read_back = _PMTable.read_back
+
+    def counted(table, *args):
+        attempts[table.k] += 1
+        return read_back(table, *args)
+
+    monkeypatch.setattr(_PMTable, "read_back", counted)
+    g = gen_graph(GraphSpec.of("complete", n=n))
+    start = enumerate_perfect_matchings(g)[0].partner
+    rng = Recorder(random.Random(f"counts/{n}"))
+    for _ in range(100):
+        start = list(_run_restricted(g, g.full_bits, start, steps,
+                                     default_max_attempts(n), rng, {}))
+    tried = attempts[g.m]
+    stream = b"".join(rng.reads)
+    read = len(stream.translate(_byte_table(g.m)).replace(b"\xff", b""))
+    assert len(rng.reads) <= calls * tried
+    assert len(stream) <= drawn * tried
+    assert len(stream) <= 1.02 * read
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
