@@ -57,7 +57,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import chain
+from itertools import chain, combinations
 from typing import Optional
 
 from .graphs import Graph, Matching, bits_to_tuple
@@ -221,10 +221,10 @@ def table_transitions(q: int) -> int:
 
 def _inner_edges(g: Graph, vbits: int) -> list:
     """The edges ``(a, z)`` inside the vertex set ``vbits``, in index
-    order (the edge list is sorted)."""
-    adj = g.adj
-    return [(a, z) for a in bits_to_tuple(vbits)
-            for z in bits_to_tuple(adj[a] & vbits >> a + 1 << a + 1)]
+    order: the set's ascending pairs come in the order of the sorted edge
+    list."""
+    return list(filter(g.edge_index.__contains__,
+                       combinations(bits_to_tuple(vbits), 2)))
 
 
 _MAP_STATES = 256  # the states a bytes.translate table can index

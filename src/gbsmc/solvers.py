@@ -14,7 +14,11 @@ vertices and with a search-grade inner chain on larger ones.
 
 Budget fairness is a hard contract here: every variant performs exactly
 ``iterations`` objective evaluations per trial, so best-score comparisons
-between plain and enhanced runs are like for like.
+between plain and enhanced runs are like for like.  An evaluation is a
+scored set.  Plain trials compute every score; a chain trial reads a set
+it has already scored, or whose hafnian a double-loop exact gate has
+summed, from its memo (``_ChainProposals.scores``), at the cost of one
+dict lookup.
 """
 
 from __future__ import annotations
@@ -80,14 +84,30 @@ class TrialRecord:
         return None if self.best_set is None else bits_to_tuple(self.best_set)
 
 
-def objective_value(g: Graph, objective: str, bits: int):
+def objective_value(g: Graph, objective: str, bits: int, memo=None):
     """Score a vertex set: perfect-matching count, or edge density.  The
-    empty set scores 0 under both objectives."""
+    empty set scores 0 under both objectives.
+
+    With a ``memo`` (a dict from vertex bitset to score, kept by the
+    caller for one objective on ``g``), a score it holds for ``bits`` is
+    returned as it is; otherwise the score is computed, stored there and
+    returned.  ``hafnian_bits`` and ``count_induced_edges`` run only on a
+    miss, and a hafnian miss is still one-shot (relabelled from
+    ``hafnian.RELABEL_MIN`` vertices) and stores only the set's own value.
+    """
     if bits == 0:
         return 0
+    if memo is not None:
+        got = memo.get(bits)
+        if got is not None:
+            return got
     if objective == "hafnian":
-        return hafnian_bits(g, bits)
-    return count_induced_edges(g, bits) / bits.bit_count()
+        value = hafnian_bits(g, bits)
+    else:
+        value = count_induced_edges(g, bits) / bits.bit_count()
+    if memo is not None:
+        memo[bits] = value
+    return value
 
 
 def _validate(g: Graph, cfg: SolverConfig):
@@ -173,6 +193,13 @@ class _ChainProposals:
     the exact gate on every removal and follow the capped Haf^2 law
     exactly; larger ones take the search-grade chain draw, whose failures
     let removals go ahead.
+
+    ``scores`` is the trial's objective memo (:func:`objective_value`).
+    Under the hafnian objective it is ``haf_memo`` itself, so a proposal's
+    score is read wherever an exact gate has summed its Haf(S), and a gate
+    reads the hafnians the objective has stored; glauber and jerrum trials
+    keep the same attribute, which no gate fills.  The density objective
+    keeps a dict of its own, so no density value enters ``haf_memo``.
     """
 
     def __init__(self, g: Graph, cfg: SolverConfig):
@@ -187,6 +214,7 @@ class _ChainProposals:
                 f"{cfg.sampler} sampler takes a ChainConfig")
         self.chain = base  # the sampler's own config
         self.haf_memo = {}  # the exact gates' hafnians, kept for the trial
+        self.scores = self.haf_memo if cfg.objective == "hafnian" else {}
         if cfg.sampler == "double_loop":
             self.chain = DoubleLoopConfig(chain=base, inner="search")
         # a bad fugacity or a lazy double loop fails before the first draw
@@ -233,6 +261,7 @@ def random_search(g: Graph, cfg: SolverConfig) -> TrialRecord:
     _validate(g, cfg)
     t0 = time.perf_counter()
     chain = None if cfg.sampler == "uniform" else _ChainProposals(g, cfg)
+    memo = None if chain is None else chain.scores
     rng = child_rng(cfg.seed, "rs" if chain is None else "ers-fallback")
     best, best_set = 0, None
     traj = []
@@ -242,7 +271,7 @@ def random_search(g: Graph, cfg: SolverConfig) -> TrialRecord:
         if bits is None:
             starved += chain is not None
             bits = bitset(_uniform_subset(rng, g.n, cfg.subset_size))
-        score = objective_value(g, cfg.objective, bits)
+        score = objective_value(g, cfg.objective, bits, memo)
         if score > best:
             best, best_set = score, bits
         traj.append(best)
@@ -273,10 +302,11 @@ def simulated_annealing(g: Graph, cfg: SolverConfig) -> TrialRecord:
         raise SolverConfigError("initial temperature must be positive")
     t0 = time.perf_counter()
     chain = None if cfg.sampler == "uniform" else _ChainProposals(g, cfg)
+    memo = None if chain is None else chain.scores
     rng = child_rng(cfg.seed, "sa" if chain is None else "esa")
     k = cfg.subset_size
     current = _uniform_subset(rng, g.n, k)
-    f_cur = objective_value(g, cfg.objective, bitset(current))
+    f_cur = objective_value(g, cfg.objective, bitset(current), memo)
     best, best_set = (f_cur, bitset(current)) if f_cur > 0 else (0, None)
     traj = [best]
     starved = 0
@@ -302,7 +332,7 @@ def simulated_annealing(g: Graph, cfg: SolverConfig) -> TrialRecord:
             fresh = rng.sample([v for v in range(g.n) if v not in banned],
                                need)
         candidate = sorted(keep + fresh)
-        f_new = objective_value(g, cfg.objective, bitset(candidate))
+        f_new = objective_value(g, cfg.objective, bitset(candidate), memo)
         if f_new > best:
             best, best_set = f_new, bitset(candidate)
         delta = float(f_new) - float(f_cur)

@@ -514,6 +514,34 @@ def test_the_table_of_k2q_holds_every_perfect_and_near_perfect_matching(q):
     assert table_transitions(q) == {2: 54, 3: 900, 4: 14_700}[q]
 
 
+def _inner_edge_cases():
+    """(graph, vertex set) pairs: K6, K4,4 and the Petersen graph whole,
+    and ER(256, 0.4) sets of 8, 16 and 32 vertices."""
+    cases = [(g, g.full_bits) for g in (
+        gen_graph(GraphSpec.of("complete", n=6)),
+        gen_graph(GraphSpec.of("complete_bipartite", m=4, n=4)),
+        petersen_graph())]
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=256, p=0.4), seed=1)
+    rng = random.Random(28)
+    for size in (8, 16, 32):
+        cases += [(g, sum(1 << v for v in rng.sample(range(g.n), size)))
+                  for _ in range(20)]
+    return cases
+
+
+def test_inner_edges_list_the_set_s_edges_in_index_order():
+    """``_inner_edges`` gives, in order, what each vertex's later
+    neighbours inside the set give, vertex by ascending vertex: picks
+    index this list, so its order fixes every draw."""
+    for g, vbits in _inner_edge_cases():
+        expected = [(a, z) for a in bits_to_tuple(vbits)
+                    for z in bits_to_tuple(g.adj[a] & vbits >> a + 1 << a + 1)]
+        got = pm_chain._inner_edges(g, vbits)
+        assert got == expected
+        assert [g.edge_index[e] for e in got] == sorted(
+            g.edge_index[e] for e in got)
+
+
 class ScriptedBytes:
     """An RNG stub whose ``randbytes`` reads on through a fixed byte
     stream, starting it again at its end."""

@@ -366,9 +366,10 @@ def test_double_loop_proposals_draw_the_chain_on_large_sets(monkeypatch):
 
 
 def test_objectives_go_through_the_module_attributes(monkeypatch):
-    """Every evaluation of either objective calls ``hafnian_bits`` or
-    ``count_induced_edges`` through the attribute of ``gbsmc.solvers``, so
-    a wrapper set there sees each one."""
+    """In a plain trial, every evaluation of either objective calls
+    ``hafnian_bits`` or ``count_induced_edges`` through the attribute of
+    ``gbsmc.solvers``, so a wrapper set there sees each one.  (Chain
+    trials call them only on a memo miss; see the memo tests below.)"""
     calls = {}
 
     def spy(name):
@@ -388,6 +389,104 @@ def test_objectives_go_through_the_module_attributes(monkeypatch):
         assert record.evaluations == 7
         assert calls.pop(name) == record.evaluations
     assert not calls
+
+
+def test_objective_value_reads_a_held_score_and_stores_a_new_one():
+    g = complete(6)
+    bits = 0b1111
+    memo = {bits: "held"}
+    assert objective_value(g, "hafnian", bits, memo) == "held"
+    memo = {}
+    assert objective_value(g, "hafnian", bits, memo) == 3
+    assert objective_value(g, "density", 0b111, memo) == 1.0
+    assert memo == {bits: 3, 0b111: 1.0}
+
+
+def _memo_trial(sampler, objective, sa):
+    return _rs_cfg(objective=objective, iterations=40, sampler=sampler,
+                   chain=ChainConfig(fugacity=1.0), mixing_steps=40,
+                   sa=SAParams(gamma=0.9) if sa else None)
+
+
+def _record_fields(rec):
+    return (rec.algorithm, rec.best_set, rec.best_score,
+            rec.score_trajectory, rec.evaluations, rec.inner_failures,
+            rec.starvation_count)
+
+
+MEMO_CASES = [(sampler, objective, sa)
+              for sampler in ("glauber", "jerrum", "double_loop")
+              for objective in ("hafnian", "density")
+              for sa in (False, True)]
+
+
+def test_chain_trials_score_each_distinct_set_once(monkeypatch):
+    """A chain trial calls ``objective_value`` once an evaluation, and
+    ``hafnian_bits`` or ``count_induced_edges`` at most once a distinct
+    set it evaluates: a repeated set is read from the trial's memo.  Its
+    record is the record of the same trial with the memo ignored."""
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=12, p=0.5), seed=1)
+    real = solvers.objective_value
+    evaluated, computed = [], []
+
+    def spy_objective(g, objective, bits, memo=None):
+        evaluated.append(bits)
+        return real(g, objective, bits, memo)
+
+    def spy(name):
+        original = getattr(solvers, name)
+
+        def wrapper(g, bits, *args):
+            computed.append(bits)
+            return original(g, bits, *args)
+        monkeypatch.setattr(solvers, name, wrapper)
+
+    for name in ("hafnian_bits", "count_induced_edges"):
+        spy(name)
+    saved = 0
+    for sampler, objective, sa in MEMO_CASES:
+        cfg = _memo_trial(sampler, objective, sa)
+        evaluated.clear()
+        computed.clear()
+        monkeypatch.setattr(solvers, "objective_value", spy_objective)
+        rec = solver_for(cfg)(g, cfg)
+        assert len(evaluated) == rec.evaluations == cfg.iterations
+        assert len(set(computed)) == len(computed)
+        assert set(computed) <= set(evaluated)
+        saved += len(evaluated) - len(computed)
+        monkeypatch.setattr(solvers, "objective_value",
+                            lambda g, objective, bits, memo=None:
+                            real(g, objective, bits))
+        assert _record_fields(solver_for(cfg)(g, cfg)) == _record_fields(rec)
+    assert saved > 0
+
+
+def test_a_density_trial_keeps_its_scores_out_of_the_hafnian_memo(
+        monkeypatch):
+    """The double loop's exact gates fill ``haf_memo`` under either
+    objective; density scores go to a dict of their own."""
+    trials = []
+
+    class Kept(solvers._ChainProposals):
+        def __init__(self, *args):
+            super().__init__(*args)
+            trials.append(self)
+
+    monkeypatch.setattr(solvers, "_ChainProposals", Kept)
+    g = gen_graph(GraphSpec.of("erdos_renyi", n=12, p=0.5), seed=1)
+    for sa in (False, True):
+        cfg = _memo_trial("double_loop", "density", sa)
+        solver_for(cfg)(g, cfg)
+    for chain in trials:
+        assert chain.haf_memo and chain.scores
+        assert chain.scores is not chain.haf_memo
+        assert all(type(v) is int and v == naive_hafnian_subset(
+            g.n, g.edges, bits_to_tuple(bits))
+            for bits, v in chain.haf_memo.items())
+        assert all(type(v) is float for v in chain.scores.values())
+    cfg = _memo_trial("double_loop", "hafnian", False)
+    solver_for(cfg)(g, cfg)
+    assert trials[-1].scores is trials[-1].haf_memo
 
 
 def test_cold_restarts_run_and_reproduce():
